@@ -34,12 +34,12 @@ Commands
     benchmark-record JSON (see docs/scaling.md).
 ``lint``
     Statically analyze the protocol sources: handler coverage,
-    sim <-> model-checker conformance, deadlock heuristics, state
-    reachability (see docs/static_analysis.md).
+    sim <-> spec conformance, deadlock heuristics, state reachability
+    (see docs/static_analysis.md).
 ``spec``
     Check the guarded-action protocol specs: the SPC spec analyses plus
-    the spec <-> sim/mc conformance diff; ``--render``/``--diff`` print
-    a spec or its structured justifications (see docs/spec.md).
+    the spec <-> sim conformance diff; ``--render``/``--diff`` print a
+    spec or its structured justifications (see docs/spec.md).
 ``fuzz``
     Randomized protocol stress fuzzing with network fault injection:
     run a seed corpus through oracle-checked simulations, shrink any
@@ -67,7 +67,9 @@ from .harness import experiments, run_app
 from .harness import sweep as sweep_mod
 from .harness.sweep import SweepEngine, SweepProgress
 from .protocol import arena as arena_mod
-from .mc import ALL_INVARIANTS, ModelChecker, ProtocolModel
+from .common.errors import (ConfigError, DeadlockError, InvariantViolation,
+                            ReproError)
+from .mc import ALL_INVARIANTS, ModelChecker
 from .obs import TraceConfig, Tracer, export_jsonl, export_perfetto
 from .workloads import application_names
 
@@ -188,9 +190,9 @@ def build_parser():
     verify_p = sub.add_parser("verify", help="model-check the protocol")
     verify_p.add_argument("--protocol", choices=("adaptive", "mesi"),
                           default="adaptive",
-                          help="adaptive checks the hand-written model; "
-                               "mesi checks the model generated from its "
-                               "guarded-action spec (default: adaptive)")
+                          help="the protocol whose guarded-action spec is "
+                               "compiled into the checked model (default: "
+                               "adaptive)")
     verify_p.add_argument("--nodes", type=int, default=3)
     verify_p.add_argument("--no-delegation", action="store_true")
     verify_p.add_argument("--no-updates", action="store_true")
@@ -430,34 +432,43 @@ def cmd_experiment(args):
 
 
 def cmd_verify(args):
-    if args.protocol == "mesi":
-        from .spec import get_spec
-        from .spec.mcgen import SpecModel
+    from .spec import get_spec
+    from .spec.mcgen import SpecModel
+    try:
         model = SpecModel(
-            get_spec("mesi"), num_nodes=args.nodes, writers=(1,),
-            readers=tuple(range(2, args.nodes)),
-            ordered_channels=not args.unordered)
-    else:
-        model = ProtocolModel(
-            num_nodes=args.nodes,
-            writers=(1,),
+            get_spec(args.protocol), num_nodes=args.nodes, writers=(1,),
             readers=tuple(range(2, args.nodes)),
             enable_delegation=not args.no_delegation,
-            enable_updates=not (args.no_updates or args.no_delegation),
-            ordered_channels=not args.unordered,
-        )
-    checker = ModelChecker(model.initial_states(), model.rules(),
-                           ALL_INVARIANTS, quiescent=model.quiescent,
-                           max_states=args.max_states, track_traces=False,
-                           canonicalize=model.canonical)
+            enable_updates=not args.no_updates,
+            ordered_channels=not args.unordered)
+    except ConfigError as err:
+        print("repro verify: error: %s" % err, file=sys.stderr)
+        return 2
+
+    def check(track_traces):
+        return ModelChecker(model.initial_states(), model.rules(),
+                            ALL_INVARIANTS, quiescent=model.quiescent,
+                            max_states=args.max_states,
+                            track_traces=track_traces,
+                            canonicalize=model.canonical).run()
+
     start = time.time()
     try:
-        result = checker.run()
-    except Exception as err:  # InvariantViolation / DeadlockError
+        result = check(track_traces=False)
+    except (InvariantViolation, DeadlockError):
+        # The fast pass keeps no parent pointers.  Exploration order is
+        # deterministic, so a traced re-run stops at the same state and
+        # yields its shortest counterexample.
+        try:
+            check(track_traces=True)
+        except (InvariantViolation, DeadlockError) as err:
+            print("VIOLATION: %s" % err)
+            for step in err.trace:
+                print("   ", step)
+            return 1
+        raise AssertionError("the traced re-run found no violation")
+    except ReproError as err:  # StateSpaceExceeded, SpecExecutionError
         print("VIOLATION: %s" % err)
-        trace = getattr(err, "trace", [])
-        for step in trace:
-            print("   ", step)
         return 1
     print("PASS: %d states, %d transitions, depth %d, %.2fs"
           % (result.states_explored, result.transitions, result.max_depth,
@@ -615,8 +626,8 @@ def cmd_scale(args):
                 "group": "scale",
                 "name": "scale[%s]" % args.nodes,
                 "fullname": "repro scale --nodes %s" % args.nodes,
-                # The CLI strings verbatim, so tools/bench_gate.py can
-                # re-run the exact same sweep.
+                # The CLI strings verbatim, so the record names exactly
+                # the sweep it timed.
                 "params": {"nodes": args.nodes,
                            "formats": ",".join(formats),
                            "protocols": args.protocols,
@@ -858,7 +869,7 @@ def _render_spec_diff(spec):
 def cmd_spec(args):
     from .lint import (LintReport, Severity, render_json, render_sarif,
                        render_text)
-    from .lint.extract import extract_mc, extract_protocols, extract_sim
+    from .lint.extract import extract_protocols, extract_sim
     from .spec import load_spec_tree
     from .spec.analyze import run_spec_checks
     from .spec.conformance import run_conformance
@@ -887,10 +898,9 @@ def cmd_spec(args):
     for name in wanted:
         findings.extend(run_spec_checks(specs[name]))
     sim = extract_sim(root)
-    mc = extract_mc(root)
     protocols = extract_protocols(root)
     findings.extend(run_conformance(
-        {name: specs[name] for name in wanted}, sim, mc, protocols))
+        {name: specs[name] for name in wanted}, sim, protocols))
     report = LintReport(
         findings=findings, allowlisted=[], stale_allowlist=[],
         root=str(root), allowlist_path=None,
@@ -898,9 +908,7 @@ def cmd_spec(args):
             "sim_messages": len(sim.messages),
             "sim_handled": len(sim.handlers),
             "sim_funcs": len(sim.funcs),
-            "mc_messages": len(mc.messages),
-            "mc_handled": len(mc.handlers),
-            "conformance": {"source": "spec", "specs": wanted},
+            "conformance": {"specs": wanted},
             "specs": {name: {
                 "messages": len(specs[name].messages),
                 "transitions": len(specs[name].transitions),

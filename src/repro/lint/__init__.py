@@ -1,9 +1,9 @@
 """repro.lint — static protocol analyzer.
 
 Extracts the protocol graph from the simulator sources (handler tables,
-message emissions) and from the abstract model checker, then runs a
-registry of static checks over them: handler coverage, sim ↔ model
-conformance diffing, deadlock/livelock heuristics, and state
+message emissions), loads the guarded-action protocol specs, and runs a
+registry of static checks over them: handler coverage, spec analyses,
+sim ↔ spec conformance diffing, deadlock/livelock heuristics, and state
 reachability.  See ``docs/static_analysis.md``.
 
 Entry point: :func:`run_lint` (also exposed as ``repro lint`` on the CLI).
@@ -11,10 +11,10 @@ Entry point: :func:`run_lint` (also exposed as ``repro lint`` on the CLI).
 
 from pathlib import Path
 
+from ..common.errors import ConfigError
 from ..spec.registry import load_spec_tree
 from .checks import run_checks
-from .extract import (extract_mc, extract_protocols, extract_sim,
-                      extract_state_usage)
+from .extract import extract_protocols, extract_sim, extract_state_usage
 from .findings import (Allowlist, Finding, LintReport,  # noqa: F401
                        Severity)
 from .report import render_json, render_sarif, render_text  # noqa: F401
@@ -45,12 +45,15 @@ def run_lint(root=None, allowlist_path=None, use_allowlist=True):
     findings).
     """
     root = Path(root) if root else default_root()
+    specs = load_spec_tree(root)
+    if "adaptive" not in specs:
+        raise ConfigError(
+            "%s has no spec/protocols/adaptive.py; lint checks the "
+            "simulator against that spec" % root)
     sim = extract_sim(root)
-    mc = extract_mc(root)
     states = extract_state_usage(root)
     protocols = extract_protocols(root)
-    specs = load_spec_tree(root)
-    findings = run_checks(sim, mc, states, protocols, specs)
+    findings = run_checks(sim, states, protocols, specs)
 
     allowlist = None
     if use_allowlist:
@@ -84,31 +87,21 @@ def run_lint(root=None, allowlist_path=None, use_allowlist=True):
             "sim_messages": len(sim.messages),
             "sim_handled": len(sim.handlers),
             "sim_funcs": len(sim.funcs),
-            "mc_messages": len(mc.messages),
-            "mc_handled": len(mc.handlers),
             "state_enums": len(states),
-            # Which arena protocols the conformance machinery covers and
-            # how: an mc twin gets the full CON diff (hand-written for
-            # adaptive, spec-generated for mesi); spec-only protocols get
-            # the SPC analyses; a legacy tree with no specs is skipped.
+            # How lint covers each arena protocol: every spec gets the
+            # SPC analyses; a spec with mc_model="generated" also *is*
+            # the protocol's model-checker twin.
             "protocols": {
-                name: _protocol_status(decl.mc_twin, name in specs)
-                for name, decl in protocols.items()
+                name: _protocol_status(specs.get(name))
+                for name in protocols
             },
-            # Whether the CON diff ran against the guarded-action specs
-            # or fell back to the legacy name-map heuristic.
-            "conformance": {
-                "source": "spec" if specs else "heuristic",
-                "specs": sorted(specs),
-            },
+            "conformance": {"specs": sorted(specs)},
         })
 
 
-def _protocol_status(mc_twin, has_spec):
-    if mc_twin == "spec":
+def _protocol_status(spec):
+    if spec is None:
+        return "unchecked (no spec)"
+    if spec.mc_model == "generated":
         return "conformance-checked (generated mc twin)"
-    if mc_twin:
-        return "conformance-checked (mc twin)"
-    if has_spec:
-        return "spec-checked (no mc twin)"
-    return "conformance-skipped (no mc twin)"
+    return "spec-checked (no mc twin)"

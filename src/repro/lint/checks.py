@@ -8,18 +8,14 @@ check id   severity   meaning
 COV001     error      a message is emitted but has no registered handler
 COV002     error      a declared message is never emitted (dead message)
 COV003     error      a declared sim MsgType has no handler entry
-CON001     error      sim message with no model counterpart (unmapped,
-                      unmodeled, or counterpart unhandled)
-CON002     error      model token with no sim counterpart
+CON001     error      sim message the adaptive spec does not declare (or
+                      spec message that is no MsgType, or a data-bearing
+                      flag mismatch)
 CON003     warning    sim transition (handled msg -> emitted msg) the
-                      spec (or, on legacy trees, the model) doesn't allow
-CON004     warning    model transition the spec (or the sim) doesn't allow
+                      spec doesn't allow
 CON005     error      spec-required sim transition absent from the sim
-                      (spec-driven trees only)
-CON006     error      spec-required model transition absent from the
-                      model (spec-driven trees only)
 SPC001-7   mixed      spec-level analyses (see repro.spec.analyze and
-                      repro.spec.conformance) — spec-driven trees only
+                      repro.spec.conformance)
 DLK001     warning    message-dependency cycle not broken by a NACK
 DLK002     warning    NACK handler re-emits a request with no retry bound
 RCH001     error      state no transition ever enters
@@ -28,17 +24,18 @@ RCH002     warning    state entered but never examined (can't be left on
 EXT001     note       emission whose MsgType could not be resolved
                       statically (extraction blind spot)
 ARN001     error      arena protocol handler table references an unknown
-                      MsgType (baseline hubs are outside the CON graph —
-                      no mc twin — so this is their only static guard)
+                      MsgType (baseline hubs are outside the adaptive
+                      sim graph, so this is their vocabulary guard)
 ALW001     warning    stale allowlist entry (matched nothing this run)
 =========  =========  ===================================================
 
-Each check yields :class:`~repro.lint.findings.Finding` objects with a
-*fingerprint* that is stable under reformatting, so the allowlist keys on
-meaning rather than on line numbers.
+The model checker's side needs no static check: its models are compiled
+from the specs (:mod:`repro.spec.mcgen`), which enforce spec conformance
+at runtime.  Each check yields :class:`~repro.lint.findings.Finding`
+objects with a *fingerprint* that is stable under reformatting, so the
+allowlist keys on meaning rather than on line numbers.
 """
 
-from .conformance import mc_counterparts, sim_counterpart
 from .findings import Finding, Severity
 
 #: Messages that initiate work and are retried after a NACK; a retry edge
@@ -60,35 +57,32 @@ def _first_site(emissions, name):
 # -- COV: handler coverage ----------------------------------------------------
 
 
-def check_coverage(sim, mc):
-    """COV001/COV002/COV003 over both graphs."""
-    for graph in (sim, mc):
-        emissions = graph.all_emissions()
-        emitted = {e.mtype for e in emissions if e.mtype is not None}
-        # COV001: emitted but unhandled.
-        for name in sorted(emitted - set(graph.handlers)):
-            site = _first_site(emissions, name)
-            yield Finding(
-                check_id="COV001", severity=Severity.ERROR, side=graph.side,
-                fingerprint="%s:%s" % (graph.side, name),
-                message="%s message %s is emitted (e.g. in %s) but no "
-                        "handler is registered for it"
-                        % (graph.side, name, site.func if site else "?"),
-                file=site.file if site else None,
-                line=site.line if site else None)
-        # COV002: declared but never emitted (dead message).
-        for name in sorted(set(graph.messages) - emitted):
-            decl = graph.messages[name]
-            yield Finding(
-                check_id="COV002", severity=Severity.ERROR, side=graph.side,
-                fingerprint="%s:%s" % (graph.side, name),
-                message="%s message %s is declared but never emitted by "
-                        "any handler or entry point (dead message)"
-                        % (graph.side, name),
-                file=decl.file, line=decl.line)
-    # COV003: sim enum members missing from the dispatch table.  (The mc
-    # side has no separate declaration to diff against — its vocabulary
-    # *is* its handler set plus emissions, which COV001/COV002 cover.)
+def check_coverage(sim):
+    """COV001/COV002/COV003 over the simulator graph."""
+    emissions = sim.all_emissions()
+    emitted = {e.mtype for e in emissions if e.mtype is not None}
+    # COV001: emitted but unhandled.
+    for name in sorted(emitted - set(sim.handlers)):
+        site = _first_site(emissions, name)
+        yield Finding(
+            check_id="COV001", severity=Severity.ERROR, side=sim.side,
+            fingerprint="%s:%s" % (sim.side, name),
+            message="%s message %s is emitted (e.g. in %s) but no "
+                    "handler is registered for it"
+                    % (sim.side, name, site.func if site else "?"),
+            file=site.file if site else None,
+            line=site.line if site else None)
+    # COV002: declared but never emitted (dead message).
+    for name in sorted(set(sim.messages) - emitted):
+        decl = sim.messages[name]
+        yield Finding(
+            check_id="COV002", severity=Severity.ERROR, side=sim.side,
+            fingerprint="%s:%s" % (sim.side, name),
+            message="%s message %s is declared but never emitted by "
+                    "any handler or entry point (dead message)"
+                    % (sim.side, name),
+            file=decl.file, line=decl.line)
+    # COV003: enum members missing from the dispatch table.
     for name in sorted(set(sim.messages) - set(sim.handlers)):
         decl = sim.messages[name]
         yield Finding(
@@ -99,108 +93,24 @@ def check_coverage(sim, mc):
             file=decl.file, line=decl.line)
 
 
-# -- CON: sim <-> mc conformance ----------------------------------------------
+# -- CON: sim <-> spec conformance --------------------------------------------
 
 
-def check_conformance(sim, mc, protocols=None, specs=None):
-    """Sim ↔ model conformance, spec-driven when the tree has specs.
+def check_conformance(sim, protocols=None, specs=None):
+    """The spec analyses plus the simulator's conformance to its spec.
 
-    A tree with ``spec/protocols/`` modules gets the full spec-driven
-    diff (CON001-CON006 plus the SPC family) from :mod:`repro.spec`:
-    both graphs are compared against the spec's transition relation, and
-    the structured in-spec annotations (``only``/``hoist``/``replay``/
-    ``note``) justify the intentional gaps that used to live in the
-    allowlist.  A legacy tree without specs falls back to the name-map
-    heuristic diff (CON001-CON004) below.
+    Every spec gets the ``SPC0xx`` analyses; the extracted simulator
+    graph is diffed against the adaptive spec (CON001/CON003/CON005) and
+    every dispatch table against its protocol's spec (SPC007).  The
+    structured in-spec annotations (``only``/``hoist``/``replay``/
+    ``note``) justify the intentional gaps.
     """
-    if specs:
-        from ..spec.analyze import run_spec_checks
-        from ..spec.conformance import run_conformance
-        for name in sorted(specs):
-            yield from run_spec_checks(specs[name])
-        yield from run_conformance(specs, sim, mc, protocols)
-    else:
-        yield from _check_conformance_heuristic(sim, mc)
-
-
-def _check_conformance_heuristic(sim, mc):
-    """CON001/CON002 (vocabulary) and CON003/CON004 (transitions)."""
-    # CON001: every sim message needs a live model counterpart.
-    for name in sorted(sim.messages):
-        decl = sim.messages[name]
-        tokens = mc_counterparts(name)
-        if tokens is None:
-            yield Finding(
-                check_id="CON001", severity=Severity.ERROR, side="both",
-                fingerprint=name,
-                message="MsgType.%s has no entry in the sim<->mc "
-                        "conformance map (repro.lint.conformance)" % name,
-                file=decl.file, line=decl.line)
-            continue
-        handled = [t for t in tokens if t in mc.handlers]
-        if not handled:
-            detail = ("maps to no model token"
-                      if not tokens else
-                      "maps to %s, none of which the model handles"
-                      % "/".join(tokens))
-            yield Finding(
-                check_id="CON001", severity=Severity.ERROR, side="both",
-                fingerprint=name,
-                message="MsgType.%s %s" % (name, detail),
-                file=decl.file, line=decl.line)
-    # CON002: every model token needs a sim counterpart.
-    for token in sorted(mc.messages):
-        if sim_counterpart(token) is None:
-            decl = mc.messages[token]
-            yield Finding(
-                check_id="CON002", severity=Severity.ERROR, side="both",
-                fingerprint=token,
-                message="model token %s has no sim counterpart in the "
-                        "conformance map" % token,
-                file=decl.file, line=decl.line)
-    # CON003/CON004: per-message transition diff.  For each sim message
-    # whose counterpart the model handles, compare what each side can
-    # emit while handling it.
-    for name in sorted(sim.handlers):
-        tokens = mc_counterparts(name) or ()
-        handled = [t for t in tokens if t in mc.handlers]
-        if not handled:
-            continue  # vocabulary gap already reported by CON001
-        sim_out = sim.emitted_names(name)
-        mc_out = set()
-        for token in handled:
-            mc_out |= mc.emitted_names(token)
-        decl = sim.messages.get(name)
-        # sim transition missing from the model.
-        for out in sorted(sim_out):
-            out_tokens = mc_counterparts(out)
-            if out_tokens is None or not out_tokens:
-                continue  # unmapped/unmodeled output: CON001's business
-            if not (set(out_tokens) & mc_out):
-                yield Finding(
-                    check_id="CON003", severity=Severity.WARNING,
-                    side="both", fingerprint="%s->%s" % (name, out),
-                    message="sim handling of %s can emit %s, but the "
-                            "model's %s handler(s) never emit %s"
-                            % (name, out, "/".join(handled),
-                               "/".join(out_tokens)),
-                    file=decl.file if decl else None,
-                    line=decl.line if decl else None)
-        # model transition missing from the sim.
-        for out in sorted(mc_out):
-            sim_out_name = sim_counterpart(out)
-            if sim_out_name is None:
-                continue  # unmapped token: CON002's business
-            if sim_out_name not in sim_out:
-                yield Finding(
-                    check_id="CON004", severity=Severity.WARNING,
-                    side="both",
-                    fingerprint="%s->%s" % (name, sim_out_name),
-                    message="model handling of %s can emit %s (sim %s), "
-                            "but the sim's %s handler never emits it"
-                            % ("/".join(handled), out, sim_out_name, name),
-                    file=decl.file if decl else None,
-                    line=decl.line if decl else None)
+    from ..spec.analyze import run_spec_checks
+    from ..spec.conformance import run_conformance
+    specs = specs or {}
+    for name in sorted(specs):
+        yield from run_spec_checks(specs[name])
+    yield from run_conformance(specs, sim, protocols)
 
 
 # -- DLK: deadlock / livelock heuristics --------------------------------------
@@ -340,24 +250,23 @@ def check_reachability(state_usages):
 # -- EXT: extraction blind spots ----------------------------------------------
 
 
-def check_extraction(sim, mc):
+def check_extraction(sim):
     """EXT001: emission sites whose message type is statically opaque."""
-    for graph in (sim, mc):
-        seen = set()
-        for emission in graph.all_emissions():
-            if emission.mtype is not None:
-                continue
-            fingerprint = "%s:%s" % (graph.side, emission.func)
-            if fingerprint in seen:
-                continue
-            seen.add(fingerprint)
-            yield Finding(
-                check_id="EXT001", severity=Severity.NOTE, side=graph.side,
-                fingerprint=fingerprint,
-                message="%s emission in %s has a message type the "
-                        "extractor cannot resolve statically"
-                        % (graph.side, emission.func),
-                file=emission.file, line=emission.line)
+    seen = set()
+    for emission in sim.all_emissions():
+        if emission.mtype is not None:
+            continue
+        fingerprint = "%s:%s" % (sim.side, emission.func)
+        if fingerprint in seen:
+            continue
+        seen.add(fingerprint)
+        yield Finding(
+            check_id="EXT001", severity=Severity.NOTE, side=sim.side,
+            fingerprint=fingerprint,
+            message="%s emission in %s has a message type the "
+                    "extractor cannot resolve statically"
+                    % (sim.side, emission.func),
+            file=emission.file, line=emission.line)
 
 
 # -- ARN: arena-protocol registry ---------------------------------------------
@@ -368,11 +277,11 @@ def check_arena(sim, protocols):
     vocabulary.
 
     The baseline hubs (``wi``/``mesi``/``dragon``) are deliberately
-    outside the sim<->mc conformance graph — they have no model twin, so
-    the CON checks *skip* them rather than diffing them against a model
-    of a different protocol.  This is the one static guard they keep: a
-    typo'd or stale ``MsgType`` in a baseline ``_handlers`` table would
-    otherwise only surface as an AttributeError mid-sweep.
+    outside the adaptive sim graph the CON checks diff, so their tables
+    are checked against their own specs (SPC007) and, here, against the
+    shared vocabulary: a typo'd or stale ``MsgType`` in a baseline
+    ``_handlers`` table would otherwise only surface as an
+    AttributeError mid-sweep.
     """
     known = set(sim.messages)
     if not known:
@@ -391,18 +300,18 @@ def check_arena(sim, protocols):
 #: The registry, in report order.  Each entry is (callable, arg names);
 #: ``run_checks`` wires the extracted artefacts in by name.
 CHECKS = (
-    (check_coverage, ("sim", "mc")),
-    (check_conformance, ("sim", "mc", "protocols", "specs")),
+    (check_coverage, ("sim",)),
+    (check_conformance, ("sim", "protocols", "specs")),
     (check_deadlock, ("sim",)),
     (check_reachability, ("states",)),
-    (check_extraction, ("sim", "mc")),
+    (check_extraction, ("sim",)),
     (check_arena, ("sim", "protocols")),
 )
 
 
-def run_checks(sim, mc, states, protocols=None, specs=None):
+def run_checks(sim, states, protocols=None, specs=None):
     """Run every registered check; return the flat finding list."""
-    artefacts = {"sim": sim, "mc": mc, "states": states,
+    artefacts = {"sim": sim, "states": states,
                  "protocols": protocols or {}, "specs": specs or {}}
     findings = []
     for check, args in CHECKS:

@@ -1,16 +1,13 @@
-"""Static extraction of the protocol graph from the simulator and model.
+"""Static extraction of the protocol graph from the simulator sources.
 
 Everything here is pure AST analysis — no repro module is imported from the
 analyzed tree, so the extractor can run over arbitrary (e.g. deliberately
-mutated) source snapshots.  Two graphs come out:
-
-* the **simulator graph** — ``MsgType`` vocabulary from
-  ``network/message.py``, the ``Hub._handlers`` dispatch table from
-  ``protocol/hub.py``, and per-method ``Message(MsgType.X, ...)`` emission
-  sites across ``protocol/*.py``, closed over ``self.*`` helper calls;
-* the **model graph** — ``_on_*`` handlers of ``mc/model.py``'s
-  ``ProtocolModel`` and the message tuples its rules/handlers feed to
-  ``_net_add``/``_net_add_unique``.
+mutated) source snapshots.  The **simulator graph** comes out: the
+``MsgType`` vocabulary from ``network/message.py``, the ``Hub._handlers``
+dispatch table from ``protocol/hub.py``, and per-method
+``Message(MsgType.X, ...)`` emission sites across ``protocol/*.py``,
+closed over ``self.*`` helper calls.  (The model checker needs no
+extraction: its models are compiled from the protocol specs.)
 
 Handler *closures* follow helper calls transitively (including methods only
 referenced as ``events.schedule`` callbacks) and prune branches guarded by
@@ -29,7 +26,7 @@ consumed).
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 #: Message-name aliases handled per registered message in the simulator.
 SIM_PROTOCOL_FILES = ("hub.py", "home.py", "producer.py", "requester.py",
@@ -97,7 +94,7 @@ class FuncInfo:
 
 @dataclass
 class MsgDecl:
-    """One declared message type (sim: an enum member; mc: a token)."""
+    """One declared message type (a ``MsgType`` enum member)."""
 
     name: str
     file: str
@@ -106,10 +103,10 @@ class MsgDecl:
 
 
 class Graph:
-    """One side's protocol graph: vocabulary, handlers, emission closure."""
+    """A protocol graph: vocabulary, handlers, emission closure."""
 
     def __init__(self, side):
-        self.side = side                 # "sim" | "mc"
+        self.side = side                 # "sim"
         self.messages: Dict[str, MsgDecl] = {}
         self.handlers: Dict[str, List[str]] = {}
         self.entry_points: List[str] = []
@@ -387,9 +384,6 @@ class ProtocolDecl:
     """One arena protocol as declared in ``protocol/arena.py``."""
 
     name: str
-    #: ``True`` (hand-written model twin), ``"spec"`` (twin generated
-    #: from the guarded-action spec), or ``False`` (no twin).
-    mc_twin: Union[bool, str]
     line: int
     #: The hub's own ``_handlers`` table (empty for protocols whose hub
     #: lives outside arena.py, i.e. the adaptive default).
@@ -401,12 +395,12 @@ def extract_protocols(root):
 
     Pure AST, like everything else here.  ``arena.py`` is deliberately
     *not* in :data:`SIM_PROTOCOL_FILES` — its hubs are alternative
-    protocols with no model-checker twin, so folding their handlers into
-    the sim graph would false-positive every sim<->mc conformance check.
-    This extractor gives the checks just enough structure to (a) report
-    which protocols the conformance diff covers and (b) still validate
-    the baseline handler tables against the shared MsgType vocabulary.
-    Returns ``{}`` for trees that predate the arena.
+    protocols, so folding their handlers into the adaptive sim graph
+    would false-positive every conformance check against the adaptive
+    spec.  This extractor gives the checks just enough structure to (a)
+    report which protocols lint covers and (b) still validate the
+    baseline handler tables against the shared MsgType vocabulary and
+    their own specs.  Returns ``{}`` for trees that predate the arena.
     """
     root = Path(root)
     path = root / "protocol" / "arena.py"
@@ -444,132 +438,13 @@ def extract_protocols(root):
                     and isinstance(key.value, str)
                     and isinstance(value, ast.Call)):
                 continue
-            # Keep the declared *value*: True means the hand-written
-            # model twin, "spec" means a twin generated from the
-            # protocol's guarded-action spec.
-            mc_twin = False
-            for keyword in value.keywords:
-                if (keyword.arg == "mc_twin"
-                        and isinstance(keyword.value, ast.Constant)
-                        and keyword.value.value):
-                    mc_twin = keyword.value.value
             hub = ""
             if len(value.args) > 1 and isinstance(value.args[1], ast.Name):
                 hub = value.args[1].id
             protocols[key.value] = ProtocolDecl(
-                name=key.value, mc_twin=mc_twin, line=key.lineno,
+                name=key.value, line=key.lineno,
                 handlers=tables.get(hub, {}))
     return protocols
-
-
-# -- model extraction ---------------------------------------------------------
-
-_NET_ADD_FUNCS = {"_net_add", "_net_add_unique"}
-
-
-def _is_mc_msg_tuple(node):
-    """A literal ``("NAME", src, dst, payload)`` model message."""
-    return (isinstance(node, ast.Tuple) and len(node.elts) == 4
-            and isinstance(node.elts[0], ast.Constant)
-            and isinstance(node.elts[0].value, str)
-            and len(node.elts[0].value) >= 2
-            and node.elts[0].value.replace("_", "").isupper())
-
-
-class _McFuncVisitor(ast.NodeVisitor):
-    """Collects emissions (tuples reaching ``_net_add``) and callees."""
-
-    def __init__(self, info, relpath, tuple_assigns):
-        self.info = info
-        self.relpath = relpath
-        self.tuple_assigns = tuple_assigns
-
-    def visit_Call(self, node):
-        if (isinstance(node.func, ast.Name)
-                and node.func.id in _NET_ADD_FUNCS):
-            for arg in node.args[1:]:
-                if _is_mc_msg_tuple(arg):
-                    self._emit(arg)
-                elif isinstance(arg, ast.Name):
-                    for tup in self.tuple_assigns.get(arg.id, ()):
-                        self._emit(tup)
-        if (isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "self"):
-            self.info.items.append(Item(kind="call",
-                                        callee=node.func.attr))
-        self.generic_visit(node)
-
-    def visit_Attribute(self, node):
-        # Rules referenced without a call (e.g. stored callbacks).
-        if (isinstance(node.value, ast.Name) and node.value.id == "self"
-                and not isinstance(getattr(node, "ctx", None), ast.Store)):
-            self.info.items.append(Item(kind="call", callee=node.attr))
-        self.generic_visit(node)
-
-    def _emit(self, tup):
-        dst = ast.unparse(tup.elts[2])
-        emission = Emission(mtype=tup.elts[0].value, dst=dst,
-                            func=self.info.name, file=self.relpath,
-                            line=tup.lineno)
-        self.info.items.append(Item(kind="emit", emission=emission))
-
-
-def _local_tuple_assigns(func_node):
-    """Names assigned literal message tuples anywhere in the function."""
-    assigns = {}
-    for node in ast.walk(func_node):
-        if isinstance(node, ast.Assign):
-            values = []
-            if _is_mc_msg_tuple(node.value):
-                values = [node.value]
-            elif isinstance(node.value, ast.IfExp):
-                values = [part for part in (node.value.body,
-                                            node.value.orelse)
-                          if _is_mc_msg_tuple(part)]
-            if not values:
-                continue
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    assigns.setdefault(target.id, []).extend(values)
-    return assigns
-
-
-def extract_mc(root, model_class="ProtocolModel"):
-    """Extract the model-checker-side graph from ``mc/model.py``."""
-    root = Path(root)
-    relpath = "mc/model.py"
-    graph = Graph("mc")
-    tree = _parse(root / "mc" / "model.py")
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.ClassDef)
-                and node.name == model_class):
-            continue
-        for stmt in node.body:
-            if not isinstance(stmt, ast.FunctionDef):
-                continue
-            info = FuncInfo(name=stmt.name, file=relpath, line=stmt.lineno,
-                            has_retry_guard=_has_retry_guard(stmt))
-            visitor = _McFuncVisitor(info, relpath,
-                                     _local_tuple_assigns(stmt))
-            for child in stmt.body:
-                visitor.visit(child)
-            graph.funcs[stmt.name] = info
-            if stmt.name.startswith("_on_"):
-                token = stmt.name[4:].upper()
-                graph.handlers.setdefault(token, []).append(stmt.name)
-                graph.messages.setdefault(token, MsgDecl(
-                    name=token, file=relpath, line=stmt.lineno))
-            elif (stmt.name.startswith("rule_")
-                    and stmt.name != "rule_deliver"):
-                graph.entry_points.append(stmt.name)
-    # Vocabulary also includes every emitted token (handled or not).
-    for emission in graph.all_emissions():
-        if emission.mtype is not None:
-            graph.messages.setdefault(emission.mtype, MsgDecl(
-                name=emission.mtype, file=emission.file,
-                line=emission.line))
-    return graph
 
 
 # -- state-usage extraction ---------------------------------------------------

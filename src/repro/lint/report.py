@@ -13,12 +13,9 @@ RULE_DESCRIPTIONS = {
     "COV001": "Message emitted but no handler registered",
     "COV002": "Message declared but never emitted (dead message)",
     "COV003": "MsgType missing from the hub dispatch table",
-    "CON001": "Sim message with no live model-checker counterpart",
-    "CON002": "Model token with no sim counterpart",
-    "CON003": "Sim transition the spec (or model) does not allow",
-    "CON004": "Model transition the spec (or sim) does not allow",
+    "CON001": "Sim message vocabulary out of step with the spec",
+    "CON003": "Sim transition the spec does not allow",
     "CON005": "Spec-required sim transition absent from the simulator",
-    "CON006": "Spec-required model transition absent from the model",
     "SPC001": "Overlapping guards in one spec trigger group",
     "SPC002": "Non-exhaustive guards in one spec trigger group",
     "SPC003": "Declared spec state never installed",
@@ -43,10 +40,8 @@ def render_text(report, verbose=False, title="repro lint"):
     lines.append("%s: %s" % (title, report.root or "<tree>"))
     if stats:
         lines.append(
-            "  graph: %d sim messages / %d handled, %d mc tokens / %d "
-            "handled, %d state enums"
+            "  graph: %d sim messages / %d handled, %d state enums"
             % (stats.get("sim_messages", 0), stats.get("sim_handled", 0),
-               stats.get("mc_messages", 0), stats.get("mc_handled", 0),
                stats.get("state_enums", 0)))
         protocols = stats.get("protocols") or {}
         if protocols:
@@ -54,16 +49,10 @@ def render_text(report, verbose=False, title="repro lint"):
                 lines.append("  %s: %s" % (name, protocols[name]))
         conformance = stats.get("conformance") or {}
         if conformance:
-            source = conformance.get("source", "heuristic")
-            if source == "spec":
-                lines.append(
-                    "  conformance source: guarded-action specs (%s) — "
-                    "gaps justified in-spec, not in the allowlist"
-                    % ", ".join(conformance.get("specs", ())))
-            else:
-                lines.append(
-                    "  conformance source: name-map heuristic (no "
-                    "spec/protocols/ in this tree)")
+            lines.append(
+                "  conformance source: guarded-action specs (%s) — "
+                "gaps justified in-spec, not in the allowlist"
+                % ", ".join(conformance.get("specs", ())))
     lines.append("")
     for finding in report.sorted_findings():
         lines.append("%s %s [%s] %s" % (finding.severity.value.upper(),

@@ -1,27 +1,23 @@
-"""Model of the coherence protocol for exhaustive checking (paper §2.5).
+"""The model checker's shared state kernel (paper §2.5).
 
-The model mirrors the simulator's protocol semantics on a deliberately
+Protocol models are compiled from the guarded-action specs by
+:class:`repro.spec.mcgen.SpecModel`; this module holds what every
+compiled model shares: the state layout, the initial state, the FIFO
+network helpers, value freshness, symmetry canonicalisation and
+quiescence.  :func:`ProtocolModel` builds the adaptive protocol's model.
+
+The models mirror the simulator's protocol semantics on a deliberately
 small configuration — one cache line, a handful of nodes, home at node 0 —
-the same methodology as the paper's extended-DASH Murphi model:
-
-* the base directory write-invalidate protocol (GETS/GETX, interventions,
-  invalidation+ack, writebacks, NACK/retry, MESI E-grant on read);
-* directory delegation: DELEGATE doubling as the exclusive reply,
-  forwarding + HOME_CHANGED hints, stale-hint NACK_NOT_HOME bounces,
-  voluntary undelegation (flush/capacity) and home-initiated recall with
-  its NACK(gone/busy) races;
-* speculative updates: nondeterministically timed delayed intervention,
-  pushes landing in consumer RACs, update-satisfied reads.
-
+the same methodology as the paper's extended-DASH Murphi model.
 Nondeterminism replaces timing: the delegation decision, the intervention
 firing point, message delivery interleaving and every CPU's next operation
 are all explored exhaustively.  The network preserves order *per (src,
 dst) channel* but interleaves channels arbitrarily — exactly the ordering
 the fabric provides (constant per-pair latency + FIFO ingress port), and
-an ordering the protocol genuinely relies on: under fully unordered
-delivery a stale UPDATE could legally overtake a later INV from the same
-producer and resurrect an invalidated copy (the checker finds that
-counterexample if the channels are made unordered; see
+an ordering the adaptive protocol genuinely relies on: under fully
+unordered delivery a stale UPDATE could legally overtake a later INV from
+the same producer and resurrect an invalidated copy (the checker finds
+that counterexample if the channels are made unordered; see
 tests/test_mc_protocol.py).
 
 Data values live in a small symbolic domain: each committed write installs
@@ -29,9 +25,9 @@ the smallest value not currently live anywhere in the state (freshness is
 all that matters — the protocol never computes on data), and the
 value-coherence invariant compares copies against ``cur`` in quiescent
 states.  Because values are only ever compared for equality, states that
-differ by a renaming of values are behaviourally identical; the
-:meth:`ProtocolModel.canonical` map exploits that symmetry (Murphi-style
-scalarset reduction) to collapse the visited set by an order of magnitude.
+differ by a renaming of values are behaviourally identical; :func:`canonical`
+exploits that symmetry (Murphi-style scalarset reduction) to collapse the
+visited set by an order of magnitude.
 
 State layout (all tuples, hashable)::
 
@@ -50,7 +46,7 @@ State layout (all tuples, hashable)::
              msg = (mtype, src, dst, payload-tuple)
 """
 
-from ..common.errors import ConfigError
+from typing import Any, Iterator, Tuple
 
 HOME = 0
 
@@ -66,10 +62,13 @@ _MSG_VALUE_POS = {
     "WB": 0, "UPDATE": 0, "DELEGATE": 1, "UNDELE": 1,
 }
 
-# -- state constructors -------------------------------------------------------
+#: One model state, one network message, one network.
+State = Tuple[Any, ...]
+McMsg = Tuple[Any, ...]
+Net = Tuple[Any, ...]
 
 
-def initial_state(num_nodes):
+def initial_state(num_nodes: int) -> State:
     return (
         0,
         tuple(("I", 0) for _ in range(num_nodes)),
@@ -82,11 +81,11 @@ def initial_state(num_nodes):
     )
 
 
-def _tup_set(tup, index, value):
+def _tup_set(tup: Tuple[Any, ...], index: int, value: Any) -> Tuple[Any, ...]:
     return tup[:index] + (value,) + tup[index + 1:]
 
 
-def _net_add(net, *msgs):
+def _net_add(net: Net, *msgs: McMsg) -> Net:
     """Append messages to their (src, dst) FIFO channels."""
     channels = {pair: list(queue) for pair, queue in net}
     for msg in msgs:
@@ -95,7 +94,7 @@ def _net_add(net, *msgs):
                         for pair, queue in channels.items()))
 
 
-def _net_add_unique(net, msg):
+def _net_add_unique(net: Net, msg: McMsg) -> Net:
     """Add ``msg`` unless an identical copy is already queued.
 
     Used only for idempotent hint messages (HOME_CHANGED): a retry loop can
@@ -111,7 +110,7 @@ def _net_add_unique(net, msg):
     return _net_add(net, msg)
 
 
-def _net_pop_msg(net, pair, msg):
+def _net_pop_msg(net: Net, pair: Tuple[int, int], msg: McMsg) -> Net:
     """Remove one specific message from a channel (the head under FIFO)."""
     channels = {p: list(queue) for p, queue in net}
     channels[pair].remove(msg)
@@ -121,854 +120,92 @@ def _net_pop_msg(net, pair, msg):
                         for p, queue in channels.items()))
 
 
-class ProtocolModel:
-    """Rule factory for the delegation/update protocol model."""
+def quiescent(state: State) -> bool:
+    """Nothing in flight and every CPU idle: a legal resting state."""
+    return not state[7] and all(cpu is None for cpu in state[3])
 
-    def __init__(self, num_nodes=3, writers=(1,), readers=(2,),
-                 enable_delegation=True, enable_updates=True,
-                 allow_evictions=True, ordered_channels=True):
-        if num_nodes < 2:
-            raise ConfigError("model needs at least home + one other node")
-        if HOME in writers:
-            raise ConfigError(
-                "the model exercises remote producers; home writes are "
-                "covered by the simulator's online checks")
-        for node in tuple(writers) + tuple(readers):
-            if not 0 <= node < num_nodes:
-                raise ConfigError("node %r out of range" % node)
-        self.num_nodes = num_nodes
-        self.writers = tuple(writers)
-        self.readers = tuple(readers)
-        self.enable_delegation = enable_delegation
-        self.enable_updates = enable_updates and enable_delegation
-        self.allow_evictions = allow_evictions
-        # ordered_channels=False removes the fabric's per-pair FIFO
-        # guarantee; the checker then finds the stale-UPDATE-overtakes-INV
-        # counterexample, demonstrating the protocol's ordering assumption.
-        self.ordered_channels = ordered_channels
 
-    # -- public API ------------------------------------------------------------
+def _value_fields(state: State) -> Iterator[Any]:
+    """Yield every live data value in a fixed traversal order."""
+    cur, caches, racs, _cpus, home, deleg, _hints, net = state
+    yield cur
+    for cstate, value in caches:
+        if cstate != "I":
+            yield value
+    for rac in racs:
+        if rac is not None:
+            yield rac[0]
+    yield home[3]  # memval
+    if deleg is not None:
+        yield deleg[1][3]
+    for _pair, queue in net:
+        for msg in queue:
+            pos = _MSG_VALUE_POS.get(msg[0])
+            if pos is not None:
+                yield msg[3][pos]
 
-    def initial_states(self):
-        return [initial_state(self.num_nodes)]
 
-    def rules(self):
-        rules = [self.rule_cpu_read, self.rule_cpu_write, self.rule_deliver]
-        if self.allow_evictions:
-            rules.append(self.rule_evict)
-            rules.append(self.rule_rac_evict)
-        if self.enable_delegation:
-            rules.append(self.rule_voluntary_undelegate)
-        if self.enable_updates:
-            rules.append(self.rule_intervention_fire)
-        return rules
+def fresh_value(state: State) -> int:
+    """Smallest domain value not live anywhere (a brand-new datum)."""
+    used = set(_value_fields(state))
+    for candidate in range(VALUE_DOMAIN):
+        if candidate not in used:
+            return candidate
+    raise AssertionError("VALUE_DOMAIN exhausted; raise it")
 
-    def quiescent(self, state):
-        _cur, _caches, _racs, cpus, _home, _deleg, _hints, net = state
-        return not net and all(cpu is None for cpu in cpus)
 
-    # -- helpers -----------------------------------------------------------------
+def canonical(state: State) -> State:
+    """Symmetry-class representative: rename values by first appearance.
 
-    def _target_of(self, state, node):
-        """Where ``node`` sends a request: itself if delegated here, the
-        hinted delegate, or the home (mirrors Hub._resolve_target)."""
-        deleg, hints = state[5], state[6]
-        if deleg is not None and deleg[0] == node:
-            return node
-        if hints[node] is not None:
-            return hints[node]
-        return HOME
+    Sound because the protocol treats values as opaque tokens compared
+    only for equality; used as the visited-set key by the engine."""
+    rename: dict = {}
+    for value in _value_fields(state):
+        if value not in rename:
+            rename[value] = len(rename)
 
-    def _value_fields(self, state):
-        """Yield every live data value in a fixed traversal order."""
-        cur, caches, racs, _cpus, home, deleg, _hints, net = state
-        yield cur
-        for cstate, value in caches:
-            if cstate != "I":
-                yield value
-        for rac in racs:
-            if rac is not None:
-                yield rac[0]
-        yield home[3]  # memval
-        if deleg is not None:
-            yield deleg[1][3]
-        for _pair, queue in net:
-            for msg in queue:
-                pos = _MSG_VALUE_POS.get(msg[0])
-                if pos is not None:
-                    yield msg[3][pos]
+    def rmap(value: Any) -> int:
+        return rename.setdefault(value, len(rename))
 
-    def _fresh_value(self, state):
-        """Smallest domain value not live anywhere (a brand-new datum)."""
-        used = set(self._value_fields(state))
-        for candidate in range(VALUE_DOMAIN):
-            if candidate not in used:
-                return candidate
-        raise AssertionError("VALUE_DOMAIN exhausted; raise it")
-
-    def canonical(self, state):
-        """Symmetry-class representative: rename values by first appearance.
-
-        Sound because the protocol treats values as opaque tokens compared
-        only for equality; used as the visited-set key by the engine."""
-        rename = {}
-        for value in self._value_fields(state):
-            if value not in rename:
-                rename[value] = len(rename)
-
-        def rmap(value):
-            return rename.setdefault(value, len(rename))
-
-        cur, caches, racs, cpus, home, deleg, hints, net = state
-        caches = tuple((st, rmap(v) if st != "I" else 0) for st, v in caches)
-        racs = tuple(None if r is None else (rmap(r[0]), r[1]) for r in racs)
-        home = (home[0], home[1], home[2], rmap(home[3]), home[4])
-        if deleg is not None:
-            d = deleg[1]
-            deleg = (deleg[0], (d[0], d[1], d[2], rmap(d[3]), d[4], d[5],
-                                d[6], d[7]))
-        new_net = []
-        for pair, queue in net:
-            new_queue = []
-            for msg in queue:
-                pos = _MSG_VALUE_POS.get(msg[0])
-                if pos is None:
-                    new_queue.append(msg)
-                else:
-                    payload = list(msg[3])
-                    payload[pos] = rmap(payload[pos])
-                    new_queue.append((msg[0], msg[1], msg[2], tuple(payload)))
-            new_net.append((pair, tuple(new_queue)))
-        return (rmap(cur), caches, racs, cpus, home, deleg, hints,
-                tuple(new_net))
-
-    def _commit_write(self, state, node):
-        """All acks + grant collected: the store becomes globally visible."""
-        cur, caches, racs, cpus, home, deleg, hints, net = state
-        new_value = self._fresh_value(state)
-        caches = _tup_set(caches, node, ("M", new_value))
-        cpus = _tup_set(cpus, node, None)
-        # A stale unpinned RAC copy of a line we now own must go.
-        if racs[node] is not None and not racs[node][1]:
-            racs = _tup_set(racs, node, None)
-        if deleg is not None and deleg[0] == node:
-            dst, dsh, downer, dval, _busy, _armed, pend, deferred = deleg[1]
-            deleg = (node, (dst, dsh, downer, dval, False,
-                            self.enable_updates, pend, deferred))
-            state = (new_value, caches, racs, cpus, home, deleg, hints, net)
-            if deferred and pend == 0:
-                return self._undelegate(state, node)
-            return state
-        return (new_value, caches, racs, cpus, home, deleg, hints, net)
-
-    def _maybe_commit(self, state, node):
-        cpu = state[3][node]
-        if cpu is not None and cpu[0] == "W" and cpu[1] and cpu[3] >= cpu[2]:
-            return self._commit_write(state, node)
-        return state
-
-    # -- CPU rules ------------------------------------------------------------
-
-    def rule_cpu_read(self, state):
-        cur, caches, racs, cpus, home, deleg, hints, net = state
-        for node in self.readers:
-            if cpus[node] is not None or caches[node][0] != "I":
-                continue
-            if racs[node] is not None:
-                continue  # a RAC hit completes locally: no state change
-            target = self._target_of(state, node)
-            if deleg is not None and deleg[0] == node:
-                continue  # delegated lines always hit the pinned RAC entry
-            new_cpus = _tup_set(cpus, node, ("R", False))
-            new_net = _net_add(net, ("GETS", node, target, (node,)))
-            yield ("read_%d" % node,
-                   (cur, caches, racs, new_cpus, home, deleg, hints, new_net))
-
-    def rule_cpu_write(self, state):
-        cur, caches, racs, cpus, home, deleg, hints, net = state
-        for node in self.writers:
-            if cpus[node] is not None or caches[node][0] in "EM":
-                continue
-            has_copy = caches[node][0] == "S"
-            target = self._target_of(state, node)
-            new_cpus = _tup_set(cpus, node, ("W", False, None, 0))
-            new_net = _net_add(net, ("GETX", node, target, (node, has_copy)))
-            yield ("write_%d" % node,
-                   (cur, caches, racs, new_cpus, home, deleg, hints, new_net))
-
-    def rule_evict(self, state):
-        cur, caches, racs, cpus, home, deleg, hints, net = state
-        for node in range(self.num_nodes):
-            cstate, cvalue = caches[node]
-            if cstate == "I" or cpus[node] is not None:
-                continue
-            if deleg is not None and deleg[0] == node:
-                # Flushing a delegated line forces undelegation (reason 2).
-                if deleg[1][4]:  # entry busy: the implementation cannot be
-                    continue     # mid-transaction here either
-                yield ("evict_flush_%d" % node,
-                       self._undelegate(state, node))
-                continue
-            new_caches = _tup_set(caches, node, ("I", 0))
-            if cstate == "S":
-                new_racs = racs
-                if node != HOME:
-                    new_racs = _tup_set(racs, node, (cvalue, False))
-                yield ("evict_s_%d" % node,
-                       (cur, new_caches, new_racs, cpus, home, deleg, hints,
-                        net))
-            elif cstate == "E":
-                new_net = _net_add(net, ("EVC", node, HOME, ()))
-                yield ("evict_e_%d" % node,
-                       (cur, new_caches, racs, cpus, home, deleg, hints,
-                        new_net))
-            else:  # M
-                new_net = _net_add(net, ("WB", node, HOME, (cvalue,)))
-                yield ("evict_m_%d" % node,
-                       (cur, new_caches, racs, cpus, home, deleg, hints,
-                        new_net))
-
-    def rule_rac_evict(self, state):
-        cur, caches, racs, cpus, home, deleg, hints, net = state
-        for node in range(self.num_nodes):
-            entry = racs[node]
-            if entry is None or entry[1]:  # absent or pinned
-                continue
-            new_racs = _tup_set(racs, node, None)
-            yield ("rac_evict_%d" % node,
-                   (cur, caches, new_racs, cpus, home, deleg, hints, net))
-
-    # -- producer rules -----------------------------------------------------------
-
-    def rule_intervention_fire(self, state):
-        cur, caches, racs, cpus, home, deleg, hints, net = state
-        if deleg is None:
-            return
-        node, (dstate, dsharers, downer, _dval, dbusy, armed, pend,
-               deferred) = deleg
-        if not armed or dbusy or dstate != "E" or downer != node:
-            return
-        if caches[node][0] not in "EM":
-            return
-        value = caches[node][1]
-        new_caches = _tup_set(caches, node, ("S", value))
-        new_racs = _tup_set(racs, node, (value, True))
-        consumers = dsharers - {node}
-        new_deleg = (node, ("S", consumers | {node}, None, value, False,
-                            False, pend + len(consumers), deferred))
-        new_net = net
-        for consumer in sorted(consumers):
-            new_net = _net_add(new_net, ("UPDATE", node, consumer, (value,)))
-        yield ("intervene_%d" % node,
-               (cur, new_caches, new_racs, cpus, home, new_deleg, hints,
-                new_net))
-        if consumers:
-            # The selective-update filter may prune any consumer (§2.4.2
-            # refinement); verify the push-to-nobody extreme — updates are
-            # a pure optimisation, so withholding them must stay safe.
-            pruned_deleg = (node, ("S", consumers | {node}, None, value,
-                                   False, False, pend, deferred))
-            yield ("intervene_pruned_%d" % node,
-                   (cur, new_caches, new_racs, cpus, home, pruned_deleg,
-                    hints, net))
-
-    def rule_voluntary_undelegate(self, state):
-        deleg, cpus = state[5], state[3]
-        if deleg is None:
-            return
-        node, entry = deleg
-        if entry[4] or cpus[node] is not None or entry[7]:
-            return
-        yield ("undelegate_%d" % node, self._undelegate(state, node))
-
-    def _undelegate(self, state, node):
-        """Flush the producer's local state and emit UNDELE (§2.3.3), or
-        mark it deferred while pushed updates are unacknowledged."""
-        cur, caches, racs, cpus, home, deleg, hints, net = state
-        _node, (dstate, dsharers, _downer, dvalue, _dbusy, _armed, pend,
-                _deferred) = deleg
-        if pend > 0:
-            entry = (dstate, dsharers, _downer, dvalue, _dbusy, _armed,
-                     pend, True)
-            return (cur, caches, racs, cpus, home, (node, entry), hints, net)
-        cstate, cvalue = caches[node]
-        rac = racs[node]
-        if cstate == "M":
-            value = cvalue
-        elif rac is not None:
-            value = rac[0]
-        elif cstate != "I":
-            value = cvalue
-        else:
-            value = dvalue
-        if dstate == "E":
-            snap = ("U", frozenset(), None)
-        else:
-            remaining = dsharers - {node}
-            snap = ("S" if remaining else "U", remaining, None)
-        caches = _tup_set(caches, node, ("I", 0))
-        racs = _tup_set(racs, node, None)
-        net = _net_add(net, ("UNDELE", node, HOME, (snap, value)))
-        return (cur, caches, racs, cpus, home, None, hints, net)
-
-    # -- message delivery ----------------------------------------------------------
-
-    def rule_deliver(self, state):
-        net = state[7]
-        for pair, queue in net:
-            if self.ordered_channels:
-                deliverable = (queue[0],)  # per-channel FIFO: head only
+    cur, caches, racs, cpus, home, deleg, hints, net = state
+    caches = tuple((st, rmap(v) if st != "I" else 0) for st, v in caches)
+    racs = tuple(None if r is None else (rmap(r[0]), r[1]) for r in racs)
+    home = (home[0], home[1], home[2], rmap(home[3]), home[4])
+    if deleg is not None:
+        d = deleg[1]
+        deleg = (deleg[0], (d[0], d[1], d[2], rmap(d[3]), d[4], d[5],
+                            d[6], d[7]))
+    new_net = []
+    for pair, queue in net:
+        new_queue = []
+        for msg in queue:
+            pos = _MSG_VALUE_POS.get(msg[0])
+            if pos is None:
+                new_queue.append(msg)
             else:
-                deliverable = queue
-            for msg in deliverable:
-                base = (state[0], state[1], state[2], state[3], state[4],
-                        state[5], state[6], _net_pop_msg(net, pair, msg))
-                handler = getattr(self, "_on_" + msg[0].lower())
-                for label, nxt in handler(base, msg):
-                    yield (label, nxt)
+                payload = list(msg[3])
+                payload[pos] = rmap(payload[pos])
+                new_queue.append((msg[0], msg[1], msg[2], tuple(payload)))
+        new_net.append((pair, tuple(new_queue)))
+    return (rmap(cur), caches, racs, cpus, home, deleg, hints,
+            tuple(new_net))
 
-    # Each handler receives the state with the message already consumed.
 
-    def _on_gets(self, state, msg):
-        _mtype, src, dst, (requester,) = msg
-        cur, caches, racs, cpus, home, deleg, hints, net = state
-        if deleg is not None and deleg[0] == dst:
-            yield from self._acting_gets(state, requester)
-            return
-        if dst != HOME:
-            new_net = _net_add(net, ("NACKNH", dst, requester, ()))
-            yield ("gets_stale_hint",
-                   (cur, caches, racs, cpus, home, deleg, hints, new_net))
-            return
-        hstate, sharers, owner, memval, busy = home
-        if busy is not None:
-            yield ("gets_busy_nack", self._nack(state, requester))
-            return
-        if hstate == "DELE":
-            if requester == owner:  # owner slot holds the delegate
-                yield ("gets_dele_self_nack", self._nack(state, requester))
-                return
-            new_net = _net_add(net, ("GETS", HOME, owner, (requester,)))
-            new_net = _net_add_unique(new_net,
-                                      ("HC", HOME, requester, (owner,)))
-            yield ("gets_forward",
-                   (cur, caches, racs, cpus, home, deleg, hints, new_net))
-            return
-        if hstate == "U":
-            new_home = ("E", frozenset(), requester, memval, None)
-            new_net = _net_add(net, ("DATA_E", HOME, requester, (memval, 0)))
-            yield ("gets_unowned",
-                   (cur, caches, racs, cpus, new_home, deleg, hints, new_net))
-            return
-        if hstate == "S":
-            new_home = ("S", sharers | {requester}, None, memval, None)
-            new_net = _net_add(net, ("DATA_S", HOME, requester,
-                                     (memval, False)))
-            yield ("gets_shared",
-                   (cur, caches, racs, cpus, new_home, deleg, hints, new_net))
-            return
-        # EXCL
-        if owner == requester:
-            yield ("gets_own_wb_race", self._nack(state, requester))
-            return
-        new_home = (hstate, sharers, owner, memval,
-                    ("int_s", requester, False))
-        new_net = _net_add(net, ("INT", HOME, owner, ("s", requester)))
-        yield ("gets_intervene",
-               (cur, caches, racs, cpus, new_home, deleg, hints, new_net))
+def ProtocolModel(num_nodes=3, writers=(1,), readers=(2,),
+                  enable_delegation=True, enable_updates=True,
+                  allow_evictions=True, ordered_channels=True):
+    """The adaptive protocol's model, compiled from its spec.
 
-    def _acting_gets(self, state, requester):
-        cur, caches, racs, cpus, home, deleg, hints, net = state
-        node, (dstate, dsharers, downer, dvalue, dbusy, armed, pend,
-               deferred) = deleg
-        if dbusy:
-            yield ("acting_gets_busy", self._nack(state, requester))
-            return
-        if dstate == "E":
-            if caches[node][0] in "EM":
-                value = caches[node][1]
-                new_caches = _tup_set(caches, node, ("S", value))
-                new_racs = _tup_set(racs, node, (value, True))
-            else:
-                value = racs[node][0]
-                new_caches, new_racs = caches, racs
-            new_deleg = (node, ("S", frozenset({node, requester}), None,
-                                value, False, False, pend, deferred))
-            new_net = _net_add(net, ("DATA_S", node, requester,
-                                     (value, True)))
-            yield ("acting_gets_excl",
-                   (cur, new_caches, new_racs, cpus, home, new_deleg, hints,
-                    new_net))
-            return
-        value = racs[node][0] if racs[node] is not None else dvalue
-        new_deleg = (node, (dstate, dsharers | {requester}, downer, dvalue,
-                            False, armed, pend, deferred))
-        new_net = _net_add(net, ("DATA_S", node, requester, (value, True)))
-        yield ("acting_gets_shared",
-               (cur, caches, racs, cpus, home, new_deleg, hints, new_net))
-
-    def _on_getx(self, state, msg):
-        _mtype, src, dst, (requester, has_copy) = msg
-        cur, caches, racs, cpus, home, deleg, hints, net = state
-        if deleg is not None and deleg[0] == dst:
-            yield from self._acting_getx(state, requester)
-            return
-        if dst != HOME:
-            new_net = _net_add(net, ("NACKNH", dst, requester, ()))
-            yield ("getx_stale_hint",
-                   (cur, caches, racs, cpus, home, deleg, hints, new_net))
-            return
-        hstate, sharers, owner, memval, busy = home
-        if busy is not None:
-            yield ("getx_busy_nack", self._nack(state, requester))
-            return
-        if hstate == "DELE":
-            if requester == owner:
-                yield ("getx_dele_self_nack", self._nack(state, requester))
-                return
-            new_home = (hstate, sharers, owner, memval,
-                        ("undele", requester, (requester, has_copy)))
-            new_net = _net_add(net, ("UNDELE_REQ", HOME, owner, ()))
-            yield ("getx_recall",
-                   (cur, caches, racs, cpus, new_home, deleg, hints, new_net))
-            return
-        if hstate == "U":
-            new_home = ("E", frozenset(), requester, memval, None)
-            new_net = _net_add(net, ("DATA_E", HOME, requester, (memval, 0)))
-            yield ("getx_unowned",
-                   (cur, caches, racs, cpus, new_home, deleg, hints, new_net))
-            if self.enable_delegation and requester != HOME:
-                yield ("getx_delegate_u",
-                       self._delegate(state, requester, frozenset(), 0))
-            return
-        if hstate == "S":
-            targets = sharers - {requester}
-            upgrade = requester in sharers and has_copy
-            inv_net = net
-            for target in sorted(targets):
-                inv_net = _net_add(inv_net, ("INV", HOME, target,
-                                             (requester,)))
-            new_home = ("E", targets, requester, memval, None)
-            if upgrade:
-                grant = ("ACK_X", HOME, requester, (len(targets),))
-            else:
-                grant = ("DATA_E", HOME, requester, (memval, len(targets)))
-            yield ("getx_shared",
-                   (cur, caches, racs, cpus, new_home, deleg, hints,
-                    _net_add(inv_net, grant)))
-            if self.enable_delegation and requester != HOME:
-                yield ("getx_delegate_s",
-                       self._delegate(
-                           (cur, caches, racs, cpus, home, deleg, hints,
-                            inv_net),
-                           requester, targets, len(targets)))
-            return
-        # EXCL
-        if owner == requester:
-            yield ("getx_own_wb_race", self._nack(state, requester))
-            return
-        new_home = (hstate, sharers, owner, memval,
-                    ("int_x", requester, False))
-        new_net = _net_add(net, ("INT", HOME, owner, ("x", requester)))
-        yield ("getx_intervene",
-               (cur, caches, racs, cpus, new_home, deleg, hints, new_net))
-
-    def _delegate(self, state, producer, update_set, n_acks):
-        """Home side of Figure 4a: DELE state + DELEGATE-as-reply."""
-        cur, caches, racs, cpus, home, deleg, hints, net = state
-        memval = home[3]
-        new_home = ("DELE", frozenset(), producer, memval, None)
-        snap = ("E", frozenset(update_set), producer)
-        new_net = _net_add(net, ("DELEGATE", HOME, producer,
-                                 (snap, memval, n_acks)))
-        return (cur, caches, racs, cpus, new_home, deleg, hints, new_net)
-
-    def _acting_getx(self, state, requester):
-        cur, caches, racs, cpus, home, deleg, hints, net = state
-        node, (dstate, dsharers, downer, dvalue, dbusy, armed, pend,
-               deferred) = deleg
-        if dbusy:
-            yield ("acting_getx_busy", self._nack(state, requester))
-            return
-        if requester != node:
-            if pend > 0:
-                # Updates still draining: plain NACK; mark deferred.
-                entry = (dstate, dsharers, downer, dvalue, dbusy, armed,
-                         pend, True)
-                nacked = (cur, caches, racs, cpus, home, (node, entry),
-                          hints, _net_add(net, ("NACK", node, requester,
-                                                ())))
-                yield ("acting_getx_remote_deferred", nacked)
-                return
-            # Remote exclusive request: bounce and hand the directory back.
-            bounced = (cur, caches, racs, cpus, home, deleg, hints,
-                       _net_add(net, ("NACKNH", node, requester, ())))
-            yield ("acting_getx_remote", self._undelegate(bounced, node))
-            return
-        targets = dsharers - {node}
-        inv_net = net
-        for target in sorted(targets):
-            inv_net = _net_add(inv_net, ("INV", node, target, (node,)))
-        new_deleg = (node, ("E", targets, node, dvalue, True, False,
-                            pend, deferred))
-        new_cpus = _tup_set(cpus, node, ("W", True, len(targets), 0))
-        nxt = (cur, caches, racs, new_cpus, home, new_deleg, hints, inv_net)
-        yield ("acting_getx_local", self._maybe_commit(nxt, node))
-
-    def _on_inv(self, state, msg):
-        _mtype, _src, dst, (collector,) = msg
-        cur, caches, racs, cpus, home, deleg, hints, net = state
-        cpu = cpus[dst]
-        if cpu is not None and cpu[0] == "R":
-            cpus = _tup_set(cpus, dst, ("R", True))  # raced: drop after use
-        caches = _tup_set(caches, dst, ("I", 0))
-        if racs[dst] is not None and not racs[dst][1]:
-            racs = _tup_set(racs, dst, None)
-        net = _net_add(net, ("INV_ACK", dst, collector, ()))
-        yield ("inv_%d" % dst,
-               (cur, caches, racs, cpus, home, deleg, hints, net))
-
-    def _on_inv_ack(self, state, msg):
-        _mtype, _src, dst, _payload = msg
-        cpu = state[3][dst]
-        if cpu is None or cpu[0] != "W":
-            return  # ack for a transaction torn down by NACK (cannot happen)
-        kind, granted, needed, got = cpu
-        new_cpus = _tup_set(state[3], dst, (kind, granted, needed, got + 1))
-        nxt = state[:3] + (new_cpus,) + state[4:]
-        yield ("inv_ack_%d" % dst, self._maybe_commit(nxt, dst))
-
-    def _on_data_s(self, state, msg):
-        _mtype, src, dst, (value, acting) = msg
-        yield from self._deliver_shared_data(state, src, dst, value, acting,
-                                             "data_s")
-
-    def _on_sh_resp(self, state, msg):
-        _mtype, src, dst, (value,) = msg
-        yield from self._deliver_shared_data(state, src, dst, value, False,
-                                             "sh_resp")
-
-    def _deliver_shared_data(self, state, src, dst, value, acting, label):
-        cur, caches, racs, cpus, home, deleg, hints, net = state
-        cpu = cpus[dst]
-        if acting:
-            hints = _tup_set(hints, dst, src)
-        if cpu is None or cpu[0] != "R":
-            yield ("%s_stale_%d" % (label, dst),
-                   (cur, caches, racs, cpus, home, deleg, hints, net))
-            return
-        raced = cpu[1]
-        cpus = _tup_set(cpus, dst, None)
-        if not raced:
-            caches = _tup_set(caches, dst, ("S", value))
-        yield ("%s_%d" % (label, dst),
-               (cur, caches, racs, cpus, home, deleg, hints, net))
-
-    def _on_data_e(self, state, msg):
-        _mtype, src, dst, (value, n_acks) = msg
-        yield from self._deliver_excl_data(state, dst, value, n_acks,
-                                           "data_e")
-
-    def _on_ex_resp(self, state, msg):
-        _mtype, src, dst, (value,) = msg
-        yield from self._deliver_excl_data(state, dst, value, 0, "ex_resp")
-
-    def _deliver_excl_data(self, state, dst, value, n_acks, label):
-        cur, caches, racs, cpus, home, deleg, hints, net = state
-        cpu = cpus[dst]
-        if cpu is None:
-            yield ("%s_stale_%d" % (label, dst), state)
-            return
-        if cpu[0] == "R":
-            raced = cpu[1]
-            cpus = _tup_set(cpus, dst, None)
-            if raced:
-                # Dropping an exclusively granted line is a clean eviction
-                # the directory must hear about.
-                net = _net_add(net, ("EVC", dst, HOME, ()))
-            else:
-                caches = _tup_set(caches, dst, ("E", value))
-            yield ("%s_read_%d" % (label, dst),
-                   (cur, caches, racs, cpus, home, deleg, hints, net))
-            return
-        _kind, _granted, _needed, got = cpu
-        # The line is installed only at commit (all acks collected), exactly
-        # as the implementation fills the L2 at miss completion.
-        cpus = _tup_set(cpus, dst, ("W", True, n_acks, got))
-        nxt = (cur, caches, racs, cpus, home, deleg, hints, net)
-        yield ("%s_write_%d" % (label, dst), self._maybe_commit(nxt, dst))
-
-    def _on_ack_x(self, state, msg):
-        _mtype, _src, dst, (n_acks,) = msg
-        cur, caches, racs, cpus, home, deleg, hints, net = state
-        cpu = cpus[dst]
-        if cpu is None or cpu[0] != "W":
-            yield ("ack_x_stale_%d" % dst, state)
-            return
-        cpus = _tup_set(cpus, dst, ("W", True, n_acks, cpu[3]))
-        nxt = (cur, caches, racs, cpus, home, deleg, hints, net)
-        yield ("ack_x_%d" % dst, self._maybe_commit(nxt, dst))
-
-    def _on_int(self, state, msg):
-        _mtype, src, dst, (mode, requester) = msg
-        cur, caches, racs, cpus, home, deleg, hints, net = state
-        if cpus[dst] is not None:
-            net = _net_add(net, ("NACKI", dst, HOME, ("busy", mode)))
-            yield ("int_busy_%d" % dst,
-                   (cur, caches, racs, cpus, home, deleg, hints, net))
-            return
-        cstate, cvalue = caches[dst]
-        if cstate not in "EM":
-            net = _net_add(net, ("NACKI", dst, HOME, ("no_copy", mode)))
-            yield ("int_no_copy_%d" % dst,
-                   (cur, caches, racs, cpus, home, deleg, hints, net))
-            return
-        if mode == "s":
-            caches = _tup_set(caches, dst, ("S", cvalue))
-            net = _net_add(net,
-                           ("SH_WB", dst, HOME, (cvalue,)),
-                           ("SH_RESP", dst, requester, (cvalue,)))
-        else:
-            caches = _tup_set(caches, dst, ("I", 0))
-            net = _net_add(net,
-                           ("EX_RESP", dst, requester, (cvalue,)),
-                           ("XFER", dst, HOME, (requester,)))
-        yield ("int_%s_%d" % (mode, dst),
-               (cur, caches, racs, cpus, home, deleg, hints, net))
-
-    def _on_nacki(self, state, msg):
-        _mtype, src, _dst, (reason, mode) = msg
-        cur, caches, racs, cpus, home, deleg, hints, net = state
-        hstate, sharers, owner, memval, busy = home
-        if busy is None or busy[0] not in ("int_s", "int_x", "wb"):
-            yield ("nacki_stale", state)
-            return
-        if reason == "busy":
-            net = _net_add(net, ("INT", HOME, owner, (mode, busy[1])))
-            yield ("nacki_retry",
-                   (cur, caches, racs, cpus, home, deleg, hints, net))
-            return
-        # no_copy: the owner's eviction notice is in flight
-        if busy[0] in ("int_s", "int_x") and busy[2]:
-            yield ("nacki_resolved", self._resolve_wb_race(state))
-        else:
-            kind = busy[0]
-            req = busy[1]
-            buffered = ("GETS", req) if kind == "int_s" else ("GETX", req)
-            new_home = (hstate, sharers, owner, memval,
-                        ("wb", req, buffered))
-            yield ("nacki_wait_wb",
-                   (cur, caches, racs, cpus, new_home, deleg, hints, net))
-
-    def _resolve_wb_race(self, state):
-        """Data arrived while a requester waited: reset to UNOWNED and
-        replay the buffered request (mirrors HomeMixin._resolve_wb_race)."""
-        cur, caches, racs, cpus, home, deleg, hints, net = state
-        _hstate, _sharers, _owner, memval, busy = home
-        kind, requester, _extra = busy
-        if kind == "int_s":
-            replay = ("GETS", requester, HOME, (requester,))
-        elif kind == "wb" and busy[2][0] == "GETS":
-            replay = ("GETS", busy[2][1], HOME, (busy[2][1],))
-        elif kind == "undele":
-            raise AssertionError("undele busy cannot reach wb race")
-        else:
-            req = busy[2][1] if kind == "wb" else requester
-            replay = ("GETX", req, HOME, (req, False))
-        new_home = ("U", frozenset(), None, memval, None)
-        return (cur, caches, racs, cpus, new_home, deleg, hints,
-                _net_add(net, replay))
-
-    def _on_sh_wb(self, state, msg):
-        _mtype, src, _dst, (value,) = msg
-        cur, caches, racs, cpus, home, deleg, hints, net = state
-        hstate, sharers, owner, memval, busy = home
-        if busy is None or busy[0] != "int_s":
-            yield ("sh_wb_stale", state)
-            return
-        new_home = ("S", frozenset({owner, busy[1]}), None, value, None)
-        yield ("sh_wb",
-               (cur, caches, racs, cpus, new_home, deleg, hints, net))
-
-    def _on_xfer(self, state, msg):
-        _mtype, _src, _dst, (new_owner,) = msg
-        cur, caches, racs, cpus, home, deleg, hints, net = state
-        hstate, sharers, _owner, memval, busy = home
-        if busy is None or busy[0] != "int_x":
-            yield ("xfer_stale", state)
-            return
-        new_home = ("E", sharers, new_owner, memval, None)
-        yield ("xfer",
-               (cur, caches, racs, cpus, new_home, deleg, hints, net))
-
-    def _on_wb(self, state, msg):
-        _mtype, src, _dst, (value,) = msg
-        yield from self._writeback(state, src, value, "wb")
-
-    def _on_evc(self, state, msg):
-        _mtype, src, _dst, _payload = msg
-        yield from self._writeback(state, src, None, "evc")
-
-    def _writeback(self, state, src, value, label):
-        cur, caches, racs, cpus, home, deleg, hints, net = state
-        hstate, sharers, owner, memval, busy = home
-        if value is not None:
-            memval = value
-        home = (hstate, sharers, owner, memval, busy)
-        state = (cur, caches, racs, cpus, home, deleg, hints, net)
-        if busy is not None:
-            if busy[0] == "wb":
-                yield (label + "_resolves", self._resolve_wb_race(state))
-                return
-            if busy[0] in ("int_s", "int_x"):
-                new_home = (hstate, sharers, owner, memval,
-                            (busy[0], busy[1], True))
-                yield (label + "_during_int",
-                       (cur, caches, racs, cpus, new_home, deleg, hints,
-                        net))
-                return
-            yield (label + "_stale", state)
-            return
-        if hstate == "E" and owner == src:
-            new_home = ("U", sharers, None, memval, None)
-            yield (label,
-                   (cur, caches, racs, cpus, new_home, deleg, hints, net))
-            return
-        yield (label + "_stale", state)
-
-    def _on_nack(self, state, msg):
-        _mtype, _src, dst, _payload = msg
-        cur, caches, racs, cpus, home, deleg, hints, net = state
-        cpu = cpus[dst]
-        if cpu is None:
-            yield ("nack_stale_%d" % dst, state)
-            return
-        target = self._target_of(state, dst)
-        if cpu[0] == "R":
-            net = _net_add(net, ("GETS", dst, target, (dst,)))
-        else:
-            has_copy = caches[dst][0] == "S"
-            net = _net_add(net, ("GETX", dst, target, (dst, has_copy)))
-        yield ("nack_retry_%d" % dst,
-               (cur, caches, racs, cpus, home, deleg, hints, net))
-
-    def _on_nacknh(self, state, msg):
-        _mtype, _src, dst, _payload = msg
-        cur, caches, racs, cpus, home, deleg, hints, net = state
-        hints = _tup_set(hints, dst, None)
-        state = (cur, caches, racs, cpus, home, deleg, hints, net)
-        yield from self._on_nack(state, ("NACK", HOME, dst, ()))
-
-    def _on_hc(self, state, msg):
-        _mtype, _src, dst, (delegate,) = msg
-        cur, caches, racs, cpus, home, deleg, hints, net = state
-        hints = _tup_set(hints, dst, delegate)
-        yield ("hc_%d" % dst,
-               (cur, caches, racs, cpus, home, deleg, hints, net))
-
-    def _on_delegate(self, state, msg):
-        _mtype, _src, dst, (snap, value, n_acks) = msg
-        cur, caches, racs, cpus, home, deleg, hints, net = state
-        cpu = cpus[dst]
-        if cpu is None or cpu[0] != "W":
-            raise AssertionError("DELEGATE without an outstanding write")
-        sstate, ssharers, sowner = snap
-        # busy until the local write commits, exactly as the implementation
-        # NACKs remote requests racing the delegation.
-        new_deleg = (dst, (sstate, ssharers, sowner, value, True, False,
-                           0, False))
-        new_racs = _tup_set(racs, dst, (value, True))
-        new_cpus = _tup_set(cpus, dst, ("W", True, n_acks, cpu[3]))
-        nxt = (cur, caches, new_racs, new_cpus, home, new_deleg, hints, net)
-        yield ("delegate_accept_%d" % dst, self._maybe_commit(nxt, dst))
-
-    def _on_undele(self, state, msg):
-        _mtype, _src, _dst, (snap, value) = msg
-        cur, caches, racs, cpus, home, deleg, hints, net = state
-        hstate, _sharers, _owner, _memval, busy = home
-        sstate, ssharers, sowner = snap
-        new_home = (sstate, frozenset(ssharers), sowner, value, None)
-        if busy is not None and busy[0] == "undele":
-            requester, has_copy = busy[2]
-            net = _net_add(net, ("GETX", requester, HOME,
-                                 (requester, has_copy)))
-        yield ("undele",
-               (cur, caches, racs, cpus, new_home, deleg, hints, net))
-
-    def _on_undele_req(self, state, msg):
-        _mtype, _src, dst, _payload = msg
-        cur, caches, racs, cpus, home, deleg, hints, net = state
-        if deleg is None or deleg[0] != dst:
-            net = _net_add(net, ("NACKR", dst, HOME, ("gone",)))
-            yield ("undele_req_gone",
-                   (cur, caches, racs, cpus, home, deleg, hints, net))
-            return
-        if deleg[1][4] or cpus[dst] is not None or deleg[1][6] > 0:
-            net = _net_add(net, ("NACKR", dst, HOME, ("busy",)))
-            yield ("undele_req_busy",
-                   (cur, caches, racs, cpus, home, deleg, hints, net))
-            return
-        yield ("undele_req_%d" % dst,
-               self._undelegate(
-                   (cur, caches, racs, cpus, home, deleg, hints, net), dst))
-
-    def _on_nackr(self, state, msg):
-        _mtype, _src, _dst, (reason,) = msg
-        cur, caches, racs, cpus, home, deleg, hints, net = state
-        hstate, sharers, owner, memval, busy = home
-        if busy is None or busy[0] != "undele" or hstate != "DELE":
-            yield ("nackr_stale", state)
-            return
-        if reason == "gone":
-            # A voluntary UNDELE is in flight and will resolve this.
-            yield ("nackr_gone", state)
-            return
-        net = _net_add(net, ("UNDELE_REQ", HOME, owner, ()))
-        yield ("nackr_retry",
-               (cur, caches, racs, cpus, home, deleg, hints, net))
-
-    def _on_update(self, state, msg):
-        _mtype, src, dst, (value,) = msg
-        cur, caches, racs, cpus, home, deleg, hints, net = state
-        net = _net_add(net, ("UPDATE_ACK", dst, src, ()))
-        hints = _tup_set(hints, dst, src)
-        cpu = cpus[dst]
-        if cpu is not None and cpu[0] == "R":
-            # An update meeting an outstanding read lands in the RAC only;
-            # the in-flight reply retires the miss (retiring it here would
-            # orphan that reply — a stale-data hazard the checker found).
-            racs = _tup_set(racs, dst, (value, False))
-            yield ("update_during_read_%d" % dst,
-                   (cur, caches, racs, cpus, home, deleg, hints, net))
-            return
-        if caches[dst][0] != "I":
-            yield ("update_stale_%d" % dst,
-                   (cur, caches, racs, cpus, home, deleg, hints, net))
-            return
-        racs = _tup_set(racs, dst, (value, False))
-        yield ("update_%d" % dst,
-               (cur, caches, racs, cpus, home, deleg, hints, net))
-
-    def _on_update_ack(self, state, msg):
-        _mtype, _src, dst, _payload = msg
-        cur, caches, racs, cpus, home, deleg, hints, net = state
-        if deleg is None or deleg[0] != dst:
-            yield ("update_ack_stale", state)
-            return
-        dstate, dsharers, downer, dvalue, dbusy, armed, pend, deferred = \
-            deleg[1]
-        pend = max(0, pend - 1)
-        entry = (dstate, dsharers, downer, dvalue, dbusy, armed, pend,
-                 deferred)
-        nxt = (cur, caches, racs, cpus, home, (dst, entry), hints, net)
-        if deferred and pend == 0 and not dbusy and cpus[dst] is None:
-            yield ("update_ack_undelegates", self._undelegate(nxt, dst))
-            return
-        yield ("update_ack_%d" % dst, nxt)
-
-    # -- misc ----------------------------------------------------------------------
-
-    def _nack(self, state, requester):
-        cur, caches, racs, cpus, home, deleg, hints, net = state
-        return (cur, caches, racs, cpus, home, deleg, hints,
-                _net_add(net, ("NACK", HOME, requester, ())))
+    Shorthand for ``SpecModel(get_spec("adaptive"), ...)``.
+    ``ordered_channels=False`` removes the fabric's per-pair FIFO
+    guarantee; the checker then finds the stale-UPDATE-overtakes-INV
+    counterexample, demonstrating the protocol's ordering assumption.
+    """
+    from ..spec.mcgen import SpecModel  # the compiler imports this kernel
+    from ..spec.registry import get_spec
+    return SpecModel(get_spec("adaptive"), num_nodes=num_nodes,
+                     writers=writers, readers=readers,
+                     enable_delegation=enable_delegation,
+                     enable_updates=enable_updates,
+                     allow_evictions=allow_evictions,
+                     ordered_channels=ordered_channels)

@@ -34,10 +34,9 @@ under ``wi``) fall through to ``_unhandled`` and raise the structured
 protocol violation, not a silent no-op.
 
 This file is deliberately *not* in ``repro.lint``'s
-``SIM_PROTOCOL_FILES``: the lint graph models the adaptive protocol (the
-one with an mc twin); arena baselines are covered by per-protocol
-conformance status in the lint report instead (see
-:func:`repro.lint.run_lint`).
+``SIM_PROTOCOL_FILES``: the lint graph models the adaptive protocol;
+arena baselines are covered by their own specs and the per-protocol
+status in the lint report instead (see :func:`repro.lint.run_lint`).
 """
 
 from ..common import stats as S
@@ -55,19 +54,14 @@ class Protocol:
     feature set the protocol actually implements (e.g. ``wi`` strips
     delegation); the identity for ``adaptive``, so default configs are
     byte-for-byte untouched.  ``make_hub`` builds the per-node controller.
-    ``mc_twin`` marks protocols with a model-checker twin: ``True`` for
-    the hand-written model in ``mc/model.py``, ``"spec"`` for a twin
-    compiled from the protocol's guarded-action spec by
-    ``repro.spec.mcgen`` — lint's sim<->mc conformance checks and
-    ``repro verify`` only apply to those.
+    Whether a protocol has a model-checker twin is its spec's business
+    (``mc_model`` in ``repro.spec.protocols``), not the registry's.
     """
 
-    def __init__(self, name, hub_class, description, mc_twin=False,
-                 normalize=None):
+    def __init__(self, name, hub_class, description, normalize=None):
         self.name = name
         self.hub_class = hub_class
         self.description = description
-        self.mc_twin = mc_twin
         self._normalize = normalize
 
     def normalize_config(self, config):
@@ -417,8 +411,7 @@ def _normalize_dragon(config):
 PROTOCOLS = {
     "adaptive": Protocol(
         "adaptive", Hub,
-        "paper's adaptive delegation/update protocol (mc-model twin)",
-        mc_twin=True),
+        "paper's adaptive delegation/update protocol (mc-model twin)"),
     "wi": Protocol(
         "wi", WriteInvalidateHub,
         "explicit write-invalidate baseline (no delegation, no updates)",
@@ -426,7 +419,7 @@ PROTOCOLS = {
     "mesi": Protocol(
         "mesi", MesiHub,
         "textbook directory MESI (no RAC, no preserved sharing vector)",
-        mc_twin="spec", normalize=_normalize_mesi),
+        normalize=_normalize_mesi),
     "dragon": Protocol(
         "dragon", DragonHub,
         "Dragon-style update protocol (unconditional ack-gated publish)",

@@ -5,10 +5,10 @@ protocol (``spec/protocols/``) plus the three consumers that compile or
 diff them:
 
 * :mod:`repro.spec.analyze` — spec-level static checks (``SPC0xx``);
-* :mod:`repro.spec.conformance` — spec vs extracted sim/mc graph diffs
-  (``CON0xx``), replacing the hand-maintained name map;
+* :mod:`repro.spec.conformance` — spec vs extracted simulator graph
+  diffs (``CON0xx``);
 * :mod:`repro.spec.mcgen` — compiles a ``mc_model="generated"`` spec
-  into an executable model for :mod:`repro.mc`.
+  into the executable model :mod:`repro.mc` checks.
 """
 
 from .lang import Atom, Msg, ProtocolSpec, SpecError, T

@@ -1,46 +1,39 @@
-"""Spec ↔ extracted-source conformance — the spec-driven ``CON0xx``.
+"""Spec ↔ simulator conformance — the spec-driven ``CON0xx``.
 
-The adaptive :class:`~repro.spec.lang.ProtocolSpec` is the arbiter: the
-AST-extracted simulator graph and the hand-written model checker are both
-diffed against *it* (they used to be diffed against each other through a
-hand-maintained name map).  What used to be allowlist glob entries are
-now structured annotations on the spec transitions:
+The protocol specs are the arbiter.  The AST-extracted simulator graph is
+diffed against the adaptive spec, and every arena dispatch table against
+its protocol's spec.  (The model checker needs no diff: its models are
+*compiled* from the specs by :mod:`repro.spec.mcgen`, which enforces the
+spec's dispatch, reachability and emission claims at runtime.)  What used
+to be allowlist glob entries are structured annotations on the spec
+transitions:
 
-* ``only="sim"`` — emission with no model counterpart (the old
-  ``CON003:*->X`` globs);
+* ``only="sim"`` — emission with no model counterpart;
 * ``hoist="rule_x"`` — the model realises the emission in a spontaneous
-  rule; it is validated against *that rule's* closure (the old
-  ``CON004:X->Y`` globs);
+  rule rather than in the message handler;
 * ``replay="_func"`` — the simulator realises the edge by internal
   re-dispatch; the edge is not required in the sim graph but the named
   function must exist;
-* a message with ``mc=()`` plus a ``note`` — deliberately unmodeled
-  (the old ``CON001:WB_ACK`` entry).
+* a message with ``mc=()`` plus a ``note`` — deliberately unmodeled.
 
-Check ids (CON001-004 keep their legacy meaning and fingerprints so the
-allowlist and mutation tests carry over; CON005/CON006 and SPC007 are
-new):
+Check ids keep their legacy meaning and fingerprints so the allowlist and
+mutation tests carry over:
 
 =======  ==========================================================
 CON001   vocabulary: sim message unknown to the spec, spec message
-         that is no MsgType (``spec:NAME``), mc tokens unhandled by
-         the model, or a data-bearing flag mismatch (``NAME:data``)
-CON002   model token no spec message claims
+         that is no MsgType (``spec:NAME``), or a data-bearing flag
+         mismatch (``NAME:data``)
 CON003   sim transition (handled msg -> emitted msg) the spec does
          not allow
-CON004   model transition (incl. ``!rule->X`` entry rules) the spec
-         does not allow
 CON005   spec-required sim transition absent from the sim graph
          (replay edges instead require the named function to exist)
-CON006   spec-required model transition absent from the model
-         (hoisted edges are checked in the named rule's closure)
 SPC007   spec handled-set vs dispatch-table mismatch, for *every*
          protocol (adaptive vs the hub table, baselines vs their
          arena tables)
 =======  ==========================================================
 """
 
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Any, Dict, Iterator, List, Optional
 
 from ..lint.findings import Finding, Severity
 from .lang import ProtocolSpec, T
@@ -58,12 +51,11 @@ def _handler_groups(spec: ProtocolSpec) -> Dict[str, List[T]]:
     return groups
 
 
-# -- vocabulary (CON001 / CON002) ---------------------------------------------
+# -- vocabulary (CON001) ------------------------------------------------------
 
 
-def check_vocabulary(spec, sim, mc) -> Iterator[Finding]:
-    """CON001/CON002 with the spec as the name map."""
-    spec_names = spec.message_names()
+def check_vocabulary(spec: ProtocolSpec, sim: Any) -> Iterator[Finding]:
+    """CON001: the simulator's MsgType vocabulary against the spec's."""
     for name in sorted(sim.messages):
         decl = sim.messages[name]
         msg = spec.message(name)
@@ -75,18 +67,6 @@ def check_vocabulary(spec, sim, mc) -> Iterator[Finding]:
                         % (name, spec.name),
                 file=decl.file, line=decl.line)
             continue
-        if msg.mc:
-            handled = [t for t in msg.mc if t in mc.handlers]
-            if not handled:
-                yield Finding(
-                    check_id="CON001", severity=Severity.ERROR,
-                    side="both", fingerprint=name,
-                    message="MsgType.%s maps to %s, none of which the "
-                            "model handles"
-                            % (name, "/".join(msg.mc)),
-                    file=decl.file, line=decl.line)
-        # mc=() with a note is the spec's structured justification for
-        # an unmodeled message — no finding (formerly allowlisted).
         if (decl.data_bearing is not None
                 and decl.data_bearing != msg.data):
             yield Finding(
@@ -96,61 +76,29 @@ def check_vocabulary(spec, sim, mc) -> Iterator[Finding]:
                         "spec declares data=%s"
                         % (name, decl.data_bearing, msg.data),
                 file=decl.file, line=decl.line)
-    for name in sorted(spec_names - set(sim.messages)):
+    for name in sorted(spec.message_names() - set(sim.messages)):
         yield Finding(
             check_id="CON001", severity=Severity.ERROR, side="both",
             fingerprint="spec:%s" % name,
             message="spec message %s is not a declared MsgType" % name,
             file=_spec_file(spec), line=1)
-    claimed = {token for msg in spec.messages for token in msg.mc}
-    for token in sorted(set(mc.messages) - claimed):
-        decl = mc.messages[token]
-        yield Finding(
-            check_id="CON002", severity=Severity.ERROR, side="both",
-            fingerprint=token,
-            message="model token %s is claimed by no %s spec message"
-                    % (token, spec.name),
-            file=decl.file, line=decl.line)
 
 
-# -- transition relation (CON003 - CON006) ------------------------------------
+# -- transition relation (CON003 / CON005) ------------------------------------
 
 
-def _mc_closure_names(spec, mc, tokens) -> Set[str]:
-    """Sim-named emission closure of the given handled mc tokens."""
-    out: Set[str] = set()
-    for token in tokens:
-        for emitted in mc.emitted_names(token):
-            name = spec.sim_name_of(emitted)
-            if name is not None:
-                out.add(name)
-    return out
-
-
-def _mc_rule_names(spec, mc, rule) -> Set[str]:
-    """Sim-named emission closure of one spontaneous model rule."""
-    out: Set[str] = set()
-    for emission in mc.closure_emissions((rule,)):
-        if emission.mtype is None:
-            continue
-        name = spec.sim_name_of(emission.mtype)
-        if name is not None:
-            out.add(name)
-    return out
-
-
-def check_transitions(spec, sim, mc) -> Iterator[Finding]:
-    """CON003-CON006: both graphs against the spec's transition relation."""
+def check_transitions(spec: ProtocolSpec, sim: Any) -> Iterator[Finding]:
+    """CON003/CON005: the sim graph against the spec's transitions."""
     groups = _handler_groups(spec)
-
-    # Sim side.  CON003: everything the sim can emit while handling M
-    # must be allowed by some spec transition on M (only="mc" edges are
-    # model artefacts and don't license sim behaviour).
     for name in sorted(set(sim.handlers) & set(groups)):
+        # CON003: everything the sim can emit while handling M must be
+        # allowed by some spec transition on M (only="mc" edges are
+        # model artefacts and don't license sim behaviour).
         allowed = {out for t in groups[name] if t.only != "mc"
                    for out in t.emit}
         decl = sim.messages.get(name)
-        for out in sorted(sim.emitted_names(name)):
+        sim_out = sim.emitted_names(name)
+        for out in sorted(sim_out):
             if spec.message(out) is None:
                 continue  # vocabulary gap: CON001's business
             if out not in allowed:
@@ -164,7 +112,6 @@ def check_transitions(spec, sim, mc) -> Iterator[Finding]:
                     line=decl.line if decl else None)
         # CON005: spec-required sim edges.  Replay edges are realised by
         # internal re-dispatch — the named function must exist instead.
-        sim_out = sim.emitted_names(name)
         for t in groups[name]:
             if t.only == "mc":
                 continue
@@ -190,98 +137,12 @@ def check_transitions(spec, sim, mc) -> Iterator[Finding]:
                                 % (t.label, name, out),
                         file=_spec_file(spec), line=1)
 
-    # Model side.  Aggregate per handled message, in sim names.
-    for name in sorted(groups):
-        msg = spec.message(name)
-        if msg is None or not msg.mc:
-            continue
-        handled = [tok for tok in msg.mc if tok in mc.handlers]
-        if not handled:
-            continue  # vocabulary gap already reported
-        allowed = {out for t in groups[name] if t.only != "sim"
-                   for out in t.emit}
-        mc_out = _mc_closure_names(spec, mc, handled)
-        # CON004: model emits something the spec does not allow.
-        for out in sorted(mc_out - allowed):
-            yield Finding(
-                check_id="CON004", severity=Severity.WARNING, side="both",
-                fingerprint="%s->%s" % (name, out),
-                message="model handling of %s can emit %s, which no %s "
-                        "spec transition allows"
-                        % ("/".join(handled), out, spec.name),
-                file=_spec_file(spec), line=1)
-        # CON006: spec-required model edges.
-        for t in groups[name]:
-            if t.only == "sim":
-                continue
-            closure = mc_out
-            where = "its handler closure"
-            if t.hoist:
-                closure = _mc_rule_names(
-                    spec, mc, t.hoist) if t.hoist in mc.funcs else set()
-                where = "rule %s" % t.hoist
-            elif t.via:
-                closure = _mc_closure_names(spec, mc, (t.via,)) \
-                    if t.via in mc.handlers else set()
-                where = "the %s handler" % t.via
-            for out in t.emit:
-                out_msg = spec.message(out)
-                if out_msg is None or not out_msg.mc:
-                    continue  # unmodeled output, justified by its note
-                if out not in closure:
-                    yield Finding(
-                        check_id="CON006", severity=Severity.ERROR,
-                        side="mc", fingerprint="%s->%s" % (name, out),
-                        message="spec transition %r requires the model "
-                                "to emit %s while handling %s, but %s "
-                                "never does"
-                                % (t.label, out, name, where),
-                        file=_spec_file(spec), line=1)
-
-    # Entry rules: each spec entry names the model rule realising it;
-    # hoisted edges extend what that rule is expected to emit.
-    expected: Dict[str, Set[str]] = {}
-    for t in spec.entry_transitions():
-        if t.mc_rule:
-            expected.setdefault(t.mc_rule, set()).update(t.emit)
-    for t in spec.transitions:
-        if t.hoist:
-            expected.setdefault(t.hoist, set()).update(t.emit)
-    for rule in sorted(set(mc.entry_points) | set(expected)):
-        if rule not in mc.funcs:
-            yield Finding(
-                check_id="CON006", severity=Severity.ERROR, side="mc",
-                fingerprint="!%s" % rule,
-                message="the %s spec names model rule %s, which does "
-                        "not exist" % (spec.name, rule),
-                file=_spec_file(spec), line=1)
-            continue
-        actual = _mc_rule_names(spec, mc, rule)
-        for out in sorted(actual - expected.get(rule, set())):
-            yield Finding(
-                check_id="CON004", severity=Severity.WARNING, side="mc",
-                fingerprint="!%s->%s" % (rule, out),
-                message="model rule %s can emit %s, which the %s spec "
-                        "does not attribute to it"
-                        % (rule, out, spec.name),
-                file=_spec_file(spec), line=1)
-        for out in sorted(expected.get(rule, set()) - actual):
-            out_msg = spec.message(out)
-            if out_msg is None or not out_msg.mc:
-                continue
-            yield Finding(
-                check_id="CON006", severity=Severity.ERROR, side="mc",
-                fingerprint="!%s->%s" % (rule, out),
-                message="the %s spec attributes an %s emission to model "
-                        "rule %s, which never emits it"
-                        % (spec.name, out, rule),
-                file=_spec_file(spec), line=1)
-
 
 # -- dispatch tables (SPC007) -------------------------------------------------
 
 
-def check_handler_tables(specs, sim, protocols) -> Iterator[Finding]:
+def check_handler_tables(specs: Dict[str, ProtocolSpec], sim: Any,
+                         protocols: Dict[str, Any]) -> Iterator[Finding]:
     """SPC007: every protocol's dispatch table vs its spec's handled set.
 
     The adaptive hub's table comes from the extracted sim graph; the
@@ -320,12 +181,14 @@ def check_handler_tables(specs, sim, protocols) -> Iterator[Finding]:
                 file=anchor, line=1)
 
 
-def run_conformance(specs, sim, mc, protocols=None) -> List[Finding]:
+def run_conformance(specs: Dict[str, ProtocolSpec], sim: Any,
+                    protocols: Optional[Dict[str, Any]] = None
+                    ) -> List[Finding]:
     """All spec-driven conformance checks over one analyzed tree."""
     findings: List[Finding] = []
     adaptive = specs.get("adaptive")
-    if adaptive is not None and adaptive.mc_model == "hand":
-        findings.extend(check_vocabulary(adaptive, sim, mc))
-        findings.extend(check_transitions(adaptive, sim, mc))
+    if adaptive is not None:
+        findings.extend(check_vocabulary(adaptive, sim))
+        findings.extend(check_transitions(adaptive, sim))
     findings.extend(check_handler_tables(specs, sim, protocols or {}))
     return findings

@@ -11,10 +11,10 @@ compile or diff it:
   guard overlap/exhaustiveness, unreachable states, orphan messages,
   unbroken transition cycles, request/reply pairing;
 * :mod:`repro.spec.conformance` — diffs the spec transition relation
-  against the AST-extracted simulator and model-checker graphs
-  (``CON0xx``), replacing the hand-maintained sim<->mc name map;
+  against the AST-extracted simulator graph (``CON0xx``);
 * :mod:`repro.spec.mcgen` — compiles a spec (``mc_model="generated"``)
-  into executable ``repro.mc`` transition rules.
+  into executable ``repro.mc`` transition rules, so the model checker
+  conforms to the spec by construction.
 
 Structured justifications live *in the spec*: a transition that the
 simulator realises by internal re-dispatch carries ``replay=...``, one the
@@ -156,8 +156,7 @@ class ProtocolSpec:
     #: "never entered" reachability check).
     initial_dir: str = "U"
     initial_cache: str = "I"
-    #: "" (no model), "hand" (hand-written twin in mc/model.py), or
-    #: "generated" (compiled by repro.spec.mcgen).
+    #: "" (no model) or "generated" (compiled by repro.spec.mcgen).
     mc_model: str = ""
     #: Adaptive-protocol messages statically reachable through shared hub
     #: code but config-stripped under this protocol (must not be handled).
@@ -210,6 +209,9 @@ class ProtocolSpec:
         annotations without a ``why`` are configuration errors, not
         findings.
         """
+        if self.mc_model not in ("", "generated"):
+            raise SpecError("%s: mc_model=%r is not ''/'generated'"
+                            % (self.name, self.mc_model))
         names = self.message_names()
         if len(names) != len(self.messages):
             raise SpecError("%s: duplicate message declaration" % self.name)

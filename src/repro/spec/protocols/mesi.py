@@ -1,15 +1,14 @@
 """Guarded-action spec for the MESI arena baseline.
 
-Unlike the adaptive spec (diffed against hand-written artifacts), this
-spec *is* the model: :mod:`repro.spec.mcgen` compiles its transitions
-into executable ``repro.mc`` rules, giving the MESI baseline a generated
-``mc_twin``.  Guards are load-bearing — the generated model dispatches a
-delivered message to exactly the transitions whose guards admit the
-concrete state, and raises ``SpecExecutionError`` if none (or a
-spec-declared-unreachable one) matches.  Each transition's ``effect``
-names a kernel primitive in :data:`repro.spec.mcgen.EFFECTS`; every
-message the kernel sends is checked at runtime against the transition's
-declared ``emit`` set.
+Like the adaptive spec, this spec *is* the model: :mod:`repro.spec.mcgen`
+compiles its transitions into executable ``repro.mc`` rules, giving the
+MESI baseline a generated model-checker twin.  Guards are load-bearing —
+the generated model dispatches a delivered message to exactly the
+transitions whose guards admit the concrete state, and raises
+``SpecExecutionError`` if none (or a spec-declared-unreachable one)
+matches.  Each transition's ``effect`` names a kernel primitive in
+:data:`repro.spec.mcgen.EFFECTS`; every message the kernel sends is
+checked at runtime against the transition's declared ``emit`` set.
 
 MESI deltas from the adaptive base (mirrored from ``MesiHub``):
 
@@ -97,11 +96,11 @@ TRANSITIONS = (
     T("home", "GETX", (("busy", ("none",)), ("dir", ("S",)),
                        ("upgrade", ("yes",))),
       emit=("INV", "ACK_X"), goes=(("dir", "E"),), label="getx_upgrade",
-      effect="getx_upgrade"),
+      effect="getx_upgrade_forget"),
     T("home", "GETX", (("busy", ("none",)), ("dir", ("S",)),
                        ("upgrade", ("no",))),
       emit=("INV", "DATA_EXCL"), goes=(("dir", "E"),),
-      label="getx_shared", effect="getx_shared"),
+      label="getx_shared", effect="getx_shared_forget"),
     T("home", "GETX", (("busy", ("none",)), ("dir", ("E",)),
                        ("owner_is_requester", ("yes",))),
       emit=("NACK",), label="getx_own_wb_race", effect="nack_requester"),

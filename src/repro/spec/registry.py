@@ -9,9 +9,8 @@ Two access paths:
   tree* by ``exec``-ing ``<root>/spec/protocols/*.py``.  The lint
   pipeline analyzes a tree that is not necessarily the installed package
   (the mutation tests copy and mutate trees), so the specs checked must
-  come from the same tree as the extracted sim/mc graphs.  A tree
-  without a ``spec/protocols/`` directory (a legacy seed) yields ``{}``
-  and the lint pipeline falls back to its name-map heuristic.
+  come from the same tree as the extracted sim graph.  A tree without a
+  ``spec/protocols/`` directory yields ``{}``, which lint rejects.
 """
 
 from pathlib import Path

@@ -1,6 +1,7 @@
 """The command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -62,6 +63,24 @@ class TestVerify:
     def test_unordered_finds_violation(self, capsys):
         assert main(["verify", "--unordered"]) == 1
         assert "VIOLATION" in capsys.readouterr().out
+
+    def test_violation_prints_the_counterexample(self, capsys):
+        assert main(["verify", "--unordered"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        steps = int(re.search(r"violated after (\d+) steps",
+                              lines[0]).group(1))
+        assert steps > 0
+        trace = [line.strip() for line in lines[1:]]
+        assert len(trace) == steps
+        assert trace[0].startswith(("read_", "write_"))
+
+    @pytest.mark.parametrize("protocol", ["adaptive", "mesi"])
+    def test_bad_node_count_is_a_usage_error(self, capsys, protocol):
+        assert main(["verify", "--protocol", protocol, "--nodes", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "repro verify: error:" in captured.err
+        assert "at least home + one other node" in captured.err
+        assert captured.out == ""
 
 
 class TestArea:

@@ -13,6 +13,7 @@ from repro.lint.checks import (check_conformance, check_coverage,
 from repro.lint.extract import Emission, FuncInfo, Graph, Item, MsgDecl
 from repro.lint.findings import Allowlist, Finding, LintReport, Severity
 from repro.lint.report import render_json, render_sarif, render_text
+from repro.spec import Msg, ProtocolSpec, T
 
 
 def make_graph(side, messages=(), handlers=None, funcs=None,
@@ -45,63 +46,72 @@ class TestCoverage:
         sim = make_graph("sim", ["GETS", "NACK"],
                          handlers={"GETS": ["h"]},
                          funcs={"h": func("h", emits=["NACK"])})
-        mc = make_graph("mc")
-        found = keys(check_coverage(sim, mc))
+        found = keys(check_coverage(sim))
         assert "COV001:sim:NACK" in found
 
     def test_dead_message(self):
         sim = make_graph("sim", ["GETS"], handlers={"GETS": ["h"]},
                          funcs={"h": func("h")})
-        mc = make_graph("mc")
-        found = keys(check_coverage(sim, mc))
+        found = keys(check_coverage(sim))
         assert "COV002:sim:GETS" in found
 
     def test_member_without_dispatch_entry(self):
         sim = make_graph("sim", ["GETS", "GETX"],
                          handlers={"GETS": ["h"]},
                          funcs={"h": func("h", emits=["GETX"])})
-        mc = make_graph("mc")
-        found = keys(check_coverage(sim, mc))
+        found = keys(check_coverage(sim))
         assert "COV003:GETX" in found
         assert "COV003:GETS" not in found
 
 
+def tiny_spec(*transitions, extra=()):
+    """A minimal adaptive spec: GETS answered with DATA_SHARED, plus INV."""
+    messages = (Msg("GETS", mc=("GETS",), role="request"),
+                Msg("DATA_SHARED", mc=("DATA_S",), role="reply",
+                    reply_to=("GETS",)),
+                Msg("INV", mc=("INV",))) + tuple(extra)
+    return ProtocolSpec(name="adaptive", description="", messages=messages,
+                        dir_states=("U",), cache_states=("I",), domains={},
+                        transitions=tuple(transitions))
+
+
 class TestConformance:
-    def _pair(self, sim_emits, mc_emits):
+    """The simulator graph against the spec (the model checker is the
+    spec, compiled, so there is no model graph to diff)."""
+
+    def _run(self, sim_emits, spec_emits, extra=()):
         sim = make_graph("sim", ["GETS", "DATA_SHARED", "INV"],
                          handlers={"GETS": ["h"]},
                          funcs={"h": func("h", emits=sim_emits)})
-        mc = make_graph("mc", handlers={"GETS": ["_on_gets"]},
-                        funcs={"_on_gets": func("_on_gets",
-                                                emits=mc_emits)})
-        for token in ["GETS"] + list(mc_emits):
-            mc.messages[token] = MsgDecl(name=token, file="m.py", line=1)
-        return sim, mc
+        spec = tiny_spec(T("home", "GETS", emit=tuple(spec_emits),
+                           label="serve"), extra=extra)
+        return keys(check_conformance(sim, specs={"adaptive": spec}))
 
     def test_agreeing_transitions_are_silent(self):
-        sim, mc = self._pair(["DATA_SHARED"], ["DATA_S"])
-        found = keys(check_conformance(sim, mc))
-        assert not any(k.startswith(("CON003", "CON004")) for k in found)
+        found = self._run(["DATA_SHARED"], ["DATA_SHARED"])
+        assert not any(k.startswith(("CON003", "CON005")) for k in found)
 
     def test_sim_transition_missing_from_model(self):
-        sim, mc = self._pair(["DATA_SHARED"], [])
-        assert "CON003:GETS->DATA_SHARED" in keys(
-            check_conformance(sim, mc))
+        # The spec (which the model is compiled from) has no GETS edge
+        # emitting DATA_SHARED, yet the simulator's handler sends one.
+        assert "CON003:GETS->DATA_SHARED" in self._run(["DATA_SHARED"], [])
 
     def test_model_transition_missing_from_sim(self):
-        sim, mc = self._pair(["DATA_SHARED"], ["DATA_S", "INV"])
-        assert "CON004:GETS->INV" in keys(check_conformance(sim, mc))
+        found = self._run(["DATA_SHARED"], ["DATA_SHARED", "INV"])
+        assert "CON005:GETS->INV" in found
 
     def test_unmapped_sim_message(self):
         sim = make_graph("sim", ["PING"])
-        found = {f.key: f for f in check_conformance(sim,
-                                                     make_graph("mc"))}
+        found = {f.key: f for f in check_conformance(
+            sim, specs={"adaptive": tiny_spec()})}
         assert found["CON001:PING"].severity is Severity.ERROR
 
     def test_unmapped_mc_token(self):
-        mc = make_graph("mc", ["ZZZ"], handlers={"ZZZ": ["_on_zzz"]})
-        assert "CON002:ZZZ" in keys(check_conformance(make_graph("sim"),
-                                                      mc))
+        # A spec message (and its model token) the simulator never
+        # declares.
+        found = self._run(["DATA_SHARED"], ["DATA_SHARED"],
+                          extra=(Msg("ZZZ", mc=("ZZZ",)),))
+        assert "CON001:spec:ZZZ" in found
 
 
 class TestDeadlock:

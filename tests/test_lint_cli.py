@@ -38,7 +38,6 @@ class TestLintCommand:
         assert "DLK001:cycle:GETS" in out
         assert "WB_ACK" not in out
         assert "CON003" not in out
-        assert "CON004" not in out
 
     def test_fail_on_threshold(self, capsys):
         # The raw warnings only gate once the threshold is lowered.
@@ -59,7 +58,7 @@ class TestLintCommand:
         out = capsys.readouterr().out
         assert "conformance source: guarded-action specs" in out
         assert "mesi: conformance-checked (generated mc twin)" in out
-        assert "adaptive: conformance-checked (mc twin)" in out
+        assert "adaptive: conformance-checked (generated mc twin)" in out
         assert "wi: spec-checked (no mc twin)" in out
 
     def test_broken_allowlist_is_a_config_error(self, tmp_path):

@@ -4,8 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint.extract import (SELF_TYPE, extract_mc, extract_sim,
-                                extract_state_usage)
+from repro.lint.extract import SELF_TYPE, extract_sim, extract_state_usage
 from repro.network.message import MsgType
 
 ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -14,11 +13,6 @@ ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 @pytest.fixture(scope="module")
 def sim():
     return extract_sim(ROOT)
-
-
-@pytest.fixture(scope="module")
-def mc():
-    return extract_mc(ROOT)
 
 
 class TestSimExtraction:
@@ -71,36 +65,6 @@ class TestSimExtraction:
         # Raw items may carry the sentinel, resolved closures never do.
         for msg in sim.handlers:
             assert SELF_TYPE not in sim.emitted_names(msg)
-
-
-class TestMcExtraction:
-    def test_handlers_are_the_on_methods(self, mc):
-        assert "GETS" in mc.handlers
-        assert "NACKNH" in mc.handlers
-        assert mc.handlers["SH_WB"] == ["_on_sh_wb"]
-
-    def test_rules_are_entry_points_except_deliver(self, mc):
-        assert "rule_cpu_read" in mc.entry_points
-        assert "rule_deliver" not in mc.entry_points
-
-    def test_cpu_records_are_not_messages(self, mc):
-        # ("W", granted, needed, got) bookkeeping tuples must not be read
-        # as network messages.
-        assert "W" not in mc.messages
-
-    def test_redispatch_is_not_an_emission(self, mc):
-        # _on_nacknh re-dispatches by calling self._on_nack(state, (...));
-        # only tuples that reach _net_add count as network emissions.
-        nacknh = [e.mtype for e in mc.emissions_for("NACKNH")]
-        assert "GETS" in nacknh or "GETX" in nacknh
-
-    def test_variable_assigned_tuples_resolve(self, mc):
-        # The WB race replay is built into a local before _net_add(net, x).
-        assert {"GETS", "GETX"} <= mc.emitted_names("WB")
-
-    def test_rules_emit_requests(self, mc):
-        out = {e.mtype for e in mc.closure_emissions(["rule_cpu_read"])}
-        assert "GETS" in out
 
 
 class TestStateUsage:

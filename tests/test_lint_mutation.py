@@ -2,7 +2,7 @@
 
 Each test copies the real sources into a temp tree, seeds one defect of a
 kind the linter promises to detect (a deleted handler entry, an orphaned
-MsgType, a dropped mc-model transition, a stripped retry bound, an
+MsgType, a dropped spec transition, a stripped retry bound, an
 unreachable state), and asserts ``repro.lint`` flags it with the right
 check id and severity.  This is what proves the checks detect — rather
 than merely describe — their defect classes.
@@ -14,6 +14,9 @@ from pathlib import Path
 import pytest
 
 from repro.lint import Severity, run_lint
+from repro.mc import ALL_INVARIANTS, ModelChecker
+from repro.spec import load_spec_tree
+from repro.spec.mcgen import SpecExecutionError, SpecModel
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -72,12 +75,23 @@ class TestHandlerCoverage:
 
 class TestConformance:
     def test_dropped_mc_transition_is_flagged(self, tree):
-        # Probe: remove the model's HC handler (rename its method so the
-        # _on_<token> dispatch no longer finds a HC transition).
-        mutate(tree, "mc/model.py", "def _on_hc(", "def _dropped_hc(")
+        # Probe: drop the spec transition the model checker compiles into
+        # its HC handler.  Lint flags the spec (the hub still handles the
+        # message); the compiled model refuses the first hint delivered.
+        mutate(tree, "spec/protocols/adaptive.py",
+               '    T("node", "HOME_CHANGED", label="home_changed_hint", '
+               'effect="take_hint"),\n', "")
         found = finding_map(tree)
-        assert found["COV001:mc:HC"] is Severity.ERROR
-        assert found["CON001:HOME_CHANGED"] is Severity.ERROR
+        assert found["SPC004:HOME_CHANGED:never-handled"] is Severity.ERROR
+        assert (found["SPC007:adaptive:HOME_CHANGED:unspecified-handler"]
+                is Severity.ERROR)
+        model = SpecModel(load_spec_tree(tree)["adaptive"])
+        checker = ModelChecker(model.initial_states(), model.rules(),
+                               ALL_INVARIANTS, quiescent=model.quiescent,
+                               canonicalize=model.canonical)
+        with pytest.raises(SpecExecutionError,
+                           match="HC, which no adaptive spec transition"):
+            checker.run()
 
     def test_dropped_sim_emission_is_flagged(self, tree):
         # Probe: the sim's GETS path stops publishing the delegation hint

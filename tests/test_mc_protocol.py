@@ -72,9 +72,10 @@ class TestDelegationProtocol:
         """Home-initiated undelegation and its NACK(gone/busy) races."""
         model = ProtocolModel(num_nodes=3, writers=(1, 2), readers=(2,))
         result = check(model)
-        assert "getx_recall" in result.rule_counts
+        assert "getx_recall_0" in result.rule_counts
         labels = set(result.rule_counts)
-        assert labels & {"undele_req_1", "undele_req_gone", "undele_req_busy"}
+        assert labels & {"undele_req_grant_1", "undele_req_gone_1",
+                         "undele_req_busy_1"}
 
     @pytest.mark.slow
     def test_deferred_undelegation_explored(self):

@@ -200,32 +200,33 @@ class TestArenaReport:
 
 
 class TestLintProtocolAwareness:
-    """Lint reports which protocols the sim<->mc conformance diff covers
-    and guards the baseline handler tables (ARN001)."""
+    """Lint reports how it covers each protocol and guards the baseline
+    handler tables (ARN001)."""
 
     def test_registry_extraction_matches_runtime(self):
         from repro.lint import default_root
         extracted = extract_protocols(default_root())
         assert set(extracted) == set(PROTOCOLS)
         for name, decl in extracted.items():
-            assert decl.mc_twin == PROTOCOLS[name].mc_twin
+            # The adaptive hub's table lives in hub.py, the baselines'
+            # in arena.py.
+            assert bool(decl.handlers) == (name != "adaptive")
 
     def test_conformance_status_in_stats(self):
         report = run_lint()
         statuses = report.stats["protocols"]
-        assert statuses["adaptive"] == "conformance-checked (mc twin)"
-        assert statuses["mesi"] == \
-            "conformance-checked (generated mc twin)"
+        for name in ("adaptive", "mesi"):
+            assert statuses[name] == \
+                "conformance-checked (generated mc twin)"
         for name in ("wi", "dragon"):
             assert statuses[name] == "spec-checked (no mc twin)"
-        assert report.stats["conformance"]["source"] == "spec"
         assert report.stats["conformance"]["specs"] == \
             ["adaptive", "dragon", "mesi", "wi"]
 
     def test_arn001_fires_on_unknown_msgtype(self):
         from repro.lint import default_root
         sim = extract_sim(default_root())
-        bad = {"bogus": ProtocolDecl(name="bogus", mc_twin=False, line=1,
+        bad = {"bogus": ProtocolDecl(name="bogus", line=1,
                                      handlers={"NOT_A_MSG": ["_x"]})}
         findings = list(check_arena(sim, bad))
         assert [f.check_id for f in findings] == ["ARN001"]

@@ -6,9 +6,11 @@ Two mutation styles:
 * the SPC checks operate on a :class:`ProtocolSpec` alone, so those
   probes seed defects with ``dataclasses.replace`` on the installed
   specs — no tree copying needed;
-* the conformance checks diff a spec against the AST-extracted graphs,
-  so those probes copy the sources (the ``test_lint_mutation`` idiom),
-  mutate one side, and run the full ``run_lint`` pipeline.
+* the conformance checks diff a spec against the AST-extracted simulator
+  graph, so those probes copy the sources (the ``test_lint_mutation``
+  idiom), mutate one side, and run the full ``run_lint`` pipeline; the
+  model-checker side is the spec compiled, so its probes build a
+  ``SpecModel`` from the mutated spec and expect it to refuse.
 
 Plus the golden SARIF snapshot: a clean ``repro spec`` run over the real
 tree must produce a byte-stable SARIF document (rule inventory included),
@@ -22,8 +24,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.mc import ALL_INVARIANTS, ModelChecker
 from repro.spec import Msg, T, get_spec
 from repro.spec.analyze import run_spec_checks
+from repro.spec.mcgen import SpecExecutionError, SpecModel
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -59,6 +63,13 @@ def replace_transition(spec, label, **changes):
                for t in spec.transitions)
     assert any(t.label == label for t in spec.transitions), label
     return dataclasses.replace(spec, transitions=ts)
+
+
+def run_model(spec):
+    model = SpecModel(spec)
+    ModelChecker(model.initial_states(), model.rules(), ALL_INVARIANTS,
+                 quiescent=model.quiescent, track_traces=False,
+                 canonicalize=model.canonical).run()
 
 
 def drop_transition(spec, label):
@@ -143,29 +154,33 @@ class TestSpcMutations:
 
 class TestConformanceMutations:
     def test_dropped_spec_transition_flags_both_sides(self, tree):
-        # Remove the adaptive spec's unowned-GETS edge: the sim and the
-        # model both still serve it, so both sides now emit DATA_EXCL
-        # with no licensing spec transition.
+        # Remove the adaptive spec's unowned-GETS edge: the sim still
+        # serves it, so it emits DATA_EXCL with no licensing spec
+        # transition; the model compiled from that spec has nothing to
+        # dispatch the first read miss to.
         mutate(tree, "spec/protocols/adaptive.py",
                '    T("home", "GETS", (("at", ("home",)), ("busy", '
                '("none",)),\n'
                '                       ("dir", ("U",))),\n'
                '      emit=("DATA_EXCL",), goes=(("dir", "E"),), '
-               'label="gets_unowned"),\n',
+               'label="gets_unowned",\n'
+               '      effect="gets_unowned"),\n',
                '')
         found = finding_map(tree)
         assert "CON003:GETS->DATA_EXCL" in found
-        assert "CON004:GETS->DATA_EXCL" in found
+        with pytest.raises(SpecExecutionError,
+                           match="0 spec transitions match GETS"):
+            run_model(drop_transition(get_spec("adaptive"),
+                                      "gets_unowned"))
 
-    def test_phantom_spec_emission_flags_both_sides(self, tree):
-        # Claim SHARED_WB handling can emit INV: neither the sim nor the
-        # model has such an edge, so the spec's requirement is unmet.
+    def test_phantom_spec_emission_is_flagged(self, tree):
+        # Claim SHARED_WB handling can emit INV: the sim has no such
+        # edge, so the spec's requirement is unmet.
         mutate(tree, "spec/protocols/adaptive.py",
                'goes=(("dir", "S"),), label="sh_wb_apply"',
                'emit=("INV",), goes=(("dir", "S"),), label="sh_wb_apply"')
         found = finding_map(tree)
         assert "CON005:SHARED_WB->INV" in found
-        assert "CON006:SHARED_WB->INV" in found
 
     def test_bogus_replay_function_is_flagged(self, tree):
         mutate(tree, "spec/protocols/adaptive.py",
@@ -173,14 +188,23 @@ class TestConformanceMutations:
         found = finding_map(tree)
         assert "CON005:replay:_no_such_func" in found
 
-    def test_renamed_model_rule_is_flagged(self, tree):
-        # The spec hoists update emissions into rule_intervention_fire;
-        # renaming the rule breaks both the hoist closure and the entry
-        # attribution.
-        mutate(tree, "mc/model.py", "def rule_intervention_fire(",
-               "def rule_intervention_gone(")
-        found = finding_map(tree)
-        assert "CON006:!rule_intervention_fire" in found
+    def test_renamed_model_rule_is_flagged(self):
+        # The spec names the model rule each entry transition stands for;
+        # a rule the compiler does not know is refused.
+        spec = replace_transition(get_spec("adaptive"), "intervention_fire",
+                                  mc_rule="rule_intervention_gone")
+        with pytest.raises(SpecExecutionError,
+                           match="rule_intervention_gone, which does not "
+                                 "exist"):
+            SpecModel(spec)
+
+    def test_dangling_hoist_is_flagged(self):
+        # Hoisted update emissions need the rule that realises them.
+        spec = drop_transition(get_spec("adaptive"), "intervention_fire")
+        with pytest.raises(SpecExecutionError,
+                           match="hoists emissions into "
+                                 "rule_intervention_fire"):
+            SpecModel(spec)
 
     def test_spc007_dropped_arena_handler(self, tree):
         # MESI's hub stops registering INV: its spec still handles it.
@@ -188,17 +212,6 @@ class TestConformanceMutations:
                "            MsgType.INV: self._on_inv,\n", "")
         found = finding_map(tree)
         assert "SPC007:mesi:INV:missing-handler" in found
-
-    def test_legacy_tree_falls_back_to_heuristic(self, tree):
-        from repro.lint import run_lint
-        shutil.rmtree(tree / "spec")
-        report = run_lint(root=tree, use_allowlist=False)
-        assert report.stats["conformance"]["source"] == "heuristic"
-        keys = {f.key for f in report.findings}
-        # The name-map heuristic resurfaces the legacy abstraction gaps
-        # that the specs normally justify structurally.
-        assert "CON001:WB_ACK" in keys
-        assert "CON003:DATA_SHARED->WRITEBACK" in keys
 
 
 class TestGoldenSarif:
@@ -215,6 +228,6 @@ class TestGoldenSarif:
         doc = json.loads((GOLDEN / "spec_clean.sarif").read_text())
         rules = {r["id"] for r in doc["runs"][0]["tool"]["driver"]["rules"]}
         for rule_id in ("SPC001", "SPC002", "SPC003", "SPC004", "SPC005",
-                        "SPC006", "SPC007", "CON005", "CON006"):
+                        "SPC006", "SPC007", "CON001", "CON003", "CON005"):
             assert rule_id in rules
         assert doc["runs"][0]["results"] == []

@@ -53,7 +53,7 @@ class TestValidation:
                       Msg("PONG", role="reply", reply_to=("PING",))),
             transitions=(T("home", "PING", label="ping"),
                          T("node", "PONG", label="pong")),
-            mc_model="hand")
+            mc_model="generated")
         with pytest.raises(SpecError, match="no justifying note"):
             spec.validate()
         # ... and the note satisfies the bar.
@@ -106,6 +106,11 @@ class TestValidation:
         with pytest.raises(SpecError, match="undeclared dir state"):
             spec.validate()
 
+    def test_unknown_mc_model_rejected(self):
+        # Models are compiled from specs; there is no hand-written kind.
+        with pytest.raises(SpecError, match="mc_model='hand'"):
+            tiny_spec(mc_model="hand").validate()
+
 
 class TestGuards:
     def test_empty_guard_is_catch_all(self):
@@ -143,16 +148,20 @@ class TestLookups:
         assert spec.sim_name_of("SH_WB") == "SHARED_WB"
         assert spec.sim_name_of("NOT_A_TOKEN") is None
 
-    def test_mc_token_map_matches_lint_map(self):
-        from repro.lint.conformance import sim_to_mc_map
-        assert get_spec("adaptive").mc_token_map() == sim_to_mc_map()
+    def test_mc_token_map_matches_model_dispatch(self):
+        # The compiled model dispatches exactly the spec's mc tokens.
+        from repro.spec.mcgen import SpecModel
+        spec = get_spec("adaptive")
+        tokens = {token for mc in spec.mc_token_map().values()
+                  for token in mc}
+        assert set(SpecModel(spec)._dispatch) == tokens
 
 
 class TestRegistry:
     def test_all_four_specs_load_and_validate(self):
         specs = all_specs()
         assert sorted(specs) == ["adaptive", "dragon", "mesi", "wi"]
-        assert specs["adaptive"].mc_model == "hand"
+        assert specs["adaptive"].mc_model == "generated"
         assert specs["mesi"].mc_model == "generated"
         assert specs["wi"].mc_model == ""
         assert specs["dragon"].mc_model == ""

@@ -1,16 +1,19 @@
 """The spec-compiled model checker (repro.spec.mcgen).
 
-The MESI spec compiles into an executable ``repro.mc`` model; this file
-pins the exhaustive-check result, proves the compiled model still has
-teeth (a seeded wrong effect trips the safety invariants), and exercises
-the compiler's own guard rails: emission checking, exactly-one dispatch,
-``unreachable`` tags, and the generated-only entry requirement.
+The MESI and adaptive specs compile into executable ``repro.mc`` models;
+this file pins the MESI exhaustive-check result (the adaptive state
+spaces are pinned in ``test_mc_statespace.py``), proves the compiled
+models still have teeth (a seeded wrong effect trips the safety
+invariants), and exercises the compiler's own guard rails: emission
+checking, exactly-one dispatch, ``unreachable`` tags, and the
+generated-only entry requirement.
 """
 
 import dataclasses
 
 import pytest
 
+from repro.common.errors import DeadlockError
 from repro.mc import ALL_INVARIANTS, ModelChecker
 from repro.mc.engine import InvariantViolation
 from repro.spec import get_spec
@@ -64,11 +67,21 @@ class TestModelHasTeeth:
         with pytest.raises(InvariantViolation):
             check(mesi_model(spec))
 
+    def test_seeded_wrong_adaptive_effect_trips_invariants(self):
+        # Serve a read of a shared line with the exclusive grant: the
+        # reader takes an E copy while the other reader keeps its S copy.
+        spec = replace_transition(get_spec("adaptive"), "gets_shared",
+                                  effect="gets_unowned",
+                                  emit=("DATA_EXCL",))
+        with pytest.raises((InvariantViolation, DeadlockError)):
+            check(SpecModel(spec, num_nodes=4, readers=(2, 3),
+                            enable_delegation=False))
+
 
 class TestCompilerGuardRails:
     def test_non_generated_spec_is_rejected(self):
         with pytest.raises(SpecExecutionError, match="only 'generated'"):
-            SpecModel(get_spec("adaptive"))
+            SpecModel(get_spec("wi"))
 
     def test_undeclared_emission_is_caught_at_runtime(self):
         # The unowned-GETS effect sends DATA_EXCL; stripping it from the
