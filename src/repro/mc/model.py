@@ -81,17 +81,29 @@ def initial_state(num_nodes: int) -> State:
     )
 
 
-def _tup_set(tup: Tuple[Any, ...], index: int, value: Any) -> Tuple[Any, ...]:
+def _tup_set(tup: Tuple[Any, ...], index: int,
+             value: Any) -> Tuple[Any, ...]:
     return tup[:index] + (value,) + tup[index + 1:]
 
 
 def _net_add(net: Net, *msgs: McMsg) -> Net:
-    """Append messages to their (src, dst) FIFO channels."""
-    channels = {pair: list(queue) for pair, queue in net}
+    """Append messages to their (src, dst) FIFO channels.
+
+    The network stays sorted by channel, so each message either extends
+    its channel in place or opens a new one at its sorted position."""
     for msg in msgs:
-        channels.setdefault((msg[1], msg[2]), []).append(msg)
-    return tuple(sorted((pair, tuple(queue))
-                        for pair, queue in channels.items()))
+        pair = (msg[1], msg[2])
+        for index, (channel, queue) in enumerate(net):
+            if channel == pair:
+                net = (net[:index] + ((pair, queue + (msg,)),)
+                       + net[index + 1:])
+                break
+            if channel > pair:
+                net = net[:index] + ((pair, (msg,)),) + net[index:]
+                break
+        else:
+            net = net + ((pair, (msg,)),)
+    return net
 
 
 def _net_add_unique(net: Net, msg: McMsg) -> Net:
@@ -112,12 +124,15 @@ def _net_add_unique(net: Net, msg: McMsg) -> Net:
 
 def _net_pop_msg(net: Net, pair: Tuple[int, int], msg: McMsg) -> Net:
     """Remove one specific message from a channel (the head under FIFO)."""
-    channels = {p: list(queue) for p, queue in net}
-    channels[pair].remove(msg)
-    if not channels[pair]:
-        del channels[pair]
-    return tuple(sorted((p, tuple(queue))
-                        for p, queue in channels.items()))
+    for index, (channel, queue) in enumerate(net):
+        if channel == pair:
+            rest = list(queue)
+            rest.remove(msg)
+            if rest:
+                return (net[:index] + ((pair, tuple(rest)),)
+                        + net[index + 1:])
+            return net[:index] + net[index + 1:]
+    raise ValueError("no %r in channel %r" % (msg, pair))
 
 
 def quiescent(state: State) -> bool:
@@ -163,10 +178,9 @@ def canonical(state: State) -> State:
     for value in _value_fields(state):
         if value not in rename:
             rename[value] = len(rename)
-
-    def rmap(value: Any) -> int:
-        return rename.setdefault(value, len(rename))
-
+    if all(old == new for old, new in rename.items()):
+        return state  # already its class's representative
+    rmap = rename.__getitem__  # every live value was named above
     cur, caches, racs, cpus, home, deleg, hints, net = state
     caches = tuple((st, rmap(v) if st != "I" else 0) for st, v in caches)
     racs = tuple(None if r is None else (rmap(r[0]), r[1]) for r in racs)

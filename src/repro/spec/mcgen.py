@@ -232,7 +232,7 @@ class SpecModel:
         The binding is a function of what the delivery sees, and only of
         that: the message, the home entry, the destination's cache state
         and CPU, and the delegate entry when the destination holds it
-        (else None).  :meth:`_matches` memoises on exactly these."""
+        (else None).  :meth:`rule_deliver` memoises on exactly these."""
         token, src, dst, payload = msg
         hstate, sharers, owner, _memval, busy = home
         here = deleg is not None
@@ -278,25 +278,22 @@ class SpecModel:
     # -- message delivery ---------------------------------------------------
 
     def rule_deliver(self, state: State) -> Labelled:
-        net = state[7]
+        net, deleg, memo = state[7], state[5], self._memo
         for pair, queue in net:
             for msg in queue[:1] if self.ordered_channels else queue:
+                # Guards are pure functions of the binding, so dispatch
+                # is memoised on exactly what _env reads.
+                dst = msg[2]
+                key = (msg, state[4], state[1][dst][0], state[3][dst],
+                       deleg if deleg is not None and deleg[0] == dst
+                       else None)
+                fires = memo.get(key)
+                if fires is None:
+                    fires = memo[key] = self._resolve(msg[0],
+                                                      self._env(*key))
                 base = state[:7] + (_net_pop_msg(net, pair, msg),)
-                for fire in self._matches(base, msg):
-                    yield (fire.labels[msg[2]],
-                           fire.effect(self, base, msg, fire))
-
-    def _matches(self, state: State, msg: McMsg) -> List[Fire]:
-        """The transitions ``msg`` fires, memoised on :meth:`_env`'s
-        arguments: guards are pure functions of the binding."""
-        dst, deleg = msg[2], state[5]
-        key = (msg, state[4], state[1][dst][0], state[3][dst],
-               deleg if deleg is not None and deleg[0] == dst else None)
-        fires = self._memo.get(key)
-        if fires is None:
-            fires = self._resolve(msg[0], self._env(*key))
-            self._memo[key] = fires
-        return fires
+                for fire in fires:
+                    yield fire.labels[dst], fire.effect(self, base, msg, fire)
 
     def _resolve(self, token: str, env: Dict[str, str]) -> List[Fire]:
         """The transitions a delivery fires, after the dispatch checks."""

@@ -148,7 +148,7 @@ class TestScaleCLI:
         doc = json.loads(out_path.read_text())
         assert doc["benchmarks"][0]["group"] == "scale"
         assert len(doc["scale"]["rows"]) == 2
-        # bench_gate reruns from these params verbatim.
+        # The record names the sweep in the CLI's own strings.
         params = doc["benchmarks"][0]["params"]
         assert params["nodes"] == "16"
         assert params["formats"] == "full,limited:2"
