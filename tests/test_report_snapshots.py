@@ -1,0 +1,70 @@
+"""Byte-for-byte snapshots of the ``repro scale`` and ``repro arena``
+reports.
+
+The goldens under ``tests/golden/`` were captured from the CLI before the
+miss-latency histograms moved from the tracer into the always-on run
+stats, so they pin the p50/p95 columns (and every other cell) across
+that change.  Only the run-dependent footer (wall time, worker count) and
+the scale record's timing envelope are left out.
+
+To regenerate after an intended report change::
+
+    PYTHONPATH=src python -c "import tests.test_report_snapshots as t; t.regenerate()"
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+import pytest
+
+from repro.cli import main
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+SNAPSHOTS = {
+    "scale": ["scale", "--nodes", "16,64", "--formats", "full,limited:2",
+              "--no-cache", "--jobs", "1"],
+    "arena": ["arena", "--apps", "em3d", "--scale", "0.05", "--no-cache",
+              "--jobs", "1"],
+}
+
+
+def render(name, work_dir):
+    """(text, json) snapshot documents of one CLI report."""
+    json_path = os.path.join(work_dir, name + ".json")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(SNAPSHOTS[name] + ["--json", json_path]) == 0
+    # The report proper ends at the blank line before the run footer.
+    text = stdout.getvalue().rsplit("\n\n%s: " % name, 1)[0] + "\n"
+    with open(json_path) as fileobj:
+        doc = json.load(fileobj)
+    if name == "scale":
+        doc = doc["scale"]  # drop the timing/machine envelope
+    return text, json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def golden_paths(name):
+    base = os.path.join(GOLDEN_DIR, "%s_snapshot" % name)
+    return base + ".txt", base + ".json"
+
+
+def regenerate():
+    with tempfile.TemporaryDirectory() as work_dir:
+        for name in SNAPSHOTS:
+            for path, body in zip(golden_paths(name), render(name, work_dir)):
+                with open(path, "w") as fileobj:
+                    fileobj.write(body)
+
+
+@pytest.mark.parametrize("name", sorted(SNAPSHOTS))
+def test_report_matches_snapshot(name, tmp_path):
+    text, doc = render(name, str(tmp_path))
+    text_path, json_path = golden_paths(name)
+    with open(text_path) as fileobj:
+        assert text == fileobj.read()
+    with open(json_path) as fileobj:
+        assert doc == fileobj.read()
