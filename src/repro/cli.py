@@ -577,9 +577,7 @@ def cmd_arena(args):
     if args.directory_format is not None:
         from dataclasses import replace
         base = replace(base, directory_format=args.directory_format)
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
-    engine = arena_harness.arena_engine(jobs=jobs, cache=not args.no_cache,
-                                        cache_dir=args.cache_dir)
+    engine = _build_engine(args)
     report = arena_harness.run_arena(
         apps=apps, protocols=protocols, base=base, base_name=args.base,
         seed=args.seed, scale=args.scale, engine=engine)

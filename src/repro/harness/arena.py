@@ -8,13 +8,14 @@ hop-class miss breakdown, and miss-latency p50/p95 per workload per
 protocol.
 
 Every (workload, protocol) cell is one :class:`~repro.harness.sweep.
-SweepJob` submitted through a :class:`~repro.harness.sweep.SweepEngine`,
-so arena sweeps parallelise and cache exactly like every other
-experiment; ``protocol_name`` rides in the config and therefore in the
-cache key.  All cells share one *base* config — each protocol then
-normalises it onto its own feature set (``wi`` strips delegation, ``mesi``
-also drops the RAC...), which is the point: equal hardware budget, the
-protocol is the only variable.
+SweepJob` submitted through a plain :class:`~repro.harness.sweep.
+SweepEngine` (the default ``run_app`` runner, whose runs carry the
+always-on latency histograms), so arena sweeps parallelise and cache
+exactly like every other experiment; ``protocol_name`` rides in the
+config and therefore in the cache key.  All cells share one *base*
+config — each protocol then normalises it onto its own feature set
+(``wi`` strips delegation, ``mesi`` also drops the RAC...), which is the
+point: equal hardware budget, the protocol is the only variable.
 """
 
 from dataclasses import replace
@@ -22,10 +23,9 @@ from dataclasses import replace
 from ..analysis.tables import render_table
 from ..common import params
 from ..common import stats as S
-from ..obs import TraceConfig, Tracer
+from ..obs.metrics import miss_percentiles
 from ..protocol.arena import ARENA_PROTOCOLS, resolve_protocol
-from .runner import run_app
-from .sweep import SweepJob, _payload_from_run
+from .sweep import SweepJob, default_engine
 
 #: Default arena workloads: the two apps with the strongest
 #: producer-consumer signature (Table 2), so the default report actually
@@ -33,61 +33,8 @@ from .sweep import SweepJob, _payload_from_run
 DEFAULT_APPS = ("em3d", "ocean")
 
 
-def arena_runner(job):
-    """Worker-side runner for arena cells (module-level so it pickles by
-    reference).  The normal sweep payload plus the traced miss-latency
-    histograms the report's p50/p95 columns come from."""
-    tracer = Tracer(TraceConfig(capture_messages=False))
-    run = run_app(job.app, job.config, num_cpus=job.num_cpus, seed=job.seed,
-                  scale=job.scale, check_coherence=job.check_coherence,
-                  chaos=job.chaos, trace=tracer)
-    payload = dict(_payload_from_run(run))
-    payload["obs"] = run.obs
-    return payload
-
-
-def _percentile(hist_doc, fraction):
-    """p-quantile upper bound from a serialised Histogram dict, or None."""
-    if not hist_doc or not hist_doc.get("count"):
-        return None
-    bounds, counts = hist_doc["bounds"], hist_doc["counts"]
-    threshold = fraction * hist_doc["count"]
-    seen = 0
-    for index, bucket_count in enumerate(counts):
-        seen += bucket_count
-        if seen >= threshold and bucket_count:
-            if index >= len(bounds):
-                return hist_doc["max"]
-            return bounds[index]
-    return hist_doc["max"]
-
-
-def _merged_latency(obs):
-    """One merged miss-latency histogram doc across the hop classes."""
-    if not obs:
-        return None
-    per_class = obs.get("miss_latency") or {}
-    merged = None
-    for doc in per_class.values():
-        if not doc or not doc.get("count"):
-            continue
-        if merged is None:
-            merged = {"bounds": list(doc["bounds"]),
-                      "counts": list(doc["counts"]),
-                      "count": doc["count"], "max": doc["max"]}
-        else:
-            # All obs histograms share MISS_LATENCY_BOUNDS; merge by bucket.
-            merged["counts"] = [a + b for a, b in
-                                zip(merged["counts"], doc["counts"])]
-            merged["count"] += doc["count"]
-            if doc["max"] is not None and (merged["max"] is None
-                                           or doc["max"] > merged["max"]):
-                merged["max"] = doc["max"]
-    return merged
-
-
 class ArenaReport:
-    """Results of one arena sweep: ``cells[(app, protocol)] -> payload``."""
+    """Results of one arena sweep: ``cells[(app, protocol)] -> AppRun``."""
 
     def __init__(self, apps, protocols, cells, base_name, seed, scale):
         self.apps = list(apps)
@@ -99,19 +46,19 @@ class ArenaReport:
 
     def row(self, app, protocol):
         """The report row for one cell, as a plain dict."""
-        payload = self.cells[(app, protocol)]
-        stats = payload["stats"]
-        latency = _merged_latency(payload.get("obs"))
+        run = self.cells[(app, protocol)]
+        stats = run.stats
+        p50, p95 = miss_percentiles(run.latency)
         return {
             "protocol": protocol,
-            "cycles": payload["cycles"],
+            "cycles": run.metrics.cycles,
             "traffic_bytes": stats.get(S.MSG_BYTES, 0),
             "miss_local": stats.get(S.MISS_LOCAL, 0),
             "miss_2hop": stats.get(S.MISS_2HOP, 0),
             "miss_3hop": stats.get(S.MISS_3HOP, 0),
             "updates_sent": stats.get(S.UPDATES_SENT, 0),
-            "miss_p50": _percentile(latency, 0.50),
-            "miss_p95": _percentile(latency, 0.95),
+            "miss_p50": p50,
+            "miss_p95": p95,
         }
 
     def render_text(self):
@@ -156,16 +103,16 @@ def run_arena(apps=DEFAULT_APPS, protocols=ARENA_PROTOCOLS, base=None,
     ``base`` is the shared base :class:`SystemConfig` (default: the named
     preset ``base_name`` from :mod:`repro.common.params`); every protocol
     runs ``replace(base, protocol_name=...)`` and normalises it itself at
-    System construction.  ``engine`` must have been built with
-    ``runner=arena_runner`` (CLI and :func:`arena_engine` do); the default
-    is serial and uncached.
+    System construction.  ``engine`` is any default-runner
+    :class:`~repro.harness.sweep.SweepEngine`; the default is serial and
+    uncached.
     """
     if base is None:
         base = getattr(params, base_name)()
     for name in protocols:
         resolve_protocol(name)  # fail fast on typos, before any sim runs
     if engine is None:
-        engine = arena_engine()
+        engine = default_engine()
     jobs = {
         (app, protocol): SweepJob(
             app=app, config=replace(base, protocol_name=protocol),
@@ -177,14 +124,4 @@ def run_arena(apps=DEFAULT_APPS, protocols=ARENA_PROTOCOLS, base=None,
                        base_name=base_name, seed=seed, scale=scale)
 
 
-def arena_engine(jobs=1, cache=False, **kwargs):
-    """A :class:`SweepEngine` wired for arena payloads (the engine's
-    default decoder is the identity when a custom runner is set)."""
-    from .sweep import SweepEngine
-
-    return SweepEngine(jobs=jobs, cache=cache, runner=arena_runner,
-                       **kwargs)
-
-
-__all__ = ["ArenaReport", "DEFAULT_APPS", "arena_engine", "arena_runner",
-           "run_arena"]
+__all__ = ["ArenaReport", "DEFAULT_APPS", "run_arena"]

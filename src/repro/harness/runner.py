@@ -9,7 +9,8 @@ Pass ``trace=`` to record an observability trace of the run (see
 :mod:`repro.obs`): a :class:`~repro.obs.Tracer` to use directly, a
 :class:`~repro.obs.TraceConfig` to build one from, or ``True`` for a
 default full-fidelity tracer.  The tracer ends up on ``AppRun.trace`` and
-its metrics summary in ``AppRun.stats`` alongside ``RunResult.extras``.
+its metrics summary on ``AppRun.obs``.  Miss-latency and retry histograms
+need no tracer: every run carries them on ``AppRun.latency``.
 """
 
 from dataclasses import dataclass
@@ -31,6 +32,7 @@ class AppRun:
     stats: dict
     trace: Optional[Tracer] = None
     obs: Optional[dict] = None  # RunResult.extras["obs"] when traced
+    latency: Optional[dict] = None  # RunResult.extras["latency"]
 
 
 def _resolve_tracer(trace):
@@ -67,7 +69,8 @@ def run_app(app, config, num_cpus=None, seed=12345, scale=1.0,
                   consumer_hist=consumer_histogram(result),
                   stats=result.stats,
                   trace=tracer,
-                  obs=result.extras.get("obs"))
+                  obs=result.extras.get("obs"),
+                  latency=result.extras["latency"])
 
 
 def run_matrix(apps, configs, seed=12345, scale=1.0, check_coherence=True,

@@ -24,10 +24,9 @@ from ..common import stats as S
 from ..directory.formats import DirectoryFormat
 from ..fuzz.runner import build_workload
 from ..fuzz.scenarios import FuzzScenario
-from ..obs import TraceConfig, Tracer
+from ..obs.metrics import miss_percentiles
 from ..protocol.arena import resolve_protocol
 from ..sim.system import System
-from .arena import _merged_latency, _percentile
 from .sweep import SweepJob
 
 #: Default sweep axes: small enough that the default invocation finishes
@@ -40,8 +39,10 @@ DEFAULT_PROTOCOLS = ("adaptive",)
 def scale_runner(job):
     """Worker-side runner for scale cells (module-level so it pickles by
     reference).  Rebuilds the canonical storm workload for the job's node
-    count, runs it under the job's exact config — format and protocol
-    included — and returns counters plus traced miss-latency histograms.
+    count, runs it untraced under the job's exact config — format and
+    protocol included — and returns counters plus the always-on
+    miss-latency histograms.  (The storm is not a registered app, so the
+    default ``run_app`` runner cannot build it.)
     """
     scenario = FuzzScenario.storm(job.seed, num_nodes=job.config.num_nodes,
                                   scale=job.scale)
@@ -49,9 +50,8 @@ def scale_runner(job):
     # the scenario only contributes the workload and the run caps.
     scenario = replace(scenario, config=job.config)
     build = build_workload(scenario)
-    tracer = Tracer(TraceConfig(capture_messages=False))
     system = System(job.config, check_coherence=job.check_coherence,
-                    tracer=tracer, chaos=job.chaos)
+                    chaos=job.chaos)
     result = system.run(build.per_cpu_ops, placements=build.placements,
                         max_cycles=scenario.max_cycles,
                         max_events=scenario.max_events)
@@ -59,7 +59,7 @@ def scale_runner(job):
         "cycles": result.cycles,
         "events": result.events_processed,
         "stats": dict(result.stats),
-        "obs": result.extras.get("obs"),
+        "latency": result.extras["latency"],
     }
 
 
@@ -78,7 +78,7 @@ class ScaleReport:
         """The report row for one cell, as a plain dict."""
         payload = self.cells[(num_nodes, fmt, protocol)]
         stats = payload["stats"]
-        latency = _merged_latency(payload.get("obs"))
+        p50, p95 = miss_percentiles(payload["latency"])
         updates = stats.get(S.UPDATES_SENT, 0)
         pushes = stats.get(S.INTERVENTIONS, 0)
         return {
@@ -93,8 +93,8 @@ class ScaleReport:
             "update_fanout": round(updates / pushes, 2) if pushes else 0.0,
             "nacks": stats.get(S.NACKS, 0),
             "retries": stats.get(S.RETRIES, 0),
-            "miss_p50": _percentile(latency, 0.50),
-            "miss_p95": _percentile(latency, 0.95),
+            "miss_p50": p50,
+            "miss_p95": p95,
             "dir_bits_per_entry":
                 DirectoryFormat.parse(fmt).bits_per_entry(num_nodes),
         }

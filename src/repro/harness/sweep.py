@@ -7,7 +7,8 @@ Every paper artefact is a matrix of independent ``run_app`` simulations
 
 * a :class:`SweepJob` names one simulation by content — app name,
   :class:`~repro.common.params.SystemConfig`, seed, scale, num_cpus — and
-  :func:`job_key` hashes that content into a stable identifier;
+  :func:`job_key` hashes that content, plus a digest of the simulator's
+  own source (:func:`source_digest`), into a stable identifier;
 * a :class:`SweepEngine` fans a batch of jobs out over a
   ``multiprocessing`` worker pool (``jobs=1`` runs in-process), dedupes
   identical jobs within the batch, and replays finished simulations from
@@ -39,6 +40,7 @@ Typical use::
     print(runs[("em3d", "base")].metrics.cycles)
 """
 
+import functools
 import gc
 import hashlib
 import json
@@ -57,11 +59,21 @@ from ..network.chaos import chaos_to_dict
 from ..obs.metrics import Histogram, exponential_bounds
 
 #: Bump when the cached payload layout changes; old entries stop matching.
+#: (Simulator code changes need no bump: :func:`source_digest` is keyed.)
 #: 2: job content grew a ``chaos`` field (fault injection, repro.fuzz).
 #: 3: job content grew a ``runner`` identity tag, so custom-runner jobs
 #:    (fuzz corpora, the repro.serve traced runner) can share the cache
 #:    without replaying another runner's output.
-CACHE_FORMAT = 3
+#: 4: payloads carry the always-on ``latency`` histograms, and keys the
+#:    simulator source digest.
+CACHE_FORMAT = 4
+
+#: The ``repro`` package whose source :func:`source_digest` hashes.
+SOURCE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: Entries under :data:`SOURCE_ROOT` no simulation executes (front end,
+#: static analysis, model checking); editing them keeps cached results.
+NOT_RUN = frozenset({"__main__.py", "cli.py", "lint", "mc", "spec"})
 
 #: Default cache location, relative to the current working directory.
 CACHE_DIR = ".repro_cache"
@@ -140,18 +152,43 @@ def runner_tag(runner):
                       getattr(runner, "__qualname__", repr(runner)))
 
 
+@functools.lru_cache(maxsize=None)
+def source_digest(root):
+    """sha256 over the sorted relative paths and bytes of every ``.py``
+    module under ``root`` that a simulation runs (all but :data:`NOT_RUN`).
+    Cached per root: computed once per process."""
+    paths = []
+    for dirpath, dirnames, filenames in os.walk(root):
+        if dirpath == root:
+            dirnames[:] = [d for d in dirnames if d not in NOT_RUN]
+        for name in filenames:
+            rel = os.path.relpath(os.path.join(dirpath, name), root)
+            if name.endswith(".py") and rel not in NOT_RUN:
+                paths.append(rel.replace(os.sep, "/"))
+    digest = hashlib.sha256()
+    for rel in sorted(paths):
+        with open(os.path.join(root, rel), "rb") as fileobj:
+            body = fileobj.read()
+        digest.update(b"%s\0%d\0" % (rel.encode("utf-8"), len(body)))
+        digest.update(body)
+    return digest.hexdigest()
+
+
 def job_key(job, runner=None):
     """Deterministic content hash of a :class:`SweepJob`.
 
     Built from the canonical JSON of (app, config, seed, scale, num_cpus,
-    check_coherence, runner identity, cache format), then folded through
-    the config's sha256 digest — stable across processes, sessions and
-    machines.  ``runner`` is the engine's custom runner (if any): its
-    identity is part of the key, so cached entries can never replay a
-    different runner's output.
+    check_coherence, runner identity, cache format, simulator source
+    digest), then folded through sha256 — stable across processes,
+    sessions and machines running the same source.  ``runner`` is the
+    engine's custom runner (if any): its identity is part of the key, so
+    cached entries can never replay a different runner's output.  The
+    source digest means any simulator edit misses instead of replaying
+    results of the code as it was.
     """
     spec = {
         "format": CACHE_FORMAT,
+        "source": source_digest(SOURCE_ROOT),
         "app": job.app,
         "config": config_digest(job.config),
         "seed": job.seed,
@@ -197,11 +234,13 @@ def _run_job(job):
 
 
 def _payload_from_run(run):
-    """The JSON-safe cacheable core of an AppRun (raw RunResult counters)."""
+    """The JSON-safe cacheable core of an AppRun: raw RunResult counters
+    and the always-on miss-latency/retry histograms."""
     metrics = run.metrics
     return {
         "cycles": metrics.cycles,
         "stats": dict(run.stats),
+        "latency": run.latency,
     }
 
 
@@ -217,7 +256,8 @@ def _apprun_from_payload(job, payload):
     return AppRun(app=job.app,
                   metrics=metrics_from_result(result),
                   consumer_hist=consumer_histogram(result),
-                  stats=result.stats)
+                  stats=result.stats,
+                  latency=payload["latency"])
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +339,8 @@ class ResultCache:
     finished simulation, atomically written (tmp file + ``os.replace``)
     so a crashed writer never leaves a torn entry.  Invalidation is by
     key construction: keys hash the full job content plus
-    :data:`CACHE_FORMAT`, so changing any input (or the payload layout)
-    simply misses.
+    :data:`CACHE_FORMAT` and the simulator's source digest, so changing
+    any input, the payload layout or the simulator simply misses.
 
     The cache is safe to share between processes: entry reads and writes
     are lock-free (atomic replace means a reader sees either the old or

@@ -3,8 +3,10 @@
 Unlike :class:`repro.common.stats.Stats` — the simulator's terminal
 counters — these metrics keep *distributions*: miss latency by hop class,
 NACK/retry counts per transaction, and intervention-delay occupancy.
-Everything is streaming (O(1) memory per histogram) so full-scale runs can
-keep metrics on even when span recording is sampled down.
+Miss latency and retries are always on (:class:`MissCounts`, one per
+:class:`~repro.sim.System`); the rest is collected only by a tracer.
+Everything is streaming so full-scale runs can keep metrics on even when
+span recording is sampled down.
 
 Bucket boundaries are fixed at construction; a value lands in the first
 bucket whose upper bound is >= the value, with one overflow bucket at the
@@ -54,14 +56,47 @@ class Histogram:
         """Index of the bucket ``value`` falls into (last = overflow)."""
         return bisect.bisect_left(self.bounds, value)
 
-    def record(self, value):
-        self.counts[self.bucket_of(value)] += 1
-        self.count += 1
-        self.total += value
+    @classmethod
+    def from_counts(cls, bounds, counts):
+        """A histogram of exact-value ``counts`` (``{value: times}``)."""
+        hist = cls(bounds)
+        for value, times in sorted(counts.items()):
+            hist.record(value, times)
+        return hist
+
+    @classmethod
+    def from_dict(cls, doc):
+        """Rebuild a histogram from its :meth:`to_dict` document."""
+        hist = cls(doc["bounds"])
+        hist.counts = list(doc["counts"])
+        hist.count = doc["count"]
+        hist.total = doc["sum"]
+        hist.min = doc["min"]
+        hist.max = doc["max"]
+        return hist
+
+    def record(self, value, times=1):
+        self.counts[self.bucket_of(value)] += times
+        self.count += times
+        self.total += value * times
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
+
+    def merge(self, other):
+        """Fold ``other`` (same bounds) into this histogram; returns self."""
+        if other.bounds != self.bounds:
+            raise ValueError("cannot merge histograms with different bounds")
+        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
+        self.count += other.count
+        self.total += other.total
+        if other.count:
+            self.min = (other.min if self.min is None
+                        else min(self.min, other.min))
+            self.max = (other.max if self.max is None
+                        else max(self.max, other.max))
+        return self
 
     @property
     def mean(self):
@@ -127,46 +162,70 @@ RETRY_BOUNDS = (0, 1, 2, 4, 8, 16, 32, 64)
 OCCUPANCY_BOUNDS = exponential_bounds(25, 2, 8)  # 25 .. 3200
 
 
-class ObsMetrics:
-    """All streaming metrics one traced run produces.
+class MissCounts:
+    """Always-on miss statistics: exact-value counts, one O(1) bump each.
 
-    * ``miss_latency[path]`` — latency histogram per hop class
-      (``local`` / ``2hop`` / ``3hop``), fed by every completed miss.
-    * ``retries`` — NACK-retry count per completed transaction.
-    * ``intervention_occupancy`` — cycles a delayed intervention stayed
-      armed before firing or being cancelled/superseded.
-    * ``counters`` — streaming event counters (``span.*``, ``event.*``).
+    The requester adds one count per completed miss to its hop class's
+    latency table (cycles from issue to completion) and one to the retry
+    table (NACKs the miss absorbed).  Exact values keep the hot path free
+    of bucketing; :meth:`summary` folds them into the fixed-bucket
+    histograms every run reports as ``RunResult.extras["latency"]``.
     """
 
     PATHS = ("local", "2hop", "3hop")
 
     def __init__(self):
-        self.miss_latency = {path: Histogram(MISS_LATENCY_BOUNDS)
-                             for path in self.PATHS}
-        self.retries = Histogram(RETRY_BOUNDS)
+        self.latency = {path: defaultdict(int) for path in self.PATHS}
+        self.retries = defaultdict(int)
+
+    def summary(self):
+        """``{"miss_latency": {path: histogram doc}, "retries": doc}``."""
+        return {
+            "miss_latency": {
+                path: Histogram.from_counts(MISS_LATENCY_BOUNDS,
+                                            counts).to_dict()
+                for path, counts in self.latency.items()},
+            "retries": Histogram.from_counts(RETRY_BOUNDS,
+                                             self.retries).to_dict(),
+        }
+
+
+def miss_percentiles(latency, fractions=(0.50, 0.95)):
+    """Quantiles of all misses, hop classes merged, from a
+    ``RunResult.extras["latency"]`` document: one value (or None when no
+    miss completed) per fraction."""
+    merged = Histogram(MISS_LATENCY_BOUNDS)
+    for doc in latency["miss_latency"].values():
+        merged.merge(Histogram.from_dict(doc))
+    return [merged.percentile(fraction) for fraction in fractions]
+
+
+class ObsMetrics:
+    """All streaming metrics one traced run produces.
+
+    * ``misses`` — the miss-latency-by-hop-class and retry counts.  A
+      traced :class:`~repro.sim.System` shares its always-on
+      :class:`MissCounts` here, so each miss is recorded once.
+    * ``intervention_occupancy`` — cycles a delayed intervention stayed
+      armed before firing or being cancelled/superseded.
+    * ``counters`` — streaming event counters (``span.*``, ``event.*``).
+    """
+
+    def __init__(self):
+        self.misses = MissCounts()
         self.intervention_occupancy = Histogram(OCCUPANCY_BOUNDS)
         self.counters = defaultdict(int)
 
     def inc(self, name, amount=1):
         self.counters[name] += amount
 
-    def record_miss(self, path, latency, retries):
-        hist = self.miss_latency.get(path)
-        if hist is None:  # unknown path class: count it, don't crash the run
-            self.inc("miss.unknown_path")
-            return
-        hist.record(latency)
-        self.retries.record(retries)
-
     def record_occupancy(self, cycles):
         self.intervention_occupancy.record(cycles)
 
     def summary(self):
         """A plain-dict snapshot for ``RunResult.extras["obs"]``."""
-        return {
-            "miss_latency": {path: hist.to_dict()
-                             for path, hist in self.miss_latency.items()},
-            "retries": self.retries.to_dict(),
-            "intervention_occupancy": self.intervention_occupancy.to_dict(),
-            "counters": dict(sorted(self.counters.items())),
-        }
+        summary = self.misses.summary()
+        summary["intervention_occupancy"] = (
+            self.intervention_occupancy.to_dict())
+        summary["counters"] = dict(sorted(self.counters.items()))
+        return summary

@@ -13,7 +13,8 @@ The tracer records two kinds of things:
 The simulator's hot paths guard every call with ``if tracer is not None``,
 so a disabled tracer (the default) costs one attribute load and a branch —
 the no-op fast path.  When enabled, *metrics* (histograms, counters — see
-:class:`repro.obs.metrics.ObsMetrics`) are always full-fidelity, while
+:class:`repro.obs.metrics.ObsMetrics`; the miss-latency and retry
+histograms are the System's always-on ones) are always full-fidelity, while
 span/event *records* obey the sampling controls in :class:`TraceConfig`:
 restrict by node, by address range, or keep 1-in-N transactions.
 
@@ -149,8 +150,9 @@ class Tracer:
         if span is not None and span.addr == addr:
             span.nacks.append({"ts": now, "reason": reason})
 
-    def miss_end(self, node, addr, now, path, retries, start_time):
-        self.metrics.record_miss(path, now - start_time, retries)
+    def miss_end(self, node, addr, now, path, retries):
+        # Latency and retries are counted by the always-on MissCounts the
+        # System shares into self.metrics; only the span is recorded here.
         span = self._miss_spans.pop(node, None)
         if span is not None and span.addr == addr:
             span.end = now

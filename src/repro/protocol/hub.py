@@ -46,6 +46,13 @@ class Hub(RequesterMixin, HomeMixin, ProducerMixin):
         self.address_map = system.address_map
         self.checker = getattr(system, "checker", None)
         self.tracer = getattr(system, "tracer", None)
+        # The system's always-on miss statistics, bound per hop class so
+        # the requester's completion path is one dict bump each.
+        misses = system.misses
+        self._latency_local = misses.latency["local"]
+        self._latency_2hop = misses.latency["2hop"]
+        self._latency_3hop = misses.latency["3hop"]
+        self._retry_counts = misses.retries
 
         protocol = self.config.protocol
         self.hierarchy = PrivateCacheHierarchy(self.config)

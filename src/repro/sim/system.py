@@ -24,6 +24,7 @@ from ..directory.placement import AddressMap
 from ..network.chaos import ChaosPolicy
 from ..network.fabric import Fabric
 from ..network.message import reset_msg_ids
+from ..obs.metrics import MissCounts
 from ..protocol.arena import resolve_protocol
 from .barrier import BarrierManager
 from .coherence_check import CoherenceChecker
@@ -32,7 +33,13 @@ from .processor import Processor
 
 @dataclass
 class RunResult:
-    """Everything a finished simulation reports."""
+    """Everything a finished simulation reports.
+
+    ``extras["latency"]`` (every run) holds the miss-latency histograms
+    per hop class and the retry histogram
+    (:meth:`~repro.obs.metrics.MissCounts.summary`); ``extras["obs"]``
+    (traced runs only) adds the tracer's counters and occupancy.
+    """
 
     cycles: int
     stats: Dict[str, int]
@@ -60,6 +67,11 @@ class System:
         self.events = EventQueue()
         self.stats = Stats()
         self.tracer = tracer  # None = tracing disabled (the no-op fast path)
+        # Miss latency by hop class and retries: always on, and the
+        # tracer's histograms are these same counts (recorded once).
+        self.misses = MissCounts()
+        if tracer is not None:
+            tracer.metrics.misses = self.misses
         # ``chaos`` may be a ChaosConfig or an already-built ChaosPolicy;
         # None (or an all-zero config) keeps the unperturbed fast path.
         self.chaos = ChaosPolicy.resolve(chaos, stats=self.stats)
@@ -124,6 +136,7 @@ class System:
             cpu_finish_times=[p.finish_time for p in self.processors],
             ops_executed=sum(p.ops_executed for p in self.processors),
             events_processed=self.events.processed,
+            extras={"latency": self.misses.summary()},
         )
         if self.tracer is not None:
             self.tracer.finalize(self.events.now)

@@ -9,6 +9,7 @@ the simulation).
 """
 
 import json
+import random
 
 import pytest
 
@@ -16,12 +17,14 @@ from repro.common import small
 from repro.harness import run_app
 from repro.obs import (
     Histogram,
+    MissCounts,
     TraceConfig,
     Tracer,
     exponential_bounds,
     jsonl_text,
     to_perfetto,
 )
+from repro.obs.metrics import MISS_LATENCY_BOUNDS, miss_percentiles
 
 APP = "em3d"
 SCALE = 0.1
@@ -78,6 +81,109 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram((20, 10))
 
+    def test_merging_split_recordings_equals_recording_once(self):
+        rng = random.Random(7)
+        values = [rng.randrange(0, 30_000) for _ in range(500)]
+        whole = Histogram(MISS_LATENCY_BOUNDS)
+        for value in values:
+            whole.record(value)
+        parts = [Histogram(MISS_LATENCY_BOUNDS) for _ in range(3)]
+        for index, value in enumerate(values):
+            parts[index % 3].record(value)
+        merged = Histogram(MISS_LATENCY_BOUNDS)
+        for part in [Histogram(MISS_LATENCY_BOUNDS)] + parts:  # + an empty
+            merged.merge(part)
+        assert merged.to_dict() == whole.to_dict()
+
+    def test_merge_rejects_other_bounds(self):
+        with pytest.raises(ValueError):
+            Histogram((10, 20)).merge(Histogram((10, 30)))
+
+    def test_dict_round_trip_is_lossless(self):
+        empty = Histogram((10, 20, 40))
+        assert Histogram.from_dict(empty.to_dict()).to_dict() == \
+            empty.to_dict()
+        hist = Histogram((10, 20, 40))
+        for value in (5, 10, 15, 100):
+            hist.record(value)
+        doc = json.loads(json.dumps(hist.to_dict()))
+        back = Histogram.from_dict(doc)
+        assert back.to_dict() == hist.to_dict()
+        assert back.percentile(0.8) == hist.percentile(0.8)
+
+    def test_from_counts_equals_recording_each_value(self):
+        counts = {5: 3, 15: 1, 100: 2}
+        hist = Histogram((10, 20, 40))
+        for value, times in counts.items():
+            for _ in range(times):
+                hist.record(value)
+        assert (Histogram.from_counts((10, 20, 40), counts).to_dict()
+                == hist.to_dict())
+
+
+def _old_percentile(hist_doc, fraction):
+    """The report code's former private percentile over histogram docs,
+    kept verbatim as the reference the shared helper must reproduce."""
+    if not hist_doc or not hist_doc.get("count"):
+        return None
+    bounds, counts = hist_doc["bounds"], hist_doc["counts"]
+    threshold = fraction * hist_doc["count"]
+    seen = 0
+    for index, bucket_count in enumerate(counts):
+        seen += bucket_count
+        if seen >= threshold and bucket_count:
+            if index >= len(bounds):
+                return hist_doc["max"]
+            return bounds[index]
+    return hist_doc["max"]
+
+
+def _old_merged_latency(latency):
+    """The former private merge of per-hop-class histogram docs."""
+    merged = None
+    for doc in latency["miss_latency"].values():
+        if not doc or not doc.get("count"):
+            continue
+        if merged is None:
+            merged = {"bounds": list(doc["bounds"]),
+                      "counts": list(doc["counts"]),
+                      "count": doc["count"], "max": doc["max"]}
+        else:
+            merged["counts"] = [a + b for a, b in
+                                zip(merged["counts"], doc["counts"])]
+            merged["count"] += doc["count"]
+            if doc["max"] is not None and (merged["max"] is None
+                                           or doc["max"] > merged["max"]):
+                merged["max"] = doc["max"]
+    return merged
+
+
+class TestMissPercentiles:
+    FRACTIONS = (0.0, 0.1, 0.5, 0.9, 0.95, 0.99, 1.0)
+
+    def test_scale_docs_match_the_old_helper(self):
+        """On the pinned scale snapshot's storm runs, the shared helper
+        answers exactly what the retired private helpers did."""
+        from repro.harness.scale import run_scale
+
+        report = run_scale(nodes=(16, 64), formats=("full", "limited:2"))
+        for payload in report.cells.values():
+            latency = payload["latency"]
+            old = _old_merged_latency(latency)
+            assert (miss_percentiles(latency, self.FRACTIONS)
+                    == [_old_percentile(old, f) for f in self.FRACTIONS])
+
+    def test_overflow_and_empty(self):
+        counts = MissCounts()
+        assert miss_percentiles(counts.summary()) == [None, None]
+        counts.latency["3hop"][50_000] += 1   # beyond the last bound
+        counts.latency["local"][10] += 3
+        latency = counts.summary()
+        old = _old_merged_latency(latency)
+        assert miss_percentiles(latency, self.FRACTIONS) == \
+            [_old_percentile(old, f) for f in self.FRACTIONS]
+        assert miss_percentiles(latency, (1.0,)) == [50_000]
+
 
 class TestTraceConfig:
     def test_validation(self):
@@ -100,6 +206,18 @@ class TestTracedRun:
         assert run.obs is not None
         assert set(run.obs) == {"miss_latency", "retries",
                                 "intervention_occupancy", "counters"}
+
+    def test_latency_histograms_are_the_always_on_ones(self, traced_run):
+        """The tracer reports the run's always-on miss histograms rather
+        than counting each miss a second time."""
+        run, tracer = traced_run
+        assert run.obs["miss_latency"] == run.latency["miss_latency"]
+        assert run.obs["retries"] == run.latency["retries"]
+        assert tracer.metrics.summary()["miss_latency"] == \
+            run.latency["miss_latency"]
+        misses = sum(run.stats.get(name, 0) for name in (
+            "miss.local", "miss.remote_2hop", "miss.remote_3hop"))
+        assert run.latency["retries"]["count"] == misses
 
     def test_metrics_match_stats(self, traced_run):
         """Histograms must agree with the simulator's own counters."""

@@ -72,6 +72,13 @@ class TestFabricLateBinding:
         assert traced.metrics.cycles == plain.metrics.cycles
         assert traced.stats == plain.stats
         assert tracer.spans  # the tracer really was wired in
+        # Latency histograms are always on and identical either way; the
+        # tracer's copies are those same counts, not a second recording.
+        assert plain.latency["miss_latency"]["2hop"]["count"] > 0
+        assert traced.latency == plain.latency
+        assert plain.obs is None
+        assert traced.obs["miss_latency"] == traced.latency["miss_latency"]
+        assert traced.obs["retries"] == traced.latency["retries"]
 
 
 class TestMessagePoolLifecycle:

@@ -6,12 +6,15 @@ run — including the determinism-under-process-isolation guarantee the
 cache relies on.
 """
 
+import hashlib
 import json
+import shutil
 
 import pytest
 
 from repro.common import baseline, small
-from repro.harness import run_app
+from repro.common.params import config_digest
+from repro.harness import run_app, sweep
 from repro.harness.sweep import (
     CACHE_FORMAT,
     ResultCache,
@@ -21,6 +24,7 @@ from repro.harness.sweep import (
     _execute_job,
     job_key,
 )
+from repro.network.chaos import chaos_to_dict
 
 SCALE = 0.1
 
@@ -71,6 +75,53 @@ class TestJobKey:
         assert job_key(wi) != job_key(job())
 
 
+class TestSourceDigest:
+    """Cached results belong to the simulator source that produced them."""
+
+    @pytest.fixture
+    def source_copy(self, tmp_path, monkeypatch):
+        root = tmp_path / "repro"
+        shutil.copytree(sweep.SOURCE_ROOT, str(root),
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        monkeypatch.setattr(sweep, "SOURCE_ROOT", str(root))
+        yield root
+        sweep.source_digest.cache_clear()
+
+    @staticmethod
+    def edit(path):
+        with open(str(path), "a") as fileobj:
+            fileobj.write("\n# edited\n")
+        sweep.source_digest.cache_clear()
+
+    def test_copied_tree_keys_like_the_original(self, source_copy):
+        original = sweep.source_digest(sweep.SOURCE_ROOT)
+        assert sweep.source_digest(str(source_copy)) == original
+
+    def test_simulator_edit_changes_the_key(self, source_copy):
+        before = job_key(job())
+        self.edit(source_copy / "protocol" / "requester.py")
+        assert job_key(job()) != before
+
+    def test_new_simulator_module_changes_the_key(self, source_copy):
+        before = job_key(job())
+        (source_copy / "sim" / "extra.py").write_text("X = 1\n")
+        sweep.source_digest.cache_clear()
+        assert job_key(job()) != before
+
+    def test_front_end_and_checker_edits_keep_the_key(self, source_copy):
+        before = job_key(job())
+        for rel in ("cli.py", "lint/checks.py", "mc/engine.py",
+                    "spec/lang.py"):
+            self.edit(source_copy / rel)
+        assert job_key(job()) == before
+
+    def test_digest_is_computed_once_per_process(self):
+        sweep.source_digest.cache_clear()
+        job_key(job())
+        job_key(job(seed=3))
+        assert sweep.source_digest.cache_info().misses == 1
+
+
 class TestSerialEngine:
     def test_matches_direct_run_app(self):
         direct = run_app("ocean", baseline(num_nodes=4), scale=SCALE)
@@ -79,6 +130,8 @@ class TestSerialEngine:
         assert swept.metrics == direct.metrics
         assert swept.consumer_hist == direct.consumer_hist
         assert swept.stats == direct.stats
+        assert swept.latency == direct.latency
+        assert swept.latency["miss_latency"]["2hop"]["count"] > 0
 
     def test_list_input_keyed_by_index(self):
         runs = SweepEngine().run_many([job(), job(app="lu")])
@@ -134,6 +187,7 @@ class TestCache:
         assert engine.last_report.cached == 1
         assert second[0].metrics == first[0].metrics
         assert second[0].stats == first[0].stats
+        assert second[0].latency == first[0].latency
 
     def test_entry_layout_is_sharded_json(self, tmp_path):
         engine = SweepEngine(cache=True, cache_dir=str(tmp_path))
@@ -164,6 +218,32 @@ class TestCache:
         path.write_text(json.dumps(doc))
         engine.run_many([job()])
         assert engine.last_report.executed == 1
+
+    def test_format_3_entry_misses(self, tmp_path):
+        """Entries written before payloads carried latency histograms (and
+        before keys carried the source digest) are never replayed."""
+        assert CACHE_FORMAT > 3
+        the_job = job()
+        old_spec = {
+            "format": 3, "app": the_job.app,
+            "config": config_digest(the_job.config), "seed": the_job.seed,
+            "scale": the_job.scale, "num_cpus": the_job.num_cpus,
+            "check_coherence": the_job.check_coherence,
+            "chaos": chaos_to_dict(the_job.chaos), "runner": None,
+        }
+        old_key = hashlib.sha256(json.dumps(
+            old_spec, sort_keys=True, separators=(",", ":")).encode()
+        ).hexdigest()
+        assert old_key != job_key(the_job)
+        stale = {"format": 3, "result": {"cycles": 1, "stats": {}}}
+        for key in (old_key, job_key(the_job)):
+            (tmp_path / key[:2]).mkdir(exist_ok=True)
+            (tmp_path / key[:2] / (key + ".json")).write_text(
+                json.dumps(dict(stale, key=key)))
+        engine = SweepEngine(cache=True, cache_dir=str(tmp_path))
+        run = engine.run_many([the_job])[0]
+        assert engine.last_report.executed == 1
+        assert run.metrics.cycles > 1 and run.latency is not None
 
     def test_cache_disabled_writes_nothing(self, tmp_path):
         engine = SweepEngine(cache=False, cache_dir=str(tmp_path))
