@@ -1,11 +1,14 @@
-"""Byte-for-byte snapshots of the ``repro scale`` and ``repro arena``
-reports.
+"""Byte-for-byte snapshots of the ``repro scale``, ``repro arena`` and
+``repro sweep`` reports.
 
-The goldens under ``tests/golden/`` were captured from the CLI before the
-miss-latency histograms moved from the tracer into the always-on run
-stats, so they pin the p50/p95 columns (and every other cell) across
-that change.  Only the run-dependent footer (wall time, worker count) and
-the scale record's timing envelope are left out.
+The scale and arena goldens under ``tests/golden/`` were captured from
+the CLI before the miss-latency histograms moved from the tracer into the
+always-on run stats, so they pin the p50/p95 columns (and every other
+cell) across that change.  The sweep golden was captured before the
+sweep engine and the job service shared one worker pool.  Only the
+run-dependent footer (wall time, worker count) and the scale record's
+timing envelope are left out; ``repro sweep --json`` is a timing record,
+so only its text is pinned.
 
 To regenerate after an intended report change::
 
@@ -14,6 +17,7 @@ To regenerate after an intended report change::
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -29,21 +33,34 @@ SNAPSHOTS = {
               "--no-cache", "--jobs", "1"],
     "arena": ["arena", "--apps", "em3d", "--scale", "0.05", "--no-cache",
               "--jobs", "1"],
+    "sweep": ["sweep", "table3", "--scale", "0.05", "--no-cache",
+              "--jobs", "1"],
+}
+
+#: The part of each ``--json`` document that is pinned (None: text only).
+JSON_DOCS = {
+    "scale": lambda doc: doc["scale"],  # drop the timing/machine envelope
+    "arena": lambda doc: doc,
 }
 
 
 def render(name, work_dir):
-    """(text, json) snapshot documents of one CLI report."""
+    """(text, json) snapshot documents of one CLI report; json is None
+    for reports whose ``--json`` output is not pinned."""
+    argv = SNAPSHOTS[name]
     json_path = os.path.join(work_dir, name + ".json")
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        assert main(SNAPSHOTS[name] + ["--json", json_path]) == 0
-    # The report proper ends at the blank line before the run footer.
-    text = stdout.getvalue().rsplit("\n\n%s: " % name, 1)[0] + "\n"
+        assert main(argv + ["--json", json_path]) == 0
+    # The report proper ends at the blank line before the run footer,
+    # which starts with the command words ("sweep table3: ...").
+    command = " ".join(itertools.takewhile(
+        lambda arg: not arg.startswith("-"), argv))
+    text = stdout.getvalue().rsplit("\n\n%s: " % command, 1)[0] + "\n"
+    if name not in JSON_DOCS:
+        return text, None
     with open(json_path) as fileobj:
-        doc = json.load(fileobj)
-    if name == "scale":
-        doc = doc["scale"]  # drop the timing/machine envelope
+        doc = JSON_DOCS[name](json.load(fileobj))
     return text, json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -56,8 +73,9 @@ def regenerate():
     with tempfile.TemporaryDirectory() as work_dir:
         for name in SNAPSHOTS:
             for path, body in zip(golden_paths(name), render(name, work_dir)):
-                with open(path, "w") as fileobj:
-                    fileobj.write(body)
+                if body is not None:
+                    with open(path, "w") as fileobj:
+                        fileobj.write(body)
 
 
 @pytest.mark.parametrize("name", sorted(SNAPSHOTS))
@@ -66,5 +84,6 @@ def test_report_matches_snapshot(name, tmp_path):
     text_path, json_path = golden_paths(name)
     with open(text_path) as fileobj:
         assert text == fileobj.read()
-    with open(json_path) as fileobj:
-        assert doc == fileobj.read()
+    if doc is not None:
+        with open(json_path) as fileobj:
+            assert doc == fileobj.read()
