@@ -29,6 +29,22 @@ def render_table(headers, rows, title=None, float_fmt="%.3f"):
     return "\n".join(lines)
 
 
+def render_matrix(title, columns, groups):
+    """Render a matrix-sweep report: a title line, then one table per group.
+
+    ``columns`` is ``[(header, row key)]``; ``groups`` is ``[(group title,
+    [row dict])]`` with the rows a report's ``row()`` returns.  A None
+    cell (a latency percentile of a run with no misses) prints as "-".
+    """
+    headers = [header for header, _ in columns]
+    blocks = [title]
+    for group_title, rows in groups:
+        cells = [["-" if row[key] is None else row[key] for _, key in columns]
+                 for row in rows]
+        blocks.append(render_table(headers, cells, title=group_title))
+    return "\n\n".join(blocks)
+
+
 def render_series(title, xlabel, series):
     """Render figure data: ``series`` maps a label to [(x, y), ...]."""
     lines = [title]

@@ -47,7 +47,7 @@ Commands
     (see docs/fault_injection.md).
 ``serve``
     Run the async sweep/fuzz job service: an HTTP JSON API over a
-    persistent worker fleet with a shared deduplicating result cache,
+    persistent worker pool with a shared deduplicating result cache,
     SSE progress streams and a live dashboard (see docs/serving.md).
 """
 
@@ -368,7 +368,7 @@ def build_parser():
                          help="listen port; 0 picks an ephemeral port "
                               "(default: %(default)s)")
     serve_p.add_argument("--workers", type=int, default=None, metavar="N",
-                         help="worker fleet width (default: all CPU "
+                         help="worker pool width (default: all CPU "
                               "cores; 0 runs jobs inline on threads)")
     serve_p.add_argument("--cache-dir", default=sweep_mod.CACHE_DIR,
                          help="shared result-cache location "

@@ -20,7 +20,7 @@ point: equal hardware budget, the protocol is the only variable.
 
 from dataclasses import replace
 
-from ..analysis.tables import render_table
+from ..analysis.tables import render_matrix
 from ..common import params
 from ..common import stats as S
 from ..obs.metrics import miss_percentiles
@@ -31,6 +31,13 @@ from .sweep import SweepJob, default_engine
 #: producer-consumer signature (Table 2), so the default report actually
 #: shows the protocols apart.
 DEFAULT_APPS = ("em3d", "ocean")
+
+#: Report columns: (header, :meth:`ArenaReport.row` key).
+COLUMNS = [("protocol", "protocol"), ("cycles", "cycles"),
+           ("traffic B", "traffic_bytes"), ("miss local", "miss_local"),
+           ("2hop", "miss_2hop"), ("3hop", "miss_3hop"),
+           ("updates", "updates_sent"), ("lat p50", "miss_p50"),
+           ("lat p95", "miss_p95")]
 
 
 class ArenaReport:
@@ -63,24 +70,12 @@ class ArenaReport:
 
     def render_text(self):
         """The full comparison: one table per workload."""
-        headers = ["protocol", "cycles", "traffic B", "miss local",
-                   "2hop", "3hop", "updates", "lat p50", "lat p95"]
-        blocks = ["protocol arena  (base config %s, seed %d, scale %g)"
-                  % (self.base_name, self.seed, self.scale)]
-        for app in self.apps:
-            rows = []
-            for protocol in self.protocols:
-                rec = self.row(app, protocol)
-                rows.append([rec["protocol"], rec["cycles"],
-                             rec["traffic_bytes"], rec["miss_local"],
-                             rec["miss_2hop"], rec["miss_3hop"],
-                             rec["updates_sent"],
-                             rec["miss_p50"] if rec["miss_p50"] is not None
-                             else "-",
-                             rec["miss_p95"] if rec["miss_p95"] is not None
-                             else "-"])
-            blocks.append(render_table(headers, rows, title="[%s]" % app))
-        return "\n\n".join(blocks)
+        return render_matrix(
+            "protocol arena  (base config %s, seed %d, scale %g)"
+            % (self.base_name, self.seed, self.scale), COLUMNS,
+            [("[%s]" % app, [self.row(app, protocol)
+                             for protocol in self.protocols])
+             for app in self.apps])
 
     def to_json(self):
         """JSON-safe document of every cell's report row."""

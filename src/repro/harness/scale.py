@@ -19,7 +19,7 @@ and protocol all ride in the config and therefore in the cache key.
 
 from dataclasses import replace
 
-from ..analysis.tables import render_table
+from ..analysis.tables import render_matrix
 from ..common import stats as S
 from ..directory.formats import DirectoryFormat
 from ..fuzz.runner import build_workload
@@ -34,6 +34,14 @@ from .sweep import SweepJob
 DEFAULT_NODES = (16, 64, 256)
 DEFAULT_FORMATS = ("full", "coarse:8", "coarse:16", "limited:2", "limited:4")
 DEFAULT_PROTOCOLS = ("adaptive",)
+
+#: Report columns: (header, :meth:`ScaleReport.row` key).
+COLUMNS = [("format", "format"), ("protocol", "protocol"),
+           ("cycles", "cycles"), ("traffic B", "traffic_bytes"),
+           ("INVs", "invalidations"), ("updates", "updates_sent"),
+           ("fanout", "update_fanout"), ("NACKs", "nacks"),
+           ("retries", "retries"), ("lat p50", "miss_p50"),
+           ("lat p95", "miss_p95"), ("dir b/entry", "dir_bits_per_entry")]
 
 
 def scale_runner(job):
@@ -108,29 +116,13 @@ class ScaleReport:
 
     def render_text(self):
         """The scaling breakdown: one table per node count."""
-        headers = ["format", "protocol", "cycles", "traffic B", "INVs",
-                   "updates", "fanout", "NACKs", "retries", "lat p50",
-                   "lat p95", "dir b/entry"]
-        blocks = ["scaling study  (storm workload, seed %d, scale %g)"
-                  % (self.seed, self.scale)]
-        for num_nodes in self.nodes:
-            rows = []
-            for fmt in self.formats:
-                for proto in self.protocols:
-                    rec = self.row(num_nodes, fmt, proto)
-                    rows.append([
-                        rec["format"], rec["protocol"], rec["cycles"],
-                        rec["traffic_bytes"], rec["invalidations"],
-                        rec["updates_sent"], rec["update_fanout"],
-                        rec["nacks"], rec["retries"],
-                        rec["miss_p50"] if rec["miss_p50"] is not None
-                        else "-",
-                        rec["miss_p95"] if rec["miss_p95"] is not None
-                        else "-",
-                        rec["dir_bits_per_entry"]])
-            blocks.append(render_table(headers, rows,
-                                       title="[%d nodes]" % num_nodes))
-        return "\n\n".join(blocks)
+        return render_matrix(
+            "scaling study  (storm workload, seed %d, scale %g)"
+            % (self.seed, self.scale), COLUMNS,
+            [("[%d nodes]" % num_nodes,
+              [self.row(num_nodes, fmt, proto)
+               for fmt in self.formats for proto in self.protocols])
+             for num_nodes in self.nodes])
 
     def to_json(self):
         """JSON-safe document of every cell's report row."""

@@ -10,13 +10,14 @@ Every paper artefact is a matrix of independent ``run_app`` simulations
   :func:`job_key` hashes that content, plus a digest of the simulator's
   own source (:func:`source_digest`), into a stable identifier;
 * a :class:`SweepEngine` fans a batch of jobs out over a
-  ``multiprocessing`` worker pool (``jobs=1`` runs in-process), dedupes
-  identical jobs within the batch, and replays finished simulations from
-  an on-disk cache under ``.repro_cache/`` so re-running an experiment
-  only executes what changed;
+  :class:`WorkerPool` (``jobs=1`` runs in-process), dedupes identical
+  jobs within the batch, and replays finished simulations from an
+  on-disk cache under ``.repro_cache/`` so re-running an experiment only
+  executes what changed;
 * worker failures are captured and re-raised as :class:`SweepError`
   carrying the failing job's key and the worker traceback, instead of
-  hanging the pool;
+  hanging the pool; a worker that dies hard is retried on a rebuilt
+  pool (the same :class:`WorkerPool` runs the ``repro serve`` units);
 * progress/ETA reporting plugs in through the same hook style the obs
   subsystem uses for tracer callbacks, with per-job wall-times kept in an
   :class:`~repro.obs.metrics.Histogram`.
@@ -47,6 +48,7 @@ import json
 import os
 import sys
 import tempfile
+import threading
 import time
 import traceback
 from concurrent import futures
@@ -82,6 +84,10 @@ CACHE_DIR = ".repro_cache"
 #: reclaimed.  Cache critical sections are file scans + unlinks, far below
 #: this.
 STALE_LOCK_SECONDS = 30.0
+
+#: Seconds before a unit whose worker died is first retried; each further
+#: retry doubles the wait.
+RETRY_BASE = 0.25
 
 
 class SweepError(ReproError):
@@ -258,6 +264,103 @@ def _apprun_from_payload(job, payload):
                   consumer_hist=consumer_histogram(result),
                   stats=result.stats,
                   latency=payload["latency"])
+
+
+class WorkerPool:
+    """The one worker pool: runs :func:`_execute_job` units for the sweep
+    engine and the ``repro serve`` job service.
+
+    ``width`` > 0 is a spawn process pool of that many workers; 0 runs
+    units on threads (``repro serve --workers 0``).  The executor is built
+    on the first :meth:`submit`.
+
+    A worker that dies hard (segfault, OOM-kill) breaks the whole pool:
+    every unit in it fails with ``BrokenProcessPool`` (``crashes`` counts
+    breaks).  Each failed unit is resubmitted after a :data:`RETRY_BASE`
+    exponential backoff to a freshly built pool (``retries`` counts those
+    rebuilds), and gives up with a :class:`SweepError` after
+    ``max_retries``.  A deterministic failure (the simulation itself
+    raised) is not retried.
+    """
+
+    def __init__(self, width, max_retries=2):
+        self.width = width
+        self.max_retries = max_retries
+        self.running = 0            # units submitted and not yet resolved
+        self.crashes = 0            # pool breaks: a worker died hard
+        self.retries = 0            # pools rebuilt to retry crashed units
+        self._executor = None
+        self._closed = False
+        self._lock = threading.Lock()
+
+    def submit(self, key, job, runner=None):
+        """A future resolving to the unit's payload or to a SweepError."""
+        outer = futures.Future()
+        outer.set_running_or_notify_cancel()  # not cancellable by callers
+        with self._lock:
+            self.running += 1
+        self._attempt(outer, key, job, runner, 0)
+        return outer
+
+    def _attempt(self, outer, key, job, runner, attempt):
+        with self._lock:
+            if self._executor is None and not self._closed:
+                if attempt:
+                    self.retries += 1
+                if self.width > 0:
+                    import multiprocessing
+
+                    self._executor = futures.ProcessPoolExecutor(
+                        max_workers=self.width,
+                        mp_context=multiprocessing.get_context("spawn"))
+                else:
+                    self._executor = futures.ThreadPoolExecutor()
+            executor = self._executor
+            try:
+                if executor is None:
+                    raise RuntimeError("worker pool is shut down")
+                inner = executor.submit(_execute_job, job, runner)
+            except RuntimeError as exc:  # closed, or broken before the drop
+                inner = futures.Future()
+                inner.set_exception(exc)
+        inner.add_done_callback(functools.partial(
+            self._settle, outer, executor, key, job, runner, attempt))
+
+    def _settle(self, outer, executor, key, job, runner, attempt, inner):
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            status, payload = inner.result()
+            error = None if status == "ok" else SweepError(key, job, payload)
+        except BrokenProcessPool:
+            # The broken pool has already shut itself down; the first unit
+            # to see the break drops it, so the next attempt builds anew.
+            with self._lock:
+                if self._executor is executor:
+                    self._executor = None
+                    self.crashes += 1
+            if attempt < self.max_retries:
+                threading.Timer(RETRY_BASE * 2 ** attempt, self._attempt,
+                                (outer, key, job, runner, attempt + 1)).start()
+                return
+            error = SweepError(key, job, "worker process died (pool broken);"
+                               " gave up after %d retries" % attempt)
+        except Exception as exc:  # cancelled or abandoned by shutdown()
+            error = exc
+        with self._lock:
+            self.running -= 1
+        if error is None:
+            outer.set_result(payload)
+        else:
+            outer.set_exception(error)
+
+    def shutdown(self, wait=False):
+        """Stop the pool: queued units are cancelled, retries abandoned."""
+        with self._lock:
+            executor, self._executor = self._executor, None
+            self._closed = True
+        if executor is not None:
+            executor.shutdown(wait=wait, cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------
@@ -583,13 +686,18 @@ class SweepReport:
     cached: int = 0         # served from the on-disk cache
     elapsed: float = 0.0    # wall-clock seconds for the batch
     job_seconds: dict = field(default_factory=dict)  # key -> worker seconds
+    crashes: int = 0        # worker pool breaks survived (see WorkerPool)
+    retries: int = 0        # pools rebuilt to retry the crashed jobs
 
 
 class SweepEngine:
     """Runs batches of :class:`SweepJob` with caching and a worker pool.
 
     ``jobs`` is the worker-pool width; 1 (the default) executes in-process
-    with no multiprocessing involved.  ``cache`` turns the on-disk result
+    with no multiprocessing involved.  More spawn workers than cores is
+    pure overhead (~0.5-1s python start-up per worker) on top of zero
+    parallel speedup, so the pool width (``effective_jobs``) is clamped to
+    ``os.cpu_count()``.  ``cache`` turns the on-disk result
     cache on; ``cache_dir`` relocates it.  ``progress`` is a hook object
     (see :class:`SweepProgress`); None disables reporting.
 
@@ -605,20 +713,12 @@ class SweepEngine:
     """
 
     def __init__(self, jobs=1, cache=False, cache_dir=CACHE_DIR,
-                 progress=None, mp_context="spawn", runner=None,
-                 decoder=None, cache_budget=None, clamp=True):
+                 progress=None, runner=None, decoder=None,
+                 cache_budget=None):
         if jobs < 1:
             raise ValueError("jobs must be >= 1, got %r" % jobs)
         self.jobs = jobs
-        # More spawn workers than cores is pure overhead (~0.5-1s python
-        # start-up per worker) on top of zero parallel speedup, so the
-        # effective pool width is clamped to the machine.  ``clamp=False``
-        # opts out — tests exercising the pool on small CI boxes need the
-        # spawn path regardless of core count.
-        if clamp:
-            self.effective_jobs = max(1, min(jobs, os.cpu_count() or 1))
-        else:
-            self.effective_jobs = jobs
+        self.effective_jobs = max(1, min(jobs, os.cpu_count() or 1))
         self.cache = (ResultCache(cache_dir, budget_bytes=cache_budget)
                       if cache else None)
         self.runner = runner
@@ -627,7 +727,6 @@ class SweepEngine:
                 else (lambda job, payload: payload)
         self.decoder = decoder
         self.progress = progress if progress is not None else _NullProgress()
-        self.mp_context = mp_context
         self.last_report = SweepReport()
 
     # -- public API --------------------------------------------------------
@@ -674,13 +773,12 @@ class SweepEngine:
             self.progress.job_finished(key, unique[key],
                                        times.get(key, 0.0), True)
 
-        if misses:
-            self._execute(misses, payloads, times)
-
         report = SweepReport(
             total=len(jobs), unique=len(unique), executed=len(misses),
-            cached=len(unique) - len(misses),
-            elapsed=time.monotonic() - started, job_seconds=times)
+            cached=len(unique) - len(misses), job_seconds=times)
+        if misses:
+            self._execute(misses, payloads, times, report)
+        report.elapsed = time.monotonic() - started
         self.last_report = report
         self.progress.sweep_finished(report)
         return {caller: self.decoder(jobs[caller], payloads[content[caller]])
@@ -688,7 +786,7 @@ class SweepEngine:
 
     # -- execution ---------------------------------------------------------
 
-    def _execute(self, misses, payloads, times):
+    def _execute(self, misses, payloads, times, report):
         if self.effective_jobs == 1 or len(misses) == 1:
             # Serial in-process runs pause the cyclic GC: simulations
             # allocate heavily (events, payload dicts) but the message
@@ -709,29 +807,19 @@ class SweepEngine:
                     gc.enable()
                     gc.collect()
             return
-        import multiprocessing
-        from concurrent.futures.process import BrokenProcessPool
-
-        context = multiprocessing.get_context(self.mp_context)
-        workers = min(self.effective_jobs, len(misses))
-        with futures.ProcessPoolExecutor(max_workers=workers,
-                                         mp_context=context) as pool:
+        pool = WorkerPool(min(self.effective_jobs, len(misses)))
+        try:
             pending = {}
             for key, job in misses.items():
-                pending[pool.submit(_execute_job, job, self.runner)] = (
+                pending[pool.submit(key, job, self.runner)] = (
                     key, job, time.monotonic())
             for future in futures.as_completed(pending):
                 key, job, job_started = pending[future]
-                try:
-                    status, payload = future.result()
-                except BrokenProcessPool:
-                    # A worker died hard (segfault, OOM-kill): name the job
-                    # instead of letting the pool hang or the error float
-                    # up anonymously.
-                    raise SweepError(key, job,
-                                     "worker process died (pool broken)")
-                self._finish(key, job, status, payload, payloads, times,
-                             time.monotonic() - job_started)
+                self._finish(key, job, "ok", future.result(), payloads,
+                             times, time.monotonic() - job_started)
+        finally:
+            pool.shutdown(wait=True)
+            report.crashes, report.retries = pool.crashes, pool.retries
 
     def _finish(self, key, job, status, payload, payloads, times, elapsed):
         if status != "ok":

@@ -1,7 +1,7 @@
 """``repro.serve`` — the async sweep/fuzz job service.
 
 An asyncio HTTP JSON API (``POST /jobs`` …) over a persistent worker
-fleet, deduplicating identical work across concurrent clients through
+pool, deduplicating identical work across concurrent clients through
 the sweep engine's content-addressed job keys and the shared
 multi-process-safe result cache, with live SSE progress and a browsable
 dashboard.  See ``docs/serving.md``.
@@ -18,10 +18,9 @@ Typical embedded use (tests; the CLI equivalent is ``repro serve``)::
 from .api import build_router, build_server, serve
 from .client import ServeAPIError, ServeClient
 from .events import EventHub, SSEProgress
-from .jobspec import JobSpec, SpecError, WorkUnit, parse_job
+from .jobspec import JobSpec, SpecError, WorkUnit, parse_job, traced_sim_runner
 from .metrics import ServiceMetrics
 from .service import Job, JobService, ServiceConfig, UnitState
-from .workers import WorkerFleet, traced_sim_runner
 
 __all__ = [
     "EventHub",
@@ -36,7 +35,6 @@ __all__ = [
     "SpecError",
     "UnitState",
     "WorkUnit",
-    "WorkerFleet",
     "build_router",
     "build_server",
     "parse_job",

@@ -118,9 +118,25 @@ def _common_numbers(doc):
     return seed, float(scale)
 
 
-def _sim_units(doc):
-    from .workers import traced_sim_runner
+def traced_sim_runner(job):
+    """Worker-side runner for ``trace: true`` sim jobs (module-level so it
+    pickles by reference).  Returns the normal sweep payload plus a
+    ``trace`` field holding the Perfetto/Chrome JSON document, which the
+    service serves at ``/traces/<key>`` and the dashboard links."""
+    from ..harness.runner import run_app
+    from ..harness.sweep import _payload_from_run
+    from ..obs import TraceConfig, Tracer, to_perfetto
 
+    tracer = Tracer(TraceConfig(capture_messages=False))
+    run = run_app(job.app, job.config, num_cpus=job.num_cpus, seed=job.seed,
+                  scale=job.scale, check_coherence=job.check_coherence,
+                  chaos=job.chaos, trace=tracer)
+    payload = dict(_payload_from_run(run))
+    payload["trace"] = to_perfetto(tracer)
+    return payload
+
+
+def _sim_units(doc):
     app = doc.get("app")
     if app not in application_names():
         raise SpecError("unknown app %r (have: %s)"

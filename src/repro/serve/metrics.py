@@ -48,7 +48,7 @@ class ServiceMetrics:
 
     def snapshot(self, service):
         """The JSON document ``GET /metrics`` serves."""
-        fleet = service.fleet
+        pool = service.pool
         cache_stats = service.cache.stats() if service.cache else {}
         queued = sum(1 for job in service.jobs.values()
                      if job.state == "queued")
@@ -77,11 +77,12 @@ class ServiceMetrics:
             },
             "cache": cache_stats,
             "workers": {
-                "fleet": fleet.workers,
-                "running_units": fleet.running,
-                "utilization": fleet.utilization(),
-                "crashes": fleet.crashes,
-                "retries": fleet.retries,
+                "fleet": pool.width,
+                "running_units": pool.running,
+                # Running units per worker (thread mode: running units).
+                "utilization": pool.running / float(pool.width or 1),
+                "crashes": pool.crashes,
+                "retries": pool.retries,
             },
             "latency_ms": {
                 "job": dict(self.job_latency_ms.quantiles((0.5, 0.95)),

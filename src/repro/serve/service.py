@@ -11,9 +11,9 @@ spec becomes a :class:`Job` whose units flow through one funnel:
    the way DLS's directoryless LLC replaces per-requester bookkeeping
    with one shared structure.
 3. **budgeted execution** — new work acquires the client's concurrency
-   semaphore, runs on the persistent :class:`~repro.serve.workers.WorkerFleet`
-   (crash retries with backoff live there), and lands in the cache for
-   every later requester.
+   semaphore, runs on the persistent
+   :class:`~repro.harness.sweep.WorkerPool` (crash retries with backoff
+   live there), and lands in the cache for every later requester.
 
 Progress flows through :class:`~repro.serve.events.SSEProgress` — the
 sweep engine's hook surface — into the :class:`~repro.serve.events.EventHub`,
@@ -26,11 +26,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..harness.sweep import CACHE_DIR, ResultCache, SweepError
+from ..harness.sweep import CACHE_DIR, ResultCache, SweepError, WorkerPool
 from .events import EventHub, SSEProgress
 from .jobspec import parse_job
 from .metrics import ServiceMetrics
-from .workers import WorkerFleet
 
 #: Default cap on simultaneously-executing units per client.
 DEFAULT_CLIENT_BUDGET = 4
@@ -52,8 +51,6 @@ class ServiceConfig:
     cache_budget: Optional[int] = DEFAULT_CACHE_BUDGET
     client_budget: int = DEFAULT_CLIENT_BUDGET
     max_retries: int = 2
-    retry_base: float = 0.25
-    mp_context: str = "spawn"
 
 
 @dataclass
@@ -115,10 +112,8 @@ class JobService:
         self.config = config or ServiceConfig()
         self.cache = ResultCache(self.config.cache_dir,
                                  budget_bytes=self.config.cache_budget)
-        self.fleet = WorkerFleet(workers=self.config.workers,
-                                 mp_context=self.config.mp_context,
-                                 max_retries=self.config.max_retries,
-                                 retry_base=self.config.retry_base)
+        self.pool = WorkerPool(self.config.workers,
+                               max_retries=self.config.max_retries)
         self.hub = EventHub()
         self.metrics = ServiceMetrics()
         self.jobs = {}              # id -> Job
@@ -239,10 +234,12 @@ class JobService:
                 async with sem:
                     if job.cancel.is_set():
                         raise asyncio.CancelledError()
-                    payload = await self.fleet.execute(unit)
+                    started = time.monotonic()
+                    payload = await asyncio.wrap_future(self.pool.submit(
+                        unit.key, unit.job, unit.runner))
+                    elapsed = time.monotonic() - started
                 self.metrics.units_executed += 1
-                self.cache.put(unit.key, unit.job, payload,
-                               elapsed=0.0)  # workers keep their own clock
+                self.cache.put(unit.key, unit.job, payload, elapsed)
                 future.set_result(payload)
                 return payload, "executed"
             except BaseException as err:
@@ -295,4 +292,4 @@ class JobService:
         await asyncio.gather(*[job.task for job in self.jobs.values()
                                if job.task is not None],
                              return_exceptions=True)
-        self.fleet.shutdown()
+        self.pool.shutdown()

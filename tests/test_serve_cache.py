@@ -1,7 +1,7 @@
 """The hardened shared ResultCache: locks, LRU eviction, process races.
 
 The multi-process stress tests use the real ``spawn`` context — the same
-isolation the worker fleet runs under — racing ``put``/``get`` on the
+isolation the worker pool runs under — racing ``put``/``get`` on the
 same key.  The invariants: a reader sees either a miss or one complete,
 valid payload (never a torn mix), nobody deadlocks, and a stale lock
 left by a crashed evictor is reclaimed instead of wedging the cache.
@@ -135,7 +135,7 @@ class TestJobSecondsIncludesHits:
 
 
 # ---------------------------------------------------------------------------
-# Multi-process races (the spawn context, as the worker fleet uses).
+# Multi-process races (the spawn context, as the worker pool uses).
 # ---------------------------------------------------------------------------
 
 

@@ -7,7 +7,7 @@ SSE progress events arrive, ``/metrics`` reports a non-zero cache
 hit-rate, and LRU eviction triggers when the cache budget is exceeded.
 
 The server runs with inline workers (``workers=0``) in a background
-thread; the real process fleet is exercised by ``tools/serve_smoke.py``
+thread; real worker processes are exercised by ``tools/serve_smoke.py``
 in the CI serve-smoke job.
 """
 

@@ -5,8 +5,12 @@ import pytest
 from repro.common import params
 from repro.fuzz.runner import run_seed_payload
 from repro.harness.sweep import job_key
-from repro.serve.jobspec import SpecError, parse_job, resolve_config
-from repro.serve.workers import traced_sim_runner
+from repro.serve.jobspec import (
+    SpecError,
+    parse_job,
+    resolve_config,
+    traced_sim_runner,
+)
 
 
 class TestResolveConfig:

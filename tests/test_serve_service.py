@@ -1,19 +1,23 @@
 """JobService semantics: dedupe, budgets, retries, cancellation, events.
 
-Everything here runs with ``workers=0`` (inline thread execution) so the
-tier-1 lane stays fast; the process fleet itself is covered by the e2e
-and smoke layers.
+Everything here runs with ``workers=0`` (the worker pool on threads) so
+the tier-1 lane stays fast; real worker processes are covered by the
+sweep engine's slow lane and the smoke layer.
 """
 
 import asyncio
+import json
+import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.harness.sweep import SweepError
-from repro.serve import workers as workers_mod
+from repro.harness import sweep
+from repro.harness.sweep import SweepError, WorkerPool, job_key
+from repro.serve.jobspec import parse_job
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.service import JobService, ServiceConfig
-from repro.serve.workers import WorkerFleet
 
 SIM = {"kind": "sim", "app": "ocean", "system": "base", "nodes": 4,
        "scale": 0.05}
@@ -72,73 +76,84 @@ class TestDedupe:
         assert second.units[0].cached
         assert service.cache.stats()["hit_rate"] > 0
 
+    def test_executed_entry_records_elapsed(self, tmp_path):
+        async def scenario():
+            service = make_service(tmp_path)
+            job = service.submit(SIM)
+            await finish(service, job)
+            return job
 
-class FakeFleet(WorkerFleet):
-    """Inline fleet with an observable, scriptable execute."""
+        key = run(scenario()).units[0].key
+        path = tmp_path / "cache" / key[:2] / (key + ".json")
+        assert json.loads(path.read_text())["elapsed_s"] > 0
 
-    def __init__(self, delay=0.02, fail_units=(), crash_first=0):
-        super().__init__(workers=0, max_retries=2, retry_base=0.0)
+
+class FakeWork:
+    """Scriptable stand-in for the pool's ``_execute_job``: records every
+    job it starts and the peak concurrency, and fails chosen units."""
+
+    def __init__(self, delay=0.02, fail_labels=()):
         self.delay = delay
-        self.fail_units = set(fail_units)
-        self.crash_first = crash_first      # BrokenProcessPool-style crashes
+        self.fail_keys = {unit.key for unit in parse_job(SWEEP).units
+                          if unit.label in fail_labels}
         self.started = []
         self.concurrent = 0
         self.max_concurrent = 0
+        self._lock = threading.Lock()
 
-    async def execute(self, unit):
-        from concurrent.futures.process import BrokenProcessPool
-
-        self.started.append(unit.label)
-        self.concurrent += 1
-        self.max_concurrent = max(self.max_concurrent, self.concurrent)
+    def __call__(self, job, runner=None):
+        key = job_key(job, runner)
+        with self._lock:
+            self.started.append(key)
+            self.concurrent += 1
+            self.max_concurrent = max(self.max_concurrent, self.concurrent)
         try:
-            await asyncio.sleep(self.delay)
-            if self.crash_first > 0:
-                self.crash_first -= 1
-                self.crashes += 1
-                if self.crash_first == 0:   # crashes then recovers
-                    self.retries += 1
-                    return {"cycles": 1, "recovered": True}
-                raise SweepError(unit.key, unit.job, "pool broken")
-            if unit.label in self.fail_units:
-                raise SweepError(unit.key, unit.job,
-                                 "Traceback: boom in %s" % unit.label)
-            return {"cycles": 1, "label": unit.label}
+            time.sleep(self.delay)
+            if key in self.fail_keys:
+                return "error", "Traceback: boom in %s" % job.describe()
+            return "ok", {"cycles": 1}
         finally:
-            self.concurrent -= 1
+            with self._lock:
+                self.concurrent -= 1
+
+
+@pytest.fixture
+def fake_work(monkeypatch):
+    work = FakeWork()
+    monkeypatch.setattr(sweep, "_execute_job", work)
+    return work
 
 
 class TestBudgetsAndFailures:
-    def test_client_budget_caps_concurrency(self, tmp_path):
+    def test_client_budget_caps_concurrency(self, tmp_path, fake_work):
         async def scenario():
             service = make_service(tmp_path, client_budget=2)
-            service.fleet = FakeFleet()
             job = service.submit(SWEEP, client="alice")
             await finish(service, job)
-            return service, job
+            return job
 
-        service, job = run(scenario())
+        job = run(scenario())
         assert job.state == "done"
-        assert len(service.fleet.started) == 4
-        assert service.fleet.max_concurrent <= 2
+        assert len(fake_work.started) == 4
+        assert fake_work.max_concurrent <= 2
 
-    def test_budgets_are_per_client(self, tmp_path):
+    def test_budgets_are_per_client(self, tmp_path, fake_work):
         async def scenario():
             service = make_service(tmp_path, client_budget=1)
-            service.fleet = FakeFleet()
             alice = service.submit(SIM, client="alice")
             bob = service.submit({**SIM, "seed": 99}, client="bob")
             await finish(service, alice, bob)
-            return service
 
-        service = run(scenario())
+        run(scenario())
         # Distinct keys, distinct clients: both could run at once.
-        assert service.fleet.max_concurrent == 2
+        assert fake_work.max_concurrent == 2
 
-    def test_failed_unit_fails_job_with_capture(self, tmp_path):
+    def test_failed_unit_fails_job_with_capture(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sweep, "_execute_job",
+                            FakeWork(fail_labels={"ocean/rac32k"}))
+
         async def scenario():
             service = make_service(tmp_path)
-            service.fleet = FakeFleet(fail_units={"ocean/rac32k"})
             job = service.submit(SWEEP)
             await finish(service, job)
             return service, job
@@ -155,9 +170,20 @@ class TestBudgetsAndFailures:
 
 
 class TestRetries:
-    def test_pool_crash_is_retried_with_rebuild(self, monkeypatch):
-        from concurrent.futures.process import BrokenProcessPool
+    """The worker pool's crash handling, with simulated pool breaks on
+    the thread pool (real worker deaths: tests/test_sweep.py)."""
 
+    @pytest.fixture(autouse=True)
+    def no_backoff(self, monkeypatch):
+        monkeypatch.setattr(sweep, "RETRY_BASE", 0.0)
+
+    def run_unit(self, pool):
+        try:
+            return pool.submit("k", None).result(timeout=30)
+        finally:
+            pool.shutdown()
+
+    def test_pool_crash_is_retried_with_rebuild(self, monkeypatch):
         calls = {"n": 0}
 
         def flaky(job, runner):
@@ -166,26 +192,24 @@ class TestRetries:
                 raise BrokenProcessPool("worker died")
             return "ok", {"cycles": 5}
 
-        monkeypatch.setattr(workers_mod, "_execute_job", flaky)
-        fleet = WorkerFleet(workers=0, max_retries=2, retry_base=0.0)
-        unit = FakeUnit()
-        payload = run(fleet.execute(unit))
-        assert payload == {"cycles": 5}
-        assert fleet.crashes == 2
-        assert fleet.retries == 2
+        monkeypatch.setattr(sweep, "_execute_job", flaky)
+        pool = WorkerPool(0, max_retries=2)
+        assert self.run_unit(pool) == {"cycles": 5}
+        assert pool.crashes == 2
+        assert pool.retries == 2
+        assert pool.running == 0
 
     def test_crashes_beyond_retry_budget_surface(self, monkeypatch):
-        from concurrent.futures.process import BrokenProcessPool
-
         def always_broken(job, runner):
             raise BrokenProcessPool("worker died")
 
-        monkeypatch.setattr(workers_mod, "_execute_job", always_broken)
-        fleet = WorkerFleet(workers=0, max_retries=1, retry_base=0.0)
+        monkeypatch.setattr(sweep, "_execute_job", always_broken)
+        pool = WorkerPool(0, max_retries=1)
         with pytest.raises(SweepError) as err:
-            run(fleet.execute(FakeUnit()))
-        assert "gave up" in str(err.value)
-        assert fleet.crashes == 2
+            self.run_unit(pool)
+        assert "gave up after 1 retries" in str(err.value)
+        assert pool.crashes == 2
+        assert pool.running == 0
 
     def test_deterministic_failure_is_not_retried(self, monkeypatch):
         calls = {"n": 0}
@@ -194,39 +218,33 @@ class TestRetries:
             calls["n"] += 1
             return "error", "Traceback: deterministic boom"
 
-        monkeypatch.setattr(workers_mod, "_execute_job", failing)
-        fleet = WorkerFleet(workers=0, max_retries=2, retry_base=0.0)
+        monkeypatch.setattr(sweep, "_execute_job", failing)
+        pool = WorkerPool(0, max_retries=2)
         with pytest.raises(SweepError):
-            run(fleet.execute(FakeUnit()))
+            self.run_unit(pool)
         assert calls["n"] == 1
-        assert fleet.retries == 0
-
-
-class FakeUnit:
-    key = "k"
-    label = "fake"
-    job = None
-    runner = None
+        assert pool.retries == 0
 
 
 class TestCancellation:
-    def test_cancel_skips_queued_units(self, tmp_path):
+    def test_cancel_skips_queued_units(self, tmp_path, fake_work):
+        fake_work.delay = 0.05
+
         async def scenario():
             service = make_service(tmp_path, client_budget=1)
-            service.fleet = FakeFleet(delay=0.05)
             job = service.submit(SWEEP)
             await asyncio.sleep(0.01)       # first unit starts
             service.cancel_job(job.id)
             await finish(service, job)
-            return service, job
+            return job
 
-        service, job = run(scenario())
+        job = run(scenario())
         assert job.state == "cancelled"
         states = {u.state for u in job.units}
         assert "cancelled" in states
         # Not every unit ran: the budget serialized them and the cancel
         # landed before the queue drained.
-        assert len(service.fleet.started) < len(job.units)
+        assert len(fake_work.started) < len(job.units)
 
     def test_cancel_unknown_job_is_none(self, tmp_path):
         async def scenario():
@@ -235,10 +253,12 @@ class TestCancellation:
 
         assert run(scenario()) is None
 
-    def test_shared_waiter_survives_owner_cancellation(self, tmp_path):
+    def test_shared_waiter_survives_owner_cancellation(self, tmp_path,
+                                                       fake_work):
+        fake_work.delay = 0.05
+
         async def scenario():
             service = make_service(tmp_path, client_budget=1)
-            service.fleet = FakeFleet(delay=0.05)
             owner = service.submit(SIM, client="alice")
             await asyncio.sleep(0.01)
             waiter = service.submit(SIM, client="bob")

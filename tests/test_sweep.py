@@ -3,11 +3,12 @@
 The parallel tests use the real ``spawn`` multiprocessing path at tiny
 workload scales, so they exercise exactly the code the artefact sweeps
 run — including the determinism-under-process-isolation guarantee the
-cache relies on.
+cache relies on, and workers that really die.
 """
 
 import hashlib
 import json
+import os
 import shutil
 
 import pytest
@@ -27,6 +28,26 @@ from repro.harness.sweep import (
 from repro.network.chaos import chaos_to_dict
 
 SCALE = 0.1
+
+#: Environment variable naming the marker file :func:`crash_once_runner`
+#: creates; set before the pool spawns, so every worker inherits it.
+CRASH_MARKER = "REPRO_TEST_CRASH_MARKER"
+
+
+def crash_once_runner(job):
+    """Kills its worker on the first call across all workers (the marker
+    file is created exclusively), then returns a tiny payload."""
+    try:
+        os.close(os.open(os.environ[CRASH_MARKER],
+                         os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except FileExistsError:
+        return {"seed": job.seed}
+    os._exit(1)
+
+
+def always_crash_runner(job):
+    """Kills its worker on every call."""
+    os._exit(1)
 
 
 def job(app="ocean", config=None, **kwargs):
@@ -169,9 +190,9 @@ class TestWorkerClamp:
         assert engine.jobs == cores + 7       # requested width is kept
         assert engine.effective_jobs == cores  # pool width is not
 
-    def test_opt_out_keeps_requested_width(self):
-        engine = SweepEngine(jobs=64, clamp=False)
-        assert engine.effective_jobs == 64
+    def test_width_kept_up_to_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert SweepEngine(jobs=64).effective_jobs == 64
 
     def test_serial_engine_unaffected(self):
         assert SweepEngine(jobs=1).effective_jobs == 1
@@ -286,7 +307,15 @@ class TestProgressHooks:
         assert ("job", True) in progress.events
 
 
+@pytest.fixture
+def two_cores(monkeypatch):
+    """Report two cores, so ``jobs=2`` gets a real two-worker spawn pool
+    whatever the machine has."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
 @pytest.mark.slow
+@pytest.mark.usefixtures("two_cores")
 class TestParallel:
     """Real spawn-based pool; slow because workers re-import the package."""
 
@@ -298,7 +327,7 @@ class TestParallel:
 
     def test_parallel_identical_to_serial(self):
         serial = SweepEngine(jobs=1).run_many(self.batch())
-        parallel = SweepEngine(jobs=2, clamp=False).run_many(self.batch())
+        parallel = SweepEngine(jobs=2).run_many(self.batch())
         assert set(serial) == set(parallel)
         for key in serial:
             assert parallel[key].metrics == serial[key].metrics
@@ -311,18 +340,51 @@ class TestParallel:
                        scale=SCALE)
         jobs["bad"] = bad
         with pytest.raises(SweepError) as err:
-            SweepEngine(jobs=2, clamp=False).run_many(jobs)
+            SweepEngine(jobs=2).run_many(jobs)
         assert err.value.key == job_key(bad)
         assert "no_such_app" in err.value.worker_traceback
 
     def test_parallel_populates_shared_cache(self, tmp_path):
-        engine = SweepEngine(jobs=2, clamp=False, cache=True,
-                             cache_dir=str(tmp_path))
+        engine = SweepEngine(jobs=2, cache=True, cache_dir=str(tmp_path))
         engine.run_many(self.batch())
         assert engine.last_report.executed == 4
         engine.run_many(self.batch())
         assert engine.last_report.executed == 0
         assert engine.last_report.cached == 4
+
+
+@pytest.mark.slow
+@pytest.mark.usefixtures("two_cores")
+class TestWorkerDeath:
+    """Workers that die hard (``os._exit``) break the pool; the engine
+    retries on a rebuilt pool and names the job when it gives up."""
+
+    @pytest.fixture(autouse=True)
+    def no_backoff(self, monkeypatch):
+        monkeypatch.setattr(sweep, "RETRY_BASE", 0.0)
+
+    def batch(self):
+        return [job(seed=1), job(seed=2)]
+
+    def test_death_is_retried_on_a_rebuilt_pool(self, tmp_path,
+                                                monkeypatch):
+        marker = tmp_path / "crashed"
+        monkeypatch.setenv(CRASH_MARKER, str(marker))
+        engine = SweepEngine(jobs=2, runner=crash_once_runner)
+        assert engine.run_many(self.batch()) == {0: {"seed": 1},
+                                                 1: {"seed": 2}}
+        assert marker.exists()
+        assert engine.last_report.crashes == 1
+        assert engine.last_report.retries == 1
+
+    def test_repeated_death_gives_up_naming_the_job(self):
+        engine = SweepEngine(jobs=2, runner=always_crash_runner)
+        with pytest.raises(SweepError) as err:
+            engine.run_many(self.batch())
+        keys = {job_key(j, always_crash_runner) for j in self.batch()}
+        assert err.value.key in keys
+        assert err.value.key[:16] in str(err.value)
+        assert "gave up after 2 retries" in err.value.worker_traceback
 
 
 @pytest.mark.slow

@@ -9,7 +9,8 @@ asserts the end-to-end contract:
 2. a tiny sweep POSTed to ``/jobs`` runs to ``done``, followed live over
    the job's SSE stream (progress/unit events arrive before the terminal
    ``job`` frame);
-3. ``/metrics`` reflects the run (units executed, workers configured);
+3. ``/metrics`` reflects the run (units executed, workers configured,
+   no worker crashes or retries);
 4. a duplicate POST of the same sweep is served entirely from the shared
    result cache — non-zero hit-rate, zero new executions.
 
@@ -83,6 +84,8 @@ def main(argv=None):
         units = metrics["units"]
         assert units["executed"] == len(SWEEP["systems"]), units
         assert metrics["workers"]["fleet"] == args.workers, metrics
+        assert metrics["workers"]["crashes"] == 0, metrics["workers"]
+        assert metrics["workers"]["retries"] == 0, metrics["workers"]
         for unit in final["units"]:
             payload = client.result(unit["key"])
             assert payload["cycles"] > 0, payload
