@@ -5,7 +5,7 @@ catching performance regressions in the hot paths that dominate full
 simulation runs: cache lookups, fabric delivery, detector updates.
 """
 
-from repro.cache import LineState, SetAssociativeCache
+from repro.cache import SetAssociativeCache
 from repro.common import CacheConfig, EventQueue, Stats, baseline
 from repro.common.stats import Stats as StatsClass
 from repro.network import Fabric, Message, MsgType
@@ -65,31 +65,6 @@ def test_event_queue_throughput(benchmark):
         events.run()
 
     benchmark(burst)
-
-
-def test_event_queue_batched_schedule(benchmark):
-    """schedule_many + run: the batched push/pop path of the rewrite."""
-    nop = lambda: None
-    batch = [(i % 97, nop, ()) for i in range(1000)]
-
-    def burst():
-        events = EventQueue()
-        events.schedule_many(batch)
-        events.run()
-
-    benchmark(burst)
-
-
-def test_message_pool_acquire_release(benchmark):
-    """Message construction through the free-list pool (steady state:
-    every release feeds the next acquire, so no allocation occurs)."""
-    Message.clear_pool()
-    Message(MsgType.GETS, 0, 1, 0).release()  # prime the pool
-
-    def cycle():
-        Message(MsgType.GETS, 0, 1, 0x80).release()
-
-    benchmark(cycle)
 
 
 def test_dispatch_table_hit(benchmark):

@@ -82,13 +82,6 @@ class SetAssociativeCache:
             % (self.name, addr, self._line_size)
         )
 
-    def _set_at(self, index):
-        """The set dict at ``index``, creating it on first touch."""
-        cache_set = self._sets[index]
-        if cache_set is None:
-            cache_set = self._sets[index] = {}
-        return cache_set
-
     # -- residency --------------------------------------------------------
 
     def probe(self, addr):

@@ -6,13 +6,12 @@ absolute times (in CPU cycles).  Events scheduled for the same cycle fire in
 scheduling order (a monotonically increasing sequence number breaks ties),
 which keeps runs fully deterministic.
 
-The queue is on the hot path of every simulated cycle, so the public
-validated entry points (:meth:`schedule` / :meth:`schedule_at`) are joined
-by two fast paths: :meth:`push_at`, an unchecked push for call sites that
-can prove their timestamps are never in the past (the fabric, the
-processors' self-rescheduling), and :meth:`schedule_many`, which amortises
-validation and attribute lookups over a whole batch.  :meth:`run` inlines
-the pop/fire loop instead of delegating to :meth:`step`.
+The queue is on the hot path of every simulated cycle.  The validated entry
+points are :meth:`schedule` and :meth:`schedule_at`; the two hottest
+callers (the fabric's deliveries and the processors' self-rescheduling)
+push onto ``_heap`` directly because their timestamps are ``now`` plus a
+non-negative latency by construction.  :meth:`run` inlines the pop/fire
+loop instead of delegating to :meth:`step`.
 """
 
 import heapq
@@ -63,43 +62,6 @@ class EventQueue:
             )
         heapq.heappush(self._heap, (time, self._seq, callback, args))
         self._seq += 1
-
-    def push_at(self, time, callback, *args):
-        """Unchecked :meth:`schedule_at` for proven-safe hot call sites.
-
-        Callers must guarantee ``time >= now`` (e.g. ``now`` plus a
-        non-negative latency).  A past timestamp here would not raise —
-        it would silently fire out of order — so this is reserved for the
-        fabric and other core loops whose arithmetic makes the invariant
-        structural.
-        """
-        heapq.heappush(self._heap, (time, self._seq, callback, args))
-        self._seq += 1
-
-    def schedule_many(self, batch):
-        """Schedule a batch of ``(delay, callback, args)`` triples.
-
-        Equivalent to calling :meth:`schedule` per triple (same validation,
-        same deterministic ordering: batch order breaks same-cycle ties) but
-        with the per-event attribute lookups hoisted out of the loop.
-        ``args`` must be a tuple.  Returns the number of events scheduled.
-        """
-        now = self._now
-        heap = self._heap
-        seq = self._seq
-        push = heapq.heappush
-        count = 0
-        try:
-            for delay, callback, args in batch:
-                if delay < 0:
-                    raise ValueError(
-                        "cannot schedule an event in the past (delay=%r)" % delay)
-                push(heap, (now + delay, seq, callback, args))
-                seq += 1
-                count += 1
-        finally:
-            self._seq = seq
-        return count
 
     def step(self):
         """Fire the single next event.  Returns False when the queue is empty."""

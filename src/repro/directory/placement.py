@@ -47,6 +47,3 @@ class AddressMap:
         if home is not None:
             return home
         return page % self.num_nodes
-
-    def placed_pages(self):
-        return dict(self._page_homes)

@@ -21,17 +21,12 @@ already validated every individual read, so what is left to assert is the
   line equals the last value the coherence checker saw committed: home
   memory for UNOWNED/SHARED lines, the owner's cache for EXCL lines,
   following the delegation link for DELE lines.
-* ``pool-invariant`` — the process-global message free list is still
-  structurally sound (no aliased instances, no retained payloads, bounded
-  size): a lifecycle bug on an exception or redispatch path corrupts the
-  pool long before it corrupts a visible run.
 
 Each check returns ``(name, message)`` on violation; ``None`` means the
 run is clean.
 """
 
 from ..directory.state import DirState
-from ..network.message import Message
 
 #: Retries one transaction may legitimately accumulate.  Real contention
 #: on these small fuzz workloads stays in single digits; the forced-NACK
@@ -43,8 +38,7 @@ def check_quiescence(system, tracer, build):
     """Run every quiescence oracle; first violation wins (most specific
     ordering: span bookkeeping, then structure, then data)."""
     for check in (_check_spans, _check_single_writer,
-                  _check_directory_agreement, _check_lost_update,
-                  _check_pool):
+                  _check_directory_agreement, _check_lost_update):
         violation = check(system, tracer)
         if violation is not None:
             return violation
@@ -143,13 +137,6 @@ def _visible_value(system, hub, entry):
     if entry.state is DirState.EXCL:
         return system.hubs[entry.owner].hierarchy.value_of(entry.addr)
     return entry.value
-
-
-def _check_pool(system, tracer):
-    problems = Message.pool_audit()
-    if problems:
-        return ("pool-invariant", "; ".join(problems))
-    return None
 
 
 def _check_lost_update(system, tracer):

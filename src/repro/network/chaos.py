@@ -56,7 +56,7 @@ class ChaosConfig:
     """Knobs for one fault-injection policy (all JSON-safe scalars).
 
     The all-zero default injects nothing; :attr:`enabled` is False then and
-    the simulator takes its unperturbed fast path.
+    the simulator installs no policy at all.
     """
 
     seed: int = 0
@@ -119,7 +119,7 @@ class ChaosPolicy:
     @classmethod
     def resolve(cls, chaos, stats=None):
         """Normalise ``chaos`` (None | ChaosConfig | ChaosPolicy) to a
-        policy or None; an all-zero config resolves to None (fast path)."""
+        policy or None; an all-zero config resolves to None (no policy)."""
         if chaos is None:
             return None
         if isinstance(chaos, ChaosConfig):

@@ -1,18 +1,17 @@
-"""Coherence message vocabulary and wire-size accounting.
+"""Coherence message vocabulary.
 
 Every inter-node interaction in the protocol is one of these message types.
-Sizes follow the paper's NUMALink model: a 32-byte minimum (header-only)
-packet, plus a full 128-byte cache line for data-bearing messages.  The
+Wire sizes follow the paper's NUMALink model: a 32-byte minimum
+(header-only) packet, plus a full 128-byte cache line for data-bearing
+messages.  :class:`~repro.network.fabric.Fabric` does that accounting; the
 evaluation's "network messages" and traffic-byte figures count exactly what
-goes through :meth:`repro.network.fabric.Fabric.send`.
+goes through :meth:`~repro.network.fabric.Fabric.send`.
 
-``Message`` is a slotted, pooled object rather than a dataclass: the sim
-core allocates one per hop of every transaction, so construction cost and
-per-message dict churn dominated profiles (see docs/performance.md).  The
-pool follows sesc's ``pool<CacheCoherenceMsg>`` idiom — instances released
-at the fabric's delivery quiescence point are recycled through a free list,
-while ``msg_id`` numbering stays a pure function of construction order so
-reprs, traces and ``ProtocolError`` text replay byte-for-byte.
+``Message`` is a plain slotted class: the sim core allocates one per hop of
+every transaction, so it carries no per-instance dict.  ``msg_id``
+numbering is a pure function of construction order since the last
+:func:`reset_msg_ids`, so reprs, traces and ``ProtocolError`` text replay
+byte-for-byte.
 """
 
 import enum
@@ -113,29 +112,14 @@ class Message:
     ``payload`` carries protocol metadata that would ride in real packet
     fields: requester identity, directory snapshots for DELEGATE/UNDELE,
     pending-request info, etc.  ``value`` is the cache-line data image for
-    data-bearing types.
-
-    Construction transparently draws from a bounded free list (see
-    :meth:`release`); every field is (re)assigned on construction, and a
-    fresh ``msg_id`` is drawn unless the caller pins one, so pooling is
-    invisible to protocol code and to determinism.
+    data-bearing types.  A fresh ``msg_id`` is drawn unless the caller
+    pins one.
     """
 
-    __slots__ = ("mtype", "src", "dst", "addr", "value", "payload", "msg_id",
-                 "_pooled")
+    __slots__ = ("mtype", "src", "dst", "addr", "value", "payload", "msg_id")
 
-    _pool = []
-    _pool_limit = 4096
-    pool_allocations = 0  # total heap allocations (pool misses)
-
-    def __new__(cls, mtype, src, dst, addr, value=0, payload=EMPTY_PAYLOAD,
-                msg_id=None):
-        pool = cls._pool
-        if pool:
-            self = pool.pop()
-        else:
-            self = super().__new__(cls)
-            cls.pool_allocations += 1
+    def __init__(self, mtype, src, dst, addr, value=0, payload=EMPTY_PAYLOAD,
+                 msg_id=None):
         self.mtype = mtype
         self.src = src
         self.dst = dst
@@ -143,67 +127,6 @@ class Message:
         self.value = value
         self.payload = payload
         self.msg_id = next(_msg_ids) if msg_id is None else msg_id
-        self._pooled = False
-        return self
-
-    def release(self):
-        """Return this message to the free list.
-
-        Callers must prove (via refcount at the dispatch quiescence point)
-        that no handler retained the message.  The payload is dropped
-        first so pooled instances never pin protocol dicts alive.  A
-        double release would alias one object under two in-flight
-        messages — the classic pool-lifecycle corruption — so it raises
-        instead of corrupting silently.
-        """
-        if self._pooled:
-            raise ValueError("double release of %r" % self)
-        self.payload = EMPTY_PAYLOAD
-        pool = Message._pool
-        if len(pool) < Message._pool_limit:
-            self._pooled = True
-            pool.append(self)
-
-    @classmethod
-    def pool_stats(cls):
-        """Free-list statistics: ``{"free", "allocations"}``."""
-        return {"free": len(cls._pool), "allocations": cls.pool_allocations}
-
-    @classmethod
-    def pool_audit(cls):
-        """Invariant check over the free list; returns a list of problems.
-
-        Clean pools return ``[]``.  Checked: the list never exceeds its
-        limit, no instance appears twice (aliasing), every pooled instance
-        is flagged ``_pooled`` and has dropped its payload.  The fuzz
-        oracles run this after every case so a lifecycle regression
-        (handler exception paths, redispatched messages) fails loudly.
-        """
-        problems = []
-        pool = cls._pool
-        if len(pool) > cls._pool_limit:
-            problems.append("free list over limit: %d > %d"
-                            % (len(pool), cls._pool_limit))
-        if len({id(msg) for msg in pool}) != len(pool):
-            problems.append("aliased instance on the free list")
-        for msg in pool:
-            if not msg._pooled:
-                problems.append("pooled message %r not flagged _pooled" % msg)
-                break
-        for msg in pool:
-            if msg.payload is not EMPTY_PAYLOAD:
-                problems.append("pooled message %r retains a payload" % msg)
-                break
-        return problems
-
-    @classmethod
-    def clear_pool(cls):
-        """Drop all pooled instances (tests / benchmarks)."""
-        cls._pool.clear()
-        cls.pool_allocations = 0
-
-    def size_bytes(self, header_bytes, line_size):
-        return header_bytes + (line_size if self.mtype.data_bearing else 0)
 
     def __repr__(self):
         return "Msg#%d(%s %d->%d 0x%x)" % (

@@ -6,8 +6,8 @@ competitors, each behind one small :class:`Protocol` interface:
 
 ``adaptive``
     The paper's protocol — delegation, speculative updates, the detector —
-    exactly as :class:`~repro.protocol.hub.Hub` implements it.  The only
-    protocol with a model-checker twin (``mc/model.py``).
+    exactly as :class:`~repro.protocol.hub.Hub` implements it.  Its spec,
+    like MESI's, compiles into the model checker (``repro.spec.mcgen``).
 ``wi``
     Explicit write-invalidate: the implicit ``enable_updates=False``
     baseline promoted to a first-class protocol.  Delegation and updates
@@ -26,12 +26,11 @@ competitors, each behind one small :class:`Protocol` interface:
     producer-consumer detector, no pruning.
 
 Each hub subclass declares its *own* ``_handlers`` table and re-binds the
-pre-bound ``_handler_array`` dispatch, so the PR 6 hot path (dense
-per-``MsgType`` array indexing, construction-time fast paths) is
-preserved untouched.  Message types a protocol strips (e.g. DELEGATE
-under ``wi``) fall through to ``_unhandled`` and raise the structured
-:class:`~repro.common.errors.UnhandledMessageError` — receiving one is a
-protocol violation, not a silent no-op.
+pre-bound ``_handler_array`` dispatch, so every protocol keeps the dense
+per-``MsgType`` array indexing on delivery.  Message types a protocol
+strips (e.g. DELEGATE under ``wi``) fall through to ``_unhandled`` and
+raise the structured :class:`~repro.common.errors.UnhandledMessageError`
+— receiving one is a protocol violation, not a silent no-op.
 
 This file is deliberately *not* in ``repro.lint``'s
 ``SIM_PROTOCOL_FILES``: the lint graph models the adaptive protocol;
@@ -381,7 +380,7 @@ class DragonHub(Hub):
             # it "no_copy" after downgrading): the publish resolves it.
             pending = busy.req_msg
             entry.busy = None
-            self._redispatch(pending)
+            self.dispatch(pending)
 
     def _home_intervention_nacked(self, msg):
         entry = self.home_memory.entry(msg.addr)

@@ -280,7 +280,7 @@ class HomeMixin:
         entry.state = DirState.UNOWNED
         entry.owner = None
         entry.sharers = set()
-        self._redispatch(pending)
+        self.dispatch(pending)
 
     # -- delegation (home side) --------------------------------------------------
 
@@ -334,7 +334,7 @@ class HomeMixin:
             det.write_repeat = 0
             det.reader_count = 0
         if pending is not None and pending.kind is BusyKind.UNDELEGATE:
-            self._redispatch(pending.req_msg)
+            self.dispatch(pending.req_msg)
 
     def _home_recall_nacked(self, msg):
         """The producer NACKed our UNDELE_REQ."""

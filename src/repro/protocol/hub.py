@@ -16,8 +16,6 @@ The class is assembled from three mixins that mirror the protocol roles:
   (acting-home service, undelegation, delayed intervention, updates).
 """
 
-from sys import getrefcount
-
 from ..cache.hierarchy import PrivateCacheHierarchy
 from ..cache.rac import RemoteAccessCache
 from ..common.errors import ProtocolError, UnhandledMessageError
@@ -136,23 +134,6 @@ class Hub(RequesterMixin, HomeMixin, ProducerMixin):
             self._unhandled(msg)
             return
         handler(msg)
-
-    def _redispatch(self, msg):
-        """Re-run dispatch for a message retained past its delivery frame.
-
-        Messages parked in a BusyRecord (WB races, undelegation) were
-        retained when first delivered, so the fabric's refcount gate left
-        them out of the pool.  When the busy resolves and the pending
-        request finally runs to completion, this frame is the new
-        quiescence point: if the handler did not retain the message again,
-        recycle it here — otherwise such messages leak from the pool for
-        the rest of the run.  ``_pooled`` guards the fuzz-replay /
-        repeated-redispatch paths against a double release.
-        """
-        before = getrefcount(msg)
-        self.dispatch(msg)
-        if getrefcount(msg) == before and not msg._pooled:
-            msg.release()
 
     def _unhandled(self, msg):
         dir_state = None

@@ -64,7 +64,7 @@ class Processor:
         if cls is trace.Compute:
             cycles = op.cycles
             events = self.events
-            # Inlined push_at: delays are >= 1 by construction.
+            # Unchecked push: delays are >= 1 by construction.
             heappush(events._heap,
                      (events._now + (cycles if cycles > 1 else 1),
                       events._seq, self._step, ()))

@@ -73,7 +73,7 @@ class System:
         if tracer is not None:
             tracer.metrics.misses = self.misses
         # ``chaos`` may be a ChaosConfig or an already-built ChaosPolicy;
-        # None (or an all-zero config) keeps the unperturbed fast path.
+        # None (or an all-zero config) installs no policy.
         self.chaos = ChaosPolicy.resolve(chaos, stats=self.stats)
         self.address_map = AddressMap(config.num_nodes)
         self.fabric = Fabric(config, self.events, self.stats, tracer=tracer,

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.common import baseline
 from repro.common.errors import CoherenceViolation
 from repro.sim import System
 from repro.sim.coherence_check import CoherenceChecker

@@ -16,7 +16,6 @@ import pytest
 
 from repro.common import Stats, baseline
 from repro.protocol.detector import (
-    DetectorEntry,
     ProducerConsumerDetector,
     consumer_bucket,
 )

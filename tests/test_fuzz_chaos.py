@@ -240,7 +240,7 @@ class TestFabricIntegration:
         assert system.fabric.chaos is pol
         system.fabric.send(Message(MsgType.WB_ACK, src=1, dst=1, addr=LINE))
         system.events.run()
-        assert stats.get("chaos.delayed") == 0  # src == dst: fast path
+        assert stats.get("chaos.delayed") == 0  # src == dst: never perturbed
 
     def test_disabled_config_resolves_to_no_policy(self):
         system = System(baseline(num_nodes=4), check_coherence=False,

@@ -8,7 +8,7 @@ NACK purposes, writeback acks, and dispatch errors.
 import pytest
 
 from repro.cache import LineState
-from repro.common import baseline, small
+from repro.common import small
 from repro.common.errors import ProtocolError, UnhandledMessageError
 from repro.directory import DirState
 from repro.network import Message, MsgType

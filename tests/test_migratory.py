@@ -4,7 +4,7 @@ import pytest
 
 from repro.common import ConfigError, baseline, small
 from repro.sim import Read, System, Write
-from repro.workloads.migratory import MigratoryWorkload, migratory
+from repro.workloads.migratory import migratory
 
 
 class TestGenerator:

@@ -8,14 +8,21 @@ from repro.common import ConfigError, EventQueue, Stats, baseline
 from repro.network import Fabric, FatTree, Message, MsgType
 
 
+def bytes_sent(mtype):
+    """``msg.bytes`` counted by one remote :meth:`Fabric.send` of ``mtype``."""
+    cfg = baseline(num_nodes=2)
+    stats = Stats()
+    fabric = Fabric(cfg, EventQueue(), stats)
+    fabric.send(Message(mtype, 0, 1, 0))
+    return stats.get("msg.bytes")
+
+
 class TestMessageSizes:
     def test_header_only_is_32_bytes(self):
-        msg = Message(MsgType.GETS, 0, 1, 0)
-        assert msg.size_bytes(32, 128) == 32
+        assert bytes_sent(MsgType.GETS) == 32
 
     def test_data_bearing_adds_line(self):
-        msg = Message(MsgType.DATA_SHARED, 0, 1, 0)
-        assert msg.size_bytes(32, 128) == 160
+        assert bytes_sent(MsgType.DATA_SHARED) == 160
 
     def test_data_bearing_flags(self):
         assert MsgType.UPDATE.data_bearing

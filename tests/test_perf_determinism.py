@@ -1,6 +1,6 @@
 """Determinism guarantees of the sim-core hot-path rewrite.
 
-The pooled/slotted message, pre-bound dispatch and batched event queue
+The slotted message, pre-bound dispatch and inlined event-queue pushes
 must be *invisible*: a fixed seed produces the same stats dict, the same
 trace bytes, the same ``Msg#`` numbering and the same fuzz digests as the
 pre-rewrite simulator.  The golden file ``tests/golden/
@@ -13,7 +13,7 @@ import json
 import os
 import pytest
 
-from repro.common import EventQueue, params
+from repro.common import params
 from repro.fuzz.engine import replay_artifact
 from repro.fuzz.runner import run_case
 from repro.fuzz.scenarios import FuzzScenario
@@ -83,24 +83,13 @@ class TestGoldenFuzz:
 
 
 class TestMsgIdSequencing:
-    """Pooling must not perturb the msg_id sequence or repr text."""
+    """``msg_id`` numbering and repr text restart with each run."""
 
     def test_reset_restarts_at_zero(self):
         reset_msg_ids()
         msg = Message(MsgType.GETS, 0, 1, 0x80)
         assert msg.msg_id == 0
         assert repr(msg) == "Msg#0(GETS 0->1 0x80)"
-
-    def test_pooled_reuse_draws_fresh_ids(self):
-        reset_msg_ids()
-        first = Message(MsgType.GETS, 0, 1, 0x80)
-        first_id = first.msg_id
-        first.release()
-        second = Message(MsgType.NACK, 1, 0, 0x100)
-        # The pool may hand back the same object, but identity is the only
-        # thing shared: id and fields are always freshly assigned.
-        assert second.msg_id == first_id + 1
-        assert second.mtype is MsgType.NACK
 
     def test_explicit_msg_id_does_not_consume_counter(self):
         reset_msg_ids()
@@ -126,64 +115,9 @@ class TestPayloadAliasing:
         with pytest.raises(TypeError):
             msg.payload["x"] = 1
 
-    def test_release_drops_payload(self):
-        payload = {"requester": 3}
-        msg = Message(MsgType.GETS, 0, 1, 0, payload=payload)
-        msg.release()
-        fresh = Message(MsgType.GETS, 0, 1, 0)
-        assert fresh.payload is EMPTY_PAYLOAD
-        assert fresh.payload is not payload
-
     def test_distinct_payloads_never_alias(self):
         a = Message(MsgType.GETS, 0, 1, 0, payload={"requester": 0})
         b = Message(MsgType.GETS, 2, 1, 0, payload={"requester": 2})
         a.payload["tag"] = "a"
         assert "tag" not in b.payload
 
-
-class TestBatchedQueueOrdering:
-    """schedule_many preserves the same-cycle seq tie-break semantics."""
-
-    def test_batch_matches_serial_order(self):
-        serial = EventQueue()
-        fired_serial = []
-        for tag in ("a", "b", "c"):
-            serial.schedule(5, fired_serial.append, tag)
-        serial.schedule(0, fired_serial.append, "early")
-        serial.run()
-
-        batched = EventQueue()
-        fired_batched = []
-        batched.schedule_many([
-            (5, fired_batched.append, ("a",)),
-            (5, fired_batched.append, ("b",)),
-            (5, fired_batched.append, ("c",)),
-            (0, fired_batched.append, ("early",)),
-        ])
-        batched.run()
-        assert fired_batched == fired_serial == ["early", "a", "b", "c"]
-
-    def test_batch_interleaves_with_singles_by_seq(self):
-        ev = EventQueue()
-        fired = []
-        ev.schedule(3, fired.append, 1)
-        ev.schedule_many([(3, fired.append, (2,)), (3, fired.append, (3,))])
-        ev.schedule(3, fired.append, 4)
-        ev.run()
-        assert fired == [1, 2, 3, 4]
-
-    def test_batch_validates_negative_delay(self):
-        ev = EventQueue()
-        with pytest.raises(ValueError):
-            ev.schedule_many([(1, lambda: None, ()), (-1, lambda: None, ())])
-        # The valid prefix was accepted; seq stayed consistent.
-        ev.schedule(0, lambda: None)
-        assert ev.pending == 2
-
-    def test_push_at_matches_schedule_at_ordering(self):
-        ev = EventQueue()
-        fired = []
-        ev.schedule_at(7, fired.append, "checked")
-        ev.push_at(7, fired.append, "unchecked")
-        ev.run()
-        assert fired == ["checked", "unchecked"]

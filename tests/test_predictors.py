@@ -1,9 +1,8 @@
 """Alternative predictors (§5 future work) and detector aggressiveness."""
 
 import pytest
-from dataclasses import replace
 
-from repro.common import ConfigError, ProtocolConfig, Stats, baseline, small
+from repro.common import ConfigError, ProtocolConfig, Stats, small
 from repro.protocol.detector import ProducerConsumerDetector
 from repro.protocol.predictors import (
     DETECTOR_KINDS,

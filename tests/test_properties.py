@@ -7,7 +7,6 @@ livelock or protocol dead state fails the test — this is the highest-yield
 test in the suite for protocol races.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common import delegation_only, small
+from repro.common import delegation_only
 from repro.directory import DirState
 from repro.sim import Barrier, Compute, Read, System, Write
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis.report import (
-    figure7_section,
     full_report,
     headline_section,
     table3_section,

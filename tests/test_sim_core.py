@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.common import baseline
 from repro.common.errors import SimulationError
 from repro.common.events import EventQueue
-from repro.common.stats import Stats
 from repro.sim import (
     Barrier,
     BarrierManager,

@@ -9,7 +9,6 @@ from repro.sim import Barrier, Compute, Read, Write
 from repro.workloads import (
     APPLICATIONS,
     ConsumerProfile,
-    IterativePCWorkload,
     PCWorkloadSpec,
     application_names,
     get_workload,
