@@ -12,9 +12,6 @@ Commands
     MESI, Dragon) over a workload matrix and print the comparison:
     traffic bytes, hop-class breakdown, miss-latency p50/p95 per cell
     (see docs/protocols.md).
-``experiment NAME``
-    Regenerate one paper artefact (table3, figure7..figure12, headline,
-    delegation-only) and print it.
 ``verify``
     Exhaustively model-check the protocol (paper §2.5).
 ``area``
@@ -22,16 +19,20 @@ Commands
 ``trace``
     Run one application with transaction-level tracing and export a
     Perfetto/Chrome trace or a JSONL event dump (see docs/observability.md).
-``sweep``
-    Regenerate one paper artefact through the parallel sweep engine:
-    fan the simulations out over ``--jobs`` worker processes, replay
-    finished ones from the on-disk cache, and optionally emit a
-    pytest-benchmark-compatible timing record (see docs/performance.md).
+``sweep NAME``
+    Regenerate one paper artefact (table3, figure7..figure12, headline,
+    delegation-only) through the parallel sweep engine: fan the
+    simulations out over ``--jobs`` worker processes, replay finished
+    ones from the on-disk cache, and optionally write the sweep's
+    executed/cached accounting as JSON (see docs/performance.md).
+``report``
+    Run every artefact and write the paper-vs-measured Markdown report
+    to ``--output``.
 ``scale``
     The scaling study: storm traffic on large machines (up to 1024
     nodes), swept over node count x directory format x protocol, with
     per-cell traffic/fan-out/NACK/latency breakdowns and an optional
-    benchmark-record JSON (see docs/scaling.md).
+    JSON report (see docs/scaling.md).
 ``lint``
     Statically analyze the protocol sources: handler coverage,
     sim <-> spec conformance, deadlock heuristics, state reachability
@@ -52,9 +53,9 @@ Commands
 """
 
 import argparse
+import dataclasses
 import json
 import os
-import platform
 import sys
 import time
 
@@ -179,13 +180,7 @@ def build_parser():
                               "the default keeps the run oracle-checked)")
     scale_p.add_argument("--json", dest="json_out", metavar="OUT.json",
                          default=None,
-                         help="also write the benchmark-record JSON "
-                              "(BENCH_*.json schema, group 'scale')")
-
-    exp_p = sub.add_parser("experiment", help="regenerate a paper artefact")
-    exp_p.add_argument("name", choices=sorted(EXPERIMENTS))
-    exp_p.add_argument("--scale", type=float, default=1.0)
-    exp_p.add_argument("--seed", type=int, default=12345)
+                         help="also write the machine-readable report")
 
     verify_p = sub.add_parser("verify", help="model-check the protocol")
     verify_p.add_argument("--protocol", choices=("adaptive", "mesi"),
@@ -235,7 +230,8 @@ def build_parser():
 
     report_p = sub.add_parser(
         "report", help="run every experiment and write a Markdown report")
-    report_p.add_argument("--output", default="EXPERIMENTS.md")
+    report_p.add_argument("--output", required=True, metavar="FILE",
+                          help="Markdown file to write")
     report_p.add_argument("--scale", type=float, default=1.0)
     report_p.add_argument("--seed", type=int, default=12345)
     report_p.add_argument("--jobs", type=int, default=1, metavar="N",
@@ -259,16 +255,8 @@ def build_parser():
     sweep_p.add_argument("--cache-dir", default=sweep_mod.CACHE_DIR,
                          help="result-cache location (default: %(default)s)")
     sweep_p.add_argument("--json", dest="json_out", metavar="OUT.json",
-                         help="write a pytest-benchmark-compatible timing "
-                              "record (BENCH_*.json style)")
-    sweep_p.add_argument("--rounds", type=int, default=1, metavar="N",
-                         help="repeat the sweep N times and record real "
-                              "min/mean/median/stddev over the rounds "
-                              "(combine with --no-cache so later rounds "
-                              "re-execute; default: 1)")
-    sweep_p.add_argument("--warmup", action="store_true",
-                         help="run one untimed sweep first (excluded from "
-                              "the recorded stats, pytest-benchmark style)")
+                         help="also write the sweep's executed/cached "
+                              "accounting")
     sweep_p.add_argument("--quiet", action="store_true",
                          help="suppress the progress/ETA line")
     sweep_p.add_argument("--directory-format", default=None, metavar="FMT",
@@ -425,12 +413,6 @@ def cmd_run(args):
     return 0
 
 
-def cmd_experiment(args):
-    out = EXPERIMENTS[args.name](scale=args.scale, seed=args.seed)
-    print(out["text"])
-    return 0
-
-
 def cmd_verify(args):
     from .spec import get_spec
     from .spec.mcgen import SpecModel
@@ -558,6 +540,12 @@ def _build_engine(args, quiet=True):
                        progress=None if quiet else SweepProgress())
 
 
+def _write_json(path, doc):
+    with open(path, "w") as fileobj:
+        json.dump(doc, fileobj, indent=2, sort_keys=True)
+    print("wrote %s" % path)
+
+
 def cmd_report(args):
     from .analysis.report import full_report
     text = full_report(scale=args.scale, seed=args.seed,
@@ -587,9 +575,7 @@ def cmd_arena(args):
           % (sweep_report.total, sweep_report.executed, sweep_report.cached,
              engine.effective_jobs, sweep_report.elapsed))
     if args.json_out:
-        with open(args.json_out, "w") as fileobj:
-            json.dump(report.to_json(), fileobj, indent=2, sort_keys=True)
-        print("wrote %s" % args.json_out)
+        _write_json(args.json_out, report.to_json())
     return 0
 
 
@@ -601,53 +587,18 @@ def cmd_scale(args):
                if args.formats else scale_harness.DEFAULT_FORMATS)
     protocols = tuple(p for p in args.protocols.split(",") if p)
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
-    started = time.time()
     engine = scale_harness.scale_engine(jobs=jobs, cache=not args.no_cache,
                                         cache_dir=args.cache_dir)
     report = scale_harness.run_scale(
         nodes=nodes, formats=formats, protocols=protocols, seed=args.seed,
         scale=args.scale, check_coherence=not args.no_check, engine=engine)
-    elapsed = time.time() - started
     print(report.render_text())
     sweep_report = engine.last_report
     print("\nscale: %d cells (%d executed, %d cached), %d workers, %.2fs"
           % (sweep_report.total, sweep_report.executed, sweep_report.cached,
              engine.effective_jobs, sweep_report.elapsed))
     if args.json_out:
-        record = {
-            "machine_info": {
-                "python_version": platform.python_version(),
-                "cpu_count": os.cpu_count(),
-            },
-            "datetime": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "benchmarks": [{
-                "group": "scale",
-                "name": "scale[%s]" % args.nodes,
-                "fullname": "repro scale --nodes %s" % args.nodes,
-                # The CLI strings verbatim, so the record names exactly
-                # the sweep it timed.
-                "params": {"nodes": args.nodes,
-                           "formats": ",".join(formats),
-                           "protocols": args.protocols,
-                           "scale": args.scale, "seed": args.seed,
-                           "jobs": args.jobs},
-                "stats": {
-                    "min": elapsed, "max": elapsed, "mean": elapsed,
-                    "median": elapsed, "stddev": 0.0, "rounds": 1,
-                    "iterations": 1, "total": elapsed,
-                    "ops": (1.0 / elapsed) if elapsed else 0.0,
-                },
-                "extra_info": {
-                    "total_jobs": sweep_report.total,
-                    "executed": sweep_report.executed,
-                    "cached": sweep_report.cached,
-                },
-            }],
-            "scale": report.to_json(),
-        }
-        with open(args.json_out, "w") as fileobj:
-            json.dump(record, fileobj, indent=2, sort_keys=True)
-        print("wrote %s" % args.json_out)
+        _write_json(args.json_out, report.to_json())
     return 0
 
 
@@ -655,83 +606,19 @@ def cmd_sweep(args):
     engine = _build_engine(args, quiet=args.quiet)
     # --directory-format threads natively through the experiment into
     # every SweepJob (and therefore into the content-hashed cache keys).
-    directory_format = getattr(args, "directory_format", None)
-    rounds = max(1, getattr(args, "rounds", 1))
-    round_times = []
-    out = None
-    if getattr(args, "warmup", False):
-        EXPERIMENTS[args.name](scale=args.scale, seed=args.seed,
-                               engine=engine,
-                               directory_format=directory_format)
-    for _ in range(rounds):
-        started = time.time()
-        out = EXPERIMENTS[args.name](scale=args.scale, seed=args.seed,
-                                     engine=engine,
-                                     directory_format=directory_format)
-        round_times.append(time.time() - started)
-    elapsed = sum(round_times)
+    out = EXPERIMENTS[args.name](scale=args.scale, seed=args.seed,
+                                 engine=engine,
+                                 directory_format=args.directory_format)
     report = engine.last_report
     print(out["text"])
     print("\nsweep %s: %d jobs (%d unique), %d executed, %d cached, "
           "%d workers, %.2fs"
           % (args.name, report.total, report.unique, report.executed,
-             report.cached, engine.effective_jobs, elapsed))
+             report.cached, engine.effective_jobs, report.elapsed))
     if args.json_out:
-        _write_sweep_json(args, report, round_times)
-        print("wrote %s" % args.json_out)
+        _write_json(args.json_out,
+                    dict(dataclasses.asdict(report), name=args.name))
     return 0
-
-
-def _write_sweep_json(args, report, round_times):
-    """A BENCH_*.json-style record: the subset of the pytest-benchmark
-    schema our tooling reads (one benchmark entry, real per-round stats
-    when ``--rounds`` > 1), plus a ``sweep`` block with the
-    cache/executed accounting."""
-    import statistics
-
-    name = "sweep[%s]" % args.name
-    elapsed = sum(round_times)
-    mean = statistics.mean(round_times)
-    record = {
-        "machine_info": {
-            "python_version": platform.python_version(),
-            "cpu_count": os.cpu_count(),
-        },
-        "datetime": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "benchmarks": [{
-            "group": "sweep",
-            "name": name,
-            "fullname": "repro sweep %s" % args.name,
-            "params": {"scale": args.scale, "seed": args.seed,
-                       "jobs": args.jobs},
-            "stats": {
-                "min": min(round_times), "max": max(round_times),
-                "mean": mean, "median": statistics.median(round_times),
-                "stddev": (statistics.stdev(round_times)
-                           if len(round_times) > 1 else 0.0),
-                "rounds": len(round_times),
-                "iterations": 1, "total": elapsed,
-                "ops": (1.0 / mean) if mean else 0.0,
-            },
-            "extra_info": {
-                "total_jobs": report.total,
-                "unique_jobs": report.unique,
-                "executed": report.executed,
-                "cached": report.cached,
-            },
-        }],
-        "sweep": {
-            "name": args.name,
-            "total": report.total,
-            "unique": report.unique,
-            "executed": report.executed,
-            "cached": report.cached,
-            "elapsed_s": elapsed,
-            "job_seconds": report.job_seconds,
-        },
-    }
-    with open(args.json_out, "w") as fileobj:
-        json.dump(record, fileobj, indent=2, sort_keys=True)
 
 
 def cmd_profile(args):
@@ -1026,7 +913,6 @@ COMMANDS = {
     "run": cmd_run,
     "arena": cmd_arena,
     "scale": cmd_scale,
-    "experiment": cmd_experiment,
     "verify": cmd_verify,
     "area": cmd_area,
     "trace": cmd_trace,

@@ -5,7 +5,7 @@ per node — exact invalidations).  Real machines at larger scales compress
 the vector, trading directory SRAM for extra invalidation traffic; this
 module implements the two classic compressed formats so their interaction
 with the producer-consumer mechanisms can be studied as an ablation
-(``benchmarks/bench_ablation_directory.py``):
+(the directory-format ablation in ``tests/test_paper_claims.py``):
 
 ``full``
     One bit per node.  Invalidations go exactly to the sharers.

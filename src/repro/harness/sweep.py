@@ -789,10 +789,10 @@ class SweepEngine:
     def _execute(self, misses, payloads, times, report):
         if self.effective_jobs == 1 or len(misses) == 1:
             # Serial in-process runs pause the cyclic GC: simulations
-            # allocate heavily (events, payload dicts) but the message
-            # pool and per-job teardown bound real garbage, so the
-            # per-collection pauses are pure overhead (~10% of a sweep).
-            # One collect at the end reclaims the Systems' cycles.
+            # allocate heavily (events, messages, payload dicts), which
+            # triggers collections constantly, yet reference counting
+            # frees almost all of it; the cyclic garbage is each
+            # finished System, which one collect at the end reclaims.
             gc_was_enabled = gc.isenabled()
             if gc_was_enabled:
                 gc.disable()

@@ -6,7 +6,7 @@ lines and false sharing are never optimised.  The paper's conclusion
 proposes "more sophisticated predictors, e.g., one that can detect
 producer-consumer behavior in the face of false sharing and multiple
 writers" — this module implements that extension so the trade-off can be
-measured (``benchmarks/bench_ablation_detector.py``):
+measured (the detector ablation in ``tests/test_paper_claims.py``):
 
 * :class:`MultiWriterDetector` tolerates a small set of alternating
   writers: a line is marked producer-consumer when writes from *within a

@@ -36,17 +36,21 @@ class TestRun:
 
 
 class TestExperiment:
+    """Serial, in-process regeneration of one paper artefact."""
+
     def test_table3(self, capsys):
-        assert main(["experiment", "table3", "--scale", "0.25"]) == 0
+        assert main(["sweep", "table3", "--scale", "0.25", "--jobs", "1",
+                     "--no-cache", "--quiet"]) == 0
         assert "Table 3" in capsys.readouterr().out
 
     def test_figure10(self, capsys):
-        assert main(["experiment", "figure10", "--scale", "0.25"]) == 0
+        assert main(["sweep", "figure10", "--scale", "0.25", "--jobs", "1",
+                     "--no-cache", "--quiet"]) == 0
         assert "hop" in capsys.readouterr().out
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
-            main(["experiment", "figure99"])
+            main(["sweep", "figure99", "--jobs", "1"])
 
 
 class TestVerify:
@@ -130,19 +134,26 @@ class TestSweep:
         assert not (tmp_path / "cache").exists()
 
     def test_json_timing_record(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_sweep.json"
-        assert main(["sweep", "table3", "--scale", "0.1", "--quiet",
-                     "--cache-dir", str(tmp_path / "cache"),
-                     "--json", str(out)]) == 0
+        out = tmp_path / "sweep.json"
+        args = ["sweep", "table3", "--scale", "0.1", "--quiet",
+                "--cache-dir", str(tmp_path / "cache"), "--json", str(out)]
+        assert main(args) == 0
         capsys.readouterr()
         doc = json.loads(out.read_text())
-        bench = doc["benchmarks"][0]
-        assert bench["name"] == "sweep[table3]"
-        assert bench["stats"]["rounds"] == 1
-        assert bench["stats"]["mean"] > 0
-        assert doc["sweep"]["name"] == "table3"
-        assert doc["sweep"]["executed"] > 0
-        assert doc["sweep"]["cached"] == 0
+        assert set(doc) == {"name", "total", "unique", "executed", "cached",
+                            "elapsed", "job_seconds", "crashes", "retries"}
+        assert doc["name"] == "table3"
+        assert doc["total"] == doc["unique"] == doc["executed"] > 0
+        assert doc["cached"] == 0
+        assert doc["elapsed"] > 0
+        assert len(doc["job_seconds"]) == doc["unique"]
+        assert doc["crashes"] == doc["retries"] == 0
+        # The second pass is served from the cache.
+        assert main(args) == 0
+        capsys.readouterr()
+        doc = json.loads(out.read_text())
+        assert doc["executed"] == 0
+        assert doc["cached"] == doc["unique"] > 0
 
     def test_unknown_sweep_rejected(self):
         with pytest.raises(SystemExit):

@@ -4,8 +4,8 @@ Covers the ISSUE-mandated guarantees: histogram bucket math, tracer
 determinism (same seed + config => byte-identical JSONL), Perfetto export
 schema sanity (valid JSON, monotone timestamps per track), sampling
 controls, and the disabled-tracing overhead guard (<5% cycle delta on a
-bench_micro-sized run — in fact zero, since tracing must never perturb
-the simulation).
+small run — in fact zero, since tracing must never perturb the
+simulation).
 """
 
 import json
@@ -333,7 +333,7 @@ class TestSampling:
 
 class TestOverheadGuard:
     def test_disabled_tracing_does_not_perturb_simulation(self):
-        """bench_micro-sized guard: the no-op fast path must leave the
+        """Small-run guard: the no-op fast path must leave the
         simulated timeline untouched (<5% cycle delta; actually 0)."""
         plain = run_app(APP, small(), scale=SCALE)
         traced = run_app(APP, small(), scale=SCALE, trace=Tracer())

@@ -7,6 +7,7 @@ from repro.analysis.report import (
     headline_section,
     table3_section,
 )
+from repro.harness.sweep import SOURCE_ROOT, SweepEngine, source_digest
 
 
 class TestSections:
@@ -23,9 +24,14 @@ class TestSections:
 
 class TestFullReport:
     @pytest.mark.slow
-    def test_full_report_structure(self):
-        # Tiny scale: this runs every experiment once.
-        report = full_report(scale=0.2)
+    def test_full_report_structure(self, tmp_path):
+        # Tiny scale: this runs every experiment once; the second report
+        # replays every simulation from the cache.
+        engine = SweepEngine(jobs=1, cache=True, cache_dir=str(tmp_path))
+        report = full_report(scale=0.2, engine=engine)
+        assert full_report(scale=0.2, engine=engine) == report
+        assert engine.last_report.executed == 0
+        assert source_digest(SOURCE_ROOT) in report
         for heading in ("# EXPERIMENTS", "## Table 3", "## Figure 7",
                         "## Headline", "## Figure 8", "## Figure 9",
                         "## Figure 10", "## Figure 11", "## Figure 12",

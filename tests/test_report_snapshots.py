@@ -6,9 +6,9 @@ the CLI before the miss-latency histograms moved from the tracer into the
 always-on run stats, so they pin the p50/p95 columns (and every other
 cell) across that change.  The sweep golden was captured before the
 sweep engine and the job service shared one worker pool.  Only the
-run-dependent footer (wall time, worker count) and the scale record's
-timing envelope are left out; ``repro sweep --json`` is a timing record,
-so only its text is pinned.
+run-dependent footer (wall time, worker count) is left out; ``repro
+sweep --json`` is the sweep's executed/cached accounting, so only its
+text is pinned.
 
 To regenerate after an intended report change::
 
@@ -37,11 +37,8 @@ SNAPSHOTS = {
               "--jobs", "1"],
 }
 
-#: The part of each ``--json`` document that is pinned (None: text only).
-JSON_DOCS = {
-    "scale": lambda doc: doc["scale"],  # drop the timing/machine envelope
-    "arena": lambda doc: doc,
-}
+#: The reports whose whole ``--json`` document is pinned too.
+JSON_DOCS = ("scale", "arena")
 
 
 def render(name, work_dir):
@@ -60,7 +57,7 @@ def render(name, work_dir):
     if name not in JSON_DOCS:
         return text, None
     with open(json_path) as fileobj:
-        doc = JSON_DOCS[name](json.load(fileobj))
+        doc = json.load(fileobj)
     return text, json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

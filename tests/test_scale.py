@@ -146,12 +146,9 @@ class TestScaleCLI:
         assert "[16 nodes]" in out
         assert "scale: 2 cells" in out
         doc = json.loads(out_path.read_text())
-        assert doc["benchmarks"][0]["group"] == "scale"
-        assert len(doc["scale"]["rows"]) == 2
-        # The record names the sweep in the CLI's own strings.
-        params = doc["benchmarks"][0]["params"]
-        assert params["nodes"] == "16"
-        assert params["formats"] == "full,limited:2"
+        assert len(doc["rows"]) == 2
+        assert {(row["nodes"], row["format"]) for row in doc["rows"]} == {
+            (16, "full"), (16, "limited:2")}
 
 
 def storm_oracles_clean(num_nodes, directory_format, protocol="adaptive",

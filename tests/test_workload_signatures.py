@@ -80,7 +80,7 @@ class TestTable3Signatures:
     def test_mg_mostly_single(self, builds):
         # The static union over the whole run overcounts consumers for
         # churned apps (Table 3 measures per-write episodes; the dynamic
-        # detector histogram in bench_table3 matches the paper's 78%).
+        # detector histogram in test_paper_claims matches the paper's 78%).
         dist = distribution(builds["mg"])
         assert dist["1"] > 40
         assert dist["1"] == max(dist.values())  # still the dominant bucket
