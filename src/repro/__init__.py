@@ -21,55 +21,53 @@ Quickstart::
     base = run_app("em3d", baseline())
     enh = run_app("em3d", small())
     print("speedup:", base.metrics.cycles / enh.metrics.cycles)
+
+The names below are resolved on first access (PEP 562), so importing one
+subpackage — ``repro.mc`` for ``repro verify``, say — does not import the
+simulator (``docs/performance.md``, "Start-up").
 """
 
-from .common import (
-    EVALUATED_SYSTEMS,
-    CacheConfig,
-    ProtocolConfig,
-    SystemConfig,
-    baseline,
-    delegation_only,
-    enhanced,
-    large,
-    rac_only,
-    small,
-)
-from .harness import experiments, run_app, run_matrix
-from .obs import TraceConfig, Tracer
-from .sim import Barrier, Compute, Read, RunResult, System, Write
-from .workloads import application_names, get_workload, synthetic
+import importlib
 
-try:  # single-sourced from pyproject.toml via the installed metadata
-    from importlib.metadata import PackageNotFoundError, version as _version
+#: Public name -> the module (relative to this package) that defines it.
+_EXPORTS = {
+    **dict.fromkeys(("EVALUATED_SYSTEMS", "CacheConfig", "ProtocolConfig",
+                     "SystemConfig", "baseline", "delegation_only",
+                     "enhanced", "large", "rac_only", "small"),
+                    ".common.params"),
+    **dict.fromkeys(("experiments", "run_app", "run_matrix"), ".harness"),
+    **dict.fromkeys(("TraceConfig", "Tracer"), ".obs"),
+    **dict.fromkeys(("Barrier", "Compute", "Read", "RunResult", "System",
+                     "Write"), ".sim"),
+    **dict.fromkeys(("application_names", "get_workload", "synthetic"),
+                    ".workloads"),
+}
 
-    __version__ = _version("repro")
-except PackageNotFoundError:  # running from a source tree, not installed
-    __version__ = "0.0.0+unknown"
-del _version, PackageNotFoundError
+__all__ = [*_EXPORTS, "__version__"]
 
-__all__ = [
-    "EVALUATED_SYSTEMS",
-    "CacheConfig",
-    "ProtocolConfig",
-    "SystemConfig",
-    "baseline",
-    "delegation_only",
-    "enhanced",
-    "large",
-    "rac_only",
-    "small",
-    "experiments",
-    "run_app",
-    "run_matrix",
-    "Barrier",
-    "Compute",
-    "Read",
-    "RunResult",
-    "System",
-    "Write",
-    "application_names",
-    "get_workload",
-    "synthetic",
-    "__version__",
-]
+
+def __getattr__(name):
+    if name == "__version__":
+        value = _version()
+    elif name in _EXPORTS:
+        value = getattr(importlib.import_module(_EXPORTS[name], __name__),
+                        name)
+    else:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
+def _version():
+    # Single-sourced from pyproject.toml via the installed metadata.
+    from importlib.metadata import PackageNotFoundError, version
+
+    try:
+        return version("repro")
+    except PackageNotFoundError:  # running from a source tree, not installed
+        return "0.0.0+unknown"
