@@ -249,9 +249,11 @@ class HomeMixin:
             return
         if entry.owner != owner:
             return
+        requester = busy.requester
         self.send(Message(MsgType.INTERVENTION, src=self.node, dst=owner,
                           addr=addr,
-                          payload={"mode": mode, "requester": busy.requester}))
+                          payload={"mode": mode, "requester": requester,
+                                   "hops": 2 if requester == self.node else 3}))
 
     # -- writebacks ---------------------------------------------------------------
 

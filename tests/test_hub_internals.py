@@ -12,6 +12,7 @@ from repro.common import small
 from repro.common.errors import ProtocolError, UnhandledMessageError
 from repro.directory import DirState
 from repro.network import Message, MsgType
+from repro.protocol.transactions import PathClass
 from repro.sim import System
 
 LINE = 0x100000
@@ -140,6 +141,42 @@ class TestWritebackPaths:
                                 addr=LINE))
         assert entry.state is DirState.SHARED
         assert entry.sharers == {1}
+
+
+class TestInterventionRetry:
+    @pytest.mark.parametrize("write", [False, True], ids=["read", "write"])
+    @pytest.mark.parametrize("requester, path", [(0, PathClass.TWO_HOP),
+                                                 (2, PathClass.THREE_HOP)])
+    def test_busy_retry_keeps_hop_count(self, system, write, requester,
+                                        path):
+        """An owner that NACKs an intervention "busy" is sent it again; the
+        retry carries the first send's hop count, so a miss by the home's
+        own CPU still completes as a 2-hop miss."""
+        system.address_map.place_range(LINE, 128, 0)
+        owner = system.hubs[1]
+        owner.request_write(LINE, 7, lambda _path: None)
+        system.events.run()
+        table = owner._handler_array
+        index = MsgType.INTERVENTION.index
+        on_intervention = table[index]
+
+        def busy_once(msg):
+            # As if the owner's own miss were still completing.
+            table[index] = on_intervention
+            owner.send(Message(MsgType.NACK, src=1, dst=0, addr=LINE,
+                               payload={"for": "intervention",
+                                        "reason": "busy"}))
+
+        table[index] = busy_once
+        paths = []
+        hub = system.hubs[requester]
+        if write:
+            hub.request_write(LINE, 8, paths.append)
+        else:
+            hub.request_read(LINE, paths.append)
+        system.events.run()
+        assert table[index] is on_intervention  # the owner NACKed once
+        assert paths == [path]
 
 
 class TestDelegationMessages:
