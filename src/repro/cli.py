@@ -509,16 +509,15 @@ def cmd_trace(args):
     else:
         export_perfetto(tracer, args.out)
     summary = run.obs or {}
-    counters = summary.get("counters", {})
     rows = [
         ["cycles", run.metrics.cycles],
         ["spans recorded", len(tracer.spans)],
         ["events recorded", len(tracer.events)],
         ["misses traced (all paths)",
          sum(h["count"] for h in summary.get("miss_latency", {}).values())],
-        ["delegations", counters.get("event.dele.accepted", 0)],
-        ["update pushes", counters.get("event.update.push", 0)],
-        ["NACKs", counters.get("event.nack", 0)],
+        ["delegations", run.stats.get("dele.accepted", 0)],
+        ["update pushes", run.stats.get("update.intervention", 0)],
+        ["NACKs", run.stats.get("protocol.nack", 0)],
     ]
     print(render_table(["metric", "value"], rows,
                        title="%s on %s (scale %.2f) -> %s [%s]"

@@ -9,7 +9,7 @@ Pass ``trace=`` to record an observability trace of the run (see
 :mod:`repro.obs`): a :class:`~repro.obs.Tracer` to use directly, a
 :class:`~repro.obs.TraceConfig` to build one from, or ``True`` for a
 default full-fidelity tracer.  The tracer ends up on ``AppRun.trace`` and
-its metrics summary on ``AppRun.obs``.  Miss-latency and retry histograms
+its histogram summary on ``AppRun.obs``.  Miss-latency and retry histograms
 need no tracer: every run carries them on ``AppRun.latency``.
 """
 

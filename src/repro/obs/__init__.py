@@ -1,7 +1,7 @@
 """``repro.obs`` — observability for the coherence simulator.
 
 Transaction-level tracing (:class:`Tracer`, :class:`TraceConfig`),
-streaming metrics (:class:`ObsMetrics`, :class:`Histogram`, the always-on
+streaming histograms (:class:`Histogram`, the always-on
 :class:`MissCounts`) and trace exporters (Perfetto/Chrome JSON, JSONL).
 See ``docs/observability.md``.
 
@@ -23,14 +23,13 @@ from .export import (
     jsonl_text,
     to_perfetto,
 )
-from .metrics import Histogram, MissCounts, ObsMetrics, exponential_bounds
+from .metrics import Histogram, MissCounts, exponential_bounds
 from .tracer import Event, Span, TraceConfig, Tracer
 
 __all__ = [
     "Event",
     "Histogram",
     "MissCounts",
-    "ObsMetrics",
     "Span",
     "TraceConfig",
     "Tracer",

@@ -2,11 +2,11 @@
 
 Perfetto (https://ui.perfetto.dev) and ``chrome://tracing`` both read the
 Chrome trace-event JSON format: one process ("pid") per simulated node,
-with the hub's transaction spans, delegation lifetimes and CPU stall
-windows on separate named threads ("tid") so spans nest visually under
-each node.  Timestamps are simulation cycles written to the ``ts``/``dur``
-microsecond fields — absolute units don't matter for inspection, relative
-ones do.
+with two named threads ("tid") per node: "hub transactions" (miss spans
+and point events) and "delegation" (delegation lifetimes), so spans nest
+visually under each node.  Timestamps are simulation cycles written to
+the ``ts``/``dur`` microsecond fields — absolute units don't matter for
+inspection, relative ones do.
 
 The JSONL exporter writes one JSON object per record in deterministic
 timeline order; traces of the same (workload, config, seed) are
@@ -21,15 +21,11 @@ from .tracer import Span
 #: Thread ids within each node's Perfetto process, in display order.
 TID_HUB = 0          # transaction spans + point events
 TID_DELEGATION = 1   # delegation lifetime spans
-TID_CPU = 2          # CPU stall windows
 
 _THREAD_NAMES = {
     TID_HUB: "hub transactions",
     TID_DELEGATION: "delegation",
-    TID_CPU: "cpu stall",
 }
-
-_SPAN_TIDS = {"delegation": TID_DELEGATION, "cpu.stall": TID_CPU}
 
 
 def _span_perfetto(span):
@@ -45,7 +41,7 @@ def _span_perfetto(span):
     return {
         "ph": "X",
         "pid": span.node,
-        "tid": _SPAN_TIDS.get(span.kind, TID_HUB),
+        "tid": TID_DELEGATION if span.kind == "delegation" else TID_HUB,
         "ts": span.start,
         "dur": end - span.start,
         "name": "%s 0x%x" % (span.kind, span.addr),

@@ -1,10 +1,11 @@
-"""Streaming observability metrics: counters and fixed-bucket histograms.
+"""Streaming observability metrics: fixed-bucket histograms.
 
 Unlike :class:`repro.common.stats.Stats` — the simulator's terminal
 counters — these metrics keep *distributions*: miss latency by hop class,
 NACK/retry counts per transaction, and intervention-delay occupancy.
 Miss latency and retries are always on (:class:`MissCounts`, one per
-:class:`~repro.sim.System`); the rest is collected only by a tracer.
+:class:`~repro.sim.System`); intervention occupancy is collected only by
+a :class:`~repro.obs.Tracer`.
 Everything is streaming so full-scale runs can keep metrics on even when
 span recording is sampled down.
 
@@ -198,34 +199,3 @@ def miss_percentiles(latency, fractions=(0.50, 0.95)):
     for doc in latency["miss_latency"].values():
         merged.merge(Histogram.from_dict(doc))
     return [merged.percentile(fraction) for fraction in fractions]
-
-
-class ObsMetrics:
-    """All streaming metrics one traced run produces.
-
-    * ``misses`` — the miss-latency-by-hop-class and retry counts.  A
-      traced :class:`~repro.sim.System` shares its always-on
-      :class:`MissCounts` here, so each miss is recorded once.
-    * ``intervention_occupancy`` — cycles a delayed intervention stayed
-      armed before firing or being cancelled/superseded.
-    * ``counters`` — streaming event counters (``span.*``, ``event.*``).
-    """
-
-    def __init__(self):
-        self.misses = MissCounts()
-        self.intervention_occupancy = Histogram(OCCUPANCY_BOUNDS)
-        self.counters = defaultdict(int)
-
-    def inc(self, name, amount=1):
-        self.counters[name] += amount
-
-    def record_occupancy(self, cycles):
-        self.intervention_occupancy.record(cycles)
-
-    def summary(self):
-        """A plain-dict snapshot for ``RunResult.extras["obs"]``."""
-        summary = self.misses.summary()
-        summary["intervention_occupancy"] = (
-            self.intervention_occupancy.to_dict())
-        summary["counters"] = dict(sorted(self.counters.items()))
-        return summary

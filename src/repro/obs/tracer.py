@@ -1,20 +1,26 @@
 """Transaction-level tracer for the coherence simulator.
 
-The tracer records two kinds of things:
+The tracer records the causal chain of the paper's two mechanisms —
+miss, NACK, delegation, update push, RAC hit — and nothing the
+simulator's :class:`~repro.common.stats.Stats` already counts:
 
 * **Transaction spans** — one per processor miss, from issue to grant,
   with every (re)issue attempt, every NACK, the final path class
   (local / 2-hop / 3-hop) and retry count.  Delegation lifetimes
-  (DELEGATE accepted → UNDELE sent) and CPU stall windows are spans too.
-* **Point events** — delegation initiation/decline, undelegation,
+  (DELEGATE accepted → UNDELE sent) are spans too.  A load or store that
+  loses its freshly filled line before replaying shows up as a second
+  miss span.
+* **Point events** — delegation initiation/decline/return,
   speculative-update pushes and receipts, RAC hits, intervention
-  arm/fire/cancel, and (optionally) every network message.
+  arm/fire/cancel/abandon, and (optionally) every network message.
+  ``intervention.fired`` is derived here: a push from a node with an
+  armed intervention on the line resolves it as fired.
 
 The simulator's hot paths guard every call with ``if tracer is not None``,
 so a disabled tracer (the default) costs one attribute load and a branch —
-the no-op fast path.  When enabled, *metrics* (histograms, counters — see
-:class:`repro.obs.metrics.ObsMetrics`; the miss-latency and retry
-histograms are the System's always-on ones) are always full-fidelity, while
+the no-op fast path.  When enabled, the histograms (the System's always-on
+miss-latency and retry counts, plus the intervention occupancy collected
+here — see :meth:`Tracer.summary`) are always full-fidelity, while
 span/event *records* obey the sampling controls in :class:`TraceConfig`:
 restrict by node, by address range, or keep 1-in-N transactions.
 
@@ -26,7 +32,7 @@ node ids, tracer-local sequence numbers), so a trace of a given
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from .metrics import ObsMetrics
+from .metrics import OCCUPANCY_BOUNDS, Histogram, MissCounts
 
 
 @dataclass(frozen=True)
@@ -36,7 +42,7 @@ class TraceConfig:
     ``sample_every`` keeps 1-in-N transaction spans (1 = keep all);
     ``nodes`` restricts records to these requester nodes; ``addr_ranges``
     is an iterable of ``(start, end)`` half-open byte ranges.  Filters
-    apply to span/event records only — metrics always see everything.
+    apply to span/event records only — histograms always see everything.
     ``capture_messages`` additionally records one event per network
     message (large; best combined with address filters).
     """
@@ -64,7 +70,7 @@ class Span:
     """One traced interval on a node's timeline."""
 
     sid: int                 # tracer-local id, stable across same-seed runs
-    kind: str                # "miss.read" / "miss.write" / "delegation" / "cpu.stall"
+    kind: str                # "miss.read" / "miss.write" / "delegation"
     node: int
     addr: int
     start: int
@@ -93,11 +99,17 @@ class Event:
 
 
 class Tracer:
-    """Collects spans, events and metrics for one simulation run."""
+    """Collects spans, events and histograms for one simulation run.
+
+    A traced :class:`~repro.sim.System` shares its always-on
+    :class:`~repro.obs.metrics.MissCounts` into ``misses``, so each miss
+    is recorded once.
+    """
 
     def __init__(self, config=None):
         self.config = config if config is not None else TraceConfig()
-        self.metrics = ObsMetrics()
+        self.misses = MissCounts()
+        self.intervention_occupancy = Histogram(OCCUPANCY_BOUNDS)
         self.spans = []
         self.events = []
         self._seq = 0
@@ -130,7 +142,6 @@ class Tracer:
     # -- transaction spans (requester side) ---------------------------------
 
     def miss_begin(self, node, addr, kind, now):
-        self.metrics.inc("span.miss.%s" % kind)
         if not self._sample_txn(node, addr):
             self._miss_spans[node] = None
             return
@@ -145,14 +156,13 @@ class Tracer:
                                   "mtype": mtype})
 
     def miss_nack(self, node, addr, now, reason="nack"):
-        self.metrics.inc("event.nack")
         span = self._miss_spans.get(node)
         if span is not None and span.addr == addr:
             span.nacks.append({"ts": now, "reason": reason})
 
     def miss_end(self, node, addr, now, path, retries):
         # Latency and retries are counted by the always-on MissCounts the
-        # System shares into self.metrics; only the span is recorded here.
+        # System shares into self.misses; only the span is recorded here.
         span = self._miss_spans.pop(node, None)
         if span is not None and span.addr == addr:
             span.end = now
@@ -163,7 +173,6 @@ class Tracer:
     # -- delegation lifetime spans (producer side) --------------------------
 
     def delegation_begin(self, node, addr, now):
-        self.metrics.inc("event.dele.accepted")
         if not self._in_filters(node, addr):
             return
         self._dele_spans[(node, addr)] = Span(
@@ -171,45 +180,27 @@ class Tracer:
             start=now)
 
     def delegation_end(self, node, addr, now, reason):
-        self.metrics.inc("event.dele.undelegate.%s" % reason)
         span = self._dele_spans.pop((node, addr), None)
         if span is not None:
             span.end = now
             span.outcome = reason
             self.spans.append(span)
 
-    # -- CPU stall spans ----------------------------------------------------
-
-    def cpu_stall(self, node, addr, kind, start, end):
-        """One completed CPU block window (miss start -> load/store replay)."""
-        self.metrics.inc("span.cpu_stall")
-        if not self._in_filters(node, addr):
-            return
-        self.spans.append(Span(
-            sid=self._next_id(), kind="cpu.stall", node=node, addr=addr,
-            start=start, end=end, outcome=kind))
-
     # -- point events -------------------------------------------------------
 
     def event(self, name, node, addr, now, **args):
-        self.metrics.inc("event.%s" % name)
         if not self._in_filters(node, addr):
             return
         self.events.append(Event(eid=self._next_id(), name=name, node=node,
                                  addr=addr, ts=now, args=args))
 
-    def rac_hit(self, node, addr, now, kind):
-        self.event("rac.hit", node, addr, now, kind=kind)
-
-    def rac_miss(self, node, addr, now):
-        self.event("rac.miss", node, addr, now)
-
     def update_push(self, node, addr, now, targets, pruned):
+        """A speculative-update push; resolves an armed intervention on the
+        line as ``fired`` first (a push with nothing armed — Dragon's
+        non-home writers — fires nothing)."""
+        self.intervention_resolved(node, addr, now, "fired")
         self.event("update.push", node, addr, now, targets=targets,
                    pruned=pruned)
-
-    def update_recv(self, node, addr, now, src, outcome):
-        self.event("update.recv", node, addr, now, src=src, outcome=outcome)
 
     # -- delayed-intervention occupancy -------------------------------------
 
@@ -217,8 +208,7 @@ class Tracer:
         previous = self._armed.get((node, addr))
         if previous is not None:
             # Re-armed before firing: the old arm is superseded.
-            self.metrics.record_occupancy(now - previous)
-            self.metrics.inc("event.intervention.superseded")
+            self.intervention_occupancy.record(now - previous)
         self._armed[(node, addr)] = now
         self.event("intervention.armed", node, addr, now)
 
@@ -231,7 +221,7 @@ class Tracer:
         armed_at = self._armed.pop((node, addr), None)
         if armed_at is None:
             return
-        self.metrics.record_occupancy(now - armed_at)
+        self.intervention_occupancy.record(now - armed_at)
         self.event("intervention.%s" % outcome, node, addr, now)
 
     # -- network messages (optional, heavy) ---------------------------------
@@ -243,6 +233,13 @@ class Tracer:
                    mtype=msg.mtype.label, remote=remote)
 
     # -- lifecycle ----------------------------------------------------------
+
+    def summary(self):
+        """A plain-dict snapshot for ``RunResult.extras["obs"]``."""
+        summary = self.misses.summary()
+        summary["intervention_occupancy"] = (
+            self.intervention_occupancy.to_dict())
+        return summary
 
     def finalize(self, now):
         """Close the run: flush still-open spans as unfinished records."""

@@ -287,9 +287,6 @@ class ProducerMixin:
                                                   self.events.now, "abandoned")
             return
         self.stats.inc(S.INTERVENTIONS)
-        if self.tracer is not None:
-            self.tracer.intervention_resolved(self.node, addr,
-                                              self.events.now, "fired")
         value = self.hierarchy.downgrade(addr)
         delegated = (self.producer_table is not None
                      and addr in self.producer_table)
@@ -372,23 +369,19 @@ class ProducerMixin:
             # the in-flight reply (carrying the same data) completes the
             # miss moments later — every request keeps exactly one response.
             self.stats.inc("update.rendezvous")
-            if self.tracer is not None:
-                self.tracer.update_recv(self.node, addr, self.events.now,
-                                        msg.src, "rendezvous")
+            outcome = "rendezvous"
             if self.rac is not None:
                 self.rac.insert_update(addr, msg.value)
-            return
-        if self.hierarchy.state_of(addr).readable:
+        elif self.hierarchy.state_of(addr).readable:
             self.stats.inc("update.stale")
-            if self.tracer is not None:
-                self.tracer.update_recv(self.node, addr, self.events.now,
-                                        msg.src, "stale")
-            return
+            outcome = "stale"
+        else:
+            outcome = "accepted"
+            if self.rac is not None:
+                self.rac.insert_update(addr, msg.value)
         if self.tracer is not None:
-            self.tracer.update_recv(self.node, addr, self.events.now,
-                                    msg.src, "accepted")
-        if self.rac is not None:
-            self.rac.insert_update(addr, msg.value)
+            self.tracer.event("update.recv", self.node, addr,
+                              self.events.now, src=msg.src, outcome=outcome)
 
     def _on_update_ack(self, msg):
         entry = self._acting_home_entry(msg.addr)

@@ -51,8 +51,9 @@ class RequesterMixin:
             if rac_line is not None:
                 self.stats.inc(S.HIT_RAC)
                 if self.tracer is not None:
-                    self.tracer.rac_hit(self.node, addr, self.events.now,
-                                        rac_line.kind.value)
+                    self.tracer.event("rac.hit", self.node, addr,
+                                      self.events.now,
+                                      kind=rac_line.kind.value)
                 if rac_line.kind is RacKind.UPDATE:
                     self.stats.inc(S.HIT_RAC_UPDATE)
                 miss.granted = True
@@ -62,8 +63,6 @@ class RequesterMixin:
                 self.events.schedule(self.rac.latency, self._complete_miss,
                                      miss, PathClass.LOCAL)
                 return
-            if self.tracer is not None:
-                self.tracer.rac_miss(self.node, addr, self.events.now)
         self._issue_miss(miss)
 
     def _issue_miss(self, miss):

@@ -63,6 +63,12 @@ class JobSpec:
     raw: dict = field(default_factory=dict)
 
 
+def _is_number(value, types=int):
+    """``isinstance(value, types)``, except that a JSON boolean is never a
+    number (``bool`` subclasses ``int``, so ``true`` would pass as 1)."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def _require(doc, name, types, required=False):
     value = doc.get(name)
     if value is None and not required:
@@ -102,7 +108,7 @@ def resolve_config(doc):
     overrides = {}
     nodes = doc.get("nodes")
     if nodes is not None:
-        if not isinstance(nodes, int) or nodes < 2:
+        if not _is_number(nodes) or nodes < 2:
             raise SpecError("'nodes' must be an int >= 2")
         overrides["num_nodes"] = nodes
     return factory(**overrides)
@@ -111,9 +117,9 @@ def resolve_config(doc):
 def _common_numbers(doc):
     seed = doc.get("seed", 12345)
     scale = doc.get("scale", 1.0)
-    if not isinstance(seed, int):
+    if not _is_number(seed):
         raise SpecError("'seed' must be an int")
-    if not isinstance(scale, (int, float)) or not 0 < scale <= 4.0:
+    if not _is_number(scale, (int, float)) or not 0 < scale <= 4.0:
         raise SpecError("'scale' must be a number in (0, 4]")
     return seed, float(scale)
 
@@ -144,8 +150,7 @@ def _sim_units(doc):
     config = resolve_config(doc)
     seed, scale = _common_numbers(doc)
     num_cpus = doc.get("num_cpus")
-    if num_cpus is not None and (not isinstance(num_cpus, int)
-                                 or num_cpus < 1):
+    if num_cpus is not None and (not _is_number(num_cpus) or num_cpus < 1):
         raise SpecError("'num_cpus' must be a positive int")
     check = doc.get("check_coherence", True)
     if not isinstance(check, bool):
@@ -195,12 +200,11 @@ def _fuzz_units(doc):
     if seeds is None:
         start = doc.get("seed_start", 0)
         count = doc.get("count")
-        if not isinstance(start, int) or not isinstance(count, int) \
-                or count < 1:
+        if not _is_number(start) or not _is_number(count) or count < 1:
             raise SpecError("fuzz needs 'seeds' or 'seed_start' + 'count'")
         seeds = list(range(start, start + count))
     if not isinstance(seeds, list) or not seeds \
-            or not all(isinstance(s, int) for s in seeds):
+            or not all(_is_number(s) for s in seeds):
         raise SpecError("'seeds' must be a non-empty list of ints")
     _, scale = _common_numbers(doc)
     units = []

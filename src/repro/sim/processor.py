@@ -28,7 +28,6 @@ class Processor:
         self.events = system.events
         self.stats = system.stats
         self.checker = system.checker
-        self.tracer = getattr(system, "tracer", None)
         self._ops = iter(ops)
         self.finished = False
         self.finish_time = None
@@ -110,9 +109,6 @@ class Processor:
                                   lambda path: self._finish_read(addr, start))
             return
         self._blocked_since = None
-        if self.tracer is not None:
-            self.tracer.cpu_stall(self.node, addr, "read", start,
-                                  self.events.now)
         if self.checker is not None:
             self.checker.record_read(self.node, addr, result.value,
                                      start, self.events.now)
@@ -150,9 +146,6 @@ class Processor:
                 lambda path: self._finish_write(addr, value, start))
             return
         self._blocked_since = None
-        if self.tracer is not None:
-            self.tracer.cpu_stall(self.node, addr, "write", start,
-                                  self.events.now)
         if self.checker is not None:
             self.checker.record_write(self.node, addr, value,
                                       start, self.events.now)

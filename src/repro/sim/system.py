@@ -38,7 +38,7 @@ class RunResult:
     ``extras["latency"]`` (every run) holds the miss-latency histograms
     per hop class and the retry histogram
     (:meth:`~repro.obs.metrics.MissCounts.summary`); ``extras["obs"]``
-    (traced runs only) adds the tracer's counters and occupancy.
+    (traced runs only) adds the tracer's intervention occupancy.
     """
 
     cycles: int
@@ -71,7 +71,7 @@ class System:
         # tracer's histograms are these same counts (recorded once).
         self.misses = MissCounts()
         if tracer is not None:
-            tracer.metrics.misses = self.misses
+            tracer.misses = self.misses
         # ``chaos`` may be a ChaosConfig or an already-built ChaosPolicy;
         # None (or an all-zero config) installs no policy.
         self.chaos = ChaosPolicy.resolve(chaos, stats=self.stats)
@@ -140,5 +140,5 @@ class System:
         )
         if self.tracer is not None:
             self.tracer.finalize(self.events.now)
-            result.extras["obs"] = self.tracer.metrics.summary()
+            result.extras["obs"] = self.tracer.summary()
         return result

@@ -30,10 +30,13 @@ from repro.fuzz import (
     shrink_scenario,
 )
 from repro.fuzz import engine as engine_mod
+from repro.fuzz import oracles
 from repro.harness.sweep import SweepEngine, SweepJob, job_key
 from repro.network.message import Message, MsgType
+from repro.obs import Tracer
 from repro.protocol.requester import RequesterMixin
 from repro.protocol.transactions import MissKind
+from repro.sim.system import System
 
 
 class TestScenarios:
@@ -109,6 +112,45 @@ class TestRunCase:
             fresh = Message(MsgType.GETS, src=0, dst=1, addr=0x80)
             assert fresh.msg_id == 0
             assert repr(fresh) == "Msg#0(GETS 0->1 0x80)"
+
+
+class TestSpanOracles:
+    """The two oracles that read tracer spans can fire.  They are called
+    directly, not through ``check_quiescence``, so an earlier oracle
+    cannot hide them."""
+
+    SEED = 1  # NACKs at scale 0.5, so some miss span has retries
+
+    def run_traced(self, tracer):
+        scenario = FuzzScenario.from_seed(self.SEED, scale=0.5)
+        build = build_workload(scenario)
+        system = System(scenario.config, check_coherence=True,
+                        tracer=tracer, chaos=scenario.chaos)
+        system.run(build.per_cpu_ops, placements=build.placements,
+                   max_cycles=scenario.max_cycles,
+                   max_events=scenario.max_events)
+        return system
+
+    def test_bounded_retry_fires(self, monkeypatch):
+        tracer = Tracer()
+        system = self.run_traced(tracer)
+        assert system.stats.get("protocol.nack") > 0
+        assert oracles._check_spans(system, tracer) is None
+        monkeypatch.setattr(oracles, "RETRY_BOUND", 0)
+        oracle, message = oracles._check_spans(system, tracer)
+        assert oracle == "bounded-retry"
+        assert "(bound 0)" in message
+
+    def test_txn_terminate_fires(self):
+        class MissNeverEnds(Tracer):
+            def miss_end(self, node, addr, now, path, retries):
+                pass
+
+        tracer = MissNeverEnds()
+        system = self.run_traced(tracer)
+        oracle, message = oracles._check_spans(system, tracer)
+        assert oracle == "txn-terminate"
+        assert "never completed" in message
 
 
 # -- shrinker (unit, with an injectable fake rerun) -------------------------

@@ -10,6 +10,8 @@ simulation).
 
 import json
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -28,6 +30,12 @@ from repro.obs.metrics import MISS_LATENCY_BOUNDS, miss_percentiles
 
 APP = "em3d"
 SCALE = 0.1
+
+
+def _record_counts(tracer):
+    """``(span kinds, event names)`` as Counters over a tracer's records."""
+    return (Counter(span.kind for span in tracer.spans),
+            Counter(event.name for event in tracer.events))
 
 
 @pytest.fixture(scope="module")
@@ -205,7 +213,7 @@ class TestTracedRun:
         run, _ = traced_run
         assert run.obs is not None
         assert set(run.obs) == {"miss_latency", "retries",
-                                "intervention_occupancy", "counters"}
+                                "intervention_occupancy"}
 
     def test_latency_histograms_are_the_always_on_ones(self, traced_run):
         """The tracer reports the run's always-on miss histograms rather
@@ -213,23 +221,43 @@ class TestTracedRun:
         run, tracer = traced_run
         assert run.obs["miss_latency"] == run.latency["miss_latency"]
         assert run.obs["retries"] == run.latency["retries"]
-        assert tracer.metrics.summary()["miss_latency"] == \
+        assert tracer.summary()["miss_latency"] == \
             run.latency["miss_latency"]
         misses = sum(run.stats.get(name, 0) for name in (
             "miss.local", "miss.remote_2hop", "miss.remote_3hop"))
         assert run.latency["retries"]["count"] == misses
 
     def test_metrics_match_stats(self, traced_run):
-        """Histograms must agree with the simulator's own counters."""
-        run, _ = traced_run
+        """Histograms and record streams agree with the simulator's own
+        counters: the tracer records causality, Stats does the counting."""
+        run, tracer = traced_run
         latency = run.obs["miss_latency"]
         assert latency["local"]["count"] == run.stats.get("miss.local", 0)
         assert latency["2hop"]["count"] == run.stats["miss.remote_2hop"]
         assert latency["3hop"]["count"] == run.stats["miss.remote_3hop"]
-        counters = run.obs["counters"]
-        assert counters["event.dele.accepted"] == run.stats["dele.accepted"]
-        assert (counters["event.intervention.fired"]
-                == run.stats["update.intervention"])
+        spans, events = _record_counts(tracer)
+        for kind in ("read", "write"):
+            assert spans["miss." + kind] == (
+                run.stats["miss." + kind]
+                + run.stats.get("miss.%s_replay" % kind, 0))
+        assert spans["delegation"] == run.stats["dele.accepted"] > 0
+        assert events["update.push"] == run.stats["update.intervention"] > 0
+        assert events["intervention.fired"] == run.stats["update.intervention"]
+        assert events["rac.hit"] == run.stats["hit.rac"] > 0
+        assert "cpu.stall" not in spans
+        assert "rac.miss" not in events
+
+    def test_dragon_pushes_without_firing(self):
+        """``intervention.fired`` is derived from ``update.push``: only a
+        push that resolves an armed intervention fires one.  Dragon's
+        non-home writers push without arming, so fired < pushes."""
+        tracer = Tracer()
+        run = run_app(APP, replace(small(), protocol_name="dragon"),
+                      scale=SCALE, trace=tracer)
+        _, events = _record_counts(tracer)
+        assert events["update.push"] == run.stats["update.intervention"]
+        assert 0 < events["intervention.fired"] < events["update.push"]
+        assert events["intervention.fired"] <= events["intervention.armed"]
 
     def test_paper_mechanism_spans_present(self, traced_run):
         """The acceptance criterion: delegation spans + update events."""
@@ -308,6 +336,13 @@ class TestPerfettoExport:
         names = {e["args"]["name"] for e in events
                  if e["ph"] == "M" and e["name"] == "process_name"}
         assert any(name.startswith("node ") for name in names)
+        tracks = {}
+        for e in events:
+            if e["ph"] == "M" and e["name"] == "thread_name":
+                tracks.setdefault(e["pid"], set()).add(e["args"]["name"])
+        assert tracks
+        assert all(names == {"hub transactions", "delegation"}
+                   for names in tracks.values())
 
 
 class TestSampling:
@@ -320,8 +355,8 @@ class TestSampling:
         kept = [s for s in sampled.spans if s.kind.startswith("miss.")]
         assert 0 < len(kept) < len(full_misses)
         # Metrics stay full-fidelity regardless of span sampling.
-        assert (sampled.metrics.summary()["miss_latency"]
-                == full.metrics.summary()["miss_latency"])
+        assert (sampled.summary()["miss_latency"]
+                == full.summary()["miss_latency"])
 
     def test_node_filter(self):
         tracer = Tracer(TraceConfig(nodes=(0,)))
@@ -346,15 +381,32 @@ class TestOverheadGuard:
 
 
 class TestCliTrace:
-    def test_perfetto_out(self, tmp_path, capsys):
-        from repro.cli import main
+    def test_perfetto_out(self, tmp_path, capsys, monkeypatch):
+        from repro import cli
+        runs = []
+
+        def recording_run_app(*args, **kwargs):
+            runs.append(run_app(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "run_app", recording_run_app)
         out = tmp_path / "trace.json"
-        assert main(["trace", APP, "pc", "--scale", "0.05",
-                     "--out", str(out)]) == 0
+        assert cli.main(["trace", APP, "pc", "--scale", "0.05",
+                         "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["traceEvents"]
         text = capsys.readouterr().out
         assert "spans recorded" in text
+        # The mechanism rows are the run's own Stats counters.
+        rows = {}
+        for line in text.splitlines():
+            label, _, value = line.strip().rpartition(" ")
+            rows[label.strip()] = value
+        stats = runs[0].stats
+        assert rows["delegations"] == str(stats["dele.accepted"])
+        assert rows["update pushes"] == str(stats["update.intervention"])
+        assert rows["NACKs"] == str(stats["protocol.nack"])
+        assert stats["dele.accepted"] and stats["update.intervention"]
 
     def test_jsonl_out_with_sampling(self, tmp_path, capsys):
         from repro.cli import main

@@ -76,6 +76,10 @@ class TestSimSpec:
         {"num_cpus": 0},
         {"check_coherence": "yes"},
         {"trace": "yes"},
+        # JSON booleans are not numbers (bool subclasses int).
+        {"seed": True},
+        {"scale": True},
+        {"num_cpus": True},
     ])
     def test_rejects(self, overrides):
         with pytest.raises(SpecError):
@@ -101,6 +105,8 @@ class TestSweepSpec:
         {"kind": "sweep", "apps": []},
         {"kind": "sweep", "apps": ["nope"]},
         {"kind": "sweep", "apps": ["ocean"], "systems": []},
+        {"kind": "sweep", "apps": ["ocean"], "seed": False},
+        {"kind": "sweep", "apps": ["ocean"], "scale": True},
     ])
     def test_rejects(self, doc):
         with pytest.raises(SpecError):
@@ -135,6 +141,10 @@ class TestFuzzSpec:
         {"kind": "fuzz", "seeds": []},
         {"kind": "fuzz", "seeds": ["a"]},
         {"kind": "fuzz", "seed_start": 0, "count": 0},
+        {"kind": "fuzz", "seeds": [True]},
+        {"kind": "fuzz", "seed_start": True, "count": 2},
+        {"kind": "fuzz", "seed_start": 0, "count": True},
+        {"kind": "fuzz", "seeds": [1], "scale": True},
     ])
     def test_rejects(self, doc):
         with pytest.raises(SpecError):
