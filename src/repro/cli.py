@@ -70,7 +70,7 @@ from .harness.sweep import SweepEngine, SweepProgress
 from .protocol import arena as arena_mod
 from .common.errors import (ConfigError, DeadlockError, InvariantViolation,
                             ReproError)
-from .mc import ALL_INVARIANTS, ModelChecker
+from .mc import ALL_INVARIANTS, ModelChecker, StateSpaceExceeded
 from .obs import TraceConfig, Tracer, export_jsonl, export_perfetto
 from .workloads import application_names
 
@@ -416,6 +416,10 @@ def cmd_run(args):
 def cmd_verify(args):
     from .spec import get_spec
     from .spec.mcgen import SpecModel
+    if args.max_states < 1:
+        print("repro verify: error: --max-states must be positive, got %d"
+              % args.max_states, file=sys.stderr)
+        return 2
     try:
         model = SpecModel(
             get_spec(args.protocol), num_nodes=args.nodes, writers=(1,),
@@ -449,7 +453,11 @@ def cmd_verify(args):
                 print("   ", step)
             return 1
         raise AssertionError("the traced re-run found no violation")
-    except ReproError as err:  # StateSpaceExceeded, SpecExecutionError
+    except StateSpaceExceeded as err:
+        # Not a verdict: the space was not exhausted.
+        print("INCOMPLETE: %s; raise --max-states" % err)
+        return 1
+    except ReproError as err:  # SpecExecutionError
         print("VIOLATION: %s" % err)
         return 1
     print("PASS: %d states, %d transitions, depth %d, %.2fs"

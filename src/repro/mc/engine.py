@@ -14,8 +14,18 @@ Models supply:
 * ``invariants`` — callables ``inv(state) -> bool``; ``False`` fails;
 * ``quiescent`` — predicate marking states that are *allowed* to have no
   successors (everything idle, network empty).
+
+With a ``canonicalize`` function the search runs over symmetry classes:
+the visited set and the frontier hold one representative per class, and
+rules fire on representatives only.  Successors of a representative are
+usually representatives already, so canonicalising them is cheap.
+
+The cyclic garbage collector is paused for a run.  States are acyclic
+tuples that reference counting frees, and each full collection would
+otherwise walk the whole, growing, visited set.
 """
 
+import gc
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List
@@ -49,9 +59,11 @@ class ModelChecker:
         configuration has been debugged.
 
         ``canonicalize`` maps a state to its symmetry-class representative
-        (e.g. data-value renaming); the visited set then stores one state
-        per class.  Invariants always run on the *real* state before
-        canonicalisation."""
+        (e.g. data-value renaming).  The checker stores and explores only
+        representatives, so it must return a state of the same class that
+        the rules accept, and it must be idempotent:
+        ``canonicalize(canonicalize(s)) == canonicalize(s)``.  Invariants
+        always run on the *real* successor before canonicalisation."""
         self.initial_states = list(initial_states)
         self.rules = list(rules)
         self.invariants = list(invariants)
@@ -63,20 +75,30 @@ class ModelChecker:
 
     def run(self):
         """Explore everything reachable; raises on any violation."""
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return self._explore()
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+
+    def _explore(self):
+        canonicalize = self.canonicalize
         frontier = deque()
         self._parents = {}
         visited = self._parents if self.track_traces else set()
         rule_counts = {}
         transitions = 0
         for state in self.initial_states:
-            key = self.canonicalize(state)
+            key = canonicalize(state)
             if key not in visited:
                 if self.track_traces:
                     self._parents[key] = None
                 else:
                     visited.add(key)
-                self._check_invariants(state)
-                frontier.append((state, 0))
+                self._check_invariants(state, key)
+                frontier.append((key, 0))
         max_depth = 0
         while frontier:
             state, state_depth = frontier.popleft()
@@ -86,34 +108,37 @@ class ModelChecker:
                     transitions += 1
                     successors += 1
                     rule_counts[label] = rule_counts.get(label, 0) + 1
-                    key = self.canonicalize(nxt)
+                    key = canonicalize(nxt)
                     if key in visited:
                         continue
                     if len(visited) >= self.max_states:
                         raise StateSpaceExceeded(
                             "more than %d states reachable" % self.max_states)
                     if self.track_traces:
-                        self._parents[key] = (self.canonicalize(state), label)
+                        self._parents[key] = (state, label)
                     else:
                         visited.add(key)
                     max_depth = max(max_depth, state_depth + 1)
-                    self._check_invariants(nxt)
-                    frontier.append((nxt, state_depth + 1))
+                    self._check_invariants(nxt, key)
+                    frontier.append((key, state_depth + 1))
             if successors == 0 and not self.quiescent(state):
-                raise DeadlockError(state, self.trace(self.canonicalize(state)))
+                raise DeadlockError(state, self.trace(state))
         return CheckResult(states_explored=len(visited),
                           transitions=transitions, max_depth=max_depth,
                           rule_counts=rule_counts)
 
-    def _check_invariants(self, state):
+    def _check_invariants(self, state, key):
         for invariant in self.invariants:
             if not invariant(state):
                 raise InvariantViolation(
                     getattr(invariant, "__name__", repr(invariant)),
-                    state, self.trace(self.canonicalize(state)))
+                    state, self.trace(key))
 
     def trace(self, state) -> List[str]:
-        """Rule labels from an initial state to ``state`` (counterexample)."""
+        """Rule labels from an initial state to ``state`` (counterexample).
+
+        ``state`` is a symmetry-class representative, as the checker
+        stores it."""
         labels = []
         while True:
             parent = self._parents.get(state)

@@ -18,14 +18,10 @@ Invariant subtleties mirror real protocol behaviour:
 HOME = 0
 
 
-def _unpack(state):
-    return state  # (cur, caches, racs, cpus, home, deleg, hints, net)
-
-
 def single_writer(state):
     """At most one node holds a writable copy, and while one does, no other
     node holds any readable copy (cache S or RAC entry)."""
-    _cur, caches, racs, _cpus, _home, _deleg, _hints, _net = _unpack(state)
+    _cur, caches, racs, _cpus, _home, _deleg, _hints, _net = state
     owners = [n for n, (st, _v) in enumerate(caches) if st in "EM"]
     if len(owners) > 1:
         return False
@@ -44,7 +40,7 @@ def single_writer(state):
 def directory_consistency(state):
     """Outside BUSY windows, the governing directory entry must cover every
     readable copy and agree with the actual owner."""
-    _cur, caches, racs, _cpus, home, deleg, _hints, _net = _unpack(state)
+    _cur, caches, racs, _cpus, home, deleg, _hints, net = state
     hstate, hsharers, howner, _memval, busy = home
     if busy is not None:
         return True  # transient window
@@ -53,16 +49,16 @@ def directory_consistency(state):
                 _deferred) = deleg
         if dbusy:
             return True
-        if hstate != "DELE" or home[2] != dnode:
+        if hstate != "DELE" or howner != dnode:
             # The home may briefly disagree while DELEGATE/UNDELE messages
             # are in flight; those windows have non-empty networks.
-            return len(state[7]) > 0
+            return len(net) > 0
         governing_sharers = dsharers
         governing_owner = downer if dstate == "E" else None
     else:
         if hstate == "DELE":
-            return len(state[7]) > 0  # UNDELE in flight
-        governing_sharers = hsharers if hstate == "S" else hsharers
+            return len(net) > 0  # UNDELE in flight
+        governing_sharers = hsharers
         governing_owner = howner if hstate == "E" else None
     # Every S copy and unpinned RAC copy must be covered by the sharing
     # vector -- unless data messages still in flight explain the gap.
@@ -70,7 +66,7 @@ def directory_consistency(state):
                                "ACK_X", "EX_RESP", "INV", "INV_ACK",
                                "WB", "EVC", "GETS", "GETX", "NACK",
                                "DELEGATE", "UNDELE")
-                    for _pair, queue in state[7] for msg in queue)
+                    for _pair, queue in net for msg in queue)
     if in_flight:
         return True
     for node, (st, _v) in enumerate(caches):
@@ -87,7 +83,7 @@ def directory_consistency(state):
 def value_coherence(state):
     """Quiescent states: every readable copy holds the latest committed
     value, and whoever is authoritative for memory holds it too."""
-    cur, caches, racs, cpus, home, deleg, _hints, net = _unpack(state)
+    cur, caches, racs, cpus, home, deleg, _hints, net = state
     if net or any(cpu is not None for cpu in cpus):
         return True  # only a quiescent-state property
     owner_nodes = [n for n, (st, _v) in enumerate(caches) if st in "EM"]
@@ -116,7 +112,7 @@ def value_coherence(state):
 
 def delegation_wellformed(state):
     """DELE bookkeeping: at most one delegate, and it knows it."""
-    _cur, _caches, racs, _cpus, home, deleg, _hints, net = _unpack(state)
+    _cur, _caches, racs, _cpus, home, deleg, _hints, net = state
     if deleg is None:
         return True
     dnode, entry = deleg

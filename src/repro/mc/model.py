@@ -27,7 +27,9 @@ value-coherence invariant compares copies against ``cur`` in quiescent
 states.  Because values are only ever compared for equality, states that
 differ by a renaming of values are behaviourally identical; :func:`canonical`
 exploits that symmetry (Murphi-style scalarset reduction) to collapse the
-visited set by an order of magnitude.
+visited set by an order of magnitude.  The checker stores and explores only
+these representatives, so the rules fire on canonical states, and the
+successors they yield are mostly canonical already.
 
 State layout (all tuples, hashable)::
 
@@ -173,7 +175,9 @@ def canonical(state: State) -> State:
     """Symmetry-class representative: rename values by first appearance.
 
     Sound because the protocol treats values as opaque tokens compared
-    only for equality; used as the visited-set key by the engine."""
+    only for equality.  The engine explores from the result, so it is a
+    state of the same class that the rules accept, and the function is
+    idempotent: a representative comes back unchanged, and cheaply."""
     rename: dict = {}
     for value in _value_fields(state):
         if value not in rename:

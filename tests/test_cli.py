@@ -86,6 +86,20 @@ class TestVerify:
         assert "at least home + one other node" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_non_positive_state_cap_is_a_usage_error(self, capsys, cap):
+        assert main(["verify", "--max-states", cap]) == 2
+        captured = capsys.readouterr()
+        assert "repro verify: error:" in captured.err
+        assert "--max-states must be positive" in captured.err
+        assert captured.out == ""
+
+    def test_state_cap_hit_is_incomplete_not_a_violation(self, capsys):
+        assert main(["verify", "--max-states", "100"]) == 1
+        out = capsys.readouterr().out
+        assert out == ("INCOMPLETE: more than 100 states reachable; "
+                       "raise --max-states\n")
+
 
 class TestArea:
     def test_small_config_budget(self, capsys):

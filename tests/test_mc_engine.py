@@ -1,9 +1,13 @@
-"""The explicit-state model-checking engine, on toy models."""
+"""The explicit-state model-checking engine, on toy models and on the
+3-node protocol model."""
+
+import gc
 
 import pytest
 
 from repro.common.errors import DeadlockError, InvariantViolation
-from repro.mc import ModelChecker, StateSpaceExceeded
+from repro.mc import (ALL_INVARIANTS, ModelChecker, ProtocolModel,
+                      StateSpaceExceeded)
 
 
 def counter_rules(limit):
@@ -115,3 +119,112 @@ class TestCanonicalization:
         ModelChecker([0], [rules], [record],
                      canonicalize=lambda s: 0).run()
         assert seen == [0]  # every successor collapses to class 0
+
+
+class TestRepresentatives:
+    def test_rules_fire_on_representatives_only(self):
+        seen = []
+
+        def sorted_pair(state):
+            return tuple(sorted(state))
+
+        def rules(state):
+            seen.append(state)
+            a, b = state
+            if a < 2:
+                yield ("a", (a + 1, b))
+            if b < 2:
+                yield ("b", (a, b + 1))
+
+        ModelChecker([(0, 0)], [rules], [],
+                     canonicalize=sorted_pair).run()
+        assert seen and all(sorted_pair(s) == s for s in seen)
+
+    def test_protocol_rules_fire_on_representatives_only(self):
+        model = ProtocolModel()
+        stray = []
+
+        def watched(rule):
+            def fire(state):
+                if model.canonical(state) != state:
+                    stray.append(state)
+                return rule(state)
+            return fire
+
+        result = ModelChecker(model.initial_states(),
+                              [watched(rule) for rule in model.rules()],
+                              ALL_INVARIANTS, quiescent=model.quiescent,
+                              track_traces=False,
+                              canonicalize=model.canonical).run()
+        assert result.states_explored == 3245
+        assert stray == []
+
+    def test_traced_rerun_keeps_the_counterexample(self):
+        """The fast pass and the traced re-run stop at the same state, and
+        the trace is the unordered model's pinned shortest counterexample."""
+        model = ProtocolModel(ordered_channels=False)
+        errors = []
+        for track_traces in (False, True):
+            checker = ModelChecker(model.initial_states(), model.rules(),
+                                   ALL_INVARIANTS, quiescent=model.quiescent,
+                                   track_traces=track_traces,
+                                   canonicalize=model.canonical)
+            with pytest.raises(InvariantViolation) as err:
+                checker.run()
+            errors.append(err.value)
+        fast, traced = errors
+        assert fast.invariant_name == traced.invariant_name == "single_writer"
+        assert fast.state == traced.state
+        assert traced.trace == [
+            "read_2", "write_1", "getx_delegate_unowned_0",
+            "delegate_accept_1", "gets_forward_0", "acting_gets_serve_1",
+            "write_1", "acting_getx_local_1", "inv_apply_2",
+            "inv_ack_count_1", "intervene_1", "write_1",
+            "acting_getx_local_1", "inv_apply_2", "update_during_read_2",
+            "inv_ack_count_1"]
+
+
+class TestGarbageCollector:
+    """A run pauses the cyclic GC and restores the caller's setting."""
+
+    @pytest.fixture(autouse=True)
+    def restore_gc(self):
+        was_enabled = gc.isenabled()
+        yield
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    def test_paused_during_and_restored_after_a_pass(self):
+        gc.enable()
+        seen = []
+
+        def increment(state):
+            seen.append(gc.isenabled())
+            if state < 3:
+                yield ("inc", state + 1)
+
+        ModelChecker([0], [increment], []).run()
+        assert seen == [False] * 4
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"invariants": [lambda s: s < 2]}, InvariantViolation),
+        ({"invariants": [], "quiescent": lambda s: False}, DeadlockError),
+        ({"invariants": [], "max_states": 2}, StateSpaceExceeded),
+    ])
+    def test_restored_after_each_failure(self, kwargs, error):
+        gc.enable()
+        checker = ModelChecker([0], counter_rules(3), **kwargs)
+        with pytest.raises(error):
+            checker.run()
+        assert gc.isenabled()
+
+    def test_caller_disabled_gc_stays_disabled(self):
+        gc.disable()
+        ModelChecker([0], counter_rules(3), []).run()
+        assert not gc.isenabled()
+        with pytest.raises(StateSpaceExceeded):
+            ModelChecker([0], counter_rules(3), [], max_states=2).run()
+        assert not gc.isenabled()

@@ -14,8 +14,12 @@ recall races.  The counts were recorded on the hand-written model the
 spec compiler replaced, so they also pin the two encodings' agreement.
 
 The same runs give the checker its teeth: every transition the spec
-dispatches must actually execute somewhere.
+dispatches must actually execute somewhere.  A sha256 of each passing
+configuration's per-label ``rule_counts`` pins how often every transition
+fires, so a change that keeps the totals but reshapes the graph fails too.
 """
+
+import hashlib
 
 import pytest
 
@@ -43,6 +47,31 @@ PINNED = {
                       **_FOUR), (13379, 45918, 38)),
     "two-writers-3": ({"writers": (1, 2), "readers": (2,)},
                       (42562, 148448, 54)),
+}
+
+
+#: name -> sha256 of the sorted ``rule_counts`` items of each passing
+#: configuration in ``PINNED``: how often every labelled transition fired,
+#: not only the totals.  Recorded before the engine explored from
+#: symmetry-class representatives, so they also pin that exploring a
+#: representative fires the same transitions as the state it stands for.
+RULE_COUNT_DIGESTS = {
+    "dele-upd-3":
+        "ea7542144887b1371b1c2dd05bac292e8e866dae5de3597d5490467d2666cd53",
+    "dele-3":
+        "9d2f6a2091c86f9abf345e445fcc43b7f70924a76428905782db3ebec9e50754",
+    "dele-3-unordered":
+        "27d4d128e6ba3700a6b63b19d293cc45be8e2586557f6b9252fef2c44f6705f4",
+    "nodele-3":
+        "b74d1b7f5f024d873318331f0512bf52009b70e08d29d7ac460c53fd241fead9",
+    "nodele-3-unordered":
+        "48d1607c8c90d32bc5af55eff39f273096f75005bf7cf9a7d36bebe9fb8721f2",
+    "dele-4-noevict":
+        "a9a554ef8bcb2f84af0e9b8e2244a51dbcf52b6427253d837164b95483376dde",
+    "nodele-4":
+        "43aec23d2437d9d667d18c2f9b2a06333a0db37a2a823db74e7d8fea87e2b26b",
+    "two-writers-3":
+        "e94861e11c145a71718bf153e54c18cc0c48aa393f38703341ea4be84682dd95",
 }
 
 
@@ -75,6 +104,22 @@ def test_state_space_is_pinned(outcomes, name):
     else:
         assert (got.states_explored, got.transitions,
                 got.max_depth) == expected
+
+
+def rule_counts_digest(result):
+    return hashlib.sha256(
+        repr(sorted(result.rule_counts.items())).encode()).hexdigest()
+
+
+def test_every_passing_configuration_has_a_rule_count_pin():
+    passing = {name for name, (_kwargs, expected) in PINNED.items()
+               if not isinstance(expected[0], type)}
+    assert passing == set(RULE_COUNT_DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(RULE_COUNT_DIGESTS))
+def test_rule_counts_are_pinned(outcomes, name):
+    assert rule_counts_digest(outcomes[name]) == RULE_COUNT_DIGESTS[name]
 
 
 # -- checker teeth: the spec's transitions really execute ---------------------
