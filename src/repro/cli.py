@@ -72,6 +72,7 @@ from .common.errors import (ConfigError, DeadlockError, InvariantViolation,
                             ReproError)
 from .mc import ALL_INVARIANTS, ModelChecker, StateSpaceExceeded
 from .obs import TraceConfig, Tracer, export_jsonl, export_perfetto
+from .spec.registry import SPEC_NAMES
 from .workloads import application_names
 
 #: Friendly system-preset aliases accepted by ``trace`` (and only there, to
@@ -303,15 +304,11 @@ def build_parser():
     spec_p = sub.add_parser(
         "spec", help="check the guarded-action protocol specs")
     spec_p.add_argument("--protocol", default="all",
-                        choices=("all", "adaptive", "wi", "mesi", "dragon"),
+                        choices=("all",) + SPEC_NAMES,
                         help="restrict to one protocol (default: all)")
     spec_p.add_argument("--root", default=None, metavar="DIR",
                         help="repro package directory to analyze "
                              "(default: this installation's sources)")
-    spec_p.add_argument("--check", action="store_true",
-                        help="run the SPC + conformance checks (the "
-                             "default mode; flag kept for explicitness "
-                             "in CI invocations)")
     spec_p.add_argument("--render", action="store_true",
                         help="print the spec (messages + transitions) "
                              "instead of checking it")
@@ -752,16 +749,19 @@ def _render_spec_diff(spec):
         if t.replay:
             lines.append("  %s: sim replays via %s — %s"
                          % (t.label, t.replay, t.why or "(no why)"))
-    if spec.stripped:
+    from .network.message import MsgType
+    handled = spec.handled()
+    stripped = [mtype.name for mtype in MsgType if mtype.name not in handled]
+    if stripped:
         lines.append("  stripped (handled by the full protocol only): %s"
-                     % ", ".join(spec.stripped))
+                     % ", ".join(stripped))
     return "\n".join(lines)
 
 
 def cmd_spec(args):
     from .lint import (LintReport, Severity, render_json, render_sarif,
                        render_text)
-    from .lint.extract import extract_protocols, extract_sim
+    from .lint.extract import extract_sim
     from .spec import load_spec_tree
     from .spec.analyze import run_spec_checks
     from .spec.conformance import run_conformance
@@ -790,9 +790,8 @@ def cmd_spec(args):
     for name in wanted:
         findings.extend(run_spec_checks(specs[name]))
     sim = extract_sim(root)
-    protocols = extract_protocols(root)
     findings.extend(run_conformance(
-        {name: specs[name] for name in wanted}, sim, protocols))
+        {name: specs[name] for name in wanted}, sim))
     report = LintReport(
         findings=findings, allowlisted=[], stale_allowlist=[],
         root=str(root), allowlist_path=None,

@@ -75,7 +75,8 @@ SOURCE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: Entries under :data:`SOURCE_ROOT` no simulation executes (front end,
 #: static analysis, model checking); editing them keeps cached results.
-NOT_RUN = frozenset({"__main__.py", "cli.py", "lint", "mc", "spec"})
+#: ``spec`` is not among them: the specs decide the hubs' dispatch.
+NOT_RUN = frozenset({"__main__.py", "cli.py", "lint", "mc"})
 
 #: Default cache location, relative to the current working directory.
 CACHE_DIR = ".repro_cache"
@@ -107,12 +108,13 @@ class SweepError(ReproError):
 class SweepJob:
     """One simulation, named by content (what :func:`job_key` hashes).
 
-    ``directory_format`` and ``protocol_name`` are cross-cutting config
-    knobs: when given, they are folded into ``config`` at construction
-    (before any key is computed), so the content hash — and therefore the
-    cache — can never alias a ``coarse:4`` run with a ``full`` one.  This
-    is the native replacement for the retired ``OverrideEngine`` wrapper,
-    which rewrote configs at submission time instead.
+    ``directory_format`` is a cross-cutting config knob: when given, it is
+    folded into ``config`` at construction (before any key is computed),
+    so the content hash — and therefore the cache — can never alias a
+    ``coarse:4`` run with a ``full`` one.  This is the native replacement
+    for the retired ``OverrideEngine`` wrapper, which rewrote configs at
+    submission time instead.  The protocol is named only by
+    ``config.protocol_name``.
     """
 
     app: str
@@ -123,17 +125,11 @@ class SweepJob:
     check_coherence: bool = True
     chaos: Optional[object] = None  # ChaosConfig (fault injection) or None
     directory_format: Optional[str] = None  # None = keep config's value
-    protocol_name: Optional[str] = None     # None = keep config's value
 
     def __post_init__(self):
-        overrides = {}
         if self.directory_format is not None:
-            overrides["directory_format"] = self.directory_format
-        if self.protocol_name is not None:
-            overrides["protocol_name"] = self.protocol_name
-        if overrides:
-            object.__setattr__(
-                self, "config", replace(self.config, **overrides))
+            object.__setattr__(self, "config", replace(
+                self.config, directory_format=self.directory_format))
 
     @property
     def key(self):

@@ -14,7 +14,7 @@ from pathlib import Path
 from ..common.errors import ConfigError
 from ..spec.registry import load_spec_tree
 from .checks import run_checks
-from .extract import extract_protocols, extract_sim, extract_state_usage
+from .extract import extract_sim, extract_state_usage
 from .findings import (Allowlist, Finding, LintReport,  # noqa: F401
                        Severity)
 from .report import render_json, render_sarif, render_text  # noqa: F401
@@ -52,8 +52,7 @@ def run_lint(root=None, allowlist_path=None, use_allowlist=True):
             "simulator against that spec" % root)
     sim = extract_sim(root)
     states = extract_state_usage(root)
-    protocols = extract_protocols(root)
-    findings = run_checks(sim, states, protocols, specs)
+    findings = run_checks(sim, states, specs)
 
     allowlist = None
     if use_allowlist:
@@ -88,20 +87,19 @@ def run_lint(root=None, allowlist_path=None, use_allowlist=True):
             "sim_handled": len(sim.handlers),
             "sim_funcs": len(sim.funcs),
             "state_enums": len(states),
-            # How lint covers each arena protocol: every spec gets the
-            # SPC analyses; a spec with mc_model="generated" also *is*
-            # the protocol's model-checker twin.
+            # How lint covers each arena protocol (every protocol runs
+            # from its spec): every spec gets the SPC analyses; a spec
+            # with mc_model="generated" also *is* the protocol's
+            # model-checker twin.
             "protocols": {
-                name: _protocol_status(specs.get(name))
-                for name in protocols
+                name: _protocol_status(spec)
+                for name, spec in specs.items()
             },
             "conformance": {"specs": sorted(specs)},
         })
 
 
 def _protocol_status(spec):
-    if spec is None:
-        return "unchecked (no spec)"
     if spec.mc_model == "generated":
         return "conformance-checked (generated mc twin)"
     return "spec-checked (no mc twin)"

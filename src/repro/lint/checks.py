@@ -14,8 +14,7 @@ CON001     error      sim message the adaptive spec does not declare (or
 CON003     warning    sim transition (handled msg -> emitted msg) the
                       spec doesn't allow
 CON005     error      spec-required sim transition absent from the sim
-SPC001-7   mixed      spec-level analyses (see repro.spec.analyze and
-                      repro.spec.conformance)
+SPC001-6   mixed      spec-level analyses (see repro.spec.analyze)
 DLK001     warning    message-dependency cycle not broken by a NACK
 DLK002     warning    NACK handler re-emits a request with no retry bound
 RCH001     error      state no transition ever enters
@@ -23,15 +22,13 @@ RCH002     warning    state entered but never examined (can't be left on
                       purpose — no transition is conditioned on it)
 EXT001     note       emission whose MsgType could not be resolved
                       statically (extraction blind spot)
-ARN001     error      arena protocol handler table references an unknown
-                      MsgType (baseline hubs are outside the adaptive
-                      sim graph, so this is their vocabulary guard)
 ALW001     warning    stale allowlist entry (matched nothing this run)
 =========  =========  ===================================================
 
-The model checker's side needs no static check: its models are compiled
-from the specs (:mod:`repro.spec.mcgen`), which enforce spec conformance
-at runtime.  Each check yields :class:`~repro.lint.findings.Finding`
+Dispatch needs no static check on either side: the arena's hubs serve
+exactly the messages their protocol's spec handles, and the model
+checker's models are compiled from the specs (:mod:`repro.spec.mcgen`),
+which enforce spec conformance at runtime.  Each check yields :class:`~repro.lint.findings.Finding`
 objects with a *fingerprint* that is stable under reformatting, so the
 allowlist keys on meaning rather than on line numbers.
 """
@@ -96,13 +93,12 @@ def check_coverage(sim):
 # -- CON: sim <-> spec conformance --------------------------------------------
 
 
-def check_conformance(sim, protocols=None, specs=None):
+def check_conformance(sim, specs=None):
     """The spec analyses plus the simulator's conformance to its spec.
 
     Every spec gets the ``SPC0xx`` analyses; the extracted simulator
-    graph is diffed against the adaptive spec (CON001/CON003/CON005) and
-    every dispatch table against its protocol's spec (SPC007).  The
-    structured in-spec annotations (``only``/``hoist``/``replay``/
+    graph is diffed against the adaptive spec (CON001/CON003/CON005).
+    The structured in-spec annotations (``only``/``hoist``/``replay``/
     ``note``) justify the intentional gaps.
     """
     from ..spec.analyze import run_spec_checks
@@ -110,7 +106,7 @@ def check_conformance(sim, protocols=None, specs=None):
     specs = specs or {}
     for name in sorted(specs):
         yield from run_spec_checks(specs[name])
-    yield from run_conformance(specs, sim, protocols)
+    yield from run_conformance(specs, sim)
 
 
 # -- DLK: deadlock / livelock heuristics --------------------------------------
@@ -269,50 +265,20 @@ def check_extraction(sim):
             file=emission.file, line=emission.line)
 
 
-# -- ARN: arena-protocol registry ---------------------------------------------
-
-
-def check_arena(sim, protocols):
-    """ARN001: arena handler tables must stay inside the MsgType
-    vocabulary.
-
-    The baseline hubs (``wi``/``mesi``/``dragon``) are deliberately
-    outside the adaptive sim graph the CON checks diff, so their tables
-    are checked against their own specs (SPC007) and, here, against the
-    shared vocabulary: a typo'd or stale ``MsgType`` in a baseline
-    ``_handlers`` table would otherwise only surface as an
-    AttributeError mid-sweep.
-    """
-    known = set(sim.messages)
-    if not known:
-        return
-    for proto in protocols.values():
-        for name in sorted(set(proto.handlers) - known):
-            yield Finding(
-                check_id="ARN001", severity=Severity.ERROR, side="sim",
-                fingerprint="%s:%s" % (proto.name, name),
-                message="arena protocol %r registers a handler for %s, "
-                        "which is not a declared MsgType"
-                        % (proto.name, name),
-                file="protocol/arena.py", line=proto.line)
-
-
 #: The registry, in report order.  Each entry is (callable, arg names);
 #: ``run_checks`` wires the extracted artefacts in by name.
 CHECKS = (
     (check_coverage, ("sim",)),
-    (check_conformance, ("sim", "protocols", "specs")),
+    (check_conformance, ("sim", "specs")),
     (check_deadlock, ("sim",)),
     (check_reachability, ("states",)),
     (check_extraction, ("sim",)),
-    (check_arena, ("sim", "protocols")),
 )
 
 
-def run_checks(sim, states, protocols=None, specs=None):
+def run_checks(sim, states, specs=None):
     """Run every registered check; return the flat finding list."""
-    artefacts = {"sim": sim, "states": states,
-                 "protocols": protocols or {}, "specs": specs or {}}
+    artefacts = {"sim": sim, "states": states, "specs": specs or {}}
     findings = []
     for check, args in CHECKS:
         findings.extend(check(*[artefacts[a] for a in args]))

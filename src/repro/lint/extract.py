@@ -376,77 +376,6 @@ def extract_sim(root):
     return graph
 
 
-# -- arena-protocol registry extraction ---------------------------------------
-
-
-@dataclass
-class ProtocolDecl:
-    """One arena protocol as declared in ``protocol/arena.py``."""
-
-    name: str
-    line: int
-    #: The hub's own ``_handlers`` table (empty for protocols whose hub
-    #: lives outside arena.py, i.e. the adaptive default).
-    handlers: Dict[str, List[str]] = field(default_factory=dict)
-
-
-def extract_protocols(root):
-    """Extract the ``PROTOCOLS`` registry from ``protocol/arena.py``.
-
-    Pure AST, like everything else here.  ``arena.py`` is deliberately
-    *not* in :data:`SIM_PROTOCOL_FILES` — its hubs are alternative
-    protocols, so folding their handlers into the adaptive sim graph
-    would false-positive every conformance check against the adaptive
-    spec.  This extractor gives the checks just enough structure to (a)
-    report which protocols lint covers and (b) still validate the
-    baseline handler tables against the shared MsgType vocabulary and
-    their own specs.  Returns ``{}`` for trees that predate the arena.
-    """
-    root = Path(root)
-    path = root / "protocol" / "arena.py"
-    if not path.exists():
-        return {}
-    tree = _parse(path)
-    tables = {}
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        handlers = {}
-        for sub in ast.walk(node):
-            if not (isinstance(sub, ast.Assign)
-                    and len(sub.targets) == 1
-                    and isinstance(sub.targets[0], ast.Attribute)
-                    and sub.targets[0].attr == "_handlers"
-                    and isinstance(sub.value, ast.Dict)):
-                continue
-            for key, value in zip(sub.value.keys, sub.value.values):
-                if (_is_enum_attr(key, "MsgType")
-                        and isinstance(value, ast.Attribute)):
-                    handlers.setdefault(key.attr, []).append(value.attr)
-        if handlers:
-            tables[node.name] = handlers
-    protocols = {}
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and node.targets[0].id == "PROTOCOLS"
-                and isinstance(node.value, ast.Dict)):
-            continue
-        for key, value in zip(node.value.keys, node.value.values):
-            if not (isinstance(key, ast.Constant)
-                    and isinstance(key.value, str)
-                    and isinstance(value, ast.Call)):
-                continue
-            hub = ""
-            if len(value.args) > 1 and isinstance(value.args[1], ast.Name):
-                hub = value.args[1].id
-            protocols[key.value] = ProtocolDecl(
-                name=key.value, line=key.lineno,
-                handlers=tables.get(hub, {}))
-    return protocols
-
-
 # -- state-usage extraction ---------------------------------------------------
 
 

@@ -22,13 +22,11 @@ RULE_DESCRIPTIONS = {
     "SPC004": "Spec message never emitted or never handled",
     "SPC005": "Spec emission cycle with no NACK-family hop",
     "SPC006": "Unpaired request or reply to a non-request in the spec",
-    "SPC007": "Dispatch table out of sync with the protocol spec",
     "DLK001": "Message-dependency cycle not broken by a NACK",
     "DLK002": "NACK retry path with no bounding counter",
     "RCH001": "State no transition ever enters",
     "RCH002": "State entered but never examined",
     "EXT001": "Statically unresolvable emission",
-    "ARN001": "Arena handler table references an unknown MsgType",
     "ALW001": "Stale allowlist entry",
 }
 

@@ -25,12 +25,15 @@ competitors, each behind one small :class:`Protocol` interface:
     overtaken by a later invalidation.  Unconditional updates — no
     producer-consumer detector, no pruning.
 
-Each hub subclass declares its *own* ``_handlers`` table and re-binds the
-pre-bound ``_handler_array`` dispatch, so every protocol keeps the dense
-per-``MsgType`` array indexing on delivery.  Message types a protocol
-strips (e.g. DELEGATE under ``wi``) fall through to ``_unhandled`` and
-raise the structured :class:`~repro.common.errors.UnhandledMessageError`
-— receiving one is a protocol violation, not a silent no-op.
+The spec decides dispatch, in the simulator as in the model checker:
+:class:`~repro.protocol.hub.Hub` holds the one ``MsgType`` -> method map
+and serves exactly the types its protocol's spec handles
+(:attr:`Protocol.handled`).  Every other type (e.g. DELEGATE under
+``wi``) maps to ``_unhandled`` and raises the structured
+:class:`~repro.common.errors.UnhandledMessageError` — receiving one is a
+protocol violation, not a silent no-op.  ``wi`` therefore needs no hub
+class of its own; ``mesi`` and ``dragon`` subclass ``Hub`` only for the
+behaviour they change.
 
 This file is deliberately *not* in ``repro.lint``'s
 ``SIM_PROTOCOL_FILES``: the lint graph models the adaptive protocol;
@@ -53,8 +56,10 @@ class Protocol:
     feature set the protocol actually implements (e.g. ``wi`` strips
     delegation); the identity for ``adaptive``, so default configs are
     byte-for-byte untouched.  ``make_hub`` builds the per-node controller.
+    ``handled`` is the set of message names the protocol's spec
+    (``repro.spec.protocols``) handles; it is the hub's dispatch set.
     Whether a protocol has a model-checker twin is its spec's business
-    (``mc_model`` in ``repro.spec.protocols``), not the registry's.
+    (``mc_model``), not the registry's.
     """
 
     def __init__(self, name, hub_class, description, normalize=None):
@@ -62,6 +67,17 @@ class Protocol:
         self.hub_class = hub_class
         self.description = description
         self._normalize = normalize
+        self._handled = None
+
+    @property
+    def handled(self):
+        # Loaded on first use (the first hub built in the process), not
+        # at import: loading the specs is a cost runs that build no
+        # System should not pay.
+        if self._handled is None:
+            from ..spec.registry import get_spec
+            self._handled = get_spec(self.name).handled()
+        return self._handled
 
     def normalize_config(self, config):
         if self._normalize is None:
@@ -80,41 +96,6 @@ class Protocol:
 # ---------------------------------------------------------------------------
 
 
-class WriteInvalidateHub(Hub):
-    """Explicit write-invalidate: the adaptive hub with the delegation and
-    update machinery unreachable *by construction* — its handler table has
-    no entry for the stripped message families, so receiving one raises
-    instead of silently doing adaptive work.  Behaviour on a
-    delegation-free config is bit-for-bit identical to the adaptive hub's
-    (same code paths, same RNG streams, same event order)."""
-
-    def __init__(self, node, system):
-        super().__init__(node, system)
-        self._handlers = {
-            MsgType.GETS: self._route_request,
-            MsgType.GETX: self._route_request,
-            MsgType.DATA_SHARED: self._on_data_shared,
-            MsgType.DATA_EXCL: self._on_data_excl,
-            MsgType.ACK_X: self._on_ack_x,
-            MsgType.INV: self._on_inv,
-            MsgType.INV_ACK: self._on_inv_ack,
-            MsgType.INTERVENTION: self._on_intervention,
-            MsgType.SHARED_WB: self._on_shared_wb,
-            MsgType.SHARED_RESP: self._on_shared_resp,
-            MsgType.EXCL_RESP: self._on_excl_resp,
-            MsgType.XFER_OWNER: self._on_xfer_owner,
-            MsgType.WRITEBACK: self._home_writeback,
-            MsgType.EVICT_CLEAN: self._home_writeback,
-            MsgType.WB_ACK: self._on_wb_ack,
-            MsgType.NACK: self._on_nack,
-            MsgType.NACK_NOT_HOME: self._on_nack_not_home,
-        }
-        self._handler_array = [
-            self._handlers.get(mtype, self._unhandled) for mtype in MsgType
-        ]
-        self.fabric.attach(node, self.dispatch, table=self._handler_array)
-
-
 def _normalize_wi(config):
     protocol = config.protocol
     if not (protocol.enable_delegation or protocol.enable_updates):
@@ -128,37 +109,12 @@ def _normalize_wi(config):
 # ---------------------------------------------------------------------------
 
 
-class MesiHub(WriteInvalidateHub):
+class MesiHub(Hub):
     """Textbook directory MESI.  Differs from ``wi`` in what the home
     *remembers*: a GETX over a SHARED line clears the sharing vector
     (invalidated readers are forgotten), where the paper's protocols keep
     it as the predicted consumer set.  The detector never observes
     requests, so no line is ever marked producer-consumer."""
-
-    def __init__(self, node, system):
-        super().__init__(node, system)
-        self._handlers = {
-            MsgType.GETS: self._route_request,
-            MsgType.GETX: self._route_request,
-            MsgType.DATA_SHARED: self._on_data_shared,
-            MsgType.DATA_EXCL: self._on_data_excl,
-            MsgType.ACK_X: self._on_ack_x,
-            MsgType.INV: self._on_inv,
-            MsgType.INV_ACK: self._on_inv_ack,
-            MsgType.INTERVENTION: self._on_intervention,
-            MsgType.SHARED_WB: self._on_shared_wb,
-            MsgType.SHARED_RESP: self._on_shared_resp,
-            MsgType.EXCL_RESP: self._on_excl_resp,
-            MsgType.XFER_OWNER: self._on_xfer_owner,
-            MsgType.WRITEBACK: self._home_writeback,
-            MsgType.EVICT_CLEAN: self._home_writeback,
-            MsgType.WB_ACK: self._on_wb_ack,
-            MsgType.NACK: self._on_nack,
-        }
-        self._handler_array = [
-            self._handlers.get(mtype, self._unhandled) for mtype in MsgType
-        ]
-        self.fabric.attach(node, self.dispatch, table=self._handler_array)
 
     # -- home side, without the detector or the preserved vector ----------
 
@@ -272,31 +228,6 @@ class DragonHub(Hub):
         self._dragon_acks = {}    # addr -> nodes that acked our INVs
         self._publish_wait = {}   # addr -> {"missing": n, "value": v}
         self._publish_epoch = {}  # addr -> generation of scheduled publish
-        self._handlers = {
-            MsgType.GETS: self._route_request,
-            MsgType.GETX: self._route_request,
-            MsgType.DATA_SHARED: self._on_data_shared,
-            MsgType.DATA_EXCL: self._on_data_excl,
-            MsgType.ACK_X: self._on_ack_x,
-            MsgType.INV: self._on_inv,
-            MsgType.INV_ACK: self._on_inv_ack,
-            MsgType.INTERVENTION: self._on_intervention,
-            MsgType.SHARED_WB: self._on_shared_wb,
-            MsgType.SHARED_RESP: self._on_shared_resp,
-            MsgType.EXCL_RESP: self._on_excl_resp,
-            MsgType.XFER_OWNER: self._on_xfer_owner,
-            MsgType.WRITEBACK: self._home_writeback,
-            MsgType.EVICT_CLEAN: self._home_writeback,
-            MsgType.WB_ACK: self._on_wb_ack,
-            MsgType.NACK: self._on_nack,
-            MsgType.NACK_NOT_HOME: self._on_nack_not_home,
-            MsgType.UPDATE: self._on_update,
-            MsgType.UPDATE_ACK: self._on_update_ack,
-        }
-        self._handler_array = [
-            self._handlers.get(mtype, self._unhandled) for mtype in MsgType
-        ]
-        self.fabric.attach(node, self.dispatch, table=self._handler_array)
 
     # -- home-local writes: the adaptive push, ungated ---------------------
 
@@ -412,7 +343,7 @@ PROTOCOLS = {
         "adaptive", Hub,
         "paper's adaptive delegation/update protocol (mc-model twin)"),
     "wi": Protocol(
-        "wi", WriteInvalidateHub,
+        "wi", Hub,
         "explicit write-invalidate baseline (no delegation, no updates)",
         normalize=_normalize_wi),
     "mesi": Protocol(
@@ -444,5 +375,5 @@ def resolve_protocol(name):
 
 __all__ = [
     "ARENA_PROTOCOLS", "DragonHub", "MesiHub", "PROTOCOLS", "Protocol",
-    "WriteInvalidateHub", "protocol_names", "resolve_protocol",
+    "protocol_names", "resolve_protocol",
 ]

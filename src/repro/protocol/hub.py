@@ -18,7 +18,8 @@ The class is assembled from three mixins that mirror the protocol roles:
 
 from ..cache.hierarchy import PrivateCacheHierarchy
 from ..cache.rac import RemoteAccessCache
-from ..common.errors import ProtocolError, UnhandledMessageError
+from ..common.errors import (ConfigError, ProtocolError,
+                             UnhandledMessageError)
 from ..common.rng import stream
 from ..directory.dircache import DirectoryCache
 from ..directory.formats import DirectoryFormat
@@ -79,6 +80,12 @@ class Hub(RequesterMixin, HomeMixin, ProducerMixin):
         self._intervention_epoch = {}
         self._enable_updates = protocol.enable_updates
 
+        # The one MsgType -> method map (repro.lint's protocol-graph
+        # extractor parses it).  The protocol's spec decides which of these
+        # this hub serves: the pre-bound dispatch array, indexed by the
+        # dense MsgType.index, keeps the handled types and maps the rest
+        # to _unhandled, so receiving one raises the structured
+        # UnhandledMessageError instead of doing another protocol's work.
         self._handlers = {
             MsgType.GETS: self._route_request,
             MsgType.GETX: self._route_request,
@@ -104,14 +111,15 @@ class Hub(RequesterMixin, HomeMixin, ProducerMixin):
             MsgType.UPDATE: self._on_update,
             MsgType.UPDATE_ACK: self._on_update_ack,
         }
-        # Pre-bound dispatch array indexed by the dense MsgType.index; the
-        # dict above stays the single source of truth (repro.lint's
-        # protocol-graph extractor parses it) and this is its compiled
-        # form.  All 23 types are handled today, but the array is built
-        # defensively so a future unhandled type still raises the
-        # structured error via _unhandled.
+        handled = system.protocol.handled
+        missing = handled.difference(mtype.name for mtype in self._handlers)
+        if missing:
+            raise ConfigError(
+                "the %s spec handles %s, which Hub has no handler for"
+                % (system.protocol.name, ", ".join(sorted(missing))))
         self._handler_array = [
-            self._handlers.get(mtype, self._unhandled) for mtype in MsgType
+            self._handlers[mtype] if mtype.name in handled else self._unhandled
+            for mtype in MsgType
         ]
         self.send = self.fabric.send
         self.fabric.attach(node, self.dispatch, table=self._handler_array)

@@ -24,7 +24,9 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from ..common import params
+from ..common.errors import ConfigError
 from ..harness.sweep import SweepJob, job_key
+from ..protocol.arena import resolve_protocol
 from ..workloads import application_names
 
 #: Friendly preset aliases (mirrors the trace CLI's).
@@ -91,9 +93,11 @@ def resolve_config(doc):
         if not isinstance(embedded, dict):
             raise SpecError("'config' must be a config_to_dict document")
         try:
-            return params.config_from_dict(embedded)
-        except (KeyError, TypeError, ValueError) as err:
+            config = params.config_from_dict(embedded)
+            resolve_protocol(config.protocol_name)
+        except (ConfigError, KeyError, TypeError, ValueError) as err:
             raise SpecError("bad 'config' document: %s" % err)
+        return config
     if preset is None:
         preset = "base"
     if not isinstance(preset, str):

@@ -9,6 +9,9 @@ diff them:
   diffs (``CON0xx``);
 * :mod:`repro.spec.mcgen` — compiles a ``mc_model="generated"`` spec
   into the executable model :mod:`repro.mc` checks.
+
+The simulator reads the specs too: each arena protocol's hubs dispatch
+exactly the messages its spec handles (``repro.protocol.arena``).
 """
 
 from .lang import Atom, Msg, ProtocolSpec, SpecError, T

@@ -1,12 +1,13 @@
 """Spec ↔ simulator conformance — the spec-driven ``CON0xx``.
 
 The protocol specs are the arbiter.  The AST-extracted simulator graph is
-diffed against the adaptive spec, and every arena dispatch table against
-its protocol's spec.  (The model checker needs no diff: its models are
-*compiled* from the specs by :mod:`repro.spec.mcgen`, which enforces the
-spec's dispatch, reachability and emission claims at runtime.)  What used
-to be allowlist glob entries are structured annotations on the spec
-transitions:
+diffed against the adaptive spec.  Dispatch needs no diff, in the
+simulator or the model checker: the arena's hubs serve exactly the
+messages their protocol's spec handles (``Protocol.handled``), and the
+models are *compiled* from the specs by :mod:`repro.spec.mcgen`, which
+enforces the spec's dispatch, reachability and emission claims at
+runtime.  What used to be allowlist glob entries are structured
+annotations on the spec transitions:
 
 * ``only="sim"`` — emission with no model counterpart;
 * ``hoist="rule_x"`` — the model realises the emission in a spontaneous
@@ -27,13 +28,10 @@ CON003   sim transition (handled msg -> emitted msg) the spec does
          not allow
 CON005   spec-required sim transition absent from the sim graph
          (replay edges instead require the named function to exist)
-SPC007   spec handled-set vs dispatch-table mismatch, for *every*
-         protocol (adaptive vs the hub table, baselines vs their
-         arena tables)
 =======  ==========================================================
 """
 
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List
 
 from ..lint.findings import Finding, Severity
 from .lang import ProtocolSpec, T
@@ -138,51 +136,7 @@ def check_transitions(spec: ProtocolSpec, sim: Any) -> Iterator[Finding]:
                         file=_spec_file(spec), line=1)
 
 
-# -- dispatch tables (SPC007) -------------------------------------------------
-
-
-def check_handler_tables(specs: Dict[str, ProtocolSpec], sim: Any,
-                         protocols: Dict[str, Any]) -> Iterator[Finding]:
-    """SPC007: every protocol's dispatch table vs its spec's handled set.
-
-    The adaptive hub's table comes from the extracted sim graph; the
-    baseline hubs' tables come from the arena registry extraction.  A
-    protocol with no extracted table (legacy tree) is skipped.
-    """
-    for name in sorted(specs):
-        spec = specs[name]
-        if name == "adaptive":
-            table: Optional[Dict[str, List[str]]] = sim.handlers
-            where = "the hub dispatch table"
-            anchor = "protocol/hub.py"
-        else:
-            decl = protocols.get(name) if protocols else None
-            table = decl.handlers if decl else None
-            where = "its arena handler table"
-            anchor = "protocol/arena.py"
-        if not table:
-            continue
-        handled = spec.handled()
-        for msg in sorted(handled - set(table)):
-            yield Finding(
-                check_id="SPC007", severity=Severity.ERROR, side="sim",
-                fingerprint="%s:%s:missing-handler" % (name, msg),
-                message="the %s spec handles %s but %s registers no "
-                        "handler for it" % (name, msg, where),
-                file=anchor, line=1)
-        for msg in sorted(set(table) - handled):
-            yield Finding(
-                check_id="SPC007", severity=Severity.ERROR, side="sim",
-                fingerprint="%s:%s:unspecified-handler" % (name, msg),
-                message="%s registers a handler for %s but the %s spec "
-                        "has no transition for it (stripped: %s)"
-                        % (where, msg, name,
-                           ", ".join(spec.stripped) or "none"),
-                file=anchor, line=1)
-
-
-def run_conformance(specs: Dict[str, ProtocolSpec], sim: Any,
-                    protocols: Optional[Dict[str, Any]] = None
+def run_conformance(specs: Dict[str, ProtocolSpec], sim: Any
                     ) -> List[Finding]:
     """All spec-driven conformance checks over one analyzed tree."""
     findings: List[Finding] = []
@@ -190,5 +144,4 @@ def run_conformance(specs: Dict[str, ProtocolSpec], sim: Any,
     if adaptive is not None:
         findings.extend(check_vocabulary(adaptive, sim))
         findings.extend(check_transitions(adaptive, sim))
-    findings.extend(check_handler_tables(specs, sim, protocols or {}))
     return findings

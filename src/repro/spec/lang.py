@@ -158,9 +158,6 @@ class ProtocolSpec:
     initial_cache: str = "I"
     #: "" (no model) or "generated" (compiled by repro.spec.mcgen).
     mc_model: str = ""
-    #: Adaptive-protocol messages statically reachable through shared hub
-    #: code but config-stripped under this protocol (must not be handled).
-    stripped: Tuple[str, ...] = ()
 
     # -- lookups -----------------------------------------------------------
 
@@ -288,11 +285,6 @@ class ProtocolSpec:
                 if owner is None or t.via not in owner.mc:
                     raise SpecError("%s: via token %r is not one of %s's "
                                     "mc tokens" % (where, t.via, t.on))
-        stripped = set(self.stripped)
-        if stripped & names:
-            raise SpecError(
-                "%s: %s declared both as messages and as stripped"
-                % (self.name, sorted(stripped & names)))
 
 
 def guard_allows(when: Tuple[Atom, ...], env: Mapping[str, str]) -> bool:

@@ -10,10 +10,15 @@ matches.  Each transition's ``effect`` names a kernel primitive in
 :data:`repro.spec.mcgen.EFFECTS`; every message the kernel sends is
 checked at runtime against the transition's declared ``emit`` set.
 
+The spec also decides dispatch in the simulator: the arena's hubs serve
+exactly the messages some transition here handles, so a message this
+spec leaves out (DELEGATE, NACK_NOT_HOME, ...) raises
+``UnhandledMessageError`` on delivery.
+
 MESI deltas from the adaptive base (mirrored from ``MesiHub``):
 
-* no delegation, updates, or read-ahead consumption — those messages are
-  in ``stripped``;
+* no delegation, updates, or read-ahead consumption — no transition
+  handles those messages;
 * evicting a Shared line is a silent drop (no victim RAC entry);
 * granting exclusivity from the Shared directory state *forgets* the
   invalidated readers (``entry.sharers = set()``) instead of preserving
@@ -277,6 +282,4 @@ SPEC = ProtocolSpec(
     domains=DOMAINS,
     transitions=TRANSITIONS,
     mc_model="generated",
-    stripped=("DELEGATE", "UNDELE", "UNDELE_REQ", "HOME_CHANGED",
-              "NACK_NOT_HOME", "UPDATE", "UPDATE_ACK"),
 )

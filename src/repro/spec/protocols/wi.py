@@ -6,10 +6,12 @@ the protocol inherits from the common hub code even though WI never
 migrates the home — those transitions are ``latent``-tagged.
 
 No model-checker twin exists for WI (``mc_model=""``); the spec feeds the
-SPC static checks and the handler-table conformance against the arena
-registry.  The ``mc`` token names document the mapping a twin would use
-and let the payload-discriminated NACK family split into per-token
-``via`` groups for the guard analyses.
+SPC static checks and decides the simulator's dispatch: the hub serves
+exactly the messages some transition here handles, so a delegation or
+update message raises ``UnhandledMessageError`` on delivery.  The ``mc``
+token names document the mapping a twin would use and let the
+payload-discriminated NACK family split into per-token ``via`` groups
+for the guard analyses.
 """
 
 from repro.spec.lang import Msg, ProtocolSpec, T
@@ -253,6 +255,4 @@ SPEC = ProtocolSpec(
     domains=DOMAINS,
     transitions=TRANSITIONS,
     mc_model="",
-    stripped=("DELEGATE", "UNDELE", "UNDELE_REQ", "HOME_CHANGED",
-              "UPDATE", "UPDATE_ACK"),
 )

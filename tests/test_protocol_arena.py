@@ -12,7 +12,10 @@ arena:
   no-updates (``base``) golden stats bit-for-bit;
 * each ``directory_format`` runs a coherence-checked app through the
   newly wired ``SystemConfig`` knob;
-* ``run_arena`` renders the multi-protocol comparison report.
+* ``run_arena`` renders the multi-protocol comparison report;
+* the spec decides dispatch: each protocol's hubs serve exactly the
+  messages its spec handles and raise ``UnhandledMessageError`` on any
+  other type.
 """
 
 import json
@@ -22,18 +25,19 @@ from dataclasses import replace
 import pytest
 
 from repro.common import params
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, UnhandledMessageError
 from repro.fuzz.runner import run_case
 from repro.fuzz.scenarios import FuzzScenario
 from repro.harness import run_app
 from repro.harness.arena import run_arena
 from repro.lint import run_lint
-from repro.lint.checks import check_arena
-from repro.lint.extract import ProtocolDecl, extract_protocols, extract_sim
-from repro.network import ChaosConfig
+from repro.network import ChaosConfig, Message, MsgType
 from repro.obs import TraceConfig, Tracer
-from repro.protocol.arena import ARENA_PROTOCOLS, PROTOCOLS
+from repro.protocol import Hub
+from repro.protocol.arena import ARENA_PROTOCOLS, PROTOCOLS, Protocol
 from repro.sim import System
+from repro.spec import get_spec
+from repro.spec.registry import SPEC_NAMES
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "perf_rewrite_golden.json")
@@ -152,18 +156,77 @@ class TestArenaReport:
             run_arena(apps=("em3d",), protocols=("adaptive", "nope"))
 
 
-class TestLintProtocolAwareness:
-    """Lint reports how it covers each protocol and guards the baseline
-    handler tables (ARN001)."""
+class TestDispatchContract:
+    """The spec decides dispatch: every protocol's hubs serve exactly the
+    messages its spec handles, and refuse every other type."""
 
-    def test_registry_extraction_matches_runtime(self):
-        from repro.lint import default_root
-        extracted = extract_protocols(default_root())
-        assert set(extracted) == set(PROTOCOLS)
-        for name, decl in extracted.items():
-            # The adaptive hub's table lives in hub.py, the baselines'
-            # in arena.py.
-            assert bool(decl.handlers) == (name != "adaptive")
+    LINE = 0x100000
+
+    @staticmethod
+    def system(name):
+        return System(params.small(num_nodes=4, protocol_name=name),
+                      check_coherence=False)
+
+    def deliver(self, system, mtype):
+        system.address_map.place_range(self.LINE, 128, 0)
+        system.fabric.send(Message(mtype, src=0, dst=1, addr=self.LINE,
+                                   payload={"requester": 0}))
+        system.events.run()
+
+    def test_every_protocol_has_a_spec(self):
+        assert set(PROTOCOLS) == set(SPEC_NAMES)
+
+    def test_hub_method_map_covers_every_msgtype(self):
+        hub = self.system("adaptive").hubs[0]
+        assert set(hub._handlers) == set(MsgType)
+
+    @pytest.mark.parametrize("name", ARENA_PROTOCOLS)
+    def test_unhandled_types_raise_on_delivery(self, name):
+        handled = get_spec(name).handled()
+        hub = self.system(name).hubs[1]
+        for mtype in MsgType:
+            served = hub._handler_array[mtype.index] != hub._unhandled
+            assert served == (mtype.name in handled), mtype
+        stripped = [m for m in MsgType if m.name not in handled]
+        assert (stripped == []) == (name == "adaptive")
+        for mtype in stripped:
+            system = self.system(name)
+            with pytest.raises(UnhandledMessageError) as excinfo:
+                self.deliver(system, mtype)
+            assert excinfo.value.node == 1
+            assert excinfo.value.mtype is mtype
+
+    @pytest.fixture
+    def fresh_adaptive(self, monkeypatch):
+        """A registry entry for ``adaptive`` with no cached handled set."""
+        fresh = Protocol("adaptive", Hub, "adaptive, spec edited")
+        monkeypatch.setitem(PROTOCOLS, "adaptive", fresh)
+        return fresh
+
+    def test_spec_edit_changes_the_dispatch(self, fresh_adaptive,
+                                            monkeypatch):
+        from repro.spec.protocols import adaptive
+        spec = adaptive.SPEC
+        monkeypatch.setattr(adaptive, "SPEC", replace(
+            spec, transitions=tuple(t for t in spec.transitions
+                                    if t.on != "HOME_CHANGED")))
+        system = self.system("adaptive")
+        hub = system.hubs[1]
+        assert hub._handler_array[MsgType.HOME_CHANGED.index] == \
+            hub._unhandled
+        assert hub._handler_array[MsgType.UPDATE.index] != hub._unhandled
+        with pytest.raises(UnhandledMessageError):
+            self.deliver(system, MsgType.HOME_CHANGED)
+
+    def test_spec_message_without_a_hub_method_fails_construction(
+            self, fresh_adaptive):
+        fresh_adaptive._handled = get_spec("adaptive").handled() | {"PING"}
+        with pytest.raises(ConfigError, match="adaptive spec handles PING"):
+            self.system("adaptive")
+
+
+class TestLintProtocolAwareness:
+    """Lint reports how it covers each protocol."""
 
     def test_conformance_status_in_stats(self):
         report = run_lint()
@@ -175,17 +238,3 @@ class TestLintProtocolAwareness:
             assert statuses[name] == "spec-checked (no mc twin)"
         assert report.stats["conformance"]["specs"] == \
             ["adaptive", "dragon", "mesi", "wi"]
-
-    def test_arn001_fires_on_unknown_msgtype(self):
-        from repro.lint import default_root
-        sim = extract_sim(default_root())
-        bad = {"bogus": ProtocolDecl(name="bogus", line=1,
-                                     handlers={"NOT_A_MSG": ["_x"]})}
-        findings = list(check_arena(sim, bad))
-        assert [f.check_id for f in findings] == ["ARN001"]
-
-    def test_real_tables_are_clean(self):
-        from repro.lint import default_root
-        root = default_root()
-        assert list(check_arena(extract_sim(root),
-                                extract_protocols(root))) == []

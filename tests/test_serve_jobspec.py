@@ -13,6 +13,10 @@ from repro.serve.jobspec import (
 )
 
 
+#: A complete embedded ``config`` document (4-node ``small``).
+CONFIG4 = params.config_to_dict(params.small(num_nodes=4))
+
+
 class TestResolveConfig:
     def test_default_is_base(self):
         config = resolve_config({})
@@ -38,6 +42,12 @@ class TestResolveConfig:
         {"system": 7},
         {"config": {"num_nodes": 4}},       # incomplete document
         {"system": "base", "nodes": 1},
+        # Embedded documents SystemConfig or the registry refuses.
+        {"config": dict(CONFIG4, protocol=dict(
+            CONFIG4["protocol"], enable_delegation=False,
+            enable_updates=True))},
+        {"config": dict(CONFIG4, protocol_name="nope")},
+        {"config": dict(CONFIG4, directory_format="coarse:x")},
     ])
     def test_rejects(self, doc):
         with pytest.raises(SpecError):

@@ -91,8 +91,8 @@ class TestJobKey:
         assert job_key(coarse) == job_key(direct)
 
     def test_protocol_name_folds_into_config_and_key(self):
-        wi = job(protocol_name="wi")
-        assert wi.config.protocol_name == "wi"
+        # The config is the only place that names the protocol.
+        wi = job(config=baseline(num_nodes=4, protocol_name="wi"))
         assert job_key(wi) != job_key(job())
 
 
@@ -131,10 +131,15 @@ class TestSourceDigest:
 
     def test_front_end_and_checker_edits_keep_the_key(self, source_copy):
         before = job_key(job())
-        for rel in ("cli.py", "lint/checks.py", "mc/engine.py",
-                    "spec/lang.py"):
+        for rel in ("cli.py", "lint/checks.py", "mc/engine.py"):
             self.edit(source_copy / rel)
         assert job_key(job()) == before
+
+    def test_spec_edit_changes_the_key(self, source_copy):
+        # The specs decide which messages the hubs dispatch.
+        before = job_key(job())
+        self.edit(source_copy / "spec" / "protocols" / "wi.py")
+        assert job_key(job()) != before
 
     def test_digest_is_computed_once_per_process(self):
         sweep.source_digest.cache_clear()
