@@ -184,7 +184,7 @@ def build_parser():
                          help="also write the machine-readable report")
 
     verify_p = sub.add_parser("verify", help="model-check the protocol")
-    verify_p.add_argument("--protocol", choices=("adaptive", "mesi"),
+    verify_p.add_argument("--protocol", choices=("adaptive", "wi", "mesi"),
                           default="adaptive",
                           help="the protocol whose guarded-action spec is "
                                "compiled into the checked model (default: "
@@ -417,12 +417,12 @@ def cmd_verify(args):
         print("repro verify: error: --max-states must be positive, got %d"
               % args.max_states, file=sys.stderr)
         return 2
+    dropped = [name for name, flag in (("delegation", args.no_delegation),
+                                       ("updates", args.no_updates)) if flag]
     try:
         model = SpecModel(
-            get_spec(args.protocol), num_nodes=args.nodes, writers=(1,),
-            readers=tuple(range(2, args.nodes)),
-            enable_delegation=not args.no_delegation,
-            enable_updates=not args.no_updates,
+            get_spec(args.protocol).without(*dropped), num_nodes=args.nodes,
+            writers=(1,), readers=tuple(range(2, args.nodes)),
             ordered_channels=not args.unordered)
     except ConfigError as err:
         print("repro verify: error: %s" % err, file=sys.stderr)

@@ -88,18 +88,22 @@ def run_lint(root=None, allowlist_path=None, use_allowlist=True):
             "sim_funcs": len(sim.funcs),
             "state_enums": len(states),
             # How lint covers each arena protocol (every protocol runs
-            # from its spec): every spec gets the SPC analyses; a spec
-            # with mc_model="generated" also *is* the protocol's
-            # model-checker twin.
+            # from its spec): every spec gets the SPC analyses, the
+            # conformance specs are diffed against the simulator graph,
+            # and a spec with mc_model="generated" also *is* the
+            # protocol's model-checker twin.
             "protocols": {
-                name: _protocol_status(spec)
+                name: _protocol_status(name, spec)
                 for name, spec in specs.items()
             },
             "conformance": {"specs": sorted(specs)},
         })
 
 
-def _protocol_status(spec):
-    if spec.mc_model == "generated":
-        return "conformance-checked (generated mc twin)"
-    return "spec-checked (no mc twin)"
+def _protocol_status(name, spec):
+    from ..spec.conformance import CONFORMANCE_SPECS
+    return "%s (%s)" % (
+        "conformance-checked" if name in CONFORMANCE_SPECS
+        else "spec-checked",
+        "generated mc twin" if spec.mc_model == "generated"
+        else "no mc twin")

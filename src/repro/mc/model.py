@@ -214,16 +214,18 @@ def ProtocolModel(num_nodes=3, writers=(1,), readers=(2,),
                   allow_evictions=True, ordered_channels=True):
     """The adaptive protocol's model, compiled from its spec.
 
-    Shorthand for ``SpecModel(get_spec("adaptive"), ...)``.
+    Shorthand for ``SpecModel(get_spec("adaptive"), ...)``; disabling
+    delegation or updates checks the spec with that feature projected
+    away (no delegation means no updates either).
     ``ordered_channels=False`` removes the fabric's per-pair FIFO
     guarantee; the checker then finds the stale-UPDATE-overtakes-INV
     counterexample, demonstrating the protocol's ordering assumption.
     """
     from ..spec.mcgen import SpecModel  # the compiler imports this kernel
     from ..spec.registry import get_spec
-    return SpecModel(get_spec("adaptive"), num_nodes=num_nodes,
-                     writers=writers, readers=readers,
-                     enable_delegation=enable_delegation,
-                     enable_updates=enable_updates,
+    dropped = [name for name, on in (("delegation", enable_delegation),
+                                     ("updates", enable_updates)) if not on]
+    return SpecModel(get_spec("adaptive").without(*dropped),
+                     num_nodes=num_nodes, writers=writers, readers=readers,
                      allow_evictions=allow_evictions,
                      ordered_channels=ordered_channels)

@@ -11,7 +11,8 @@ competitors, each behind one small :class:`Protocol` interface:
 ``wi``
     Explicit write-invalidate: the implicit ``enable_updates=False``
     baseline promoted to a first-class protocol.  Delegation and updates
-    are stripped from the config; the RAC (if configured) stays.
+    are stripped from the config; the RAC (if configured) stays.  Its
+    spec is adaptive's with both features projected away.
 ``mesi``
     Textbook directory MESI: no RAC, no detector, and no preserved
     sharing vector — a GETX clears the old reader set instead of keeping

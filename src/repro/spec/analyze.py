@@ -29,14 +29,10 @@ from ..lint.findings import Finding, Severity
 from .lang import ProtocolSpec, T, guard_allows, guards_overlap
 
 
-def _spec_file(spec: ProtocolSpec) -> str:
-    return "spec/protocols/%s.py" % spec.name
-
-
 def _finding(spec: ProtocolSpec, check_id: str, severity: Severity,
              message: str, fingerprint: str) -> Finding:
     return Finding(check_id=check_id, severity=severity, message=message,
-                   fingerprint=fingerprint, file=_spec_file(spec), line=1,
+                   fingerprint=fingerprint, file=spec.source_file, line=1,
                    side="spec")
 
 

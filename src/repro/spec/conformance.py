@@ -37,10 +37,6 @@ from ..lint.findings import Finding, Severity
 from .lang import ProtocolSpec, T
 
 
-def _spec_file(spec: ProtocolSpec) -> str:
-    return "spec/protocols/%s.py" % spec.name
-
-
 def _handler_groups(spec: ProtocolSpec) -> Dict[str, List[T]]:
     groups: Dict[str, List[T]] = {}
     for t in spec.transitions:
@@ -79,7 +75,7 @@ def check_vocabulary(spec: ProtocolSpec, sim: Any) -> Iterator[Finding]:
             check_id="CON001", severity=Severity.ERROR, side="both",
             fingerprint="spec:%s" % name,
             message="spec message %s is not a declared MsgType" % name,
-            file=_spec_file(spec), line=1)
+            file=spec.source_file, line=1)
 
 
 # -- transition relation (CON003 / CON005) ------------------------------------
@@ -122,7 +118,7 @@ def check_transitions(spec: ProtocolSpec, sim: Any) -> Iterator[Finding]:
                         message="spec transition %r claims the sim "
                                 "replays via %s, but no such function "
                                 "exists" % (t.label, t.replay),
-                        file=_spec_file(spec), line=1)
+                        file=spec.source_file, line=1)
                 continue
             for out in t.emit:
                 if out not in sim_out:
@@ -133,15 +129,21 @@ def check_transitions(spec: ProtocolSpec, sim: Any) -> Iterator[Finding]:
                                 "handling of %s to be able to emit %s, "
                                 "but its handler closure never does"
                                 % (t.label, name, out),
-                        file=_spec_file(spec), line=1)
+                        file=spec.source_file, line=1)
+
+
+#: The specs the extracted simulator graph is diffed against: the graph
+#: is the adaptive protocol's hubs (the arena baselines' overrides live
+#: outside ``SIM_PROTOCOL_FILES``).
+CONFORMANCE_SPECS = ("adaptive",)
 
 
 def run_conformance(specs: Dict[str, ProtocolSpec], sim: Any
                     ) -> List[Finding]:
     """All spec-driven conformance checks over one analyzed tree."""
     findings: List[Finding] = []
-    adaptive = specs.get("adaptive")
-    if adaptive is not None:
-        findings.extend(check_vocabulary(adaptive, sim))
-        findings.extend(check_transitions(adaptive, sim))
+    for name in CONFORMANCE_SPECS:
+        if name in specs:
+            findings.extend(check_vocabulary(specs[name], sim))
+            findings.extend(check_transitions(specs[name], sim))
     return findings

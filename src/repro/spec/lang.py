@@ -22,10 +22,16 @@ model hoists into a nondeterministic rule carries ``hoist=...``, and a
 simulator-only emission carries ``only="sim"`` — each with a mandatory
 ``why``.  These annotations replace the CON003/CON004 glob entries that
 used to live in ``lint_allowlist.txt``.
+
+A protocol that is another with parts switched off is not written twice.
+The fuller spec declares those parts as :class:`Feature` data, and
+:meth:`ProtocolSpec.without` projects them away: the paper's
+write-invalidate baseline is the adaptive spec without delegation and
+updates (see :mod:`repro.spec.registry`).
 """
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Mapping, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from ..common.errors import ConfigError
 
@@ -140,6 +146,25 @@ class T:
 
 
 @dataclass(frozen=True)
+class Feature:
+    """An optional part of a protocol, declared as the data it owns.
+
+    :meth:`ProtocolSpec.without` projects it away: its ``messages``, the
+    ``tokens`` it adds to messages that stay, its guard and install
+    ``values`` (``(variable, values)`` atoms), and the entry ``rules``
+    (``mc_rule`` names) that drive it.  Dropping a feature also drops
+    the features it ``implies``.
+    """
+
+    name: str
+    messages: Tuple[str, ...] = ()
+    tokens: Tuple[str, ...] = ()
+    values: Tuple[Atom, ...] = ()
+    rules: Tuple[str, ...] = ()
+    implies: Tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
 class ProtocolSpec:
     """One protocol, fully declared."""
 
@@ -158,6 +183,15 @@ class ProtocolSpec:
     initial_cache: str = "I"
     #: "" (no model) or "generated" (compiled by repro.spec.mcgen).
     mc_model: str = ""
+    #: The optional parts :meth:`without` can project away.
+    features: Tuple[Feature, ...] = ()
+    #: The spec this one was projected from ("" for a hand-written one).
+    derived_from: str = ""
+
+    @property
+    def source_file(self) -> str:
+        """The spec module that encodes this protocol."""
+        return "spec/protocols/%s.py" % (self.derived_from or self.name)
 
     # -- lookups -----------------------------------------------------------
 
@@ -196,6 +230,73 @@ class ProtocolSpec:
                 return msg.name
         return None
 
+    # -- feature projection ------------------------------------------------
+
+    def without(self, *names: str) -> "ProtocolSpec":
+        """This spec with the named features (and what they imply) gone.
+
+        A transition is dropped when its trigger, ``via`` token,
+        ``mc_rule`` or ``hoist`` rule belongs to a dropped feature, when
+        one of its guard atoms has no value left, or when it installs a
+        dropped value.  The transitions that stay lose the dropped guard
+        values and emissions; domains no guard uses any more go too.
+        Raises :class:`SpecError` for a feature the spec does not have.
+        """
+        known = {feature.name: feature for feature in self.features}
+        dropped: Dict[str, Feature] = {}
+        todo = list(names)
+        while todo:
+            name = todo.pop()
+            if name in dropped:
+                continue
+            if name not in known:
+                raise SpecError("%s has no feature %r (has: %s)"
+                                % (self.name, name,
+                                   ", ".join(sorted(known)) or "none"))
+            dropped[name] = known[name]
+            todo.extend(known[name].implies)
+        msgs = {m for f in dropped.values() for m in f.messages}
+        tokens = {tok for f in dropped.values() for tok in f.tokens}
+        rules = {r for f in dropped.values() for r in f.rules}
+        gone: Dict[str, Set[str]] = {}
+        for feature in dropped.values():
+            for var, values in feature.values:
+                gone.setdefault(var, set()).update(values)
+
+        def keep(var: str, values: Tuple[str, ...]) -> Tuple[str, ...]:
+            return tuple(v for v in values if v not in gone.get(var, ()))
+
+        transitions: List[T] = []
+        for t in self.transitions:
+            when = tuple((var, keep(var, values)) for var, values in t.when)
+            if (t.on in msgs or t.via in tokens or t.mc_rule in rules
+                    or t.hoist in rules
+                    or not all(values for _var, values in when)
+                    or any(value in gone.get(var, ())
+                           for var, value in t.goes)):
+                continue
+            transitions.append(replace(
+                t, when=when, emit=tuple(m for m in t.emit if m not in msgs)))
+        used = {var for t in transitions for var, _values in t.when}
+        return replace(
+            self,
+            messages=tuple(
+                replace(msg, mc=tuple(tok for tok in msg.mc
+                                      if tok not in tokens),
+                        reply_to=tuple(r for r in msg.reply_to
+                                       if r not in msgs))
+                for msg in self.messages if msg.name not in msgs),
+            dir_states=keep("dir", self.dir_states),
+            cache_states=keep("cache", self.cache_states),
+            domains={var: keep(var, values)
+                     for var, values in self.domains.items() if var in used},
+            transitions=tuple(transitions),
+            features=tuple(
+                replace(f, implies=tuple(n for n in f.implies
+                                         if n not in dropped))
+                for f in self.features if f.name not in dropped),
+            derived_from=self.derived_from or self.name)
+
     # -- validation --------------------------------------------------------
 
     def validate(self) -> None:
@@ -232,6 +333,20 @@ class ProtocolSpec:
                     raise SpecError(
                         "%s: message %s replies to undeclared %s"
                         % (self.name, msg.name, req))
+        tokens = set(seen_tokens)
+        features = {feature.name for feature in self.features}
+        for feature in self.features:
+            unknown = sorted(
+                (set(feature.messages) - names)
+                | (set(feature.tokens) - tokens)
+                | (set(feature.implies) - features)
+                | {"%s=%s" % (var, value) for var, values in feature.values
+                   for value in values
+                   if value not in self.domains.get(var, ())})
+            if unknown:
+                raise SpecError("%s feature %r names undeclared %s"
+                                % (self.name, feature.name,
+                                   ", ".join(unknown)))
         for t in self.transitions:
             where = "%s transition %r (on %s)" % (self.name,
                                                   t.label or "?", t.on)

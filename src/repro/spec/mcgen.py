@@ -1,9 +1,10 @@
 """Compile a ``mc_model="generated"`` spec into an executable model.
 
 :class:`SpecModel` is the model-checker twin of every protocol whose spec
-sets ``mc_model="generated"``: the paper's adaptive protocol and the MESI
-arena baseline.  The spec's guarded transitions become the message
-dispatch, and each transition's ``effect`` names a kernel primitive —
+sets ``mc_model="generated"``: the paper's adaptive protocol, the MESI
+arena baseline, and the ``wi`` baseline derived from adaptive.  The
+spec's guarded transitions become the message dispatch, and each
+transition's ``effect`` names a kernel primitive —
 :data:`EFFECTS` for message handlers, :data:`ENTRY_EFFECTS` for the
 spontaneous rules (CPU requests, evictions, the speculative-update
 intervention, voluntary undelegation).
@@ -26,8 +27,10 @@ Guards are pure functions of the bound variables, so the dispatch of each
 distinct binding is resolved — and its first two checks run — once, then
 memoised; the emission check runs on every send.
 
-``enable_delegation`` / ``enable_updates`` remove the transitions and
-rules that emit DELEGATE / UPDATE; ``allow_evictions`` removes the
+The model checks the spec it is given and nothing else: a configuration
+without delegation or updates is the spec with those features projected
+away (:meth:`~repro.spec.lang.ProtocolSpec.without`), which is also how
+the ``wi`` baseline's spec is derived.  ``allow_evictions`` removes the
 eviction rules.  State layout, network and value canonicalisation come
 from :mod:`repro.mc.model`, so :data:`repro.mc.invariants.ALL_INVARIANTS`
 apply unchanged.
@@ -35,7 +38,7 @@ apply unchanged.
 
 from functools import partial
 from typing import (Any, Callable, Dict, FrozenSet, Iterator, List,
-                    Sequence, Set, Tuple)
+                    Sequence, Tuple)
 
 from ..common.errors import ConfigError, ReproError
 from ..mc import model as kernel
@@ -107,8 +110,6 @@ class SpecModel:
     def __init__(self, spec: ProtocolSpec, num_nodes: int = 3,
                  writers: Sequence[int] = (1,),
                  readers: Sequence[int] = (2,),
-                 enable_delegation: bool = True,
-                 enable_updates: bool = True,
                  allow_evictions: bool = True,
                  ordered_channels: bool = True) -> None:
         if spec.mc_model != "generated":
@@ -129,22 +130,14 @@ class SpecModel:
         self.num_nodes = num_nodes
         self.writers = tuple(writers)
         self.readers = tuple(readers)
-        self.enable_delegation = enable_delegation
-        self.enable_updates = enable_updates and enable_delegation
         self.allow_evictions = allow_evictions
         self.ordered_channels = ordered_channels
-        gated: Set[str] = set()
-        if not self.enable_delegation:
-            gated.add("DELEGATE")
-        if not self.enable_updates:
-            gated.add("UPDATE")
-        self._gated = frozenset(gated)
+        #: Whether a producer's committed write arms the update timer.
+        self.arms_updates = any(t.mc_rule == "rule_intervention_fire"
+                                for t in spec.entry_transitions())
         self._dispatch = self._build_dispatch()
         self._memo: Dict[Tuple[Any, ...], List[Fire]] = {}
         self._rules = self._build_rules()
-
-    def _enabled(self, t: T) -> bool:
-        return not self._gated.intersection(t.emit)
 
     def _build_dispatch(self) -> Dict[str, List[Fire]]:
         """``{mc token: candidate transitions}`` from the spec.
@@ -159,8 +152,7 @@ class SpecModel:
         for msg in self.spec.messages:
             group: List[Fire] = []
             for t in self.spec.handler_transitions(msg.name):
-                if (t.hoist or t.only == "sim" or t.has_tag("also")
-                        or not self._enabled(t)):
+                if t.hoist or t.only == "sim" or t.has_tag("also"):
                     continue
                 effect = EFFECTS.get(t.effect)
                 if effect is None and not t.has_tag("unreachable"):
@@ -203,8 +195,8 @@ class SpecModel:
                 rules.append(self.rule_deliver)
                 continue
             t = entries.get(rule)
-            if (t is None or not self._enabled(t)
-                    or (rule in EVICTION_RULES and not self.allow_evictions)):
+            if t is None or (rule in EVICTION_RULES
+                             and not self.allow_evictions):
                 continue
             effect = ENTRY_EFFECTS.get(t.effect)
             if effect is None:
@@ -351,7 +343,7 @@ def _commit_write(model: SpecModel, state: State, node: int,
         dstate, dsharers, downer, dvalue, _busy, _armed, pend, deferred = \
             deleg[1]
         deleg = (node, (dstate, dsharers, downer, dvalue, False,
-                        model.enable_updates, pend, deferred))
+                        model.arms_updates, pend, deferred))
         state = (new_value, caches, racs, cpus, home, deleg, hints, net)
         if deferred and pend == 0:
             return _undelegate(state, node, fire)

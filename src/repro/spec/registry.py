@@ -11,14 +11,36 @@ Two access paths:
   (the mutation tests copy and mutate trees), so the specs checked must
   come from the same tree as the extracted sim graph.  A tree without a
   ``spec/protocols/`` directory yields ``{}``, which lint rejects.
+
+Not every spec has a module.  A :data:`DERIVED` protocol is another
+spec with features projected away (:meth:`ProtocolSpec.without`): the
+``wi`` baseline is the adaptive protocol without delegation and updates,
+as the paper defines it (§2.5).  Both paths derive it from the adaptive
+spec they loaded.
 """
 
+from dataclasses import replace
 from pathlib import Path
-from typing import Dict
+from typing import Dict, Tuple
 
 from .lang import ProtocolSpec, SpecError
 
 SPEC_NAMES = ("adaptive", "wi", "mesi", "dragon")
+
+#: name -> (base spec, features projected away, description).
+DERIVED: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
+    "wi": ("adaptive", ("delegation", "updates"),
+           "writer-invalidate baseline: the adaptive protocol without "
+           "delegation and updates"),
+}
+
+
+def _derive(name: str, base: ProtocolSpec) -> ProtocolSpec:
+    _base, features, description = DERIVED[name]
+    spec = replace(base.without(*features), name=name,
+                   description=description)
+    spec.validate()
+    return spec
 
 
 def get_spec(name: str) -> ProtocolSpec:
@@ -26,6 +48,8 @@ def get_spec(name: str) -> ProtocolSpec:
     if name not in SPEC_NAMES:
         raise SpecError("no spec for protocol %r (have: %s)"
                         % (name, ", ".join(SPEC_NAMES)))
+    if name in DERIVED:
+        return _derive(name, get_spec(DERIVED[name][0]))
     from importlib import import_module
     module = import_module("repro.spec.protocols.%s" % name)
     spec = module.SPEC
@@ -70,6 +94,12 @@ def load_spec_tree(root: Path) -> Dict[str, ProtocolSpec]:
         spec = namespace.get("SPEC")
         if not isinstance(spec, ProtocolSpec):
             raise SpecError("%s defines no SPEC ProtocolSpec" % path)
+        if spec.name in DERIVED:
+            raise SpecError("%s defines %s, which is derived from %s"
+                            % (path, spec.name, DERIVED[spec.name][0]))
         spec.validate()
         specs[spec.name] = spec
+    for name, (base, _features, _description) in DERIVED.items():
+        if base in specs:
+            specs[name] = _derive(name, specs[base])
     return specs

@@ -78,12 +78,31 @@ class TestVerify:
         assert len(trace) == steps
         assert trace[0].startswith(("read_", "write_"))
 
-    @pytest.mark.parametrize("protocol", ["adaptive", "mesi"])
+    @pytest.mark.parametrize("protocol", ["adaptive", "wi", "mesi"])
     def test_bad_node_count_is_a_usage_error(self, capsys, protocol):
         assert main(["verify", "--protocol", protocol, "--nodes", "1"]) == 2
         captured = capsys.readouterr()
         assert "repro verify: error:" in captured.err
         assert "at least home + one other node" in captured.err
+        assert captured.out == ""
+
+    def test_wi_checks_as_adaptive_without_its_features(self, capsys):
+        assert main(["verify", "--protocol", "wi"]) == 0
+        wi = capsys.readouterr().out
+        assert main(["verify", "--no-delegation", "--no-updates"]) == 0
+        bare = capsys.readouterr().out
+        assert wi.startswith("PASS: 427 states, 993 transitions, depth 28")
+        assert bare.startswith(wi.rsplit(",", 1)[0])
+
+    @pytest.mark.parametrize("protocol,flag", [
+        ("mesi", "--no-delegation"), ("mesi", "--no-updates"),
+        ("wi", "--no-delegation"), ("wi", "--no-updates")])
+    def test_dropping_an_absent_feature_is_a_usage_error(
+            self, capsys, protocol, flag):
+        assert main(["verify", "--protocol", protocol, flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro verify: error: %s has no "
+                                       "feature" % protocol)
         assert captured.out == ""
 
     @pytest.mark.parametrize("cap", ["0", "-5"])

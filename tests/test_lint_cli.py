@@ -57,9 +57,10 @@ class TestLintCommand:
         assert main(["lint"]) == 0
         out = capsys.readouterr().out
         assert "conformance source: guarded-action specs" in out
-        assert "mesi: conformance-checked (generated mc twin)" in out
         assert "adaptive: conformance-checked (generated mc twin)" in out
-        assert "wi: spec-checked (no mc twin)" in out
+        assert "mesi: spec-checked (generated mc twin)" in out
+        assert "wi: spec-checked (generated mc twin)" in out
+        assert "dragon: spec-checked (no mc twin)" in out
 
     def test_broken_allowlist_is_a_config_error(self, tmp_path):
         bad = tmp_path / "allow.txt"

@@ -12,6 +12,8 @@ two 4-node configurations are the ones ``benchmarks/e2e`` times, and the
 two-writer configuration is the one that reaches the home-initiated
 recall races.  The counts were recorded on the hand-written model the
 spec compiler replaced, so they also pin the two encodings' agreement.
+The ``wi`` spec, derived from adaptive's by dropping both features,
+must give the no-delegation outcomes exactly.
 
 The same runs give the checker its teeth: every transition the spec
 dispatches must actually execute somewhere.  A sha256 of each passing
@@ -26,6 +28,7 @@ import pytest
 from repro.common.errors import DeadlockError, InvariantViolation
 from repro.mc import ALL_INVARIANTS, ModelChecker, ProtocolModel
 from repro.spec import get_spec
+from repro.spec.mcgen import SpecModel
 
 _FOUR = {"num_nodes": 4, "writers": (1,), "readers": (2, 3)}
 
@@ -75,9 +78,8 @@ RULE_COUNT_DIGESTS = {
 }
 
 
-def run(kwargs):
-    """Check one configuration; return its result or the raised error."""
-    model = ProtocolModel(**kwargs)
+def run(model):
+    """Check one model; return its result or the raised error."""
     checker = ModelChecker(model.initial_states(), model.rules(),
                            ALL_INVARIANTS, quiescent=model.quiescent,
                            max_states=4_000_000, track_traces=False,
@@ -90,7 +92,8 @@ def run(kwargs):
 
 @pytest.fixture(scope="module")
 def outcomes():
-    return {name: run(kwargs) for name, (kwargs, _) in PINNED.items()}
+    return {name: run(ProtocolModel(**kwargs))
+            for name, (kwargs, _) in PINNED.items()}
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -120,6 +123,19 @@ def test_every_passing_configuration_has_a_rule_count_pin():
 @pytest.mark.parametrize("name", sorted(RULE_COUNT_DIGESTS))
 def test_rule_counts_are_pinned(outcomes, name):
     assert rule_counts_digest(outcomes[name]) == RULE_COUNT_DIGESTS[name]
+
+
+#: The wi spec is adaptive's without delegation and updates, so its model
+#: is the no-delegation configuration's: name -> SpecModel kwargs.
+WI_TWINS = {"nodele-3": {}, "nodele-4": _FOUR}
+
+
+@pytest.mark.parametrize("name", sorted(WI_TWINS))
+def test_wi_spec_checks_as_adaptive_without_delegation(name):
+    got = run(SpecModel(get_spec("wi"), **WI_TWINS[name]))
+    assert (got.states_explored, got.transitions,
+            got.max_depth) == PINNED[name][1]
+    assert rule_counts_digest(got) == RULE_COUNT_DIGESTS[name]
 
 
 # -- checker teeth: the spec's transitions really execute ---------------------

@@ -30,13 +30,15 @@ from repro.fuzz.runner import run_case
 from repro.fuzz.scenarios import FuzzScenario
 from repro.harness import run_app
 from repro.harness.arena import run_arena
-from repro.lint import run_lint
+from repro.lint import default_root, run_lint
+from repro.lint.extract import extract_sim
 from repro.network import ChaosConfig, Message, MsgType
 from repro.obs import TraceConfig, Tracer
 from repro.protocol import Hub
 from repro.protocol.arena import ARENA_PROTOCOLS, PROTOCOLS, Protocol
 from repro.sim import System
-from repro.spec import get_spec
+from repro.spec import Msg, get_spec
+from repro.spec.conformance import run_conformance
 from repro.spec.registry import SPEC_NAMES
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
@@ -231,10 +233,24 @@ class TestLintProtocolAwareness:
     def test_conformance_status_in_stats(self):
         report = run_lint()
         statuses = report.stats["protocols"]
-        for name in ("adaptive", "mesi"):
-            assert statuses[name] == \
-                "conformance-checked (generated mc twin)"
-        for name in ("wi", "dragon"):
-            assert statuses[name] == "spec-checked (no mc twin)"
+        assert statuses["adaptive"] == \
+            "conformance-checked (generated mc twin)"
+        for name in ("wi", "mesi"):
+            assert statuses[name] == "spec-checked (generated mc twin)"
+        assert statuses["dragon"] == "spec-checked (no mc twin)"
         assert report.stats["conformance"]["specs"] == \
             ["adaptive", "dragon", "mesi", "wi"]
+
+    def test_conformance_status_matches_what_is_diffed(self):
+        # A spec message the simulator lacks is a CON001 finding exactly
+        # when that spec is diffed against the simulator graph.
+        sim = extract_sim(default_root())
+        statuses = run_lint().stats["protocols"]
+        for name in SPEC_NAMES:
+            spec = get_spec(name)
+            ping = replace(spec, messages=spec.messages + (
+                Msg("PING", note="not a MsgType"),))
+            diffed = any(f.check_id == "CON001" and "PING" in f.fingerprint
+                         for f in run_conformance({name: ping}, sim))
+            assert statuses[name].startswith("conformance-checked") == \
+                diffed, name

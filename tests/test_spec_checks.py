@@ -182,6 +182,22 @@ class TestConformanceMutations:
         found = finding_map(tree)
         assert "CON005:SHARED_WB->INV" in found
 
+    def test_derived_spec_findings_name_its_source_module(self, tree):
+        # Widen adaptive's gets_shared to dir in {S, E}.  The wi
+        # projection keeps the transition, so the overlap shows in both
+        # specs, and wi's finding points at the module that encodes it.
+        mutate(tree, "spec/protocols/adaptive.py",
+               '("dir", ("S",))),\n      emit=("DATA_SHARED",), '
+               'label="gets_shared"',
+               '("dir", ("S", "E"))),\n      emit=("DATA_SHARED",), '
+               'label="gets_shared"')
+        from repro.lint import run_lint
+        report = run_lint(root=tree, use_allowlist=False)
+        overlaps = {f.message.split(":")[0]: f.file for f in report.findings
+                    if f.key == "SPC001:GETS:gets_intervene+gets_shared"}
+        assert overlaps == {"adaptive": "spec/protocols/adaptive.py",
+                            "wi": "spec/protocols/adaptive.py"}
+
     def test_bogus_replay_function_is_flagged(self, tree):
         mutate(tree, "spec/protocols/adaptive.py",
                'replay="_resolve_wb_race"', 'replay="_no_such_func"')

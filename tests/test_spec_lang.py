@@ -6,7 +6,7 @@ import pytest
 
 from repro.spec import (Msg, ProtocolSpec, SpecError, T, all_specs,
                         get_spec, load_spec_tree)
-from repro.spec.lang import guard_allows, guards_overlap
+from repro.spec.lang import Feature, guard_allows, guards_overlap
 
 DOMAINS = {"dir": ("U", "S", "E"), "cpu": ("idle", "R", "W")}
 
@@ -157,13 +157,90 @@ class TestLookups:
         assert set(SpecModel(spec)._dispatch) == tokens
 
 
+def featured_spec():
+    """``tiny`` plus an optional ``echo`` feature: the ECHO message, a
+    PONGE token on PONG, the dir value E and the rule that drives it;
+    ``loud`` implies ``echo``."""
+    return tiny_spec(
+        messages=(Msg("PING", mc=("PING",), role="request"),
+                  Msg("PONG", mc=("PONG", "PONGE"), role="reply",
+                      reply_to=("PING", "ECHO")),
+                  Msg("ECHO", mc=("ECHO",), role="request")),
+        transitions=(
+            T("home", "PING", when=(("dir", ("U",)),),
+              emit=("PONG", "ECHO"), goes=(("dir", "S"),), label="ping_u"),
+            T("home", "PING", when=(("dir", ("S", "E")),), label="ping_rest"),
+            T("home", "PING", when=(("dir", ("E",)), ("cpu", ("R",))),
+              label="ping_e"),
+            T("node", "PONG", via="PONG", label="pong"),
+            T("node", "PONG", via="PONGE", label="pong_echo"),
+            T("node", "PONG", emit=("ECHO",), tags=("also",),
+              hoist="rule_echo", why="fired by the echo rule",
+              label="pong_hoisted"),
+            T("node", "ECHO", label="echo"),
+            T("node", "!cpu_read", emit=("PING",), label="read"),
+            T("node", "!cpu_write", emit=("PING",), goes=(("dir", "E"),),
+              label="write"),
+            T("node", "!echo", emit=("ECHO",), mc_rule="rule_echo",
+              label="echo_fire"),
+        ),
+        features=(
+            Feature("echo", messages=("ECHO",), tokens=("PONGE",),
+                    values=(("dir", ("E",)),), rules=("rule_echo",)),
+            Feature("loud", implies=("echo",)),
+        ))
+
+
+class TestProjection:
+    def test_without_drops_what_the_feature_owns(self):
+        spec = featured_spec()
+        spec.validate()
+        bare = spec.without("echo")
+        bare.validate()
+        labels = {t.label: t for t in bare.transitions}
+        # Dropped: the ECHO trigger, the PONGE token, the hoist into and
+        # the entry for rule_echo, the guard left with no value, and
+        # the transition installing dir=E.
+        assert sorted(labels) == ["ping_rest", "ping_u", "pong", "read"]
+        assert labels["ping_u"].emit == ("PONG",)
+        assert labels["ping_rest"].when == (("dir", ("S",)),)
+        assert [m.name for m in bare.messages] == ["PING", "PONG"]
+        assert bare.message("PONG").mc == ("PONG",)
+        assert bare.message("PONG").reply_to == ("PING",)
+        assert bare.dir_states == ("U", "S")
+        assert dict(bare.domains) == {"dir": ("U", "S")}  # cpu unused
+        assert bare.features == (Feature("loud"),)
+
+    def test_dropping_a_feature_drops_what_it_implies(self):
+        spec = featured_spec()
+        assert spec.without("loud") == spec.without("echo", "loud")
+        assert spec.without("loud").features == ()
+
+    def test_derived_spec_points_at_its_source(self):
+        bare = featured_spec().without("echo")
+        assert bare.name == "tiny" and bare.derived_from == "tiny"
+        assert bare.source_file == "spec/protocols/tiny.py"
+        assert bare.without("loud").derived_from == "tiny"
+
+    def test_unknown_feature_rejected(self):
+        with pytest.raises(SpecError, match="tiny has no feature 'echo' "
+                           r"\(has: none\)"):
+            tiny_spec().without("echo")
+
+    def test_feature_naming_undeclared_parts_rejected(self):
+        spec = tiny_spec(features=(
+            Feature("echo", messages=("ECHO",), values=(("dir", ("Z",)),)),))
+        with pytest.raises(SpecError, match="names undeclared ECHO, dir=Z"):
+            spec.validate()
+
+
 class TestRegistry:
     def test_all_four_specs_load_and_validate(self):
         specs = all_specs()
         assert sorted(specs) == ["adaptive", "dragon", "mesi", "wi"]
         assert specs["adaptive"].mc_model == "generated"
         assert specs["mesi"].mc_model == "generated"
-        assert specs["wi"].mc_model == ""
+        assert specs["wi"].mc_model == "generated"
         assert specs["dragon"].mc_model == ""
 
     def test_unknown_spec_name_rejected(self):
@@ -174,6 +251,36 @@ class TestRegistry:
         from repro.lint import default_root
         specs = load_spec_tree(default_root())
         assert sorted(specs) == ["adaptive", "dragon", "mesi", "wi"]
+
+    def test_wi_is_adaptive_without_delegation_and_updates(self):
+        adaptive, wi = get_spec("adaptive"), get_spec("wi")
+        assert dataclasses.replace(
+            wi, name="adaptive", description=adaptive.description) == \
+            adaptive.without("delegation", "updates")
+        assert wi.features == ()
+        assert wi.source_file == "spec/protocols/adaptive.py"
+        # What the hubs dispatch under wi: the hand-written wi spec's
+        # set minus its latent NACK_NOT_HOME arms.
+        assert wi.handled() == {
+            "GETS", "GETX", "DATA_SHARED", "DATA_EXCL", "ACK_X", "INV",
+            "INV_ACK", "WRITEBACK", "EVICT_CLEAN", "WB_ACK", "NACK",
+            "INTERVENTION", "SHARED_WB", "SHARED_RESP", "EXCL_RESP",
+            "XFER_OWNER"}
+
+    def test_tree_derives_wi_from_its_adaptive(self):
+        from repro.lint import default_root
+        specs = load_spec_tree(default_root())
+        assert specs["wi"] == get_spec("wi")
+
+    def test_tree_module_may_not_define_a_derived_spec(self, tmp_path):
+        spec_dir = tmp_path / "spec" / "protocols"
+        spec_dir.mkdir(parents=True)
+        (spec_dir / "wi.py").write_text(
+            "import dataclasses\n"
+            "from repro.spec.protocols.mesi import SPEC as MESI\n"
+            "SPEC = dataclasses.replace(MESI, name='wi')\n")
+        with pytest.raises(SpecError, match="derived from adaptive"):
+            load_spec_tree(tmp_path)
 
     def test_legacy_tree_without_specs_yields_empty(self, tmp_path):
         assert load_spec_tree(tmp_path) == {}

@@ -74,14 +74,14 @@ class TestModelHasTeeth:
                                   effect="gets_unowned",
                                   emit=("DATA_EXCL",))
         with pytest.raises((InvariantViolation, DeadlockError)):
-            check(SpecModel(spec, num_nodes=4, readers=(2, 3),
-                            enable_delegation=False))
+            check(SpecModel(spec.without("delegation"), num_nodes=4,
+                            readers=(2, 3)))
 
 
 class TestCompilerGuardRails:
     def test_non_generated_spec_is_rejected(self):
         with pytest.raises(SpecExecutionError, match="only 'generated'"):
-            SpecModel(get_spec("wi"))
+            SpecModel(get_spec("dragon"))
 
     def test_undeclared_emission_is_caught_at_runtime(self):
         # The unowned-GETS effect sends DATA_EXCL; stripping it from the

@@ -138,7 +138,7 @@ class TestSourceDigest:
     def test_spec_edit_changes_the_key(self, source_copy):
         # The specs decide which messages the hubs dispatch.
         before = job_key(job())
-        self.edit(source_copy / "spec" / "protocols" / "wi.py")
+        self.edit(source_copy / "spec" / "protocols" / "adaptive.py")
         assert job_key(job()) != before
 
     def test_digest_is_computed_once_per_process(self):
