@@ -11,9 +11,10 @@ This is the hottest module in the simulator (every message crosses
 :meth:`Fabric.send` and :meth:`Fabric._deliver`), so per-send work is
 precomputed at construction: wire sizes and stats-counter keys per message
 type, lazily materialised per-source latency rows, and a flat
-``busy_until`` list instead of port objects.  The tracer and the chaos
-policy are optional hooks on that one path, each one ``is None`` branch
-when absent.
+``busy_until`` list instead of port objects.  Deliveries are appended
+straight onto the event queue's per-cycle calendar, skipping the validated
+:meth:`EventQueue.schedule_at`.  The tracer and the chaos policy are
+optional hooks on that one path, each one ``is None`` branch when absent.
 """
 
 from heapq import heappush
@@ -116,12 +117,16 @@ class Fabric:
             start = arrival
         deliver_at = start + self._occupancy
         busy[dst] = deliver_at
-        # Unchecked push: arrival is now plus a non-negative latency (chaos
-        # only adds to it) and busy_until never moves backwards, so the
-        # timestamp can never be in the past.
-        heappush(events._heap,
-                 (deliver_at, events._seq, self._deliver, (msg,)))
-        events._seq += 1
+        # Unchecked push onto the calendar: arrival is now plus a
+        # non-negative latency (chaos only adds to it) and busy_until never
+        # moves backwards, so the timestamp can never be in the past.
+        calendar = events._calendar
+        bucket = calendar.get(deliver_at)
+        if bucket is None:
+            calendar[deliver_at] = [(self._deliver, (msg,))]
+            heappush(events._times, deliver_at)
+        else:
+            bucket.append((self._deliver, (msg,)))
         if chaos is not None:
             dup_arrival = chaos.duplicate_arrival(msg, arrival)
             if dup_arrival is not None:
@@ -135,9 +140,12 @@ class Fabric:
                     start = dup_arrival
                 dup_at = start + self._occupancy
                 busy[dst] = dup_at
-                heappush(events._heap,
-                         (dup_at, events._seq, self._deliver, (dup,)))
-                events._seq += 1
+                bucket = calendar.get(dup_at)
+                if bucket is None:
+                    calendar[dup_at] = [(self._deliver, (dup,))]
+                    heappush(events._times, dup_at)
+                else:
+                    bucket.append((self._deliver, (dup,)))
 
     def _deliver(self, msg):
         dst = msg.dst

@@ -63,11 +63,16 @@ class Processor:
         if cls is trace.Compute:
             cycles = op.cycles
             events = self.events
-            # Unchecked push: delays are >= 1 by construction.
-            heappush(events._heap,
-                     (events._now + (cycles if cycles > 1 else 1),
-                      events._seq, self._step, ()))
-            events._seq += 1
+            # Unchecked push onto the event calendar (see EventQueue):
+            # delays are >= 1 by construction.
+            time = events._now + (cycles if cycles > 1 else 1)
+            calendar = events._calendar
+            bucket = calendar.get(time)
+            if bucket is None:
+                calendar[time] = [(self._step, ())]
+                heappush(events._times, time)
+            else:
+                bucket.append((self._step, ()))
         elif cls is trace.Read:
             self._do_read(op.addr & self._line_mask)
         elif cls is trace.Write:
@@ -90,9 +95,15 @@ class Processor:
             if self._record_read is not None:
                 self._record_read(self.node, addr, result.value,
                                   now, now + latency)
-            heappush(events._heap,
-                     (now + latency, events._seq, self._step, ()))
-            events._seq += 1
+            # Unchecked push: hit latencies are non-negative.
+            time = now + latency
+            calendar = events._calendar
+            bucket = calendar.get(time)
+            if bucket is None:
+                calendar[time] = [(self._step, ())]
+                heappush(events._times, time)
+            else:
+                bucket.append((self._step, ()))
             return
         start = self.events.now
         self._blocked_since = start
@@ -127,9 +138,15 @@ class Processor:
             if self._record_write is not None:
                 self._record_write(self.node, addr, value,
                                    now, now + latency)
-            heappush(events._heap,
-                     (now + latency, events._seq, self._step, ()))
-            events._seq += 1
+            # Unchecked push, as for read hits.
+            time = now + latency
+            calendar = events._calendar
+            bucket = calendar.get(time)
+            if bucket is None:
+                calendar[time] = [(self._step, ())]
+                heappush(events._times, time)
+            else:
+                bucket.append((self._step, ()))
             return
         start = self.events.now
         self._blocked_since = start

@@ -1,6 +1,10 @@
 """Event queue: ordering, determinism, run limits."""
 
+import heapq
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common import EventQueue
 
@@ -112,3 +116,147 @@ class TestRunLimits:
             ev.schedule(1, lambda: None)
         ev.run()
         assert ev.processed == 3
+
+    @pytest.mark.parametrize("caps", [{"max_events": -1}, {"max_cycles": -1}])
+    def test_negative_caps_rejected(self, caps):
+        # A negative cap is a caller bug: firing nothing would surface in
+        # System.run as a misleading stall at cycle 0.
+        ev = EventQueue()
+        ev.schedule(1, lambda: None)
+        with pytest.raises(ValueError):
+            ev.run(**caps)
+        assert (ev.pending, ev.processed, ev.now) == (1, 0, 0)
+
+
+# -- differential test against a reference (time, seq) heap -------------------
+
+
+class HeapQueue:
+    """Reference model: the tuple heap the calendar queue replaced.
+
+    Same public surface as :class:`EventQueue` (non-negative caps only).
+    """
+
+    def __init__(self):
+        self._heap = []
+        self._seq = 0
+        self.now = 0
+        self.processed = 0
+
+    @property
+    def pending(self):
+        return len(self._heap)
+
+    def schedule(self, delay, callback, *args):
+        self.schedule_at(self.now + delay, callback, *args)
+
+    def schedule_at(self, time, callback, *args):
+        heapq.heappush(self._heap, (time, self._seq, callback, args))
+        self._seq += 1
+
+    def step(self):
+        if not self._heap:
+            return False
+        time, _seq, callback, args = heapq.heappop(self._heap)
+        self.now = time
+        self.processed += 1
+        callback(*args)
+        return True
+
+    def run(self, max_events=None, max_cycles=None):
+        fired = 0
+        try:
+            while self._heap:
+                if max_events is not None and fired >= max_events:
+                    break
+                if max_cycles is not None and self._heap[0][0] > max_cycles:
+                    self.now = max(self.now, max_cycles)
+                    break
+                time, _seq, callback, args = heapq.heappop(self._heap)
+                self.now = time
+                fired += 1
+                callback(*args)
+        finally:
+            self.processed += fired
+        return fired
+
+
+class Boom(Exception):
+    pass
+
+
+# One event: (delay, parent, absolute, raises).  An event whose ``parent``
+# is the index of an earlier event is scheduled when that event fires; any
+# other is scheduled up front.  Small delays make same-cycle ties common
+# and zero delays land in the cycle being drained.
+_event = st.tuples(
+    st.integers(0, 3),
+    st.one_of(st.none(), st.integers(0, 40)),
+    st.booleans(),
+    st.integers(0, 15).map(lambda r: r == 0),
+)
+_call = st.one_of(
+    st.just(("step",)),
+    st.tuples(st.just("run"),
+              st.one_of(st.none(), st.integers(0, 12)),
+              st.one_of(st.none(), st.integers(0, 25))),
+)
+
+
+def _install(queue, log, events):
+    """Schedule ``events`` (see ``_event``) on ``queue``; firings go to
+    ``log``."""
+    children = [[] for _ in events]
+    roots = []
+    for index, (_delay, parent, _absolute, _raises) in enumerate(events):
+        if parent is None or parent >= index:
+            roots.append(index)
+        else:
+            children[parent].append(index)
+
+    def add(index):
+        delay, _parent, absolute, _raises = events[index]
+        if absolute:
+            queue.schedule_at(queue.now + delay, fire, index)
+        else:
+            queue.schedule(delay, fire, index)
+
+    def fire(index):
+        log.append((queue.now, index))
+        for child in children[index]:
+            add(child)
+        if events[index][3]:
+            raise Boom(index)
+
+    for index in roots:
+        add(index)
+
+
+def _invoke(queue, call):
+    try:
+        if call[0] == "step":
+            return queue.step()
+        return queue.run(max_events=call[1], max_cycles=call[2])
+    except Boom as exc:
+        return ("raised", exc.args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(events=st.lists(_event, min_size=1, max_size=40),
+       calls=st.lists(_call, max_size=12))
+def test_matches_reference_heap(events, calls):
+    queue, model = EventQueue(), HeapQueue()
+    got, want = [], []
+    _install(queue, got, events)
+    _install(model, want, events)
+    # Drain to completion after the generated calls; each raising event
+    # fires once, so this terminates.
+    calls = calls + [("run", None, None)] * (len(events) + 1)
+    for call in calls:
+        assert _invoke(queue, call) == _invoke(model, call), call
+        assert got == want
+        assert queue.now == model.now
+        assert queue.processed == model.processed
+        assert queue.pending == model.pending
+    assert queue.pending == 0
+    assert len(got) == len(events)

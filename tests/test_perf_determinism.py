@@ -1,11 +1,12 @@
 """Determinism guarantees of the sim-core hot-path rewrite.
 
-The slotted message, pre-bound dispatch and inlined event-queue pushes
-must be *invisible*: a fixed seed produces the same stats dict, the same
-trace bytes, the same ``Msg#`` numbering and the same fuzz digests as the
-pre-rewrite simulator.  The golden file ``tests/golden/
-perf_rewrite_golden.json`` was captured from the tree immediately before
-the rewrite; these tests replay against it.
+The slotted message, pre-bound dispatch, inlined event-queue pushes and
+the per-cycle calendar that replaced the event heap must be *invisible*:
+a fixed seed produces the same stats dict, the same trace bytes, the same
+``Msg#`` numbering and the same fuzz digests as the pre-rewrite
+simulator.  The golden file ``tests/golden/perf_rewrite_golden.json`` was
+captured from the tree immediately before the first rewrite; these tests
+replay against it.
 """
 
 import hashlib
