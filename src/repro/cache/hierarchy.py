@@ -192,10 +192,10 @@ class PrivateCacheHierarchy:
         ``value`` is meaningful only when the removed line was dirty — the
         protocol never invalidates a dirty owner without collecting data.
         """
-        self.l1.invalidate(addr)
         line = self.l2.invalidate(addr)
         if line is None:
-            return False, 0
+            return False, 0  # inclusion: no L1 copy either
+        self.l1.invalidate(addr)
         return True, line.value
 
     def evict(self, addr):

@@ -121,7 +121,8 @@ class RemoteAccessCache:
     def invalidate(self, addr):
         """Coherence invalidation; returns the removed line or None."""
         line = self._cache.invalidate(addr)
-        self._account_eviction(line)
+        if line is not None:
+            self._account_eviction(line)
         return line
 
     def unpin(self, addr):

@@ -202,7 +202,12 @@ class SetAssociativeCache:
 
     def invalidate(self, addr):
         """Remove ``addr`` from the cache; returns the removed line or None."""
-        cache_set = self._sets[self.set_index(addr)]
+        if addr & self._align_mask:
+            self._misaligned(addr)
+        index = addr >> self._line_shift
+        mask = self._set_mask
+        cache_set = self._sets[index & mask if mask is not None
+                               else index % self._num_sets]
         if cache_set is None:
             return None
         return cache_set.pop(addr, None)

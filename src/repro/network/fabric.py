@@ -8,13 +8,23 @@ the paper's "we do not model contention within the routers, but do model
 hub port contention".
 
 This is the hottest module in the simulator (every message crosses
-:meth:`Fabric.send` and :meth:`Fabric._deliver`), so per-send work is
-precomputed at construction: wire sizes and stats-counter keys per message
-type, lazily materialised per-source latency rows, and a flat
-``busy_until`` list instead of port objects.  Deliveries are appended
-straight onto the event queue's per-cycle calendar, skipping the validated
-:meth:`EventQueue.schedule_at`.  The tracer and the chaos policy are
-optional hooks on that one path, each one ``is None`` branch when absent.
+:meth:`Fabric.send` or :meth:`Fabric.send_all`, then
+:meth:`Fabric._deliver`), so per-send work is precomputed at construction:
+wire sizes and stats-counter keys per message type, lazily materialised
+per-source latency rows, and a flat ``busy_until`` list instead of port
+objects.  Deliveries are appended straight onto the event queue's
+per-cycle calendar, skipping the validated :meth:`EventQueue.schedule_at`.
+
+:meth:`Fabric.send_all` is the one-to-many form: a write's INVs to every
+sharer, a producer's UPDATEs to every consumer.  A 256-node broadcast is
+255 messages from one source of one type, so the fan-out reads the
+source's latency row, the port table and the calendar once and bumps the
+traffic counters once, by the remote count; the schedule it builds is the
+one 255 :meth:`Fabric.send` calls would build.  The tracer and the chaos
+policy are optional hooks that live only in :meth:`Fabric.send`, each one
+``is None`` branch when absent; with either installed, ``send_all`` hands
+every message to ``send``, so traces and chaos draws (and the ``msg_id``
+of a chaos duplicate) keep their per-message order.
 """
 
 from heapq import heappush
@@ -146,6 +156,61 @@ class Fabric:
                     heappush(events._times, dup_at)
                 else:
                     bucket.append((self._deliver, (dup,)))
+
+    def send_all(self, msgs):
+        """Put every message of ``msgs`` on the wire, in order, exactly as
+        one :meth:`send` per message would.
+
+        All messages must share one source and one type (a fan-out);
+        anything else raises ``ValueError``.  ``msgs`` may be a generator:
+        each message is scheduled before the next is drawn, so ``msg_id``
+        order follows the send order whichever path is taken.
+        """
+        if self._tracer is not None or self._chaos is not None:
+            send = self.send
+            for msg in msgs:
+                send(msg)
+            return
+        events = self.events
+        now = events._now
+        busy = self._busy_until
+        occupancy = self._occupancy
+        calendar = events._calendar
+        times = events._times
+        deliver = self._deliver
+        src = mtype = row = None
+        remote = 0
+        for msg in msgs:
+            if row is None:
+                src = msg.src
+                mtype = msg.mtype
+                row = self._latency_rows[src]
+                if row is None:
+                    row = self._latency_row(src)
+            elif msg.src != src or msg.mtype is not mtype:
+                raise ValueError(
+                    "send_all: %r is not a %s from node %d"
+                    % (msg, mtype.label, src))
+            dst = msg.dst
+            if dst != src:
+                remote += 1
+            arrival = now + row[dst]
+            start = busy[dst]
+            if arrival > start:
+                start = arrival
+            deliver_at = start + occupancy
+            busy[dst] = deliver_at
+            bucket = calendar.get(deliver_at)
+            if bucket is None:
+                calendar[deliver_at] = [(deliver, (msg,))]
+                heappush(times, deliver_at)
+            else:
+                bucket.append((deliver, (msg,)))
+        if remote:
+            index = mtype.index
+            counters = self._counters
+            counters[self._sent_key_by_type[index]] += remote
+            counters[MSG_BYTES] += remote * self._size_by_type[index]
 
     def _deliver(self, msg):
         dst = msg.dst

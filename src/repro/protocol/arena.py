@@ -161,10 +161,7 @@ class MesiHub(Hub):
                 entry.sharers, requester, self.config.num_nodes)
             upgrade = (requester in entry.sharers
                        and msg.payload.get("has_copy", False))
-            for target in sorted(targets):
-                self.send(Message(MsgType.INV, src=self.node, dst=target,
-                                  addr=addr,
-                                  payload={"collector": requester}))
+            self._invalidate_sharers(targets, addr, requester)
             hops = 3 if targets else 2
             entry.state = DirState.EXCL
             entry.owner = requester
@@ -272,11 +269,7 @@ class DragonHub(Hub):
             self.tracer.update_push(self.node, addr, self.events.now,
                                     targets=len(targets), pruned=0)
         self._publish_wait[addr] = {"missing": len(targets), "value": value}
-        for consumer in targets:
-            self.stats.inc(S.UPDATES_SENT)
-            self.send(Message(MsgType.UPDATE, src=self.node, dst=consumer,
-                              addr=addr, value=value,
-                              payload={"hops": 2, "ack": True}))
+        self._push_updates(targets, addr, value, ack=True)
 
     def _on_update_ack(self, msg):
         wait = self._publish_wait.get(msg.addr)

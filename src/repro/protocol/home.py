@@ -139,10 +139,7 @@ class HomeMixin:
                 entry.sharers, requester, self.config.num_nodes)
             upgrade = (requester in entry.sharers
                        and msg.payload.get("has_copy", False))
-            for target in sorted(targets):
-                self.send(Message(MsgType.INV, src=self.node, dst=target,
-                                  addr=addr,
-                                  payload={"collector": requester}))
+            self._invalidate_sharers(targets, addr, requester)
             hops = 3 if targets else 2
             if delegate_now:
                 self._initiate_delegation(entry, requester,

@@ -16,8 +16,11 @@ The class is assembled from three mixins that mirror the protocol roles:
   (acting-home service, undelegation, delayed intervention, updates).
 """
 
+from types import MappingProxyType
+
 from ..cache.hierarchy import PrivateCacheHierarchy
 from ..cache.rac import RemoteAccessCache
+from ..common import stats as S
 from ..common.errors import (ConfigError, ProtocolError,
                              UnhandledMessageError)
 from ..common.rng import stream
@@ -131,6 +134,32 @@ class Hub(RequesterMixin, HomeMixin, ProducerMixin):
     # class-level fallback and documentation of the interface.
     def send(self, msg):
         self.fabric.send(msg)
+
+    # The two one-to-many sends.  Each builds its messages in a generator
+    # (so ``msg_id`` order is the send order and ``repro lint`` sees the
+    # emission) around one read-only payload shared by the whole fan-out.
+    # Message arguments are positional: a keyword call costs twice as much.
+
+    def _invalidate_sharers(self, targets, addr, collector):
+        """INV every node in ``targets`` (ascending); acks go to
+        ``collector``."""
+        node = self.node
+        payload = MappingProxyType({"collector": collector})
+        self.fabric.send_all(
+            Message(MsgType.INV, node, target, addr, 0, payload)
+            for target in sorted(targets))
+
+    def _push_updates(self, targets, addr, value, ack):
+        """Speculatively push ``value`` to every consumer in ``targets``, in
+        order; ``ack`` asks each for an UPDATE_ACK."""
+        if not targets:
+            return
+        self.stats.inc(S.UPDATES_SENT, len(targets))
+        node = self.node
+        payload = MappingProxyType({"hops": 2, "ack": ack})
+        self.fabric.send_all(
+            Message(MsgType.UPDATE, node, consumer, addr, value, payload)
+            for consumer in targets)
 
     def dispatch(self, msg):
         """Entry point for every message delivered to this node."""

@@ -159,12 +159,10 @@ class ProducerMixin:
         # delegated entry is stored in the same (possibly lossy) vector
         # encoding as the home directory, so invalidations act on the
         # format's observed set; the preserved sharing vector stays exact.
-        targets = sorted(self.dir_format.invalidation_targets(
-            pentry.sharers, self.node, self.config.num_nodes))
+        targets = self.dir_format.invalidation_targets(
+            pentry.sharers, self.node, self.config.num_nodes)
         pentry.busy = BusyRecord(BusyKind.INVALIDATING)
-        for target in targets:
-            self.send(Message(MsgType.INV, src=self.node, dst=target,
-                              addr=addr, payload={"collector": self.node}))
+        self._invalidate_sharers(targets, addr, self.node)
         pentry.state = DirState.EXCL
         pentry.owner = self.node
         pentry.sharers = pentry.sharers - {self.node}  # preserved vector
@@ -318,14 +316,10 @@ class ProducerMixin:
             # MsgType.UPDATE_ACK); home-self updates need no acks because
             # the home's later INVs share the update's FIFO channel.
             entry.pending_updates += len(targets)
-        for consumer in targets:
-            self.stats.inc(S.UPDATES_SENT)
-            # Acks gate undelegation draining, so only *delegated* lines
-            # request them; home-self updates (the common first-touch case)
-            # stay single-message, matching the paper's traffic model.
-            self.send(Message(MsgType.UPDATE, src=self.node, dst=consumer,
-                              addr=addr, value=value,
-                              payload={"hops": 2, "ack": delegated}))
+        # Acks gate undelegation draining, so only *delegated* lines request
+        # them; home-self updates (the common first-touch case) stay
+        # single-message, matching the paper's traffic model.
+        self._push_updates(targets, addr, value, ack=delegated)
 
     def _acting_home_entry(self, addr):
         """The directory entry this node controls for ``addr``, if any.
@@ -355,8 +349,7 @@ class ProducerMixin:
             # Receipt ack (regardless of whether the data is kept): the
             # producer counts these before letting a delegated line's
             # directory move back to the home.
-            self.send(Message(MsgType.UPDATE_ACK, src=self.node,
-                              dst=msg.src, addr=addr))
+            self.send(Message(MsgType.UPDATE_ACK, self.node, msg.src, addr))
         if self.consumer_table is not None:
             self.consumer_table.insert(addr, msg.src)
         miss = self._active_miss(addr, MissKind.READ)

@@ -16,10 +16,17 @@ Race handling follows the SGI idiom the paper adopts (§2.3.4):
   line is NACKed back to the home, which retries it.
 """
 
+from types import MappingProxyType
+
 from ..cache.line import LineState, RacKind
 from ..common import stats as S
 from ..network.message import Message, MsgType
 from .transactions import MissKind, OutstandingMiss, PathClass
+
+#: The two INV_ACK payloads, shared read-only by every ack: whether the
+#: invalidated RAC copy was a pushed update that died unread.
+_INV_ACK_USED = MappingProxyType({"wasted_update": False})
+_INV_ACK_WASTED = MappingProxyType({"wasted_update": True})
 
 
 class RequesterMixin:
@@ -320,18 +327,18 @@ class RequesterMixin:
             # most once when it arrives, then drop it (see module docstring).
             miss.pending_inv = True
         self.hierarchy.invalidate(msg.addr)
-        wasted_update = False
+        payload = _INV_ACK_USED
         if self.rac is not None:
-            rac_line = self.rac.probe(msg.addr)
-            wasted_update = (rac_line is not None
-                             and rac_line.kind is RacKind.UPDATE
-                             and not rac_line.consumed)
-            self.rac.invalidate(msg.addr)
+            rac_line = self.rac.invalidate(msg.addr)
+            if (rac_line is not None and rac_line.kind is RacKind.UPDATE
+                    and not rac_line.consumed):
+                payload = _INV_ACK_WASTED
         # The ack reports a push that died unread — the producer's
         # selective-update filter prunes persistent non-consumers on it.
-        self.send(Message(MsgType.INV_ACK, src=self.node, dst=collector,
-                          addr=msg.addr,
-                          payload={"wasted_update": wasted_update}))
+        # Positional arguments: every broadcast INV is answered here, and a
+        # keyword call to Message costs twice a positional one.
+        self.send(Message(MsgType.INV_ACK, self.node, collector, msg.addr, 0,
+                          payload))
 
     def _on_intervention(self, msg):
         mode = msg.payload.get("mode", "shared")

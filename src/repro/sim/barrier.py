@@ -21,7 +21,8 @@ class BarrierManager:
         self.participants = participants
         self.release_latency = release_latency
         self.stats = stats
-        self._waiting = []  # (node, resume callback)
+        self._waiting = []  # (node, resume callback), in arrival order
+        self._waiting_nodes = set()  # the nodes in _waiting
         self._current_bid = None
         self.episodes = 0
 
@@ -33,15 +34,17 @@ class BarrierManager:
             raise SimulationError(
                 "node %d arrived at barrier %r while barrier %r is forming"
                 % (node, bid, self._current_bid))
-        if any(node == waiting_node for waiting_node, _ in self._waiting):
+        if node in self._waiting_nodes:
             raise SimulationError("node %d arrived twice at barrier %r"
                                   % (node, bid))
         self._waiting.append((node, resume))
+        self._waiting_nodes.add(node)
         if self.stats is not None:
             self.stats.inc("barrier.arrivals")
         if len(self._waiting) == self.participants:
             released = self._waiting
             self._waiting = []
+            self._waiting_nodes = set()
             self._current_bid = None
             self.episodes += 1
             for _node, callback in released:

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from repro.common import ConfigError, EventQueue, Stats, baseline
 from repro.network import Fabric, FatTree, Message, MsgType
+from repro.network.chaos import ChaosConfig, ChaosPolicy
+from repro.network.message import reset_msg_ids
 
 
 def bytes_sent(mtype):
@@ -162,6 +164,16 @@ class TestDeepFatTree:
         assert tree.levels_climbed(a, b) == tree.levels_climbed(b, a)
 
 
+class RecordingTracer:
+    """Just the fabric's tracer hook: records every ``msg_send`` call."""
+
+    def __init__(self):
+        self.sends = []
+
+    def msg_send(self, msg, now, remote):
+        self.sends.append((msg.msg_id, now, remote))
+
+
 class TestFabric:
     def make(self, num_nodes=4):
         cfg = baseline(num_nodes=num_nodes)
@@ -220,3 +232,111 @@ class TestFabric:
         fabric.send(Message(MsgType.GETS, 0, 1, 0))
         with pytest.raises(RuntimeError):
             events.run()
+
+    # -- send_all builds the schedule, counters and msg_ids that one send()
+    # per message builds.
+
+    NODES = 8
+
+    def run_send_all(self, fan_out, mtype, targets, src=3, tracer=None,
+                     chaos=None):
+        reset_msg_ids()
+        cfg = baseline(num_nodes=self.NODES)
+        events = EventQueue()
+        stats = Stats()
+        if chaos is not None:
+            chaos = ChaosPolicy(chaos, stats=stats)
+        fabric = Fabric(cfg, events, stats, tracer=tracer, chaos=chaos)
+        inbox = []
+        for n in range(self.NODES):
+            fabric.attach(n, lambda m: inbox.append(
+                (events.now, m.msg_id, m.mtype, m.src, m.dst)))
+        # Earlier traffic: a busy port at node 5, and a calendar bucket the
+        # fan-out may append to.
+        fabric.send(Message(MsgType.GETS, 0, 5, 0))
+        fabric.send(Message(MsgType.GETS, 1, 5, 0))
+        events.run(max_cycles=40)
+        fabric.send(Message(MsgType.GETS, 6, 2, 0))
+        msgs = (Message(mtype, src, dst, 0x80) for dst in targets)
+        if fan_out:
+            fabric.send_all(msgs)
+        else:
+            for msg in msgs:
+                fabric.send(msg)
+        schedule = [
+            (cycle, [(callback.__name__, [m.msg_id for m in args])
+                     for callback, args in bucket])
+            for cycle, bucket in events._calendar.items()]
+        snapshot = (schedule, list(events._times), list(fabric._busy_until),
+                    stats.as_dict())
+        events.run()
+        return snapshot, inbox, stats.as_dict()
+
+    def send_all_vs_send(self, mtype, targets, **kwargs):
+        fan_out = self.run_send_all(True, mtype, targets, **kwargs)
+        one_by_one = self.run_send_all(False, mtype, targets, **kwargs)
+        assert fan_out == one_by_one
+        return fan_out
+
+    def test_send_all_broadcast_matches_sequential_sends(self):
+        (schedule, _t, _b, counters), inbox, _ = self.send_all_vs_send(
+            MsgType.INV, [0, 1, 2, 4, 5, 6, 7])
+        # Same-latency targets share calendar buckets.
+        assert max(len(bucket) for _cycle, bucket in schedule) > 1
+        assert counters["msg.sent.INV"] == 7
+        assert counters["msg.bytes"] == 3 * 32 + 7 * 32
+        assert len(inbox) == 3 + 7
+
+    def test_send_all_local_target_delivered_not_counted(self):
+        (_s, _t, _b, counters), inbox, _ = self.send_all_vs_send(
+            MsgType.UPDATE, [1, 3, 7])
+        assert counters["msg.sent.UPDATE"] == 2
+        assert [dst for *_rest, dst in inbox].count(3) == 1
+
+    def test_send_all_all_local_touches_no_counter(self):
+        (_s, _t, _b, counters), _inbox, _ = self.send_all_vs_send(
+            MsgType.INV, [3])
+        assert "msg.sent.INV" not in counters
+
+    def test_send_all_empty_is_a_no_op(self):
+        (schedule, _t, _b, counters), _inbox, _ = self.send_all_vs_send(
+            MsgType.INV, [])
+        assert "msg.sent.INV" not in counters
+        assert sum(len(ids) for _c, bucket in schedule
+                   for _name, ids in bucket) == 3  # the earlier GETSes
+
+    def test_send_all_tracer_sees_every_message_in_order(self):
+        traced = RecordingTracer()
+        plain = RecordingTracer()
+        fan_out = self.run_send_all(True, MsgType.INV, [7, 0, 3, 5],
+                                    tracer=traced)
+        one_by_one = self.run_send_all(False, MsgType.INV, [7, 0, 3, 5],
+                                       tracer=plain)
+        assert fan_out == one_by_one
+        assert traced.sends == plain.sends
+        fanned = traced.sends[-4:]
+        assert [remote for _id, _now, remote in fanned] == [
+            True, True, False, True]
+        assert [msg_id for msg_id, _now, _remote in fanned] == sorted(
+            msg_id for msg_id, _now, _remote in fanned)
+
+    def test_send_all_chaos_duplicates_keep_interleaved_ids(self):
+        chaos = ChaosConfig(seed=4, duplicate_prob=1.0, delay_jitter=5)
+        _snapshot, inbox, counters = self.send_all_vs_send(
+            MsgType.UPDATE, [0, 2, 5, 7], chaos=chaos)
+        updates = sorted(msg_id for _now, msg_id, mtype, _src, _dst in inbox
+                         if mtype is MsgType.UPDATE)
+        # Every UPDATE and its duplicate: ids n, n+1 per target.
+        assert len(updates) == 8
+        assert updates == list(range(updates[0], updates[0] + 8))
+        assert counters["msg.sent.UPDATE"] == 4
+
+    def test_send_all_mixed_batch_rejected(self):
+        cfg = baseline(num_nodes=4)
+        fabric = Fabric(cfg, EventQueue(), Stats())
+        with pytest.raises(ValueError):
+            fabric.send_all([Message(MsgType.INV, 0, 1, 0),
+                             Message(MsgType.INV, 2, 1, 0)])
+        with pytest.raises(ValueError):
+            fabric.send_all([Message(MsgType.INV, 0, 1, 0),
+                             Message(MsgType.UPDATE, 0, 2, 0)])

@@ -15,6 +15,7 @@ import os
 import pytest
 
 from repro.common import params
+from repro.directory import DirState
 from repro.fuzz.engine import replay_artifact
 from repro.fuzz.runner import run_case
 from repro.fuzz.scenarios import FuzzScenario
@@ -22,6 +23,7 @@ from repro.harness import run_app
 from repro.network.message import (EMPTY_PAYLOAD, Message, MsgType,
                                    reset_msg_ids)
 from repro.obs import TraceConfig, Tracer, export_jsonl
+from repro.sim import System
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -121,4 +123,46 @@ class TestPayloadAliasing:
         b = Message(MsgType.GETS, 2, 1, 0, payload={"requester": 2})
         a.payload["tag"] = "a"
         assert "tag" not in b.payload
+
+    LINE = 0x100000
+
+    @staticmethod
+    def scheduled(system, mtype):
+        """Messages of ``mtype`` waiting on the event calendar."""
+        return [args[0] for bucket in system.events._calendar.values()
+                for _callback, args in bucket
+                if args and isinstance(args[0], Message)
+                and args[0].mtype is mtype]
+
+    def broadcast(self):
+        """A write by node 1 to a line all eight nodes share: the home
+        (node 0) INVs the other seven in one fan-out."""
+        system = System(params.baseline(num_nodes=8), check_coherence=False)
+        system.address_map.place_range(self.LINE, 128, 0)
+        entry = system.hubs[0].home_memory.entry(self.LINE)
+        entry.state = DirState.SHARED
+        entry.sharers = set(range(8))
+        system.hubs[0]._home_getx(Message(
+            MsgType.GETX, 1, 0, self.LINE,
+            payload={"requester": 1, "has_copy": True}))
+        return system, self.scheduled(system, MsgType.INV)
+
+    def test_broadcast_inv_payload_is_read_only(self):
+        _system, invs = self.broadcast()
+        assert [inv.dst for inv in invs] == [0, 2, 3, 4, 5, 6, 7]
+        assert all(inv.payload is invs[0].payload for inv in invs)
+        with pytest.raises(TypeError):
+            invs[0].payload["collector"] = 5
+        assert all(inv.payload["collector"] == 1 for inv in invs)
+
+    def test_inv_ack_payload_is_read_only(self):
+        system, invs = self.broadcast()
+        for inv in invs[1:3]:
+            system.hubs[inv.dst]._on_inv(inv)
+        acks = self.scheduled(system, MsgType.INV_ACK)
+        assert [ack.dst for ack in acks] == [1, 1]
+        assert acks[0].payload is acks[1].payload
+        with pytest.raises(TypeError):
+            acks[0].payload["wasted_update"] = True
+        assert acks[1].payload["wasted_update"] is False
 

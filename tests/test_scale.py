@@ -117,6 +117,22 @@ class TestScaleHarness:
         doc = json.loads(json.dumps(report.to_json()))
         assert len(doc["rows"]) == 2
 
+    def test_untraced_64_node_schedule_is_pinned(self):
+        """The fuzz runner always attaches a tracer, which routes every
+        fan-out through the per-message send; this is the tier-1 pin of
+        the untraced broadcast path (limited:2 overflows to 63-way INVs)."""
+        report = run_scale(nodes=(64,),
+                           formats=("full", "coarse:16", "limited:2"),
+                           seed=0, engine=scale_engine(jobs=1))
+        got = {row["format"]: (row["events"], row["cycles"],
+                               row["invalidations"], row["traffic_bytes"])
+               for row in report.rows()}
+        assert got == {
+            "full": (21771, 29850, 2328, 808224),
+            "coarse:16": (45425, 29829, 11989, 1946976),
+            "limited:2": (47570, 29297, 12758, 2068320),
+        }
+
     def test_bad_axes_fail_fast(self):
         from repro.common import ConfigError
 

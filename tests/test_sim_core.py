@@ -69,6 +69,22 @@ class TestBarrierManager:
         with pytest.raises(SimulationError):
             manager.arrive(0, 0, lambda: None)
 
+    def test_double_arrival_rejected_after_others_and_in_next_episode(self):
+        """Release order is arrival order; the set of waiting nodes is
+        cleared on release, so a node may arrive once per episode."""
+        events = EventQueue()
+        manager = BarrierManager(events, participants=3)
+        released = []
+        for node in (2, 0, 1):
+            manager.arrive(node, 0, lambda node=node: released.append(node))
+        events.run()
+        assert released == [2, 0, 1]
+        manager.arrive(1, 1, lambda: None)
+        manager.arrive(0, 1, lambda: None)
+        with pytest.raises(SimulationError, match="node 0 arrived twice"):
+            manager.arrive(0, 1, lambda: None)
+        assert manager.stalled_nodes == [1, 0]
+
     def test_mixed_barrier_ids_rejected(self):
         events = EventQueue()
         manager = BarrierManager(events, participants=3)
