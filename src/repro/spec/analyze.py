@@ -20,20 +20,27 @@ accompanying consequences, not competing outcomes, and are excluded from
 the overlap/exhaustiveness analyses; ``nondet`` excuses an overlapping
 pair; ``unreachable`` transitions count as coverage (the spec asserts
 the binding cannot occur, and generated models enforce that at runtime).
+
+A finding names the module that encodes what it is about
+(:meth:`~repro.spec.lang.ProtocolSpec.source_of`): an overlap between two
+of Dragon's own transitions names ``dragon.py``, one between inherited
+transitions names ``adaptive.py``.
 """
 
 from itertools import combinations, product
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from ..lint.findings import Finding, Severity
 from .lang import ProtocolSpec, T, guard_allows, guards_overlap
 
 
 def _finding(spec: ProtocolSpec, check_id: str, severity: Severity,
-             message: str, fingerprint: str) -> Finding:
+             message: str, fingerprint: str,
+             names: Iterable[str] = ()) -> Finding:
+    """A finding on the named transitions or messages of ``spec``."""
     return Finding(check_id=check_id, severity=severity, message=message,
-                   fingerprint=fingerprint, file=spec.source_file, line=1,
-                   side="spec")
+                   fingerprint=fingerprint, file=spec.source_of(*names),
+                   line=1, side="spec")
 
 
 def _trigger_groups(spec: ProtocolSpec) -> Dict[Tuple[str, str], List[T]]:
@@ -64,7 +71,8 @@ def check_guard_overlap(spec: ProtocolSpec) -> Iterator[Finding]:
                     "state — dispatch is ambiguous (tag one 'nondet' if "
                     "the choice is genuine)"
                     % (spec.name, a.label, b.label, _group_name(key)),
-                    "%s:%s" % (_group_name(key), labels))
+                    "%s:%s" % (_group_name(key), labels),
+                    (a.label, b.label))
 
 
 def check_guard_exhaustiveness(spec: ProtocolSpec) -> Iterator[Finding]:
@@ -86,7 +94,8 @@ def check_guard_exhaustiveness(spec: ProtocolSpec) -> Iterator[Finding]:
                 "message would be dropped on the floor (add a handler "
                 "or an 'unreachable'-tagged assertion)"
                 % (spec.name, _group_name(key), binding),
-                "%s:%s" % (_group_name(key), binding))
+                "%s:%s" % (_group_name(key), binding),
+                (t.label for t in group))
 
 
 def check_unreachable_states(spec: ProtocolSpec) -> Iterator[Finding]:
@@ -120,13 +129,13 @@ def check_orphan_messages(spec: ProtocolSpec) -> Iterator[Finding]:
                 spec, "SPC004", Severity.ERROR,
                 "%s: message %s is declared but no transition or entry "
                 "rule emits it" % (spec.name, msg.name),
-                "%s:never-emitted" % msg.name)
+                "%s:never-emitted" % msg.name, (msg.name,))
         if msg.name not in handled:
             yield _finding(
                 spec, "SPC004", Severity.ERROR,
                 "%s: message %s is declared but no transition handles "
                 "it" % (spec.name, msg.name),
-                "%s:never-handled" % msg.name)
+                "%s:never-handled" % msg.name, (msg.name,))
 
 
 def _is_nack_family(name: str) -> bool:
@@ -186,7 +195,7 @@ def check_emission_cycles(spec: ProtocolSpec) -> Iterator[Finding]:
             "NACK-family hop — livelock shape with no retry bound "
             "(self-loops need a 'bounded' tag)"
             % (spec.name, ", ".join(sorted(members))),
-            "cycle:%s" % label)
+            "cycle:%s" % label, members)
 
 
 def check_request_reply_pairing(spec: ProtocolSpec) -> Iterator[Finding]:
@@ -203,7 +212,7 @@ def check_request_reply_pairing(spec: ProtocolSpec) -> Iterator[Finding]:
                     "%s: %s declares reply_to=%s but %s has role %r, "
                     "not 'request'"
                     % (spec.name, msg.name, req, req, target.role),
-                    "%s:reply-to-non-request" % msg.name)
+                    "%s:reply-to-non-request" % msg.name, (msg.name,))
     for msg in spec.messages:
         if msg.role == "request" and msg.name in names \
                 and msg.name not in answered:
@@ -211,7 +220,7 @@ def check_request_reply_pairing(spec: ProtocolSpec) -> Iterator[Finding]:
                 spec, "SPC006", Severity.ERROR,
                 "%s: request %s has no declared reply (a requester "
                 "waiting on it would hang)" % (spec.name, msg.name),
-                "%s:unpaired-request" % msg.name)
+                "%s:unpaired-request" % msg.name, (msg.name,))
 
 
 SPEC_CHECKS = (

@@ -23,11 +23,14 @@ simulator-only emission carries ``only="sim"`` — each with a mandatory
 ``why``.  These annotations replace the CON003/CON004 glob entries that
 used to live in ``lint_allowlist.txt``.
 
-A protocol that is another with parts switched off is not written twice.
-The fuller spec declares those parts as :class:`Feature` data, and
-:meth:`ProtocolSpec.without` projects them away: the paper's
-write-invalidate baseline is the adaptive spec without delegation and
-updates (see :mod:`repro.spec.registry`).
+A protocol that is another with parts switched off, or with parts
+added, is not written twice.  The fuller spec declares the parts it can
+lose as :class:`Feature` data, and :meth:`ProtocolSpec.without`
+projects them away: the paper's write-invalidate baseline is the
+adaptive spec without delegation and updates, and MESI is that without
+the RAC and the preserved consumer vector too.  A protocol that adds to
+another is an :class:`Extension`, which :meth:`ProtocolSpec.plus`
+composes onto its base (see :mod:`repro.spec.registry`).
 """
 
 from dataclasses import dataclass, replace
@@ -152,8 +155,9 @@ class Feature:
     :meth:`ProtocolSpec.without` projects it away: its ``messages``, the
     ``tokens`` it adds to messages that stay, its guard and install
     ``values`` (``(variable, values)`` atoms), and the entry ``rules``
-    (``mc_rule`` names) that drive it.  Dropping a feature also drops
-    the features it ``implies``.
+    (``mc_rule`` names) that drive it.  ``effects`` pairs a kernel the
+    feature needs with the one a transition that stays runs without it.
+    Dropping a feature also drops the features it ``implies``.
     """
 
     name: str
@@ -161,7 +165,26 @@ class Feature:
     tokens: Tuple[str, ...] = ()
     values: Tuple[Atom, ...] = ()
     rules: Tuple[str, ...] = ()
+    effects: Tuple[Tuple[str, str], ...] = ()
     implies: Tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class Extension:
+    """A protocol written as what it adds to the ``base`` spec.
+
+    :meth:`ProtocolSpec.plus` composes it: the base's vocabulary, domains
+    and transitions, less the transitions labelled in ``replaces``, plus
+    the ``messages``, ``domains`` and ``transitions`` declared here.
+    """
+
+    name: str
+    base: str
+    description: str
+    messages: Tuple[Msg, ...]
+    domains: Mapping[str, Tuple[str, ...]]
+    transitions: Tuple[T, ...]
+    replaces: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -185,13 +208,24 @@ class ProtocolSpec:
     mc_model: str = ""
     #: The optional parts :meth:`without` can project away.
     features: Tuple[Feature, ...] = ()
-    #: The spec this one was projected from ("" for a hand-written one).
+    #: The spec this one was projected or composed from ("" for a
+    #: hand-written one).
     derived_from: str = ""
+    #: Transition labels and message names an :class:`Extension` added
+    #: to ``derived_from``'s: its own module encodes them.
+    own: FrozenSet[str] = frozenset()
 
     @property
     def source_file(self) -> str:
         """The spec module that encodes this protocol."""
-        return "spec/protocols/%s.py" % (self.derived_from or self.name)
+        return self.source_of()
+
+    def source_of(self, *names: str) -> str:
+        """The spec module encoding the named transitions or messages:
+        the protocol's own when it adds any of them, else its base's."""
+        if self.derived_from and not self.own.intersection(names):
+            return "spec/protocols/%s.py" % self.derived_from
+        return "spec/protocols/%s.py" % self.name
 
     # -- lookups -----------------------------------------------------------
 
@@ -239,8 +273,11 @@ class ProtocolSpec:
         ``mc_rule`` or ``hoist`` rule belongs to a dropped feature, when
         one of its guard atoms has no value left, or when it installs a
         dropped value.  The transitions that stay lose the dropped guard
-        values and emissions; domains no guard uses any more go too.
-        Raises :class:`SpecError` for a feature the spec does not have.
+        values and emissions, run the replacement for a dropped
+        feature's kernel, and lose a ``nondet`` tag that no longer
+        excuses an overlap in their trigger group; domains no guard uses
+        any more go too.  Raises :class:`SpecError` for a feature the
+        spec does not have.
         """
         known = {feature.name: feature for feature in self.features}
         dropped: Dict[str, Feature] = {}
@@ -258,6 +295,7 @@ class ProtocolSpec:
         msgs = {m for f in dropped.values() for m in f.messages}
         tokens = {tok for f in dropped.values() for tok in f.tokens}
         rules = {r for f in dropped.values() for r in f.rules}
+        effects = dict(pair for f in dropped.values() for pair in f.effects)
         gone: Dict[str, Set[str]] = {}
         for feature in dropped.values():
             for var, values in feature.values:
@@ -276,8 +314,16 @@ class ProtocolSpec:
                            for var, value in t.goes)):
                 continue
             transitions.append(replace(
-                t, when=when, emit=tuple(m for m in t.emit if m not in msgs)))
+                t, when=when, emit=tuple(m for m in t.emit if m not in msgs),
+                effect=effects.get(t.effect, t.effect)))
         used = {var for t in transitions for var, _values in t.when}
+        domains = {var: keep(var, values)
+                   for var, values in self.domains.items() if var in used}
+        transitions = [
+            replace(t, tags=tuple(tag for tag in t.tags if tag != "nondet"))
+            if t.has_tag("nondet") and not _overlaps_another(
+                t, transitions, domains) else t
+            for t in transitions]
         return replace(
             self,
             messages=tuple(
@@ -288,14 +334,44 @@ class ProtocolSpec:
                 for msg in self.messages if msg.name not in msgs),
             dir_states=keep("dir", self.dir_states),
             cache_states=keep("cache", self.cache_states),
-            domains={var: keep(var, values)
-                     for var, values in self.domains.items() if var in used},
+            domains=domains,
             transitions=tuple(transitions),
             features=tuple(
                 replace(f, implies=tuple(n for n in f.implies
                                          if n not in dropped))
                 for f in self.features if f.name not in dropped),
             derived_from=self.derived_from or self.name)
+
+    # -- composition -------------------------------------------------------
+
+    def plus(self, ext: Extension) -> "ProtocolSpec":
+        """``ext`` composed onto this spec (see :class:`Extension`).
+
+        The result has no model twin: the extension's transitions name
+        no kernels.  Raises :class:`SpecError` when ``ext`` replaces a
+        label this spec lacks or redeclares a label it keeps.
+        """
+        labels = {t.label for t in self.transitions}
+        missing = sorted(set(ext.replaces) - labels)
+        clash = sorted({t.label for t in ext.transitions}
+                       & (labels - set(ext.replaces)))
+        if missing:
+            raise SpecError("%s replaces %s, which %s lacks"
+                            % (ext.name, ", ".join(missing), self.name))
+        if clash:
+            raise SpecError("%s redeclares %s of %s without replacing it"
+                            % (ext.name, ", ".join(clash), self.name))
+        return replace(
+            self, name=ext.name, description=ext.description,
+            messages=self.messages + ext.messages,
+            domains={**self.domains, **ext.domains},
+            transitions=tuple(t for t in self.transitions
+                              if t.label not in ext.replaces)
+            + ext.transitions,
+            mc_model="",
+            derived_from=self.derived_from or self.name,
+            own=frozenset(m.name for m in ext.messages)
+            | {t.label for t in ext.transitions})
 
     # -- validation --------------------------------------------------------
 
@@ -340,6 +416,8 @@ class ProtocolSpec:
                 (set(feature.messages) - names)
                 | (set(feature.tokens) - tokens)
                 | (set(feature.implies) - features)
+                | ({kept for kept, _new in feature.effects}
+                   - {t.effect for t in self.transitions})
                 | {"%s=%s" % (var, value) for var, values in feature.values
                    for value in values
                    if value not in self.domains.get(var, ())})
@@ -425,3 +503,13 @@ def guards_overlap(a: T, b: T, domains: Mapping[str, Tuple[str, ...]]) -> bool:
         else:
             constraints[var] = allowed & set(domains.get(var, values))
     return all(constraints.values())
+
+
+def _overlaps_another(t: T, transitions: List[T],
+                      domains: Mapping[str, Tuple[str, ...]]) -> bool:
+    """Whether ``t``'s guard overlaps another in its trigger group
+    (``also``-tagged accompaniments compete with nothing)."""
+    return any(other is not t and other.on == t.on and other.via == t.via
+               and not other.has_tag("also")
+               and guards_overlap(t, other, domains)
+               for other in transitions)

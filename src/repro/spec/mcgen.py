@@ -1,9 +1,9 @@
 """Compile a ``mc_model="generated"`` spec into an executable model.
 
 :class:`SpecModel` is the model-checker twin of every protocol whose spec
-sets ``mc_model="generated"``: the paper's adaptive protocol, the MESI
-arena baseline, and the ``wi`` baseline derived from adaptive.  The
-spec's guarded transitions become the message dispatch, and each
+sets ``mc_model="generated"``: the paper's adaptive protocol, and the
+``wi`` and MESI baselines derived from it.  The spec's guarded
+transitions become the message dispatch, and each
 transition's ``effect`` names a kernel primitive —
 :data:`EFFECTS` for message handlers, :data:`ENTRY_EFFECTS` for the
 spontaneous rules (CPU requests, evictions, the speculative-update
@@ -30,8 +30,8 @@ memoised; the emission check runs on every send.
 The model checks the spec it is given and nothing else: a configuration
 without delegation or updates is the spec with those features projected
 away (:meth:`~repro.spec.lang.ProtocolSpec.without`), which is also how
-the ``wi`` baseline's spec is derived.  ``allow_evictions`` removes the
-eviction rules.  State layout, network and value canonicalisation come
+the ``wi`` and MESI baselines' specs are derived.  ``allow_evictions``
+removes the eviction rules.  State layout, network and value canonicalisation come
 from :mod:`repro.mc.model`, so :data:`repro.mc.invariants.ALL_INVARIANTS`
 apply unchanged.
 """
@@ -310,8 +310,9 @@ class SpecModel:
 
 # -- kernel helpers -----------------------------------------------------------
 #
-# Shared by both generated models.  MESI's racs/deleg/hints stay empty,
-# so the delegation and RAC arms never fire for it.
+# Shared by every generated model.  Without delegation the deleg/hints
+# stay empty, and without the RAC feature the racs do too, so the
+# delegation arms never fire for wi or MESI, nor the RAC arms for MESI.
 
 
 def _target_of(state: State, node: int) -> int:
@@ -1086,13 +1087,13 @@ def _evict(model: SpecModel, fire: Fire, state: State,
 
 
 def _rule_evict(model: SpecModel, fire: Fire, state: State) -> Labelled:
-    """MESI: a Shared eviction is a silent drop."""
+    """Without the RAC: a Shared eviction is a silent drop."""
     return _evict(model, fire, state, victim_rac=False)
 
 
 def _rule_evict_to_rac(model: SpecModel, fire: Fire,
                        state: State) -> Labelled:
-    """Adaptive: a remote Shared victim moves into the RAC."""
+    """With the RAC: a remote Shared victim moves into it."""
     return _evict(model, fire, state, victim_rac=True)
 
 

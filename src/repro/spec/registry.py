@@ -12,18 +12,22 @@ Two access paths:
   come from the same tree as the extracted sim graph.  A tree without a
   ``spec/protocols/`` directory yields ``{}``, which lint rejects.
 
-Not every spec has a module.  A :data:`DERIVED` protocol is another
-spec with features projected away (:meth:`ProtocolSpec.without`): the
-``wi`` baseline is the adaptive protocol without delegation and updates,
-as the paper defines it (§2.5).  Both paths derive it from the adaptive
-spec they loaded.
+Only the adaptive spec encodes the invalidate backbone.  A
+:data:`DERIVED` protocol is it with features projected away
+(:meth:`ProtocolSpec.without`): the ``wi`` baseline is the adaptive
+protocol without delegation and updates, as the paper defines it
+(§2.5), and ``mesi`` also drops the RAC and the preserved consumer
+vector.  A module may instead define an :class:`Extension`, which is
+composed onto the spec it names (:meth:`ProtocolSpec.plus`): ``dragon``
+adds its update pair to ``wi``.  Both paths build these from the
+adaptive spec they loaded.
 """
 
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
-from .lang import ProtocolSpec, SpecError
+from .lang import Extension, ProtocolSpec, SpecError
 
 SPEC_NAMES = ("adaptive", "wi", "mesi", "dragon")
 
@@ -32,6 +36,9 @@ DERIVED: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
     "wi": ("adaptive", ("delegation", "updates"),
            "writer-invalidate baseline: the adaptive protocol without "
            "delegation and updates"),
+    "mesi": ("adaptive", ("delegation", "updates", "rac", "consumer_vector"),
+             "textbook MESI directory baseline: no delegation, no "
+             "updates, invalidated readers are forgotten"),
 }
 
 
@@ -39,6 +46,12 @@ def _derive(name: str, base: ProtocolSpec) -> ProtocolSpec:
     _base, features, description = DERIVED[name]
     spec = replace(base.without(*features), name=name,
                    description=description)
+    spec.validate()
+    return spec
+
+
+def _compose(ext: Extension, base: ProtocolSpec) -> ProtocolSpec:
+    spec = base.plus(ext)
     spec.validate()
     return spec
 
@@ -51,8 +64,9 @@ def get_spec(name: str) -> ProtocolSpec:
     if name in DERIVED:
         return _derive(name, get_spec(DERIVED[name][0]))
     from importlib import import_module
-    module = import_module("repro.spec.protocols.%s" % name)
-    spec = module.SPEC
+    spec = import_module("repro.spec.protocols.%s" % name).SPEC
+    if isinstance(spec, Extension):
+        return _compose(spec, get_spec(spec.base))
     if not isinstance(spec, ProtocolSpec):  # pragma: no cover - defensive
         raise SpecError("repro.spec.protocols.%s.SPEC is not a "
                         "ProtocolSpec" % name)
@@ -77,6 +91,7 @@ def load_spec_tree(root: Path) -> Dict[str, ProtocolSpec]:
     """
     spec_dir = Path(root) / "spec" / "protocols"
     specs: Dict[str, ProtocolSpec] = {}
+    extensions: List[Tuple[Path, Extension]] = []
     if not spec_dir.is_dir():
         return specs
     for path in sorted(spec_dir.glob("*.py")):
@@ -92,14 +107,23 @@ def load_spec_tree(root: Path) -> Dict[str, ProtocolSpec]:
         except Exception as exc:
             raise SpecError("failed to load spec %s: %s" % (path, exc))
         spec = namespace.get("SPEC")
-        if not isinstance(spec, ProtocolSpec):
-            raise SpecError("%s defines no SPEC ProtocolSpec" % path)
+        if not isinstance(spec, (ProtocolSpec, Extension)):
+            raise SpecError("%s defines no SPEC ProtocolSpec or Extension"
+                            % path)
         if spec.name in DERIVED:
             raise SpecError("%s defines %s, which is derived from %s"
                             % (path, spec.name, DERIVED[spec.name][0]))
+        if isinstance(spec, Extension):
+            extensions.append((path, spec))
+            continue
         spec.validate()
         specs[spec.name] = spec
     for name, (base, _features, _description) in DERIVED.items():
         if base in specs:
             specs[name] = _derive(name, specs[base])
+    for path, ext in extensions:
+        if ext.base not in specs:
+            raise SpecError("%s extends %s, which the tree does not define"
+                            % (path, ext.base))
+        specs[ext.name] = _compose(ext, specs[ext.base])
     return specs

@@ -13,7 +13,9 @@ two-writer configuration is the one that reaches the home-initiated
 recall races.  The counts were recorded on the hand-written model the
 spec compiler replaced, so they also pin the two encodings' agreement.
 The ``wi`` spec, derived from adaptive's by dropping both features,
-must give the no-delegation outcomes exactly.
+must give the no-delegation outcomes exactly, and the ``mesi`` spec,
+derived by dropping two more, the outcomes of the hand-written MESI spec
+it replaced.
 
 The same runs give the checker its teeth: every transition the spec
 dispatches must actually execute somewhere.  A sha256 of each passing
@@ -136,6 +138,29 @@ def test_wi_spec_checks_as_adaptive_without_delegation(name):
     assert (got.states_explored, got.transitions,
             got.max_depth) == PINNED[name][1]
     assert rule_counts_digest(got) == RULE_COUNT_DIGESTS[name]
+
+
+#: MESI is adaptive without delegation, updates, the RAC and the
+#: consumer vector: name -> (SpecModel kwargs, outcome, rule-count
+#: digest), recorded on the hand-written MESI spec it replaced.
+MESI_PINNED = {
+    "mesi-3": ({}, (254, 527, 22),
+               "de87150fce388925f6a58810a2e5067392bef393220ee30b59aa07894721347f"),
+    "mesi-3-unordered": (
+        {"ordered_channels": False}, (402, 996, 24),
+        "6940df3146e1464cb39634aceeff27afc107aac7fa960ae0ce3a12ccf9fd63dc"),
+    "mesi-4": (_FOUR, (7060, 22446, 34),
+               "db8bcd4c08a5945cd0643d65c711af2613e7f7b70e73fadb2e454871d6b1260b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MESI_PINNED))
+def test_mesi_state_space_is_pinned(name):
+    kwargs, expected, digest = MESI_PINNED[name]
+    got = run(SpecModel(get_spec("mesi"), **kwargs))
+    assert (got.states_explored, got.transitions,
+            got.max_depth) == expected
+    assert rule_counts_digest(got) == digest
 
 
 # -- checker teeth: the spec's transitions really execute ---------------------

@@ -97,9 +97,26 @@ class TestSpcMutations:
     def test_spc002_non_exhaustive_guards(self):
         # Drop the unowned-GETS handler: busy=none & dir=U now matches
         # nothing, so the message would be dropped on the floor.
+        # MESI inherits adaptive's at=home guard with the rest of GETS.
         keys = spc_keys(drop_transition(get_spec("mesi"), "gets_unowned"))
-        assert any(k.startswith("SPC002:GETS:busy=none&dir=U")
+        assert any(k.startswith("SPC002:GETS:at=home&busy=none&dir=U")
                    for k in keys), keys
+
+    @pytest.mark.parametrize("name", ["wi", "mesi"])
+    def test_spc001_survives_the_projection(self, name):
+        # Widen getx_shared to dir in {S, E} and any upgrade flag.  In
+        # adaptive it is one side of the nondet delegation choice; the
+        # projections drop that choice, so the tag must go with it or
+        # the overlaps would pass unseen.
+        spec = replace_transition(
+            get_spec(name), "getx_shared",
+            when=(("busy", ("none",)), ("dir", ("S", "E"))))
+        found = {f.key: f.file for f in run_spec_checks(spec)}
+        assert found == {
+            "SPC001:GETX:%s" % pair: "spec/protocols/adaptive.py"
+            for pair in ("getx_intervene+getx_shared",
+                         "getx_own_wb_race+getx_shared",
+                         "getx_shared+getx_upgrade")}
 
     def test_spc003_never_installed_state(self):
         spec = get_spec("mesi")
@@ -183,9 +200,10 @@ class TestConformanceMutations:
         assert "CON005:SHARED_WB->INV" in found
 
     def test_derived_spec_findings_name_its_source_module(self, tree):
-        # Widen adaptive's gets_shared to dir in {S, E}.  The wi
-        # projection keeps the transition, so the overlap shows in both
-        # specs, and wi's finding points at the module that encodes it.
+        # Widen adaptive's gets_shared to dir in {S, E}.  The projections
+        # and Dragon keep the transition, so the overlap shows in all
+        # four specs, and each finding points at the one module that
+        # encodes it.
         mutate(tree, "spec/protocols/adaptive.py",
                '("dir", ("S",))),\n      emit=("DATA_SHARED",), '
                'label="gets_shared"',
@@ -195,8 +213,24 @@ class TestConformanceMutations:
         report = run_lint(root=tree, use_allowlist=False)
         overlaps = {f.message.split(":")[0]: f.file for f in report.findings
                     if f.key == "SPC001:GETS:gets_intervene+gets_shared"}
-        assert overlaps == {"adaptive": "spec/protocols/adaptive.py",
-                            "wi": "spec/protocols/adaptive.py"}
+        assert overlaps == {name: "spec/protocols/adaptive.py"
+                            for name in ("adaptive", "wi", "mesi",
+                                         "dragon")}
+
+    def test_dragon_findings_on_its_own_transitions_name_dragon(self, tree):
+        # Widen Dragon's publish arm to any owner: it now overlaps the
+        # stale-owner arm, both declared in dragon.py.
+        mutate(tree, "spec/protocols/dragon.py",
+               '("owner_is_src", ("yes",))),\n      goes=(("dir", "S"),), '
+               'label="sh_wb_publish"',
+               '("owner_is_src", ("yes", "no"))),\n      '
+               'goes=(("dir", "S"),), label="sh_wb_publish"')
+        from repro.lint import run_lint
+        report = run_lint(root=tree, use_allowlist=False)
+        files = {f.key: f.file for f in report.findings
+                 if f.key.startswith("SPC")}
+        assert files == {"SPC001:SHARED_WB:sh_wb_publish+sh_wb_stale_owner":
+                         "spec/protocols/dragon.py"}
 
     def test_bogus_replay_function_is_flagged(self, tree):
         mutate(tree, "spec/protocols/adaptive.py",

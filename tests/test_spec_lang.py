@@ -4,9 +4,10 @@ import dataclasses
 
 import pytest
 
-from repro.spec import (Msg, ProtocolSpec, SpecError, T, all_specs,
-                        get_spec, load_spec_tree)
+from repro.spec import (Extension, Msg, ProtocolSpec, SpecError, T,
+                        all_specs, get_spec, load_spec_tree)
 from repro.spec.lang import Feature, guard_allows, guards_overlap
+from repro.spec.registry import DERIVED
 
 DOMAINS = {"dir": ("U", "S", "E"), "cpu": ("idle", "R", "W")}
 
@@ -229,9 +230,108 @@ class TestProjection:
 
     def test_feature_naming_undeclared_parts_rejected(self):
         spec = tiny_spec(features=(
-            Feature("echo", messages=("ECHO",), values=(("dir", ("Z",)),)),))
-        with pytest.raises(SpecError, match="names undeclared ECHO, dir=Z"):
+            Feature("echo", messages=("ECHO",), values=(("dir", ("Z",)),),
+                    effects=(("no_such_kernel", "x"),)),))
+        with pytest.raises(SpecError, match="names undeclared ECHO, dir=Z, "
+                                            "no_such_kernel"):
             spec.validate()
+
+    def test_without_swaps_the_dropped_feature_kernels(self):
+        spec = tiny_spec(
+            transitions=tuple(dataclasses.replace(t, effect="loud_" + t.label)
+                              for t in tiny_spec().transitions),
+            features=(Feature("loud", effects=(("loud_ping_u", "quiet"),
+                                               ("loud_read", "hush"))),))
+        spec.validate()
+        effects = {t.label: t.effect for t in spec.without("loud").transitions}
+        assert effects == {"ping_u": "quiet", "ping_rest": "loud_ping_rest",
+                           "pong": "loud_pong", "read": "hush"}
+
+    def test_without_drops_a_nondet_tag_left_with_no_rival(self):
+        # ping_u and ping_grow are the nondet choice on dir=U; dropping
+        # echo removes ping_grow (it installs dir=E), so ping_u's tag
+        # excuses nothing any more and would hide a later overlap.
+        spec = tiny_spec(
+            transitions=tiny_spec().transitions[1:] + (
+                T("home", "PING", when=(("dir", ("U",)),), emit=("PONG",),
+                  goes=(("dir", "S"),), tags=("nondet",), label="ping_u"),
+                T("home", "PING", when=(("dir", ("U",)),),
+                  goes=(("dir", "E"),), tags=("nondet",),
+                  label="ping_grow")),
+            features=(Feature("echo", values=(("dir", ("E",)),)),))
+        bare = spec.without("echo")
+        tags = {t.label: t.tags for t in bare.transitions}
+        assert tags["ping_u"] == ()
+        assert "ping_grow" not in tags
+        # A choice that survives the projection keeps its tags.
+        kept = dataclasses.replace(
+            spec, features=(Feature("echo"),)).without("echo")
+        assert {t.label: t.tags for t in kept.transitions}["ping_u"] == \
+            ("nondet",)
+
+
+def echo_extension(**overrides):
+    """Adds an ECHO request to ``tiny``, answered by PONG, and swaps
+    tiny's ping_rest for two arms."""
+    base = dict(
+        name="tiny_echo", base="tiny", description="tiny plus echo",
+        messages=(Msg("ECHO", mc=("ECHO",), role="request"),),
+        domains={"pend": ("zero", "some")},
+        transitions=(
+            T("node", "ECHO", (("pend", ("zero", "some")),),
+              emit=("PONG",), label="echo"),
+            T("node", "!echo", emit=("ECHO",), label="echo_fire"),
+            T("home", "PING", (("dir", ("S",)),), label="ping_s"),
+            T("home", "PING", (("dir", ("E",)),), label="ping_e"),
+        ),
+        replaces=("ping_rest",))
+    base.update(overrides)
+    return Extension(**base)
+
+
+class TestComposition:
+    def test_plus_adds_the_extension_and_drops_what_it_replaces(self):
+        spec = tiny_spec(mc_model="generated").plus(echo_extension())
+        spec.validate()
+        assert spec.name == "tiny_echo"
+        assert spec.description == "tiny plus echo"
+        assert [t.label for t in spec.transitions] == [
+            "ping_u", "pong", "read", "echo", "echo_fire", "ping_s",
+            "ping_e"]
+        assert [m.name for m in spec.messages] == ["PING", "PONG", "ECHO"]
+        assert dict(spec.domains) == {**DOMAINS, "pend": ("zero", "some")}
+        assert spec.handled() == {"PING", "PONG", "ECHO"}
+        # The extension's transitions name no kernels: no model twin.
+        assert spec.mc_model == ""
+
+    def test_findings_name_the_module_that_encodes_their_subject(self):
+        spec = tiny_spec().plus(echo_extension())
+        assert spec.derived_from == "tiny"
+        assert spec.source_file == "spec/protocols/tiny.py"
+        assert spec.source_of("ping_u", "pong") == "spec/protocols/tiny.py"
+        assert spec.source_of("ping_u", "ping_s") == \
+            "spec/protocols/tiny_echo.py"
+        assert spec.source_of("ECHO") == "spec/protocols/tiny_echo.py"
+        # A hand-written spec encodes all of itself.
+        assert tiny_spec().source_of("ping_u") == "spec/protocols/tiny.py"
+
+    def test_replacing_an_absent_label_is_rejected(self):
+        with pytest.raises(SpecError, match="tiny_echo replaces ping_gone, "
+                                            "which tiny lacks"):
+            tiny_spec().plus(echo_extension(replaces=("ping_gone",)))
+
+    def test_redeclaring_a_kept_label_is_rejected(self):
+        with pytest.raises(SpecError, match="tiny_echo redeclares ping_u of "
+                                            "tiny without replacing it"):
+            tiny_spec().plus(echo_extension(transitions=(
+                T("home", "PING", (("dir", ("U",)),), label="ping_u"),)))
+
+
+#: The messages the wi and MESI hubs dispatch.
+WI_HANDLED = frozenset({
+    "GETS", "GETX", "DATA_SHARED", "DATA_EXCL", "ACK_X", "INV", "INV_ACK",
+    "WRITEBACK", "EVICT_CLEAN", "WB_ACK", "NACK", "INTERVENTION",
+    "SHARED_WB", "SHARED_RESP", "EXCL_RESP", "XFER_OWNER"})
 
 
 class TestRegistry:
@@ -257,29 +357,85 @@ class TestRegistry:
         assert dataclasses.replace(
             wi, name="adaptive", description=adaptive.description) == \
             adaptive.without("delegation", "updates")
-        assert wi.features == ()
+        # What wi keeps of adaptive, and what MESI drops on top.
+        assert [f.name for f in wi.features] == ["rac", "consumer_vector"]
         assert wi.source_file == "spec/protocols/adaptive.py"
         # What the hubs dispatch under wi: the hand-written wi spec's
         # set minus its latent NACK_NOT_HOME arms.
-        assert wi.handled() == {
-            "GETS", "GETX", "DATA_SHARED", "DATA_EXCL", "ACK_X", "INV",
-            "INV_ACK", "WRITEBACK", "EVICT_CLEAN", "WB_ACK", "NACK",
-            "INTERVENTION", "SHARED_WB", "SHARED_RESP", "EXCL_RESP",
-            "XFER_OWNER"}
+        assert wi.handled() == WI_HANDLED
 
-    def test_tree_derives_wi_from_its_adaptive(self):
+    def test_mesi_is_wi_without_the_rac_and_consumer_vector(self):
+        wi, mesi = get_spec("wi"), get_spec("mesi")
+        assert dataclasses.replace(
+            mesi, name="wi", description=wi.description) == \
+            wi.without("rac", "consumer_vector")
+        assert mesi.features == ()
+        assert mesi.source_file == "spec/protocols/adaptive.py"
+        effects = {t.label: t.effect for t in mesi.transitions}
+        assert effects["evict"] == "evict"
+        assert effects["getx_upgrade"] == "getx_upgrade_forget"
+        assert effects["getx_shared"] == "getx_shared_forget"
+        assert "rac_evict" not in effects
+        # Equal to the hand-written MESI spec's set.
+        assert mesi.handled() == WI_HANDLED
+
+    def test_dragon_is_wi_plus_its_update_pair(self):
+        wi, dragon = get_spec("wi"), get_spec("dragon")
+        own = {"data_e_update_push", "ack_x_update_push",
+               "inv_ack_update_push", "update_apply", "update_ack_count",
+               "update_ack_drain_publish", "sh_wb_publish",
+               "sh_wb_stale_dir", "sh_wb_stale_owner", "sh_wb_stale_busy"}
+        labels = [t.label for t in dragon.transitions]
+        assert labels == [t.label for t in wi.transitions
+                          if t.label != "sh_wb_stale"] + [
+            t.label for t in dragon.transitions if t.label in own]
+        assert dragon.own == own | {"UPDATE", "UPDATE_ACK"}
+        assert dragon.mc_model == ""
+        # The hand-written Dragon spec's set minus the NACK_NOT_HOME of
+        # its latent stale-home arms.
+        assert dragon.handled() == WI_HANDLED | {"UPDATE", "UPDATE_ACK"}
+
+    @pytest.mark.parametrize("name", ["wi", "mesi", "dragon"])
+    def test_tree_builds_from_its_adaptive(self, name):
         from repro.lint import default_root
         specs = load_spec_tree(default_root())
-        assert specs["wi"] == get_spec("wi")
+        assert specs[name] == get_spec(name)
 
-    def test_tree_module_may_not_define_a_derived_spec(self, tmp_path):
+    def test_tree_composes_dragon_from_its_own_adaptive(self, tmp_path):
+        from repro.lint import default_root
         spec_dir = tmp_path / "spec" / "protocols"
         spec_dir.mkdir(parents=True)
-        (spec_dir / "wi.py").write_text(
+        for name in ("adaptive.py", "dragon.py"):
+            source = (default_root() / "spec" / "protocols" / name
+                      ).read_text()
+            if name == "adaptive.py":
+                source = source.replace('label="inv_apply"',
+                                        'label="inv_apply_tree"')
+            (spec_dir / name).write_text(source)
+        labels = {t.label for t in load_spec_tree(tmp_path)["dragon"]
+                  .transitions}
+        assert "inv_apply_tree" in labels and "inv_apply" not in labels
+
+    def test_tree_extension_needs_its_base(self, tmp_path):
+        from repro.lint import default_root
+        spec_dir = tmp_path / "spec" / "protocols"
+        spec_dir.mkdir(parents=True)
+        (spec_dir / "dragon.py").write_text(
+            (default_root() / "spec" / "protocols" / "dragon.py").read_text())
+        with pytest.raises(SpecError, match="extends wi, which the tree "
+                                            "does not define"):
+            load_spec_tree(tmp_path)
+
+    @pytest.mark.parametrize("name", sorted(DERIVED))
+    def test_tree_module_may_not_define_a_derived_spec(self, tmp_path, name):
+        spec_dir = tmp_path / "spec" / "protocols"
+        spec_dir.mkdir(parents=True)
+        (spec_dir / ("%s.py" % name)).write_text(
             "import dataclasses\n"
-            "from repro.spec.protocols.mesi import SPEC as MESI\n"
-            "SPEC = dataclasses.replace(MESI, name='wi')\n")
-        with pytest.raises(SpecError, match="derived from adaptive"):
+            "from repro.spec.protocols.adaptive import SPEC as ADAPTIVE\n"
+            "SPEC = dataclasses.replace(ADAPTIVE, name=%r)\n" % name)
+        with pytest.raises(SpecError, match="defines %s, which is derived "
+                                            "from adaptive" % name):
             load_spec_tree(tmp_path)
 
     def test_legacy_tree_without_specs_yields_empty(self, tmp_path):

@@ -15,6 +15,7 @@ import pytest
 
 from repro.common.errors import DeadlockError
 from repro.mc import ALL_INVARIANTS, ModelChecker
+from repro.mc import model as kernel
 from repro.mc.engine import InvariantViolation
 from repro.spec import get_spec
 from repro.spec.mcgen import SpecExecutionError, SpecModel
@@ -53,7 +54,26 @@ class TestExhaustiveCheck:
         # MESI has no payload-racing reorder hazard: unlike the adaptive
         # protocol, dropping FIFO must not surface a counterexample.
         result = check(mesi_model(ordered_channels=False))
-        assert result.states_explored >= 254
+        assert (result.states_explored, result.transitions,
+                result.max_depth) == (402, 996, 24)
+
+
+class TestKernels:
+    @pytest.mark.parametrize("name", ["adaptive", "wi", "mesi"])
+    def test_rebuffered_read_stays_a_read(self, name):
+        # The home waits for a writeback with a GETS from node 2 buffered
+        # when a no-copy NACK for an older intervention arrives.  The
+        # simulator keeps the buffered request as it is; so must the
+        # compiled nacki_rebuffer transition.
+        model = SpecModel(get_spec(name))
+        fire, = [f for f in model._dispatch["NACKI"]
+                 if f.t.label == "nacki_rebuffer"]
+        state = kernel.initial_state(3)
+        busy = ("wb", 2, ("GETS", 2))
+        state = state[:4] + (("E", frozenset(), 1, 0, busy),) + state[5:]
+        msg = ("NACKI", 1, kernel.HOME, ("no_copy", "s"))
+        after = fire.effect(model, state, msg, fire)
+        assert after[4][4] == busy
 
 
 class TestModelHasTeeth:
