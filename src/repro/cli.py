@@ -67,7 +67,6 @@ from .harness import arena as arena_harness
 from .harness import experiments, run_app
 from .harness import sweep as sweep_mod
 from .harness.sweep import SweepEngine, SweepProgress
-from .protocol import arena as arena_mod
 from .common.errors import (ConfigError, DeadlockError, InvariantViolation,
                             ReproError)
 from .mc import ALL_INVARIANTS, ModelChecker, StateSpaceExceeded
@@ -113,7 +112,7 @@ def build_parser():
     run_p.add_argument("--scale", type=float, default=1.0)
     run_p.add_argument("--seed", type=int, default=12345)
     run_p.add_argument("--protocol", default=None,
-                       choices=arena_mod.protocol_names(),
+                       choices=SPEC_NAMES,
                        help="coherence protocol (default: the config's, "
                             "i.e. adaptive)")
     run_p.add_argument("--directory-format", default=None, metavar="FMT",
@@ -129,7 +128,7 @@ def build_parser():
                          help="comma-separated applications "
                               "(default: %(default)s)")
     arena_p.add_argument("--protocols",
-                         default=",".join(arena_mod.ARENA_PROTOCOLS),
+                         default=",".join(SPEC_NAMES),
                          metavar="P,Q,...",
                          help="comma-separated protocols "
                               "(default: %(default)s)")

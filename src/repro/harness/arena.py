@@ -2,7 +2,7 @@
 
 The paper's claim is comparative — adaptive delegation/update beats plain
 write-invalidate on producer-consumer sharing — so the arena runs the same
-workloads over every registered protocol (see
+workloads over every protocol with a spec (``SPEC_NAMES``; see
 :mod:`repro.protocol.arena`) and renders the comparison: traffic bytes,
 hop-class miss breakdown, and miss-latency p50/p95 per workload per
 protocol.
@@ -13,9 +13,10 @@ SweepEngine` (the default ``run_app`` runner, whose runs carry the
 always-on latency histograms), so arena sweeps parallelise and cache
 exactly like every other experiment; ``protocol_name`` rides in the
 config and therefore in the cache key.  All cells share one *base*
-config — each protocol then normalises it onto its own feature set
-(``wi`` strips delegation, ``mesi`` also drops the RAC...), which is the
-point: equal hardware budget, the protocol is the only variable.
+config — each protocol then normalises it onto its spec's features
+(``wi`` turns delegation and updates off, ``mesi`` also the RAC...),
+which is the point: equal hardware budget, the protocol is the only
+variable.
 """
 
 from dataclasses import replace
@@ -24,7 +25,8 @@ from ..analysis.tables import render_matrix
 from ..common import params
 from ..common import stats as S
 from ..obs.metrics import miss_percentiles
-from ..protocol.arena import ARENA_PROTOCOLS, resolve_protocol
+from ..protocol.arena import resolve_protocol
+from ..spec.registry import SPEC_NAMES
 from .sweep import SweepJob, default_engine
 
 #: Default arena workloads: the two apps with the strongest
@@ -91,7 +93,7 @@ class ArenaReport:
         }
 
 
-def run_arena(apps=DEFAULT_APPS, protocols=ARENA_PROTOCOLS, base=None,
+def run_arena(apps=DEFAULT_APPS, protocols=SPEC_NAMES, base=None,
               base_name="small", seed=12345, scale=0.5, engine=None):
     """Sweep ``apps`` x ``protocols`` and return an :class:`ArenaReport`.
 

@@ -89,8 +89,7 @@ class Fabric:
         self._tables[node] = table
 
     def _latency_row(self, src):
-        latency = self.topology.latency
-        row = [latency(src, dst) for dst in range(self.config.num_nodes)]
+        row = self.topology.latency_row(src)
         self._latency_rows[src] = row
         return row
 

@@ -28,6 +28,14 @@ class FatTree:
             depth += 1
             capacity *= self._radix
         self.depth = depth
+        # Latency by router levels climbed (see ``latency``); a route
+        # climbs at most ``depth - 1`` levels.
+        hop = network_config.hop_latency
+        self._level_latency = (
+            [max(1, round(hop * network_config.intra_leaf_fraction))]
+            + [hop + round(hop * network_config.level_latency_frac
+                           * (levels - 1))
+               for levels in range(1, depth)])
 
     def leaf_of(self, node):
         """Index of the leaf router hosting ``node``."""
@@ -71,14 +79,25 @@ class FatTree:
         """
         if a == b:
             return 0
-        cfg = self.config
-        levels = self.levels_climbed(a, b)
-        if levels == 0:
-            return max(1, round(cfg.hop_latency * cfg.intra_leaf_fraction))
-        if levels == 1:
-            return cfg.hop_latency
-        return cfg.hop_latency + round(
-            cfg.hop_latency * cfg.level_latency_frac * (levels - 1))
+        return self._level_latency[self.levels_climbed(a, b)]
+
+    def latency_row(self, src):
+        """``[latency(src, dst) for dst in range(num_nodes)]``, filled with
+        one slice per level: the nodes in ``src``'s subtree of
+        ``radix ** (levels + 1)`` nodes, and in no smaller one, are
+        ``levels`` levels away."""
+        self._check(src)
+        num_nodes, radix = self.num_nodes, self._radix
+        table = self._level_latency
+        row = [table[-1]] * num_nodes
+        size = radix ** (self.depth - 1)
+        for levels in range(self.depth - 2, -1, -1):
+            start = src - src % size
+            end = min(start + size, num_nodes)
+            row[start:end] = [table[levels]] * (end - start)
+            size //= radix
+        row[src] = 0
+        return row
 
     def _check(self, node):
         if not 0 <= node < self.num_nodes:

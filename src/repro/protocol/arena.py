@@ -2,21 +2,21 @@
 
 The paper's headline claim is that adaptive delegation/update beats plain
 write-invalidate on producer-consumer sharing.  This module supplies the
-competitors, each behind one small :class:`Protocol` interface:
+competitors, one :class:`Protocol` per spec in
+:data:`repro.spec.registry.SPEC_NAMES`:
 
 ``adaptive``
     The paper's protocol — delegation, speculative updates, the detector —
-    exactly as :class:`~repro.protocol.hub.Hub` implements it.  Its spec,
-    like MESI's, compiles into the model checker (``repro.spec.mcgen``).
+    exactly as :class:`~repro.protocol.hub.Hub` implements it.
 ``wi``
-    Explicit write-invalidate: the implicit ``enable_updates=False``
-    baseline promoted to a first-class protocol.  Delegation and updates
-    are stripped from the config; the RAC (if configured) stays.  Its
-    spec is adaptive's with both features projected away.
+    Explicit write-invalidate: adaptive's spec without delegation and
+    updates, so the config loses both; the RAC (if configured) stays.
 ``mesi``
-    Textbook directory MESI: no RAC, no detector, and no preserved
-    sharing vector — a GETX clears the old reader set instead of keeping
-    it as the paper's "most recent consumer" approximation (§2.4.2).
+    Textbook directory MESI: adaptive's spec also without the RAC and the
+    preserved sharing vector, so a GETX clears the old reader set instead
+    of keeping it as the paper's "most recent consumer" approximation
+    (§2.4.2), and the detector, which counts from that vector, observes
+    nothing.
 ``dragon``
     A Dragon-style update protocol adapted to this directory fabric:
     writes still invalidate (the memory model is checked against
@@ -26,169 +26,79 @@ competitors, each behind one small :class:`Protocol` interface:
     overtaken by a later invalidation.  Unconditional updates — no
     producer-consumer detector, no pruning.
 
-The spec decides dispatch, in the simulator as in the model checker:
-:class:`~repro.protocol.hub.Hub` holds the one ``MsgType`` -> method map
-and serves exactly the types its protocol's spec handles
-(:attr:`Protocol.handled`).  Every other type (e.g. DELEGATE under
-``wi``) maps to ``_unhandled`` and raises the structured
-:class:`~repro.common.errors.UnhandledMessageError` — receiving one is a
-protocol violation, not a silent no-op.  ``wi`` therefore needs no hub
-class of its own; ``mesi`` and ``dragon`` subclass ``Hub`` only for the
-behaviour they change.
+The spec is the only place the simulator learns what a protocol leaves
+out.  Its handled set is the hub's dispatch set: :class:`~repro.protocol.
+hub.Hub` holds the one ``MsgType`` -> method map and maps every type the
+spec does not handle (e.g. DELEGATE under ``wi``) to ``_unhandled``,
+which raises the structured
+:class:`~repro.common.errors.UnhandledMessageError`.  Its features
+(:attr:`Protocol.features`) turn configuration flags off
+(:data:`FEATURE_FLAGS`), and the hub reads ``consumer_vector`` itself.
+Only ``dragon`` needs a hub class of its own, for the behaviour it adds.
 
 This file is deliberately *not* in ``repro.lint``'s
 ``SIM_PROTOCOL_FILES``: the lint graph models the adaptive protocol;
-arena baselines are covered by their own specs and the per-protocol
+``DragonHub``'s overrides are covered by its spec and the per-protocol
 status in the lint report instead (see :func:`repro.lint.run_lint`).
 """
+
+from functools import cached_property
 
 from ..common import stats as S
 from ..common.errors import ConfigError
 from ..directory.state import DirState
 from ..network.message import Message, MsgType
+from ..spec.registry import SPEC_NAMES, get_spec
 from .hub import Hub
 from .transactions import MissKind
 
+#: Spec feature -> the ``ProtocolConfig`` flag that switches it on.  A
+#: protocol whose spec lacks the feature runs with the flag off.
+FEATURE_FLAGS = (("rac", "enable_rac"),
+                 ("delegation", "enable_delegation"),
+                 ("updates", "enable_updates"))
+
 
 class Protocol:
-    """One pluggable coherence protocol.
+    """One pluggable coherence protocol: a spec name and a hub class.
 
-    ``normalize_config`` maps an arbitrary :class:`SystemConfig` onto the
-    feature set the protocol actually implements (e.g. ``wi`` strips
-    delegation); the identity for ``adaptive``, so default configs are
-    byte-for-byte untouched.  ``make_hub`` builds the per-node controller.
-    ``handled`` is the set of message names the protocol's spec
-    (``repro.spec.protocols``) handles; it is the hub's dispatch set.
-    Whether a protocol has a model-checker twin is its spec's business
-    (``mc_model``), not the registry's.
+    ``handled`` (the spec's handled messages, the hub's dispatch set) and
+    ``features`` (the names of the spec's features) are loaded on first
+    use — the first hub built in the process — not at import: loading the
+    specs is a cost runs that build no System should not pay.
     """
 
-    def __init__(self, name, hub_class, description, normalize=None):
+    def __init__(self, name, hub_class=Hub):
         self.name = name
         self.hub_class = hub_class
-        self.description = description
-        self._normalize = normalize
-        self._handled = None
 
-    @property
+    @cached_property
+    def _spec(self):
+        return get_spec(self.name)
+
+    @cached_property
     def handled(self):
-        # Loaded on first use (the first hub built in the process), not
-        # at import: loading the specs is a cost runs that build no
-        # System should not pay.
-        if self._handled is None:
-            from ..spec.registry import get_spec
-            self._handled = get_spec(self.name).handled()
-        return self._handled
+        return self._spec.handled()
+
+    @cached_property
+    def features(self):
+        return frozenset(feature.name for feature in self._spec.features)
 
     def normalize_config(self, config):
-        if self._normalize is None:
-            return config
-        return self._normalize(config)
-
-    def make_hub(self, node, system):
-        return self.hub_class(node, system)
+        """``config`` with each flag whose feature the spec lacks turned
+        off and each flag the hub class ``requires`` turned on; ``config``
+        itself when nothing moves, so adaptive's is byte-for-byte
+        untouched."""
+        protocol = config.protocol
+        changes = {flag: False for feature, flag in FEATURE_FLAGS
+                   if feature not in self.features
+                   and getattr(protocol, flag)}
+        changes.update((flag, True) for flag in self.hub_class.requires
+                       if not getattr(protocol, flag))
+        return config.with_protocol(**changes) if changes else config
 
     def __repr__(self):
         return "Protocol(%r)" % self.name
-
-
-# ---------------------------------------------------------------------------
-# Write-invalidate: the promoted baseline.
-# ---------------------------------------------------------------------------
-
-
-def _normalize_wi(config):
-    protocol = config.protocol
-    if not (protocol.enable_delegation or protocol.enable_updates):
-        return config
-    return config.with_protocol(enable_delegation=False,
-                                enable_updates=False)
-
-
-# ---------------------------------------------------------------------------
-# MESI: the textbook reference point.
-# ---------------------------------------------------------------------------
-
-
-class MesiHub(Hub):
-    """Textbook directory MESI.  Differs from ``wi`` in what the home
-    *remembers*: a GETX over a SHARED line clears the sharing vector
-    (invalidated readers are forgotten), where the paper's protocols keep
-    it as the predicted consumer set.  The detector never observes
-    requests, so no line is ever marked producer-consumer."""
-
-    # -- home side, without the detector or the preserved vector ----------
-
-    def _home_gets(self, msg):
-        addr, requester = msg.addr, msg.payload["requester"]
-        entry = self.home_memory.entry(addr)
-        if entry.busy is not None:
-            self._nack(requester, addr)
-            return
-        if entry.state is DirState.UNOWNED:
-            # The E state: exclusive-clean grant on a read to an unowned
-            # line, exactly as the base protocol does.
-            entry.state = DirState.EXCL
-            entry.owner = requester
-            entry.sharers = set()
-            self._send_after_dram(Message(
-                MsgType.DATA_EXCL, src=self.node, dst=requester, addr=addr,
-                value=entry.value, payload={"hops": 2, "n_acks": 0}))
-        elif entry.state is DirState.SHARED:
-            entry.sharers.add(requester)
-            self._send_after_dram(Message(
-                MsgType.DATA_SHARED, src=self.node, dst=requester, addr=addr,
-                value=entry.value, payload={"hops": 2}))
-        elif entry.state is DirState.EXCL:
-            self._home_gets_from_owner_state(entry, msg, requester)
-        else:
-            raise self._protocol_error("GETS in state %s" % entry.state)
-
-    def _home_getx(self, msg):
-        addr, requester = msg.addr, msg.payload["requester"]
-        entry = self.home_memory.entry(addr)
-        if entry.busy is not None:
-            self._nack(requester, addr)
-            return
-        if entry.state is DirState.UNOWNED:
-            entry.state = DirState.EXCL
-            entry.owner = requester
-            self._send_after_dram(Message(
-                MsgType.DATA_EXCL, src=self.node, dst=requester, addr=addr,
-                value=entry.value, payload={"hops": 2, "n_acks": 0}))
-        elif entry.state is DirState.SHARED:
-            targets = self.dir_format.invalidation_targets(
-                entry.sharers, requester, self.config.num_nodes)
-            upgrade = (requester in entry.sharers
-                       and msg.payload.get("has_copy", False))
-            self._invalidate_sharers(targets, addr, requester)
-            hops = 3 if targets else 2
-            entry.state = DirState.EXCL
-            entry.owner = requester
-            entry.sharers = set()  # MESI forgets invalidated readers
-            if upgrade:
-                self.send(Message(MsgType.ACK_X, src=self.node,
-                                  dst=requester, addr=addr,
-                                  payload={"hops": hops,
-                                           "n_acks": len(targets)}))
-            else:
-                self._send_after_dram(Message(
-                    MsgType.DATA_EXCL, src=self.node, dst=requester,
-                    addr=addr, value=entry.value,
-                    payload={"hops": hops, "n_acks": len(targets)}))
-        elif entry.state is DirState.EXCL:
-            self._home_getx_from_owner_state(entry, msg, requester)
-        else:
-            raise self._protocol_error("GETX in state %s" % entry.state)
-
-
-def _normalize_mesi(config):
-    protocol = config.protocol
-    if not (protocol.enable_rac or protocol.enable_delegation
-            or protocol.enable_updates):
-        return config
-    return config.with_protocol(enable_rac=False, enable_delegation=False,
-                                enable_updates=False)
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +130,14 @@ class DragonHub(Hub):
       after every consumer holds the pushed value.
     """
 
+    #: Consumers keep pushed values in the RAC.
+    requires = ("enable_rac",)
+
     def __init__(self, node, system):
         super().__init__(node, system)
-        self._enable_updates = True  # config keeps delegation off; see below
+        # The spec has no ``updates`` feature, so the config's flag is off
+        # (with delegation); the publish path below drives the pushes.
+        self._enable_updates = True
         self._dragon_acks = {}    # addr -> nodes that acked our INVs
         self._publish_wait = {}   # addr -> {"missing": n, "value": v}
         self._publish_epoch = {}  # addr -> generation of scheduled publish
@@ -317,45 +232,12 @@ class DragonHub(Hub):
         super()._home_intervention_nacked(msg)
 
 
-def _normalize_dragon(config):
-    protocol = config.protocol
-    if (protocol.enable_rac and not protocol.enable_delegation
-            and not protocol.enable_updates):
-        return config
-    # The RAC is where consumers keep pushed values; delegation stays off
-    # (the hub re-enables the update machinery internally).
-    return config.with_protocol(enable_rac=True, enable_delegation=False,
-                                enable_updates=False)
-
-
 # ---------------------------------------------------------------------------
 # The registry.
 # ---------------------------------------------------------------------------
 
-PROTOCOLS = {
-    "adaptive": Protocol(
-        "adaptive", Hub,
-        "paper's adaptive delegation/update protocol (mc-model twin)"),
-    "wi": Protocol(
-        "wi", Hub,
-        "explicit write-invalidate baseline (no delegation, no updates)",
-        normalize=_normalize_wi),
-    "mesi": Protocol(
-        "mesi", MesiHub,
-        "textbook directory MESI (no RAC, no preserved sharing vector)",
-        normalize=_normalize_mesi),
-    "dragon": Protocol(
-        "dragon", DragonHub,
-        "Dragon-style update protocol (unconditional ack-gated publish)",
-        normalize=_normalize_dragon),
-}
-
-#: Arena sweep order: the paper's protocol first, then the baselines.
-ARENA_PROTOCOLS = ("adaptive", "wi", "mesi", "dragon")
-
-
-def protocol_names():
-    return list(PROTOCOLS)
+PROTOCOLS = {name: Protocol(name, DragonHub if name == "dragon" else Hub)
+             for name in SPEC_NAMES}
 
 
 def resolve_protocol(name):
@@ -367,7 +249,5 @@ def resolve_protocol(name):
                           % (name, ", ".join(sorted(PROTOCOLS)))) from None
 
 
-__all__ = [
-    "ARENA_PROTOCOLS", "DragonHub", "MesiHub", "PROTOCOLS", "Protocol",
-    "protocol_names", "resolve_protocol",
-]
+__all__ = ["DragonHub", "FEATURE_FLAGS", "PROTOCOLS", "Protocol",
+           "resolve_protocol"]

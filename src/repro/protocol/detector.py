@@ -104,3 +104,16 @@ class ProducerConsumerDetector:
         entry.last_writer = writer
         entry.reader_count = 0
         return newly_marked
+
+
+class BlindDetector(ProducerConsumerDetector):
+    """A detector that observes nothing: for protocols whose spec lacks the
+    preserved sharing vector it counts consumers from.  No line is ever
+    marked and no ``detector.*`` stat moves.  Not a ``detector_kind``:
+    the hub picks it from the spec, never from the config."""
+
+    def observe_read(self, entry, reader, already_sharer):
+        pass
+
+    def observe_write(self, entry, writer, distinct_readers):
+        return False

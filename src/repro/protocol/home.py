@@ -152,9 +152,14 @@ class HomeMixin:
             # expansion back would compound across write rounds (a limited
             # vector that once overflowed to broadcast would stay broadcast
             # forever) — the encoding is re-applied at the next action point.
+            # A spec without the ``consumer_vector`` feature (MESI) forgets
+            # the invalidated readers instead.
             entry.state = DirState.EXCL
             entry.owner = requester
-            entry.sharers = entry.sharers - {requester}
+            if self._consumer_vector:
+                entry.sharers = entry.sharers - {requester}
+            else:
+                entry.sharers = set()
             if upgrade:
                 self.send(Message(MsgType.ACK_X, src=self.node,
                                   dst=requester, addr=addr,

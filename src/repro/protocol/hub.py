@@ -29,6 +29,7 @@ from ..directory.formats import DirectoryFormat
 from ..directory.state import HomeMemory
 from ..network.message import Message, MsgType
 from .delegate_cache import ConsumerTable, ProducerTable
+from .detector import BlindDetector
 from .home import HomeMixin
 from .predictors import make_detector
 from .producer import ProducerMixin
@@ -37,6 +38,10 @@ from .requester import RequesterMixin
 
 class Hub(RequesterMixin, HomeMixin, ProducerMixin):
     """One node's directory/coherence controller."""
+
+    #: ``ProtocolConfig`` flags this hub class needs on, whatever its spec's
+    #: features say (read by ``Protocol.normalize_config``).
+    requires = ()
 
     def __init__(self, node, system):
         self.node = node
@@ -66,7 +71,14 @@ class Hub(RequesterMixin, HomeMixin, ProducerMixin):
                 stats=self.stats)
         self.home_memory = HomeMemory(node)
         self.dir_format = DirectoryFormat.parse(self.config.directory_format)
-        self.detector = make_detector(protocol, self.stats)
+        # The detector counts consumers from the sharing vector a GETX
+        # preserves (§2.4.2); a spec without that vector gets neither.
+        self._consumer_vector = ("consumer_vector"
+                                 in system.protocol.features)
+        if self._consumer_vector:
+            self.detector = make_detector(protocol, self.stats)
+        else:
+            self.detector = BlindDetector(protocol, self.stats)
         self.dircache = DirectoryCache(self.config.directory_cache_entries,
                                        self.detector.new_entry)
         self.producer_table = None

@@ -58,9 +58,9 @@ class System:
     def __init__(self, config, check_coherence=True, tracer=None, chaos=None):
         reset_msg_ids()
         # The protocol registry maps config.protocol_name to a hub class
-        # and may normalise the config onto the protocol's feature set
-        # (identity for the default "adaptive", so existing configs are
-        # untouched byte-for-byte).
+        # and normalises the config onto its spec's features (identity for
+        # the default "adaptive", so existing configs are untouched
+        # byte-for-byte).
         self.protocol = resolve_protocol(config.protocol_name)
         config = self.protocol.normalize_config(config)
         self.config = config
@@ -79,7 +79,7 @@ class System:
         self.fabric = Fabric(config, self.events, self.stats, tracer=tracer,
                              chaos=self.chaos)
         self.checker = CoherenceChecker(self) if check_coherence else None
-        self.hubs = [self.protocol.make_hub(node, self)
+        self.hubs = [self.protocol.hub_class(node, self)
                      for node in range(config.num_nodes)]
         self.processors = []
         self.barrier = None

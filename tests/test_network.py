@@ -1,5 +1,7 @@
 """Interconnect: message sizing, fat-tree topology, fabric delivery."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +92,24 @@ class TestFatTree:
         tree = FatTree(16, cfg)
         lat = tree.latency(a, b)
         assert 0 <= lat <= cfg.hop_latency
+
+
+class TestLatencyRow:
+    """A whole row per source, one slice per level, equals the pairwise
+    latencies, including trees whose last subtree is only partly filled."""
+
+    @pytest.mark.parametrize("radix", [2, 4, 8])
+    @pytest.mark.parametrize("num_nodes", [1, 3, 16, 17, 64, 100, 256])
+    def test_row_equals_pairwise_latency(self, num_nodes, radix):
+        cfg = replace(baseline().network, router_radix=radix)
+        tree = FatTree(num_nodes, cfg)
+        for src in range(num_nodes):
+            assert tree.latency_row(src) == \
+                [tree.latency(src, dst) for dst in range(num_nodes)], src
+
+    def test_out_of_range_source_rejected(self):
+        with pytest.raises(ConfigError):
+            FatTree(4, baseline().network).latency_row(4)
 
 
 class TestDeepFatTree:

@@ -15,7 +15,10 @@ arena:
 * ``run_arena`` renders the multi-protocol comparison report;
 * the spec decides dispatch: each protocol's hubs serve exactly the
   messages its spec handles and raise ``UnhandledMessageError`` on any
-  other type.
+  other type;
+* the spec's features configure the simulator: the config flags each
+  protocol runs with, and the preserved sharing vector and detector that
+  only a spec with ``consumer_vector`` keeps.
 """
 
 import json
@@ -35,8 +38,8 @@ from repro.lint.extract import extract_sim
 from repro.network import ChaosConfig, Message, MsgType
 from repro.obs import TraceConfig, Tracer
 from repro.protocol import Hub
-from repro.protocol.arena import ARENA_PROTOCOLS, PROTOCOLS, Protocol
-from repro.sim import System
+from repro.protocol.arena import PROTOCOLS, Protocol, resolve_protocol
+from repro.sim import Barrier, Read, System, Write
 from repro.spec import Msg, get_spec
 from repro.spec.conformance import run_conformance
 from repro.spec.registry import SPEC_NAMES
@@ -110,7 +113,7 @@ class TestProtocolFuzzSmoke:
     writer, directory agreement, lost update, pool invariant) on the
     shared golden seeds."""
 
-    @pytest.mark.parametrize("protocol", ARENA_PROTOCOLS)
+    @pytest.mark.parametrize("protocol", SPEC_NAMES)
     def test_seeded_cases_pass_all_oracles(self, protocol):
         for seed in (0, 3, 11):
             scenario = FuzzScenario.from_seed(seed, scale=0.25,
@@ -175,14 +178,17 @@ class TestDispatchContract:
                                    payload={"requester": 0}))
         system.events.run()
 
-    def test_every_protocol_has_a_spec(self):
-        assert set(PROTOCOLS) == set(SPEC_NAMES)
+    def test_every_spec_resolves_to_a_hub_class(self):
+        for name in SPEC_NAMES:
+            protocol = resolve_protocol(name)
+            assert protocol.name == name
+            assert issubclass(protocol.hub_class, Hub), name
 
     def test_hub_method_map_covers_every_msgtype(self):
         hub = self.system("adaptive").hubs[0]
         assert set(hub._handlers) == set(MsgType)
 
-    @pytest.mark.parametrize("name", ARENA_PROTOCOLS)
+    @pytest.mark.parametrize("name", SPEC_NAMES)
     def test_unhandled_types_raise_on_delivery(self, name):
         handled = get_spec(name).handled()
         hub = self.system(name).hubs[1]
@@ -201,7 +207,7 @@ class TestDispatchContract:
     @pytest.fixture
     def fresh_adaptive(self, monkeypatch):
         """A registry entry for ``adaptive`` with no cached handled set."""
-        fresh = Protocol("adaptive", Hub, "adaptive, spec edited")
+        fresh = Protocol("adaptive")
         monkeypatch.setitem(PROTOCOLS, "adaptive", fresh)
         return fresh
 
@@ -222,9 +228,78 @@ class TestDispatchContract:
 
     def test_spec_message_without_a_hub_method_fails_construction(
             self, fresh_adaptive):
-        fresh_adaptive._handled = get_spec("adaptive").handled() | {"PING"}
+        fresh_adaptive.handled = get_spec("adaptive").handled() | {"PING"}
         with pytest.raises(ConfigError, match="adaptive spec handles PING"):
             self.system("adaptive")
+
+
+class TestSpecFeaturesConfigure:
+    """What a spec's features leave out is what the simulator leaves out."""
+
+    #: (protocol, preset) -> (enable_rac, enable_delegation, enable_updates)
+    #: after normalisation, at 8 nodes.
+    NORMALISED = {
+        ("adaptive", "baseline"): (False, False, False),
+        ("adaptive", "rac_only"): (True, False, False),
+        ("adaptive", "small"): (True, True, True),
+        ("adaptive", "large"): (True, True, True),
+        ("adaptive", "delegation_only"): (True, True, False),
+        ("wi", "baseline"): (False, False, False),
+        ("wi", "rac_only"): (True, False, False),
+        ("wi", "small"): (True, False, False),
+        ("wi", "large"): (True, False, False),
+        ("wi", "delegation_only"): (True, False, False),
+        ("mesi", "baseline"): (False, False, False),
+        ("mesi", "rac_only"): (False, False, False),
+        ("mesi", "small"): (False, False, False),
+        ("mesi", "large"): (False, False, False),
+        ("mesi", "delegation_only"): (False, False, False),
+        ("dragon", "baseline"): (True, False, False),
+        ("dragon", "rac_only"): (True, False, False),
+        ("dragon", "small"): (True, False, False),
+        ("dragon", "large"): (True, False, False),
+        ("dragon", "delegation_only"): (True, False, False),
+    }
+
+    @pytest.mark.parametrize("name,preset", sorted(NORMALISED))
+    def test_normalised_flags(self, name, preset):
+        config = getattr(params, preset)(num_nodes=8, protocol_name=name)
+        normalised = resolve_protocol(name).normalize_config(config)
+        flags = normalised.protocol
+        assert (flags.enable_rac, flags.enable_delegation,
+                flags.enable_updates) == self.NORMALISED[(name, preset)]
+        if name == "adaptive":
+            assert normalised is config
+
+    LINE = 0x100000
+
+    def write_read_read_write(self, name):
+        """Node 1 writes a line homed on node 0, nodes 2 and 3 read it,
+        and node 1 writes it again."""
+        system = System(params.baseline(num_nodes=4, protocol_name=name))
+        system.address_map.place_range(self.LINE, 128, 0)
+        result = system.run([
+            [Barrier(0), Barrier(1), Barrier(2)],
+            [Write(self.LINE), Barrier(0), Barrier(1), Write(self.LINE),
+             Barrier(2)],
+            [Barrier(0), Read(self.LINE), Barrier(1), Barrier(2)],
+            [Barrier(0), Read(self.LINE), Barrier(1), Barrier(2)],
+        ])
+        entry = system.hubs[0].home_memory.entry(self.LINE)
+        assert (entry.state.value, entry.owner) == ("EXCL", 1)
+        detector = {k: v for k, v in result.stats.items()
+                    if k.startswith("detector.")}
+        return entry.sharers, detector
+
+    def test_mesi_forgets_the_readers_and_detects_nothing(self):
+        sharers, detector = self.write_read_read_write("mesi")
+        assert sharers == set()
+        assert detector == {}
+
+    def test_wi_keeps_the_readers_and_the_detector_counts(self):
+        sharers, detector = self.write_read_read_write("wi")
+        assert sharers == {2, 3}
+        assert detector == {"detector.consumers.2": 1}
 
 
 class TestLintProtocolAwareness:
