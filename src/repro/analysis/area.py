@@ -45,20 +45,6 @@ def detector_bits_per_entry(config):
             + config.protocol.write_repeat_bits)
 
 
-def directory_vector_bytes(config):
-    """Sharing-vector SRAM across the directory cache, in bytes.
-
-    This is the storage the compressed formats trade against traffic
-    (docs/scaling.md): ``bits_per_entry`` of the configured format times
-    the directory-cache entry count.
-    """
-    from ..directory.formats import DirectoryFormat
-
-    fmt = DirectoryFormat.parse(config.directory_format)
-    bits = fmt.bits_per_entry(config.num_nodes)
-    return config.directory_cache_entries * bits // 8
-
-
 def producer_entry_bits():
     """Producer delegate-cache entry: 10 bytes in Figure 3.
 

@@ -48,10 +48,6 @@ class LatencyModel:
                     + accuracy * self.local_latency)
         return base / enhanced
 
-    def asymptotic_speedup(self, accuracy):
-        """Limit as remote latency dominates: the paper's 1/(1-a) bound."""
-        return speedup_bound(accuracy)
-
     def speedup_vs_latency(self, accuracy, latencies):
         """Series of (remote_latency, speedup) showing convergence to the
         1/(1-a) bound as network latency grows (Figure 10's trend)."""

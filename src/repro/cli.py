@@ -34,8 +34,8 @@ Commands
     per-cell traffic/fan-out/NACK/latency breakdowns and an optional
     JSON report (see docs/scaling.md).
 ``lint``
-    Statically analyze the protocol sources: handler coverage,
-    sim <-> spec conformance, deadlock heuristics, state reachability
+    Statically analyze the protocol sources: sim <-> spec conformance,
+    the NACK-retry livelock heuristic, state reachability
     (see docs/static_analysis.md).
 ``spec``
     Check the guarded-action protocol specs: the SPC spec analyses plus
@@ -73,14 +73,6 @@ from .mc import ALL_INVARIANTS, ModelChecker, StateSpaceExceeded
 from .obs import TraceConfig, Tracer, export_jsonl, export_perfetto
 from .spec.registry import SPEC_NAMES
 from .workloads import application_names
-
-#: Friendly system-preset aliases accepted by ``trace`` (and only there, to
-#: keep the evaluation commands on the paper's exact Figure 7 names).
-SYSTEM_ALIASES = {
-    "pc": "dele32_rac32k",        # the paper's full producer-consumer system
-    "enhanced": "dele32_rac32k",
-    "baseline": "base",
-}
 
 EXPERIMENTS = {
     "table3": experiments.table3,
@@ -205,7 +197,8 @@ def build_parser():
     trace_p.add_argument("app", choices=application_names())
     trace_p.add_argument(
         "system", nargs="?", default="pc",
-        choices=sorted(set(params.EVALUATED_SYSTEMS) | set(SYSTEM_ALIASES)),
+        choices=sorted(set(params.EVALUATED_SYSTEMS)
+                       | set(params.SYSTEM_ALIASES)),
         help="system preset or alias (default: pc, the full mechanism)")
     trace_p.add_argument("--scale", type=float, default=1.0)
     trace_p.add_argument("--seed", type=int, default=12345)
@@ -418,14 +411,10 @@ def cmd_verify(args):
         return 2
     dropped = [name for name, flag in (("delegation", args.no_delegation),
                                        ("updates", args.no_updates)) if flag]
-    try:
-        model = SpecModel(
-            get_spec(args.protocol).without(*dropped), num_nodes=args.nodes,
-            writers=(1,), readers=tuple(range(2, args.nodes)),
-            ordered_channels=not args.unordered)
-    except ConfigError as err:
-        print("repro verify: error: %s" % err, file=sys.stderr)
-        return 2
+    model = SpecModel(
+        get_spec(args.protocol).without(*dropped), num_nodes=args.nodes,
+        writers=(1,), readers=tuple(range(2, args.nodes)),
+        ordered_channels=not args.unordered)
 
     def check(track_traces):
         return ModelChecker(model.initial_states(), model.rules(),
@@ -490,7 +479,7 @@ def _parse_addr_ranges(specs):
 
 
 def cmd_trace(args):
-    system_name = SYSTEM_ALIASES.get(args.system, args.system)
+    system_name = params.SYSTEM_ALIASES.get(args.system, args.system)
     config = params.EVALUATED_SYSTEMS[system_name]()
     try:
         trace_config = TraceConfig(
@@ -932,8 +921,13 @@ COMMANDS = {
 
 
 def main(argv=None):
+    """Run one command; a bad configuration is a usage error (exit 2)."""
     args = build_parser().parse_args(argv)
-    return COMMANDS[args.command](args)
+    try:
+        return COMMANDS[args.command](args)
+    except ConfigError as err:
+        print("repro %s: error: %s" % (args.command, err), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

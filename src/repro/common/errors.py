@@ -26,9 +26,8 @@ class ProtocolError(ReproError):
 class UnhandledMessageError(ProtocolError):
     """A message arrived at a node with no handler registered for it.
 
-    Carries the (node, message type, directory state) coordinates so a
-    runtime failure names the same transition a ``repro lint`` handler-
-    coverage finding would (check COV001/COV003).
+    Carries the (node, message type, directory state) coordinates of the
+    delivery: a message the node's protocol spec does not handle.
     """
 
     def __init__(self, node, mtype, dir_state, msg, cycle=None):

@@ -388,3 +388,12 @@ EVALUATED_SYSTEMS = {
     "dele1k_rac32k": dele1k_rac32k,
     "dele32_rac1m": dele32_rac1m,
 }
+
+#: Friendly preset aliases, accepted where a preset name is resolved for
+#: one run (``repro trace``, a served job's ``system``); the evaluation
+#: commands keep to the paper's exact Figure 7 names.
+SYSTEM_ALIASES = {
+    "pc": "dele32_rac32k",        # the paper's full producer-consumer system
+    "enhanced": "dele32_rac32k",
+    "baseline": "base",
+}

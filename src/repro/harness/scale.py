@@ -21,6 +21,7 @@ from dataclasses import replace
 
 from ..analysis.tables import render_matrix
 from ..common import stats as S
+from ..common.errors import ConfigError
 from ..directory.formats import DirectoryFormat
 from ..fuzz.runner import build_workload
 from ..fuzz.scenarios import FuzzScenario
@@ -152,6 +153,10 @@ def run_scale(nodes=DEFAULT_NODES, formats=DEFAULT_FORMATS,
         resolve_protocol(name)  # fail fast on typos, before any sim runs
     for fmt in formats:
         DirectoryFormat.parse(fmt)
+    for num_nodes in nodes:
+        if num_nodes < 2:
+            raise ConfigError("the storm needs a producer and a consumer: "
+                              "node counts must be >= 2, got %d" % num_nodes)
     if engine is None:
         engine = scale_engine()
     jobs = {}

@@ -2,8 +2,8 @@
 
 Extracts the protocol graph from the simulator sources (handler tables,
 message emissions), loads the guarded-action protocol specs, and runs a
-registry of static checks over them: handler coverage, spec analyses,
-sim ↔ spec conformance diffing, deadlock/livelock heuristics, and state
+registry of static checks over them: spec analyses, sim ↔ spec
+conformance diffing, a NACK-retry livelock heuristic, and state
 reachability.  See ``docs/static_analysis.md``.
 
 Entry point: :func:`run_lint` (also exposed as ``repro lint`` on the CLI).

@@ -166,10 +166,6 @@ class Graph:
         out.extend(self.closure_emissions(self.entry_points, msg=None))
         return out
 
-    def message_graph(self):
-        """Message dependency digraph: handled message -> emitted names."""
-        return {msg: self.emitted_names(msg) for msg in self.handlers}
-
 
 @dataclass
 class StateUsage:

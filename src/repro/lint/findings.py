@@ -1,7 +1,7 @@
 """Findings, severities and the conformance/deadlock allowlist.
 
 A *finding* is one concrete defect (or suspicion) anchored to a source
-location, identified by a check id (``COV001`` ...) and a stable
+location, identified by a check id (``CON001`` ...) and a stable
 *fingerprint* — a short string that survives reformatting and line-number
 churn, e.g. ``CON001:WB_ACK`` or ``DLK002:NACK->UNDELE_REQ@_retry_recall``.
 Fingerprints are what the allowlist matches on: intentional abstraction

@@ -10,9 +10,6 @@ _SARIF_LEVEL = {Severity.ERROR: "error", Severity.WARNING: "warning",
 
 #: One-line rule descriptions for SARIF's rule metadata.
 RULE_DESCRIPTIONS = {
-    "COV001": "Message emitted but no handler registered",
-    "COV002": "Message declared but never emitted (dead message)",
-    "COV003": "MsgType missing from the hub dispatch table",
     "CON001": "Sim message vocabulary out of step with the spec",
     "CON003": "Sim transition the spec does not allow",
     "CON005": "Spec-required sim transition absent from the simulator",
@@ -22,7 +19,6 @@ RULE_DESCRIPTIONS = {
     "SPC004": "Spec message never emitted or never handled",
     "SPC005": "Spec emission cycle with no NACK-family hop",
     "SPC006": "Unpaired request or reply to a non-request in the spec",
-    "DLK001": "Message-dependency cycle not broken by a NACK",
     "DLK002": "NACK retry path with no bounding counter",
     "RCH001": "State no transition ever enters",
     "RCH002": "State entered but never examined",

@@ -51,7 +51,6 @@ class Hub(RequesterMixin, HomeMixin, ProducerMixin):
         self.fabric = system.fabric
         self.stats = system.stats
         self.address_map = system.address_map
-        self.checker = getattr(system, "checker", None)
         self.tracer = getattr(system, "tracer", None)
         # The system's always-on miss statistics, bound per hop class so
         # the requester's completion path is one dict bump each.

@@ -239,8 +239,6 @@ class RequesterMixin:
                 # Producer == home: no delegation needed, but the update
                 # mechanism applies identically from the home directory.
                 self._schedule_intervention(miss.addr)
-        if self.checker is not None:
-            self.checker.on_miss_complete(self.node, miss)
         miss.callback(path)
 
     def _drop_after_use(self, addr):

@@ -29,13 +29,6 @@ from ..harness.sweep import SweepJob, job_key
 from ..protocol.arena import resolve_protocol
 from ..workloads import application_names
 
-#: Friendly preset aliases (mirrors the trace CLI's).
-SYSTEM_ALIASES = {
-    "pc": "dele32_rac32k",
-    "enhanced": "dele32_rac32k",
-    "baseline": "base",
-}
-
 #: Per-request unit ceiling: one spec may not expand beyond this.
 MAX_UNITS = 4096
 
@@ -102,13 +95,13 @@ def resolve_config(doc):
         preset = "base"
     if not isinstance(preset, str):
         raise SpecError("'system' must be a preset name")
-    name = SYSTEM_ALIASES.get(preset, preset)
+    name = params.SYSTEM_ALIASES.get(preset, preset)
     factory = params.EVALUATED_SYSTEMS.get(name)
     if factory is None:
         raise SpecError("unknown system %r (have: %s)"
                         % (preset, ", ".join(sorted(
                             set(params.EVALUATED_SYSTEMS)
-                            | set(SYSTEM_ALIASES)))))
+                            | set(params.SYSTEM_ALIASES)))))
     overrides = {}
     nodes = doc.get("nodes")
     if nodes is not None:

@@ -104,11 +104,6 @@ class CoherenceChecker:
         history = self._writes.get(line_addr)
         return history[-1][1] if history else None
 
-    def on_miss_complete(self, node, miss):
-        """Hook invoked by the hub at every miss completion (no-op: the
-        per-op hooks above carry the actual checks; kept as an extension
-        point for custom instrumentation)."""
-
     # -- invariants -------------------------------------------------------------
 
     def _check_single_writer(self, writer, line_addr):

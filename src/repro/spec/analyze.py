@@ -145,11 +145,11 @@ def _is_nack_family(name: str) -> bool:
 def check_emission_cycles(spec: ProtocolSpec) -> Iterator[Finding]:
     """SPC005: message cycles that no NACK-family hop can break.
 
-    Mirrors DLK001 at the spec level: a strongly-connected emission
-    component is a retry/livelock *shape*; components that include a
-    NACK-family message are the protocol's intended bounded retry loops
-    and are excluded.  A direct self-forwarding edge must carry the
-    ``bounded`` tag (with its ``why``) on the emitting transition.
+    A strongly-connected emission component is a retry/livelock
+    *shape*; components that include a NACK-family message are the
+    protocol's intended bounded retry loops and are excluded.  A direct
+    self-forwarding edge must carry the ``bounded`` tag (with its
+    ``why``) on the emitting transition.
     """
     edges: Dict[str, set] = {}
     bounded_self: set = set()

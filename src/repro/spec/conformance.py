@@ -22,8 +22,9 @@ mutation tests carry over:
 
 =======  ==========================================================
 CON001   vocabulary: sim message unknown to the spec, spec message
-         that is no MsgType (``spec:NAME``), or a data-bearing flag
-         mismatch (``NAME:data``)
+         that is no MsgType (``spec:NAME``), emission of a name that is
+         no MsgType (``emit:NAME``), or a data-bearing flag mismatch
+         (``NAME:data``)
 CON003   sim transition (handled msg -> emitted msg) the spec does
          not allow
 CON005   spec-required sim transition absent from the sim graph
@@ -76,6 +77,18 @@ def check_vocabulary(spec: ProtocolSpec, sim: Any) -> Iterator[Finding]:
             fingerprint="spec:%s" % name,
             message="spec message %s is not a declared MsgType" % name,
             file=spec.source_file, line=1)
+    undeclared = {}
+    for emission in sim.all_emissions():
+        if emission.mtype is not None and emission.mtype not in sim.messages:
+            undeclared.setdefault(emission.mtype, emission)
+    for name in sorted(undeclared):
+        site = undeclared[name]
+        yield Finding(
+            check_id="CON001", severity=Severity.ERROR, side="sim",
+            fingerprint="emit:%s" % name,
+            message="%s emits MsgType.%s, which is not a declared MsgType"
+                    % (site.func, name),
+            file=site.file, line=site.line)
 
 
 # -- transition relation (CON003 / CON005) ------------------------------------
@@ -86,10 +99,8 @@ def check_transitions(spec: ProtocolSpec, sim: Any) -> Iterator[Finding]:
     groups = _handler_groups(spec)
     for name in sorted(set(sim.handlers) & set(groups)):
         # CON003: everything the sim can emit while handling M must be
-        # allowed by some spec transition on M (only="mc" edges are
-        # model artefacts and don't license sim behaviour).
-        allowed = {out for t in groups[name] if t.only != "mc"
-                   for out in t.emit}
+        # allowed by some spec transition on M.
+        allowed = {out for t in groups[name] for out in t.emit}
         decl = sim.messages.get(name)
         sim_out = sim.emitted_names(name)
         for out in sorted(sim_out):
@@ -107,8 +118,6 @@ def check_transitions(spec: ProtocolSpec, sim: Any) -> Iterator[Finding]:
         # CON005: spec-required sim edges.  Replay edges are realised by
         # internal re-dispatch — the named function must exist instead.
         for t in groups[name]:
-            if t.only == "mc":
-                continue
             if t.replay:
                 if t.replay not in sim.funcs:
                     yield Finding(

@@ -55,15 +55,11 @@ Atom = Tuple[str, Tuple[str, ...]]
 #:     excluded from the guard overlap/exhaustiveness analyses.
 #: ``bounded``
 #:     A self-forwarding emission whose loop is bounded by protocol
-#:     structure; requires a ``why`` (mirrors the DLK001 allowlist bar).
+#:     structure; requires a ``why`` and excuses the SPC005 cycle.
 #: ``unreachable``
 #:     The spec asserts this guard combination cannot occur; a generated
 #:     model raises :class:`SpecExecutionError` if it ever fires.
-#: ``latent``
-#:     Statically present via shared base-hub code but unreachable under
-#:     this protocol's normalized configuration; requires a ``why``.
-KNOWN_TAGS = frozenset(
-    {"nondet", "also", "bounded", "unreachable", "latent"})
+KNOWN_TAGS = frozenset({"nondet", "also", "bounded", "unreachable"})
 
 #: Message roles for the SPC006 request/reply pairing analysis.
 KNOWN_ROLES = frozenset({"request", "reply", "ack", "hint", "other"})
@@ -116,8 +112,7 @@ class T:
         not required in the sim graph, but the function must exist.
     ``only``
         ``"sim"``: the emission has no model counterpart at all (e.g. the
-        WB_ACK round-trip the model applies atomically); ``"mc"``: a
-        model-only artefact.
+        WB_ACK round-trip the model applies atomically).
 
     ``via`` optionally names the single mc token this transition
     dispatches under when the trigger fans out to several tokens (the
@@ -257,12 +252,6 @@ class ProtocolSpec:
     def mc_token_map(self) -> Dict[str, Tuple[str, ...]]:
         """``{message name: mc tokens}`` — the derived sim<->mc name map."""
         return {msg.name: msg.mc for msg in self.messages}
-
-    def sim_name_of(self, token: str) -> Optional[str]:
-        for msg in self.messages:
-            if token in msg.mc:
-                return msg.name
-        return None
 
     # -- feature projection ------------------------------------------------
 
@@ -464,14 +453,14 @@ class ProtocolSpec:
                 if pool is not None and value not in pool:
                     raise SpecError("%s: installs undeclared %s state %r"
                                     % (where, state_var, value))
-            if t.only not in ("", "sim", "mc"):
-                raise SpecError("%s: only=%r is not ''/'sim'/'mc'"
+            if t.only not in ("", "sim"):
+                raise SpecError("%s: only=%r is not ''/'sim'"
                                 % (where, t.only))
             needs_why = (bool(t.hoist) or bool(t.replay) or bool(t.only)
-                         or t.has_tag("bounded") or t.has_tag("latent"))
+                         or t.has_tag("bounded"))
             if needs_why and not t.why:
                 raise SpecError(
-                    "%s: hoist/replay/only/bounded/latent annotations "
+                    "%s: hoist/replay/only/bounded annotations "
                     "require a 'why' justification" % where)
             if t.via:
                 owner = self.message(t.on)

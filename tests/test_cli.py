@@ -120,6 +120,24 @@ class TestVerify:
                        "raise --max-states\n")
 
 
+class TestBadConfig:
+    """A configuration error is a usage error for every command: one
+    line on stderr in ``cmd_verify``'s format, exit 2, no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "em3d", "--directory-format", "coarse:x"],
+        ["arena", "--protocols", "nope"],
+        ["scale", "--formats", "nope"],
+        ["scale", "--nodes", "1"],
+        ["sweep", "table3", "--directory-format", "limited:0"],
+    ], ids=" ".join)
+    def test_reported_as_a_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro %s: error: " % argv[0])
+        assert "Traceback" not in captured.err + captured.out
+
+
 class TestArea:
     def test_small_config_budget(self, capsys):
         assert main(["area"]) == 0

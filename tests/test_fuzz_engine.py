@@ -15,6 +15,7 @@ from dataclasses import replace
 import pytest
 
 from repro import cli
+from repro.cache.line import LineState
 from repro.common import baseline
 from repro.common.errors import ConfigError
 from repro.fuzz import (
@@ -34,6 +35,7 @@ from repro.fuzz import oracles
 from repro.harness.sweep import SweepEngine, SweepJob, job_key
 from repro.network.message import Message, MsgType
 from repro.obs import Tracer
+from repro.protocol.hub import Hub
 from repro.protocol.requester import RequesterMixin
 from repro.protocol.transactions import MissKind
 from repro.sim.system import System
@@ -114,22 +116,28 @@ class TestRunCase:
             assert repr(fresh) == "Msg#0(GETS 0->1 0x80)"
 
 
+def run_seed(seed, tracer):
+    """One fuzz seed at scale 0.5, traced and online-checked."""
+    scenario = FuzzScenario.from_seed(seed, scale=0.5)
+    build = build_workload(scenario)
+    system = System(scenario.config, check_coherence=True,
+                    tracer=tracer, chaos=scenario.chaos)
+    system.run(build.per_cpu_ops, placements=build.placements,
+               max_cycles=scenario.max_cycles,
+               max_events=scenario.max_events)
+    return system
+
+
 class TestSpanOracles:
-    """The two oracles that read tracer spans can fire.  They are called
+    """The two oracles that read tracer spans can fire: their rows of the
+    oracle kill matrix (the quiescence rows are below).  They are called
     directly, not through ``check_quiescence``, so an earlier oracle
     cannot hide them."""
 
     SEED = 1  # NACKs at scale 0.5, so some miss span has retries
 
     def run_traced(self, tracer):
-        scenario = FuzzScenario.from_seed(self.SEED, scale=0.5)
-        build = build_workload(scenario)
-        system = System(scenario.config, check_coherence=True,
-                        tracer=tracer, chaos=scenario.chaos)
-        system.run(build.per_cpu_ops, placements=build.placements,
-                   max_cycles=scenario.max_cycles,
-                   max_events=scenario.max_events)
-        return system
+        return run_seed(self.SEED, tracer)
 
     def test_bounded_retry_fires(self, monkeypatch):
         tracer = Tracer()
@@ -151,6 +159,79 @@ class TestSpanOracles:
         oracle, message = oracles._check_spans(system, tracer)
         assert oracle == "txn-terminate"
         assert "never completed" in message
+
+
+def drop_update_ack(self, msg):
+    """The producer never hears its update acks."""
+
+
+def keep_stale_memory(self, msg, serve=Hub._on_shared_wb):
+    """The home takes the downgrade but drops a SHARED_WB's data."""
+    entry = self.home_memory.entry(msg.addr)
+    stale = entry.value
+    serve(self, msg)
+    entry.value = stale
+
+
+def add_second_writer(system):
+    """Post-run edit: a second node gains a writable copy of a written
+    line, holding the writer's value."""
+    for line in system.checker.written_lines():
+        writers = [hub for hub in system.hubs
+                   if hub.hierarchy.state_of(line).writable]
+        if writers:
+            other = system.hubs[(writers[0].node + 1) % len(system.hubs)]
+            other.hierarchy.l2.insert(
+                line, state=LineState.MODIFIED,
+                value=writers[0].hierarchy.value_of(line))
+            return
+    raise AssertionError("no written line has a writer at quiescence")
+
+
+QUIESCENCE_ORACLES = {
+    "single-writer": oracles._check_single_writer,
+    "directory-agreement": oracles._check_directory_agreement,
+    "lost-update": oracles._check_lost_update,
+}
+
+#: The quiescence oracles' kill matrix: (oracle, seed, hub method to
+#: replace and its replacement, post-run state edit).  A handler mutant
+#: where one reaches quiescence; the online coherence checker catches
+#: every second-writer mutant first, so single-writer's row edits the
+#: final state instead.
+QUIESCENCE_MATRIX = [
+    ("single-writer", 0, None, add_second_writer),
+    ("directory-agreement", 1, ("_on_update_ack", drop_update_ack), None),
+    ("lost-update", 3, ("_on_shared_wb", keep_stale_memory), None),
+]
+
+
+class TestQuiescenceOracleKillMatrix:
+    """Each quiescence oracle, called on its own, fires on its row's
+    mutant, and it alone does."""
+
+    @pytest.mark.parametrize("row", QUIESCENCE_MATRIX, ids=lambda r: r[0])
+    def test_row(self, row, monkeypatch):
+        name, seed, handler, edit = row
+        if handler is not None:
+            monkeypatch.setattr(Hub, *handler)
+        tracer = Tracer()
+        system = run_seed(seed, tracer)
+        if edit is not None:
+            edit(system)
+        fired = {oracle: check(system, tracer)
+                 for oracle, check in QUIESCENCE_ORACLES.items()}
+        assert fired.pop(name)[0] == name
+        assert fired == {oracle: None for oracle in fired}
+        assert oracles._check_spans(system, tracer) is None
+
+    def test_every_quiescence_oracle_has_a_row(self):
+        assert {row[0] for row in QUIESCENCE_MATRIX} == \
+            set(QUIESCENCE_ORACLES)
+        checks = oracles.check_quiescence.__code__.co_names
+        assert {check.__name__ for check in QUIESCENCE_ORACLES.values()} \
+            == {name for name in checks if name.startswith("_check_")} \
+            - {"_check_spans"}
 
 
 # -- shrinker (unit, with an injectable fake rerun) -------------------------

@@ -8,8 +8,8 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.lint import run_lint
-from repro.lint.checks import (check_conformance, check_coverage,
-                               check_deadlock, check_reachability)
+from repro.lint.checks import (check_conformance, check_deadlock,
+                               check_reachability)
 from repro.lint.extract import Emission, FuncInfo, Graph, Item, MsgDecl
 from repro.lint.findings import Allowlist, Finding, LintReport, Severity
 from repro.lint.report import render_json, render_sarif, render_text
@@ -39,29 +39,6 @@ def func(name, emits=(), calls=(), retry_guard=False):
 
 def keys(findings):
     return {f.key for f in findings}
-
-
-class TestCoverage:
-    def test_emitted_but_unhandled(self):
-        sim = make_graph("sim", ["GETS", "NACK"],
-                         handlers={"GETS": ["h"]},
-                         funcs={"h": func("h", emits=["NACK"])})
-        found = keys(check_coverage(sim))
-        assert "COV001:sim:NACK" in found
-
-    def test_dead_message(self):
-        sim = make_graph("sim", ["GETS"], handlers={"GETS": ["h"]},
-                         funcs={"h": func("h")})
-        found = keys(check_coverage(sim))
-        assert "COV002:sim:GETS" in found
-
-    def test_member_without_dispatch_entry(self):
-        sim = make_graph("sim", ["GETS", "GETX"],
-                         handlers={"GETS": ["h"]},
-                         funcs={"h": func("h", emits=["GETX"])})
-        found = keys(check_coverage(sim))
-        assert "COV003:GETX" in found
-        assert "COV003:GETS" not in found
 
 
 def tiny_spec(*transitions, extra=()):
@@ -106,6 +83,20 @@ class TestConformance:
             sim, specs={"adaptive": tiny_spec()})}
         assert found["CON001:PING"].severity is Severity.ERROR
 
+    def test_undeclared_emission(self):
+        # A handler emits a name that is no MsgType (a typo): the spec
+        # check reports it as a vocabulary gap, not as a missing edge.
+        sim = make_graph("sim", ["GETS", "DATA_SHARED", "INV"],
+                         handlers={"GETS": ["h"]},
+                         funcs={"h": func("h", emits=["DATA_SHARED",
+                                                      "DATA_SHRED"])})
+        spec = tiny_spec(T("home", "GETS", emit=("DATA_SHARED",),
+                           label="serve"))
+        found = {f.key: f for f in check_conformance(
+            sim, specs={"adaptive": spec})}
+        assert found["CON001:emit:DATA_SHRED"].severity is Severity.ERROR
+        assert not any(k.startswith(("CON003", "CON005")) for k in found)
+
     def test_unmapped_mc_token(self):
         # A spec message (and its model token) the simulator never
         # declares.
@@ -115,28 +106,6 @@ class TestConformance:
 
 
 class TestDeadlock:
-    def test_self_loop_flagged(self):
-        sim = make_graph("sim", ["GETS"], handlers={"GETS": ["h"]},
-                         funcs={"h": func("h", emits=["GETS"])})
-        assert "DLK001:cycle:GETS" in keys(check_deadlock(sim))
-
-    def test_cycle_without_nack_flagged(self):
-        sim = make_graph(
-            "sim", ["INV", "INV_ACK"],
-            handlers={"INV": ["a"], "INV_ACK": ["b"]},
-            funcs={"a": func("a", emits=["INV_ACK"]),
-                   "b": func("b", emits=["INV"])})
-        assert "DLK001:cycle:INV>INV_ACK" in keys(check_deadlock(sim))
-
-    def test_cycle_through_nack_exempt(self):
-        sim = make_graph(
-            "sim", ["GETS", "NACK"],
-            handlers={"GETS": ["a"], "NACK": ["b"]},
-            funcs={"a": func("a", emits=["NACK"]),
-                   "b": func("b", emits=["GETS"], retry_guard=True)})
-        assert not any(k.startswith("DLK001")
-                       for k in keys(check_deadlock(sim)))
-
     def test_unbounded_retry_flagged_bounded_not(self):
         sim = make_graph(
             "sim", ["GETS", "GETX", "NACK"],
@@ -175,7 +144,7 @@ class TestReachability:
 class TestAllowlist:
     def test_missing_justification_rejected(self, tmp_path):
         path = tmp_path / "allow.txt"
-        path.write_text("COV001:sim:GETS\n")
+        path.write_text("CON001:GETS\n")
         with pytest.raises(ConfigError):
             Allowlist.load(path)
 
@@ -199,17 +168,17 @@ class TestAllowlist:
 
     def test_stale_entries_reported(self, tmp_path):
         path = tmp_path / "allow.txt"
-        path.write_text("COV001:sim:NOPE  # obsolete\n")
+        path.write_text("CON001:NOPE  # obsolete\n")
         allowlist = Allowlist.load(path)
         assert [e.key for e in allowlist.stale_entries()] \
-            == ["COV001:sim:NOPE"]
+            == ["CON001:NOPE"]
 
 
 class TestReportAndRenderers:
     def _report(self):
         return LintReport(findings=[
-            Finding(check_id="COV001", severity=Severity.ERROR,
-                    message="boom", fingerprint="sim:X", file="f.py",
+            Finding(check_id="CON001", severity=Severity.ERROR,
+                    message="boom", fingerprint="X", file="f.py",
                     line=3),
             Finding(check_id="DLK002", severity=Severity.WARNING,
                     message="spin", fingerprint="NACK->X@f"),
@@ -225,13 +194,13 @@ class TestReportAndRenderers:
 
     def test_text_lists_fingerprints_errors_first(self):
         text = render_text(self._report())
-        assert text.index("COV001") < text.index("DLK002")
-        assert "COV001:sim:X" in text
+        assert text.index("CON001") < text.index("DLK002")
+        assert "CON001:X" in text
 
     def test_json_round_trips(self):
         doc = json.loads(render_json(self._report()))
         assert doc["summary"] == {"errors": 1, "warnings": 1, "notes": 0}
-        assert doc["findings"][0]["key"] == "COV001:sim:X"
+        assert doc["findings"][0]["key"] == "CON001:X"
 
     def test_sarif_shape(self):
         doc = json.loads(render_sarif(self._report()))

@@ -2,10 +2,7 @@
 
 import json
 
-import pytest
-
 from repro.cli import main
-from repro.common.errors import ConfigError
 
 
 class TestLintCommand:
@@ -35,7 +32,7 @@ class TestLintCommand:
         # so they only gate below the default threshold.
         assert main(["lint", "--no-allowlist", "--fail-on", "warning"]) == 1
         out = capsys.readouterr().out
-        assert "DLK001:cycle:GETS" in out
+        assert "DLK002:NACK->INTERVENTION@_retry_intervention" in out
         assert "WB_ACK" not in out
         assert "CON003" not in out
 
@@ -51,7 +48,9 @@ class TestLintCommand:
 
     def test_verbose_lists_allowlisted(self, capsys):
         assert main(["lint", "--verbose"]) == 0
-        assert "DLK001:cycle:GETS" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "allowlisted (4):" in out
+        assert "DLK002:NACK->UNDELE_REQ@_retry_recall" in out
 
     def test_report_names_conformance_source(self, capsys):
         assert main(["lint"]) == 0
@@ -62,8 +61,10 @@ class TestLintCommand:
         assert "wi: spec-checked (generated mc twin)" in out
         assert "dragon: spec-checked (no mc twin)" in out
 
-    def test_broken_allowlist_is_a_config_error(self, tmp_path):
+    def test_broken_allowlist_is_a_config_error(self, tmp_path, capsys):
         bad = tmp_path / "allow.txt"
-        bad.write_text("COV001:sim:GETS\n")  # no justification
-        with pytest.raises(ConfigError):
-            main(["lint", "--allowlist", str(bad)])
+        bad.write_text("CON001:GETS\n")  # no justification
+        assert main(["lint", "--allowlist", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro lint: error: ")
+        assert "has no justification comment" in err

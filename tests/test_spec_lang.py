@@ -89,7 +89,7 @@ class TestValidation:
 
     def test_annotations_require_why(self):
         for kwargs in ({"hoist": "rule_x"}, {"replay": "_f"},
-                       {"only": "sim"}, {"tags": ("latent",)}):
+                       {"only": "sim"}, {"tags": ("bounded",)}):
             spec = tiny_spec(transitions=(
                 T("home", "PING", label="bad", **kwargs),))
             with pytest.raises(SpecError, match="require a 'why'"):
@@ -142,12 +142,6 @@ class TestLookups:
         spec = tiny_spec()
         assert spec.handled() == frozenset({"PING", "PONG"})
         assert [t.label for t in spec.entry_transitions()] == ["read"]
-
-    def test_sim_name_of_resolves_tokens(self):
-        spec = get_spec("adaptive")
-        assert spec.sim_name_of("NACKI") == "NACK"
-        assert spec.sim_name_of("SH_WB") == "SHARED_WB"
-        assert spec.sim_name_of("NOT_A_TOKEN") is None
 
     def test_mc_token_map_matches_model_dispatch(self):
         # The compiled model dispatches exactly the spec's mc tokens.

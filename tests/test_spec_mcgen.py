@@ -18,6 +18,7 @@ from repro.mc import ALL_INVARIANTS, ModelChecker
 from repro.mc import model as kernel
 from repro.mc.engine import InvariantViolation
 from repro.spec import get_spec
+from repro.spec import mcgen
 from repro.spec.mcgen import SpecExecutionError, SpecModel
 
 
@@ -96,6 +97,72 @@ class TestModelHasTeeth:
         with pytest.raises((InvariantViolation, DeadlockError)):
             check(SpecModel(spec.without("delegation"), num_nodes=4,
                             readers=(2, 3)))
+
+
+def _delegate_accept_unpinned(model, state, msg, fire):
+    """``delegate_accept`` with the surrogate-memory RAC entry unpinned."""
+    nxt = mcgen.EFFECTS["delegate_accept"](model, state, msg, fire)
+    dst = msg[2]
+    racs = kernel._tup_set(nxt[2], dst, (nxt[2][dst][0], False))
+    return nxt[:2] + (racs,) + nxt[3:]
+
+
+def _alone(spec, invariant):
+    """What one invariant, checked alone, makes of ``spec``'s model: the
+    violated invariant's name, ``"pass"``, or the compiler's refusal."""
+    model = SpecModel(spec)
+    try:
+        ModelChecker(model.initial_states(), model.rules(), [invariant],
+                     quiescent=model.quiescent, track_traces=False,
+                     canonicalize=model.canonical).run()
+    except InvariantViolation as err:
+        return err.invariant_name
+    except SpecExecutionError:
+        return "spec-error"
+    return "pass"
+
+
+#: The model checker's kill matrix: (invariant the row is for, the
+#: adaptive transition mutated, its changes, and what each invariant
+#: checked alone reports, in ALL_INVARIANTS order).
+INVARIANT_MATRIX = [
+    # The write miss's grant is installed as a read's E fill: the writer
+    # never commits and its copy coexists with others.
+    ("single_writer", "data_e_grant", {"effect": "install_excl"},
+     ("single_writer", "spec-error", "spec-error", "spec-error")),
+    # The writer drops its exclusive grant: the directory names an owner
+    # with no copy.
+    ("directory_consistency", "data_e_grant", {"effect": "stale_drop"},
+     ("pass", "directory_consistency", "pass", "pass")),
+    # The home drops a shared writeback's data: memory stays stale.
+    ("value_coherence", "sh_wb_apply", {"effect": "stale_drop"},
+     ("pass", "pass", "value_coherence", "pass")),
+    # No transition swap trips delegation_wellformed alone; its row needs
+    # a kernel defect (the delegate leaves its surrogate RAC entry
+    # unpinned), which two other invariants catch as well.
+    ("delegation_wellformed", "delegate_accept",
+     {"effect": "delegate_accept_unpinned"},
+     ("pass", "directory_consistency", "value_coherence",
+      "delegation_wellformed")),
+]
+
+
+class TestInvariantKillMatrix:
+    """Each mc invariant trips on its row's mutant when checked alone;
+    the other columns record which invariants catch it too."""
+
+    @pytest.mark.parametrize("row", INVARIANT_MATRIX, ids=lambda r: r[0])
+    def test_row(self, row, monkeypatch):
+        _name, label, changes, expected = row
+        monkeypatch.setitem(mcgen.EFFECTS, "delegate_accept_unpinned",
+                            _delegate_accept_unpinned)
+        spec = replace_transition(get_spec("adaptive"), label, **changes)
+        assert tuple(_alone(spec, inv) for inv in ALL_INVARIANTS) \
+            == expected
+
+    def test_every_invariant_has_a_row(self):
+        assert [row[0] for row in INVARIANT_MATRIX] == \
+            [inv.__name__ for inv in ALL_INVARIANTS]
 
 
 class TestCompilerGuardRails:
