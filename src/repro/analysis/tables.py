@@ -5,6 +5,8 @@ these helpers format them the way the paper lays them out, so bench output
 can be compared to the paper side by side.
 """
 
+from dataclasses import dataclass
+
 
 def render_table(headers, rows, title=None, float_fmt="%.3f"):
     """Render a list-of-lists as a fixed-width ASCII table."""
@@ -29,20 +31,33 @@ def render_table(headers, rows, title=None, float_fmt="%.3f"):
     return "\n".join(lines)
 
 
-def render_matrix(title, columns, groups):
-    """Render a matrix-sweep report: a title line, then one table per group.
+@dataclass
+class MatrixReport:
+    """One matrix sweep's report: a title line, then one table per group.
 
     ``columns`` is ``[(header, row key)]``; ``groups`` is ``[(group title,
-    [row dict])]`` with the rows a report's ``row()`` returns.  A None
+    [row dict])]``; ``doc`` is the ``--json`` document and ``cells`` the
+    engine's result per cell, under the sweep's caller keys.  A None
     cell (a latency percentile of a run with no misses) prints as "-".
     """
-    headers = [header for header, _ in columns]
-    blocks = [title]
-    for group_title, rows in groups:
-        cells = [["-" if row[key] is None else row[key] for _, key in columns]
-                 for row in rows]
-        blocks.append(render_table(headers, cells, title=group_title))
-    return "\n\n".join(blocks)
+
+    title: str
+    columns: list
+    groups: list
+    doc: dict
+    cells: dict
+
+    def render_text(self):
+        headers = [header for header, _ in self.columns]
+        blocks = [self.title]
+        for group_title, rows in self.groups:
+            table = [["-" if row[key] is None else row[key]
+                      for _, key in self.columns] for row in rows]
+            blocks.append(render_table(headers, table, title=group_title))
+        return "\n\n".join(blocks)
+
+    def to_json(self):
+        return self.doc
 
 
 def render_series(title, xlabel, series):

@@ -87,6 +87,17 @@ EXPERIMENTS = {
 }
 
 
+def _engine_flags(parser, jobs=None):
+    """Declare the sweep engine's flags (see :func:`_build_engine`)."""
+    parser.add_argument("--jobs", type=int, default=jobs, metavar="N",
+                        help="worker processes (default: %s)"
+                        % ("all CPU cores" if jobs is None else jobs))
+    parser.add_argument("--no-cache", action="store_true",
+                        help="do not read or write the on-disk result cache")
+    parser.add_argument("--cache-dir", default=sweep_mod.CACHE_DIR,
+                        help="result-cache location (default: %(default)s)")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -132,12 +143,7 @@ def build_parser():
                               "(default: %(default)s)")
     arena_p.add_argument("--scale", type=float, default=0.5)
     arena_p.add_argument("--seed", type=int, default=12345)
-    arena_p.add_argument("--jobs", type=int, default=None, metavar="N",
-                         help="worker processes (default: all CPU cores)")
-    arena_p.add_argument("--no-cache", action="store_true",
-                         help="do not read or write the on-disk result "
-                              "cache")
-    arena_p.add_argument("--cache-dir", default=sweep_mod.CACHE_DIR)
+    _engine_flags(arena_p)
     arena_p.add_argument("--directory-format", default=None, metavar="FMT",
                          help="directory sharer encoding for every cell: "
                               "full, coarse:G, limited:K")
@@ -161,12 +167,7 @@ def build_parser():
                               "(default: %(default)s)")
     scale_p.add_argument("--scale", type=float, default=1.0)
     scale_p.add_argument("--seed", type=int, default=0)
-    scale_p.add_argument("--jobs", type=int, default=None, metavar="N",
-                         help="worker processes (default: all CPU cores)")
-    scale_p.add_argument("--no-cache", action="store_true",
-                         help="do not read or write the on-disk result "
-                              "cache")
-    scale_p.add_argument("--cache-dir", default=sweep_mod.CACHE_DIR)
+    _engine_flags(scale_p)
     scale_p.add_argument("--no-check", action="store_true",
                          help="disable online coherence checking (faster; "
                               "the default keeps the run oracle-checked)")
@@ -227,26 +228,14 @@ def build_parser():
                           help="Markdown file to write")
     report_p.add_argument("--scale", type=float, default=1.0)
     report_p.add_argument("--seed", type=int, default=12345)
-    report_p.add_argument("--jobs", type=int, default=1, metavar="N",
-                          help="worker processes for the simulations "
-                               "(default: 1, serial)")
-    report_p.add_argument("--no-cache", action="store_true",
-                          help="do not read or write the on-disk result "
-                               "cache")
-    report_p.add_argument("--cache-dir", default=sweep_mod.CACHE_DIR)
+    _engine_flags(report_p, jobs=1)
 
     sweep_p = sub.add_parser(
         "sweep", help="regenerate an artefact via the parallel sweep engine")
     sweep_p.add_argument("name", choices=sorted(EXPERIMENTS))
-    sweep_p.add_argument("--jobs", type=int, default=None, metavar="N",
-                         help="worker processes (default: all CPU cores)")
     sweep_p.add_argument("--scale", type=float, default=1.0)
     sweep_p.add_argument("--seed", type=int, default=12345)
-    sweep_p.add_argument("--no-cache", action="store_true",
-                         help="do not read or write the on-disk result "
-                              "cache")
-    sweep_p.add_argument("--cache-dir", default=sweep_mod.CACHE_DIR,
-                         help="result-cache location (default: %(default)s)")
+    _engine_flags(sweep_p)
     sweep_p.add_argument("--json", dest="json_out", metavar="OUT.json",
                          help="also write the sweep's executed/cached "
                               "accounting")
@@ -525,11 +514,26 @@ def cmd_trace(args):
     return 0
 
 
-def _build_engine(args, quiet=True):
+def _build_engine(args, quiet=True, runner=None):
+    """The engine :func:`_engine_flags` describe; ``--jobs`` unset or 0
+    means every CPU core."""
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
     return SweepEngine(jobs=jobs, cache=not args.no_cache,
-                       cache_dir=args.cache_dir,
+                       cache_dir=args.cache_dir, runner=runner,
                        progress=None if quiet else SweepProgress())
+
+
+def _print_matrix(args, engine, report):
+    """Print a matrix sweep's report and its run footer, and write its
+    ``--json`` document."""
+    print(report.render_text())
+    sweep = engine.last_report
+    print("\n%s: %d cells (%d executed, %d cached), %d workers, %.2fs"
+          % (args.command, sweep.total, sweep.executed, sweep.cached,
+             engine.effective_jobs, sweep.elapsed))
+    if args.json_out:
+        _write_json(args.json_out, report.to_json())
+    return 0
 
 
 def _write_json(path, doc):
@@ -558,17 +562,9 @@ def cmd_arena(args):
         from dataclasses import replace
         base = replace(base, directory_format=args.directory_format)
     engine = _build_engine(args)
-    report = arena_harness.run_arena(
+    return _print_matrix(args, engine, arena_harness.run_arena(
         apps=apps, protocols=protocols, base=base, base_name=args.base,
-        seed=args.seed, scale=args.scale, engine=engine)
-    print(report.render_text())
-    sweep_report = engine.last_report
-    print("\narena: %d cells (%d executed, %d cached), %d workers, %.2fs"
-          % (sweep_report.total, sweep_report.executed, sweep_report.cached,
-             engine.effective_jobs, sweep_report.elapsed))
-    if args.json_out:
-        _write_json(args.json_out, report.to_json())
-    return 0
+        seed=args.seed, scale=args.scale, engine=engine))
 
 
 def cmd_scale(args):
@@ -578,20 +574,10 @@ def cmd_scale(args):
     formats = (tuple(f for f in args.formats.split(",") if f)
                if args.formats else scale_harness.DEFAULT_FORMATS)
     protocols = tuple(p for p in args.protocols.split(",") if p)
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
-    engine = scale_harness.scale_engine(jobs=jobs, cache=not args.no_cache,
-                                        cache_dir=args.cache_dir)
-    report = scale_harness.run_scale(
+    engine = _build_engine(args, runner=scale_harness.scale_runner)
+    return _print_matrix(args, engine, scale_harness.run_scale(
         nodes=nodes, formats=formats, protocols=protocols, seed=args.seed,
-        scale=args.scale, check_coherence=not args.no_check, engine=engine)
-    print(report.render_text())
-    sweep_report = engine.last_report
-    print("\nscale: %d cells (%d executed, %d cached), %d workers, %.2fs"
-          % (sweep_report.total, sweep_report.executed, sweep_report.cached,
-             engine.effective_jobs, sweep_report.elapsed))
-    if args.json_out:
-        _write_json(args.json_out, report.to_json())
-    return 0
+        scale=args.scale, check_coherence=not args.no_check, engine=engine))
 
 
 def cmd_sweep(args):

@@ -16,12 +16,14 @@ config and therefore in the cache key.  All cells share one *base*
 config — each protocol then normalises it onto its spec's features
 (``wi`` turns delegation and updates off, ``mesi`` also the RAC...),
 which is the point: equal hardware budget, the protocol is the only
-variable.
+variable.  :func:`run_arena` builds each cell's row once, with
+:func:`_row`, and returns the scaling study's report shape, a
+:class:`~repro.analysis.tables.MatrixReport`.
 """
 
 from dataclasses import replace
 
-from ..analysis.tables import render_matrix
+from ..analysis.tables import MatrixReport
 from ..common import params
 from ..common import stats as S
 from ..obs.metrics import miss_percentiles
@@ -34,7 +36,7 @@ from .sweep import SweepJob, default_engine
 #: shows the protocols apart.
 DEFAULT_APPS = ("em3d", "ocean")
 
-#: Report columns: (header, :meth:`ArenaReport.row` key).
+#: Report columns: (header, :func:`_row` key).
 COLUMNS = [("protocol", "protocol"), ("cycles", "cycles"),
            ("traffic B", "traffic_bytes"), ("miss local", "miss_local"),
            ("2hop", "miss_2hop"), ("3hop", "miss_3hop"),
@@ -42,60 +44,28 @@ COLUMNS = [("protocol", "protocol"), ("cycles", "cycles"),
            ("lat p95", "miss_p95")]
 
 
-class ArenaReport:
-    """Results of one arena sweep: ``cells[(app, protocol)] -> AppRun``."""
-
-    def __init__(self, apps, protocols, cells, base_name, seed, scale):
-        self.apps = list(apps)
-        self.protocols = list(protocols)
-        self.cells = cells
-        self.base_name = base_name
-        self.seed = seed
-        self.scale = scale
-
-    def row(self, app, protocol):
-        """The report row for one cell, as a plain dict."""
-        run = self.cells[(app, protocol)]
-        stats = run.stats
-        p50, p95 = miss_percentiles(run.latency)
-        return {
-            "protocol": protocol,
-            "cycles": run.metrics.cycles,
-            "traffic_bytes": stats.get(S.MSG_BYTES, 0),
-            "miss_local": stats.get(S.MISS_LOCAL, 0),
-            "miss_2hop": stats.get(S.MISS_2HOP, 0),
-            "miss_3hop": stats.get(S.MISS_3HOP, 0),
-            "updates_sent": stats.get(S.UPDATES_SENT, 0),
-            "miss_p50": p50,
-            "miss_p95": p95,
-        }
-
-    def render_text(self):
-        """The full comparison: one table per workload."""
-        return render_matrix(
-            "protocol arena  (base config %s, seed %d, scale %g)"
-            % (self.base_name, self.seed, self.scale), COLUMNS,
-            [("[%s]" % app, [self.row(app, protocol)
-                             for protocol in self.protocols])
-             for app in self.apps])
-
-    def to_json(self):
-        """JSON-safe document of every cell's report row."""
-        return {
-            "base_config": self.base_name,
-            "seed": self.seed,
-            "scale": self.scale,
-            "apps": self.apps,
-            "protocols": self.protocols,
-            "rows": {app: [self.row(app, protocol)
-                           for protocol in self.protocols]
-                     for app in self.apps},
-        }
+def _row(protocol, run):
+    """The report row for one cell's :class:`AppRun`, as a plain dict."""
+    stats = run.stats
+    p50, p95 = miss_percentiles(run.latency)
+    return {
+        "protocol": protocol,
+        "cycles": run.metrics.cycles,
+        "traffic_bytes": stats.get(S.MSG_BYTES, 0),
+        "miss_local": stats.get(S.MISS_LOCAL, 0),
+        "miss_2hop": stats.get(S.MISS_2HOP, 0),
+        "miss_3hop": stats.get(S.MISS_3HOP, 0),
+        "updates_sent": stats.get(S.UPDATES_SENT, 0),
+        "miss_p50": p50,
+        "miss_p95": p95,
+    }
 
 
 def run_arena(apps=DEFAULT_APPS, protocols=SPEC_NAMES, base=None,
               base_name="small", seed=12345, scale=0.5, engine=None):
-    """Sweep ``apps`` x ``protocols`` and return an :class:`ArenaReport`.
+    """Sweep ``apps`` x ``protocols`` and return a
+    :class:`~repro.analysis.tables.MatrixReport`: one table per app, one
+    row per protocol, ``cells[(app, protocol)] -> AppRun``.
 
     ``base`` is the shared base :class:`SystemConfig` (default: the named
     preset ``base_name`` from :mod:`repro.common.params`); every protocol
@@ -117,8 +87,15 @@ def run_arena(apps=DEFAULT_APPS, protocols=SPEC_NAMES, base=None,
         for app in apps for protocol in protocols
     }
     cells = engine.run_many(jobs)
-    return ArenaReport(apps=apps, protocols=protocols, cells=cells,
-                       base_name=base_name, seed=seed, scale=scale)
+    rows = {app: [_row(protocol, cells[(app, protocol)])
+                  for protocol in protocols] for app in apps}
+    return MatrixReport(
+        "protocol arena  (base config %s, seed %d, scale %g)"
+        % (base_name, seed, scale), COLUMNS,
+        [("[%s]" % app, rows[app]) for app in apps],
+        {"base_config": base_name, "seed": seed, "scale": scale,
+         "apps": list(apps), "protocols": list(protocols), "rows": rows},
+        cells)
 
 
-__all__ = ["ArenaReport", "DEFAULT_APPS", "run_arena"]
+__all__ = ["DEFAULT_APPS", "run_arena"]

@@ -71,11 +71,10 @@ def _engine(engine):
 
 
 def _job(app, config, seed, scale, directory_format=None):
-    # directory_format rides as a native SweepJob field (folded into the
-    # config before hashing), so "coarse:4" matrices can never alias
-    # "full" ones in the cache.
-    return SweepJob(app=app, config=config, seed=seed, scale=scale,
-                    directory_format=directory_format)
+    # The format goes into the config, so the job key sees it.
+    if directory_format is not None:
+        config = replace(config, directory_format=directory_format)
+    return SweepJob(app=app, config=config, seed=seed, scale=scale)
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,14 @@ Every cell is one :class:`~repro.harness.sweep.SweepJob` submitted
 through a :class:`~repro.harness.sweep.SweepEngine`, so scale sweeps
 parallelise and cache like every other experiment; node count, format
 and protocol all ride in the config and therefore in the cache key.
+:func:`run_scale` builds each cell's row once, with :func:`_row`, and
+returns the arena's report shape, a
+:class:`~repro.analysis.tables.MatrixReport`.
 """
 
 from dataclasses import replace
 
-from ..analysis.tables import render_matrix
+from ..analysis.tables import MatrixReport
 from ..common import stats as S
 from ..common.errors import ConfigError
 from ..directory.formats import DirectoryFormat
@@ -36,7 +39,7 @@ DEFAULT_NODES = (16, 64, 256)
 DEFAULT_FORMATS = ("full", "coarse:8", "coarse:16", "limited:2", "limited:4")
 DEFAULT_PROTOCOLS = ("adaptive",)
 
-#: Report columns: (header, :meth:`ScaleReport.row` key).
+#: Report columns: (header, :func:`_row` key).
 COLUMNS = [("format", "format"), ("protocol", "protocol"),
            ("cycles", "cycles"), ("traffic B", "traffic_bytes"),
            ("INVs", "invalidations"), ("updates", "updates_sent"),
@@ -72,76 +75,38 @@ def scale_runner(job):
     }
 
 
-class ScaleReport:
-    """Results of one scaling sweep: ``cells[(nodes, fmt, proto)]``."""
-
-    def __init__(self, nodes, formats, protocols, cells, seed, scale):
-        self.nodes = list(nodes)
-        self.formats = list(formats)
-        self.protocols = list(protocols)
-        self.cells = cells
-        self.seed = seed
-        self.scale = scale
-
-    def row(self, num_nodes, fmt, protocol):
-        """The report row for one cell, as a plain dict."""
-        payload = self.cells[(num_nodes, fmt, protocol)]
-        stats = payload["stats"]
-        p50, p95 = miss_percentiles(payload["latency"])
-        updates = stats.get(S.UPDATES_SENT, 0)
-        pushes = stats.get(S.INTERVENTIONS, 0)
-        return {
-            "nodes": num_nodes,
-            "format": fmt,
-            "protocol": protocol,
-            "cycles": payload["cycles"],
-            "events": payload["events"],
-            "traffic_bytes": stats.get(S.MSG_BYTES, 0),
-            "invalidations": stats.get("msg.sent.INV", 0),
-            "updates_sent": updates,
-            "update_fanout": round(updates / pushes, 2) if pushes else 0.0,
-            "nacks": stats.get(S.NACKS, 0),
-            "retries": stats.get(S.RETRIES, 0),
-            "miss_p50": p50,
-            "miss_p95": p95,
-            "dir_bits_per_entry":
-                DirectoryFormat.parse(fmt).bits_per_entry(num_nodes),
-        }
-
-    def rows(self):
-        """Every cell's row, node-count-major (the breakdown curves)."""
-        return [self.row(n, fmt, proto)
-                for n in self.nodes
-                for fmt in self.formats
-                for proto in self.protocols]
-
-    def render_text(self):
-        """The scaling breakdown: one table per node count."""
-        return render_matrix(
-            "scaling study  (storm workload, seed %d, scale %g)"
-            % (self.seed, self.scale), COLUMNS,
-            [("[%d nodes]" % num_nodes,
-              [self.row(num_nodes, fmt, proto)
-               for fmt in self.formats for proto in self.protocols])
-             for num_nodes in self.nodes])
-
-    def to_json(self):
-        """JSON-safe document of every cell's report row."""
-        return {
-            "seed": self.seed,
-            "scale": self.scale,
-            "nodes": self.nodes,
-            "formats": self.formats,
-            "protocols": self.protocols,
-            "rows": self.rows(),
-        }
+def _row(num_nodes, fmt, protocol, payload):
+    """The report row for one cell's :func:`scale_runner` payload."""
+    stats = payload["stats"]
+    p50, p95 = miss_percentiles(payload["latency"])
+    updates = stats.get(S.UPDATES_SENT, 0)
+    pushes = stats.get(S.INTERVENTIONS, 0)
+    return {
+        "nodes": num_nodes,
+        "format": fmt,
+        "protocol": protocol,
+        "cycles": payload["cycles"],
+        "events": payload["events"],
+        "traffic_bytes": stats.get(S.MSG_BYTES, 0),
+        "invalidations": stats.get("msg.sent.INV", 0),
+        "updates_sent": updates,
+        "update_fanout": round(updates / pushes, 2) if pushes else 0.0,
+        "nacks": stats.get(S.NACKS, 0),
+        "retries": stats.get(S.RETRIES, 0),
+        "miss_p50": p50,
+        "miss_p95": p95,
+        "dir_bits_per_entry":
+            DirectoryFormat.parse(fmt).bits_per_entry(num_nodes),
+    }
 
 
 def run_scale(nodes=DEFAULT_NODES, formats=DEFAULT_FORMATS,
               protocols=DEFAULT_PROTOCOLS, seed=0, scale=1.0,
               check_coherence=True, engine=None):
     """Sweep ``nodes`` x ``formats`` x ``protocols`` storm runs and
-    return a :class:`ScaleReport`.
+    return a :class:`~repro.analysis.tables.MatrixReport`: one table per
+    node count, ``cells[(nodes, fmt, proto)] -> payload``, and a flat,
+    node-major ``rows`` list in the JSON document.
 
     Every cell shares the storm scenario's config recipe — only the axis
     under study varies — and runs with online coherence checking unless
@@ -170,13 +135,22 @@ def run_scale(nodes=DEFAULT_NODES, formats=DEFAULT_FORMATS,
                     app="storm", config=scenario.config, seed=seed,
                     scale=scale, check_coherence=check_coherence)
     cells = engine.run_many(jobs)
-    return ScaleReport(nodes=nodes, formats=formats, protocols=protocols,
-                       cells=cells, seed=seed, scale=scale)
+    groups = [("[%d nodes]" % num_nodes,
+               [_row(num_nodes, fmt, proto, cells[(num_nodes, fmt, proto)])
+                for fmt in formats for proto in protocols])
+              for num_nodes in nodes]
+    return MatrixReport(
+        "scaling study  (storm workload, seed %d, scale %g)" % (seed, scale),
+        COLUMNS, groups,
+        {"seed": seed, "scale": scale, "nodes": list(nodes),
+         "formats": list(formats), "protocols": list(protocols),
+         "rows": [row for _, rows in groups for row in rows]},
+        cells)
 
 
 def scale_engine(jobs=1, cache=False, **kwargs):
-    """A :class:`SweepEngine` wired for scale payloads (the engine's
-    default decoder is the identity when a custom runner is set)."""
+    """A :class:`SweepEngine` wired for scale payloads (a custom-runner
+    engine returns each payload as the runner built it)."""
     from .sweep import SweepEngine
 
     return SweepEngine(jobs=jobs, cache=cache, runner=scale_runner,
@@ -184,4 +158,4 @@ def scale_engine(jobs=1, cache=False, **kwargs):
 
 
 __all__ = ["DEFAULT_FORMATS", "DEFAULT_NODES", "DEFAULT_PROTOCOLS",
-           "ScaleReport", "run_scale", "scale_engine", "scale_runner"]
+           "run_scale", "scale_engine", "scale_runner"]

@@ -52,7 +52,7 @@ import threading
 import time
 import traceback
 from concurrent import futures
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..common.errors import ReproError
@@ -108,13 +108,9 @@ class SweepError(ReproError):
 class SweepJob:
     """One simulation, named by content (what :func:`job_key` hashes).
 
-    ``directory_format`` is a cross-cutting config knob: when given, it is
-    folded into ``config`` at construction (before any key is computed),
-    so the content hash — and therefore the cache — can never alias a
-    ``coarse:4`` run with a ``full`` one.  This is the native replacement
-    for the retired ``OverrideEngine`` wrapper, which rewrote configs at
-    submission time instead.  The protocol is named only by
-    ``config.protocol_name``.
+    The config carries every machine knob the key must see, the
+    protocol (``config.protocol_name``) and the directory format
+    included, so a ``coarse:4`` run never aliases a ``full`` one.
     """
 
     app: str
@@ -124,16 +120,6 @@ class SweepJob:
     num_cpus: Optional[int] = None
     check_coherence: bool = True
     chaos: Optional[object] = None  # ChaosConfig (fault injection) or None
-    directory_format: Optional[str] = None  # None = keep config's value
-
-    def __post_init__(self):
-        if self.directory_format is not None:
-            object.__setattr__(self, "config", replace(
-                self.config, directory_format=self.directory_format))
-
-    @property
-    def key(self):
-        return job_key(self)
 
     def describe(self):
         return "%s seed=%d scale=%g cpus=%s" % (
@@ -697,20 +683,20 @@ class SweepEngine:
     cache on; ``cache_dir`` relocates it.  ``progress`` is a hook object
     (see :class:`SweepProgress`); None disables reporting.
 
-    ``runner``/``decoder`` repurpose the pool for non-AppRun work (the
-    fuzz engine's corpus runs and the repro.serve job service ride the
-    same dedupe/pool/progress machinery): ``runner`` is a *module-level*
-    callable ``job -> JSON-safe payload`` executed worker-side,
-    ``decoder`` a callable ``(job, payload) -> result`` applied
-    parent-side.  The runner's identity is part of :func:`job_key`, so
-    custom-runner jobs share the cache without ever replaying a
-    different runner's output.  ``cache_budget`` (bytes) turns on LRU
-    eviction; see :class:`ResultCache`.
+    ``runner`` repurposes the pool for non-AppRun work (the fuzz
+    engine's corpus runs, the scaling study and the repro.serve job
+    service ride the same dedupe/pool/progress machinery): it is a
+    *module-level* callable ``job -> JSON-safe payload`` executed
+    worker-side, and :meth:`run_many` returns its payloads as they are.
+    Without one, each payload becomes an
+    :class:`~repro.harness.runner.AppRun`.  The runner's identity is part
+    of :func:`job_key`, so custom-runner jobs share the cache without
+    ever replaying a different runner's output.  ``cache_budget``
+    (bytes) turns on LRU eviction; see :class:`ResultCache`.
     """
 
     def __init__(self, jobs=1, cache=False, cache_dir=CACHE_DIR,
-                 progress=None, runner=None, decoder=None,
-                 cache_budget=None):
+                 progress=None, runner=None, cache_budget=None):
         if jobs < 1:
             raise ValueError("jobs must be >= 1, got %r" % jobs)
         self.jobs = jobs
@@ -718,21 +704,10 @@ class SweepEngine:
         self.cache = (ResultCache(cache_dir, budget_bytes=cache_budget)
                       if cache else None)
         self.runner = runner
-        if decoder is None:
-            decoder = _apprun_from_payload if runner is None \
-                else (lambda job, payload: payload)
-        self.decoder = decoder
         self.progress = progress if progress is not None else _NullProgress()
         self.last_report = SweepReport()
 
     # -- public API --------------------------------------------------------
-
-    def run_app(self, app, config, seed=12345, scale=1.0, num_cpus=None,
-                check_coherence=True):
-        """One-job convenience: same signature spirit as ``runner.run_app``."""
-        job = SweepJob(app=app, config=config, seed=seed, scale=scale,
-                       num_cpus=num_cpus, check_coherence=check_coherence)
-        return self.run_many({0: job})[0]
 
     def run_many(self, jobs):
         """Execute a batch and return results under the caller's keys.
@@ -740,7 +715,8 @@ class SweepEngine:
         ``jobs`` maps arbitrary hashable caller keys to :class:`SweepJob`
         (a list/tuple works too: indexes become the keys).  Identical jobs
         (same content hash) are deduped and executed once.  Returns a dict
-        of caller key -> :class:`~repro.harness.runner.AppRun`.
+        of caller key -> :class:`~repro.harness.runner.AppRun`, or -> the
+        runner's payload when the engine has a runner.
         """
         if not isinstance(jobs, dict):
             jobs = dict(enumerate(jobs))
@@ -777,7 +753,10 @@ class SweepEngine:
         report.elapsed = time.monotonic() - started
         self.last_report = report
         self.progress.sweep_finished(report)
-        return {caller: self.decoder(jobs[caller], payloads[content[caller]])
+        if self.runner is not None:
+            return {caller: payloads[content[caller]] for caller in jobs}
+        return {caller: _apprun_from_payload(jobs[caller],
+                                             payloads[content[caller]])
                 for caller in jobs}
 
     # -- execution ---------------------------------------------------------

@@ -285,7 +285,16 @@ class SpecModel:
                                                       self._env(*key))
                 base = state[:7] + (_net_pop_msg(net, pair, msg),)
                 for fire in fires:
-                    yield fire.labels[dst], fire.effect(self, base, msg, fire)
+                    try:
+                        nxt = fire.effect(self, base, msg, fire)
+                    except (TypeError, ValueError, IndexError,
+                            KeyError) as err:
+                        # A kernel fed a state it does not fit.
+                        raise SpecExecutionError(
+                            "transition %r (effect %r) failed on %s: %s"
+                            % (fire.t.label, fire.t.effect, msg[0], err)
+                        ) from err
+                    yield fire.labels[dst], nxt
 
     def _resolve(self, token: str, env: Dict[str, str]) -> List[Fire]:
         """The transitions a delivery fires, after the dispatch checks."""

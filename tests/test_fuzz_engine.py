@@ -128,39 +128,6 @@ def run_seed(seed, tracer):
     return system
 
 
-class TestSpanOracles:
-    """The two oracles that read tracer spans can fire: their rows of the
-    oracle kill matrix (the quiescence rows are below).  They are called
-    directly, not through ``check_quiescence``, so an earlier oracle
-    cannot hide them."""
-
-    SEED = 1  # NACKs at scale 0.5, so some miss span has retries
-
-    def run_traced(self, tracer):
-        return run_seed(self.SEED, tracer)
-
-    def test_bounded_retry_fires(self, monkeypatch):
-        tracer = Tracer()
-        system = self.run_traced(tracer)
-        assert system.stats.get("protocol.nack") > 0
-        assert oracles._check_spans(system, tracer) is None
-        monkeypatch.setattr(oracles, "RETRY_BOUND", 0)
-        oracle, message = oracles._check_spans(system, tracer)
-        assert oracle == "bounded-retry"
-        assert "(bound 0)" in message
-
-    def test_txn_terminate_fires(self):
-        class MissNeverEnds(Tracer):
-            def miss_end(self, node, addr, now, path, retries):
-                pass
-
-        tracer = MissNeverEnds()
-        system = self.run_traced(tracer)
-        oracle, message = oracles._check_spans(system, tracer)
-        assert oracle == "txn-terminate"
-        assert "never completed" in message
-
-
 def drop_update_ack(self, msg):
     """The producer never hears its update acks."""
 
@@ -208,7 +175,11 @@ QUIESCENCE_MATRIX = [
 
 class TestQuiescenceOracleKillMatrix:
     """Each quiescence oracle, called on its own, fires on its row's
-    mutant, and it alone does."""
+    mutant, and it alone does.  The two oracles that read tracer spans
+    have a test each below; they are called directly, not through
+    ``check_quiescence``, so an earlier oracle cannot hide them."""
+
+    SPAN_SEED = 1  # NACKs at scale 0.5, so some miss span has retries
 
     @pytest.mark.parametrize("row", QUIESCENCE_MATRIX, ids=lambda r: r[0])
     def test_row(self, row, monkeypatch):
@@ -232,6 +203,27 @@ class TestQuiescenceOracleKillMatrix:
         assert {check.__name__ for check in QUIESCENCE_ORACLES.values()} \
             == {name for name in checks if name.startswith("_check_")} \
             - {"_check_spans"}
+
+    def test_bounded_retry_fires(self, monkeypatch):
+        tracer = Tracer()
+        system = run_seed(self.SPAN_SEED, tracer)
+        assert system.stats.get("protocol.nack") > 0
+        assert oracles._check_spans(system, tracer) is None
+        monkeypatch.setattr(oracles, "RETRY_BOUND", 0)
+        oracle, message = oracles._check_spans(system, tracer)
+        assert oracle == "bounded-retry"
+        assert "(bound 0)" in message
+
+    def test_txn_terminate_fires(self):
+        class MissNeverEnds(Tracer):
+            def miss_end(self, node, addr, now, path, retries):
+                pass
+
+        tracer = MissNeverEnds()
+        system = run_seed(self.SPAN_SEED, tracer)
+        oracle, message = oracles._check_spans(system, tracer)
+        assert oracle == "txn-terminate"
+        assert "never completed" in message
 
 
 # -- shrinker (unit, with an injectable fake rerun) -------------------------
@@ -423,13 +415,6 @@ class TestSweepIntegration:
         out = engine.run_many({"a": SweepJob(app="x", config=baseline(),
                                              seed=7)})
         assert out == {"a": {"seed": 7, "app": "x"}}
-
-    def test_custom_decoder(self):
-        engine = SweepEngine(jobs=1, cache=False, runner=_echo_runner,
-                             decoder=lambda job, payload: payload["seed"])
-        out = engine.run_many({"a": SweepJob(app="x", config=baseline(),
-                                             seed=7)})
-        assert out == {"a": 7}
 
     def test_custom_runner_shares_cache_keyed_by_identity(self, tmp_path):
         """Runner identity is part of job_key: cached custom-runner

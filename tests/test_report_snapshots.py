@@ -5,10 +5,10 @@ The scale and arena goldens under ``tests/golden/`` were captured from
 the CLI before the miss-latency histograms moved from the tracer into the
 always-on run stats, so they pin the p50/p95 columns (and every other
 cell) across that change.  The sweep golden was captured before the
-sweep engine and the job service shared one worker pool.  Only the
-run-dependent footer (wall time, worker count) is left out; ``repro
-sweep --json`` is the sweep's executed/cached accounting, so only its
-text is pinned.
+sweep engine and the job service shared one worker pool.  The run
+footer is matched apart from the report, against a pattern that leaves
+out only its wall time; ``repro sweep --json`` is the sweep's
+executed/cached accounting, so only its text is pinned.
 
 To regenerate after an intended report change::
 
@@ -20,6 +20,7 @@ import io
 import itertools
 import json
 import os
+import re
 import tempfile
 
 import pytest
@@ -40,10 +41,20 @@ SNAPSHOTS = {
 #: The reports whose whole ``--json`` document is pinned too.
 JSON_DOCS = ("scale", "arena")
 
+#: Each report's run footer; only the wall time varies between runs.
+FOOTERS = {
+    "scale": r"scale: 4 cells \(4 executed, 0 cached\), 1 workers, "
+             r"\d+\.\d\ds",
+    "arena": r"arena: 4 cells \(4 executed, 0 cached\), 1 workers, "
+             r"\d+\.\d\ds",
+    "sweep": r"sweep table3: 7 jobs \(7 unique\), 7 executed, 0 cached, "
+             r"1 workers, \d+\.\d\ds",
+}
+
 
 def render(name, work_dir):
-    """(text, json) snapshot documents of one CLI report; json is None
-    for reports whose ``--json`` output is not pinned."""
+    """(text, json, footer) of one CLI report; json is None for reports
+    whose ``--json`` output is not pinned."""
     argv = SNAPSHOTS[name]
     json_path = os.path.join(work_dir, name + ".json")
     stdout = io.StringIO()
@@ -53,12 +64,14 @@ def render(name, work_dir):
     # which starts with the command words ("sweep table3: ...").
     command = " ".join(itertools.takewhile(
         lambda arg: not arg.startswith("-"), argv))
-    text = stdout.getvalue().rsplit("\n\n%s: " % command, 1)[0] + "\n"
+    text, footer = stdout.getvalue().rsplit("\n\n%s: " % command, 1)
+    footer = "%s: %s" % (command, footer.split("\n", 1)[0])
     if name not in JSON_DOCS:
-        return text, None
+        return text + "\n", None, footer
     with open(json_path) as fileobj:
         doc = json.load(fileobj)
-    return text, json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return (text + "\n", json.dumps(doc, indent=2, sort_keys=True) + "\n",
+            footer)
 
 
 def golden_paths(name):
@@ -69,7 +82,8 @@ def golden_paths(name):
 def regenerate():
     with tempfile.TemporaryDirectory() as work_dir:
         for name in SNAPSHOTS:
-            for path, body in zip(golden_paths(name), render(name, work_dir)):
+            for path, body in zip(golden_paths(name),
+                                  render(name, work_dir)[:2]):
                 if body is not None:
                     with open(path, "w") as fileobj:
                         fileobj.write(body)
@@ -77,7 +91,8 @@ def regenerate():
 
 @pytest.mark.parametrize("name", sorted(SNAPSHOTS))
 def test_report_matches_snapshot(name, tmp_path):
-    text, doc = render(name, str(tmp_path))
+    text, doc, footer = render(name, str(tmp_path))
+    assert re.fullmatch(FOOTERS[name], footer), footer
     text_path, json_path = golden_paths(name)
     with open(text_path) as fileobj:
         assert text == fileobj.read()

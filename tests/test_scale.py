@@ -101,7 +101,7 @@ class TestScaleHarness:
     def test_report_shape_and_breakdown(self):
         report = run_scale(nodes=(16,), formats=("full", "limited:2"),
                            engine=scale_engine(jobs=1))
-        rows = report.rows()
+        rows = report.to_json()["rows"]
         assert len(rows) == 2
         full_row = next(r for r in rows if r["format"] == "full")
         lim_row = next(r for r in rows if r["format"] == "limited:2")
@@ -126,7 +126,7 @@ class TestScaleHarness:
                            seed=0, engine=scale_engine(jobs=1))
         got = {row["format"]: (row["events"], row["cycles"],
                                row["invalidations"], row["traffic_bytes"])
-               for row in report.rows()}
+               for row in report.to_json()["rows"]}
         assert got == {
             "full": (21771, 29850, 2328, 808224),
             "coarse:16": (45425, 29829, 11989, 1946976),

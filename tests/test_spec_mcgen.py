@@ -188,6 +188,18 @@ class TestCompilerGuardRails:
         with pytest.raises(SpecExecutionError, match="transitions match"):
             check(mesi_model(spec))
 
+    def test_kernel_of_the_wrong_shape_names_its_transition(self):
+        # acting_gets_serve unpacks a delegate entry that a GETS arriving
+        # at a stale home hint does not carry.
+        spec = replace_transition(get_spec("adaptive"), "gets_stale_hint",
+                                  effect="acting_gets_serve")
+        with pytest.raises(SpecExecutionError,
+                           match=r"'gets_stale_hint' \(effect "
+                                 r"'acting_gets_serve'\) failed on GETS"
+                           ) as excinfo:
+            check(SpecModel(spec, num_nodes=3))
+        assert isinstance(excinfo.value.__cause__, TypeError)
+
     def test_unreachable_tag_firing_is_a_violation(self):
         spec = replace_transition(get_spec("mesi"), "gets_unowned",
                                   tags=("unreachable",))

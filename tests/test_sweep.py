@@ -10,6 +10,7 @@ import hashlib
 import json
 import os
 import shutil
+from dataclasses import replace
 
 import pytest
 
@@ -76,18 +77,22 @@ class TestJobKey:
         assert job_key(job(config=small(num_nodes=4))) != base
 
     def test_directory_format_folds_into_config_and_key(self):
-        """Regression: the format override is part of the content hash,
-        so a coarse:4 run can never replay a full run's cache entry (the
-        aliasing the retired OverrideEngine wrapper risked)."""
-        plain = job()
-        coarse = job(directory_format="coarse:4")
+        """Regression: an experiment's ``directory_format`` is part of
+        the content hash, so a coarse:4 run can never replay a full run's
+        cache entry."""
+        from repro.harness.experiments import _job
+
+        config = baseline(num_nodes=4)
+        plain = _job("ocean", config, 12345, SCALE, "full")
+        coarse = _job("ocean", config, 12345, SCALE, "coarse:4")
         assert coarse.config.directory_format == "coarse:4"
+        assert coarse.config != plain.config
         assert job_key(coarse) != job_key(plain)
         # The override and a config carrying the same value are the SAME
-        # content — cache entries are shared, not duplicated.
-        from dataclasses import replace
-        direct = job(config=replace(baseline(num_nodes=4),
-                                    directory_format="coarse:4"))
+        # content: cache entries are shared, not duplicated.
+        direct = _job("ocean", replace(config, directory_format="coarse:4"),
+                      12345, SCALE)
+        assert direct.config == coarse.config
         assert job_key(coarse) == job_key(direct)
 
     def test_protocol_name_folds_into_config_and_key(self):
@@ -151,8 +156,7 @@ class TestSourceDigest:
 class TestSerialEngine:
     def test_matches_direct_run_app(self):
         direct = run_app("ocean", baseline(num_nodes=4), scale=SCALE)
-        swept = SweepEngine().run_app("ocean", baseline(num_nodes=4),
-                                      scale=SCALE)
+        swept = SweepEngine().run_many([job()])[0]
         assert swept.metrics == direct.metrics
         assert swept.consumer_hist == direct.consumer_hist
         assert swept.stats == direct.stats
