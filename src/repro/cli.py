@@ -412,7 +412,7 @@ def cmd_verify(args):
                             track_traces=track_traces,
                             canonicalize=model.canonical).run()
 
-    start = time.time()
+    start = time.perf_counter()
     try:
         result = check(track_traces=False)
     except (InvariantViolation, DeadlockError):
@@ -436,7 +436,7 @@ def cmd_verify(args):
         return 1
     print("PASS: %d states, %d transitions, depth %d, %.2fs"
           % (result.states_explored, result.transitions, result.max_depth,
-             time.time() - start))
+             time.perf_counter() - start))
     return 0
 
 
@@ -611,11 +611,11 @@ def cmd_profile(args):
     progress = SweepProgress(stream=io.StringIO())  # histogram, no output
     engine = SweepEngine(jobs=1, cache=False, progress=progress)
     profiler = cProfile.Profile()
-    started = time.time()
+    started = time.perf_counter()
     profiler.enable()
     EXPERIMENTS[args.name](scale=args.scale, seed=args.seed, engine=engine)
     profiler.disable()
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
     profiler.create_stats()
 
     sort_index = {"calls": 1, "tottime": 2, "cumtime": 3}[args.sort]
@@ -830,9 +830,9 @@ def cmd_fuzz(args):
             print("seed %d FAILED [%s] %s"
                   % (seed, result.oracle, result.message))
 
-    started = time.time()
+    started = time.perf_counter()
     report = engine.run_corpus(seeds, progress=progress)
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
     if args.json_out:
         print(json.dumps({
             "seeds": report.seeds, "passed": report.passed,

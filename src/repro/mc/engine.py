@@ -17,8 +17,11 @@ Models supply:
 
 With a ``canonicalize`` function the search runs over symmetry classes:
 the visited set and the frontier hold one representative per class, and
-rules fire on representatives only.  Successors of a representative are
-usually representatives already, so canonicalising them is cheap.
+rules fire on representatives only.  Each successor is looked up before
+it is canonicalised: the visited set holds only representatives, so a
+successor equal to a stored one *is* that representative, and most
+successors are.  Only the rest are canonicalised, and looked up again
+only when that renamed them.
 
 The cyclic garbage collector is paused for a run.  States are acyclic
 tuples that reference counting frees, and each full collection would
@@ -62,7 +65,11 @@ class ModelChecker:
         (e.g. data-value renaming).  The checker stores and explores only
         representatives, so it must return a state of the same class that
         the rules accept, and it must be idempotent:
-        ``canonicalize(canonicalize(s)) == canonicalize(s)``.  Invariants
+        ``canonicalize(canonicalize(s)) == canonicalize(s)``.  The search
+        relies on that to look a successor up *before* canonicalising it
+        (a stored representative is never canonicalised again); when
+        ``canonicalize`` returns its argument itself, the successor was a
+        new representative and is not looked up a second time.  Invariants
         always run on the *real* successor before canonicalisation."""
         self.initial_states = list(initial_states)
         self.rules = list(rules)
@@ -108,8 +115,10 @@ class ModelChecker:
                     transitions += 1
                     successors += 1
                     rule_counts[label] = rule_counts.get(label, 0) + 1
+                    if nxt in visited:
+                        continue  # a stored representative already
                     key = canonicalize(nxt)
-                    if key in visited:
+                    if key is not nxt and key in visited:
                         continue
                     if len(visited) >= self.max_states:
                         raise StateSpaceExceeded(
@@ -118,7 +127,7 @@ class ModelChecker:
                         self._parents[key] = (state, label)
                     else:
                         visited.add(key)
-                    max_depth = max(max_depth, state_depth + 1)
+                    max_depth = state_depth + 1  # BFS depth never falls
                     self._check_invariants(nxt, key)
                     frontier.append((key, state_depth + 1))
             if successors == 0 and not self.quiescent(state):

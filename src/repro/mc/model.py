@@ -48,7 +48,7 @@ State layout (all tuples, hashable)::
              msg = (mtype, src, dst, payload-tuple)
 """
 
-from typing import Any, Iterator, Tuple
+from typing import Any, List, Tuple
 
 HOME = 0
 
@@ -124,17 +124,14 @@ def _net_add_unique(net: Net, msg: McMsg) -> Net:
     return _net_add(net, msg)
 
 
-def _net_pop_msg(net: Net, pair: Tuple[int, int], msg: McMsg) -> Net:
-    """Remove one specific message from a channel (the head under FIFO)."""
-    for index, (channel, queue) in enumerate(net):
-        if channel == pair:
-            rest = list(queue)
-            rest.remove(msg)
-            if rest:
-                return (net[:index] + ((pair, tuple(rest)),)
-                        + net[index + 1:])
-            return net[:index] + net[index + 1:]
-    raise ValueError("no %r in channel %r" % (msg, pair))
+def _net_pop(net: Net, index: int, pos: int) -> Net:
+    """Remove message ``pos`` of channel ``index``: its head under FIFO,
+    any message when channels are unordered.  An emptied channel goes."""
+    pair, queue = net[index]
+    rest = queue[:pos] + queue[pos + 1:]
+    if rest:
+        return net[:index] + ((pair, rest),) + net[index + 1:]
+    return net[:index] + net[index + 1:]
 
 
 def quiescent(state: State) -> bool:
@@ -142,24 +139,25 @@ def quiescent(state: State) -> bool:
     return not state[7] and all(cpu is None for cpu in state[3])
 
 
-def _value_fields(state: State) -> Iterator[Any]:
-    """Yield every live data value in a fixed traversal order."""
+def _value_fields(state: State) -> List[Any]:
+    """Every live data value, in a fixed traversal order."""
     cur, caches, racs, _cpus, home, deleg, _hints, net = state
-    yield cur
+    values = [cur]
     for cstate, value in caches:
         if cstate != "I":
-            yield value
+            values.append(value)
     for rac in racs:
         if rac is not None:
-            yield rac[0]
-    yield home[3]  # memval
+            values.append(rac[0])
+    values.append(home[3])  # memval
     if deleg is not None:
-        yield deleg[1][3]
+        values.append(deleg[1][3])
     for _pair, queue in net:
         for msg in queue:
             pos = _MSG_VALUE_POS.get(msg[0])
             if pos is not None:
-                yield msg[3][pos]
+                values.append(msg[3][pos])
+    return values
 
 
 def fresh_value(state: State) -> int:
@@ -177,14 +175,13 @@ def canonical(state: State) -> State:
     Sound because the protocol treats values as opaque tokens compared
     only for equality.  The engine explores from the result, so it is a
     state of the same class that the rules accept, and the function is
-    idempotent: a representative comes back unchanged, and cheaply."""
-    rename: dict = {}
-    for value in _value_fields(state):
-        if value not in rename:
-            rename[value] = len(rename)
-    if all(old == new for old, new in rename.items()):
-        return state  # already its class's representative
-    rmap = rename.__getitem__  # every live value was named above
+    idempotent.  A state whose values already appear as 0, 1, 2, ... in
+    traversal order is its class's representative and comes back as the
+    same object, which tells the engine no renaming happened."""
+    order = dict.fromkeys(_value_fields(state))
+    if list(order) == list(range(len(order))):
+        return state
+    rmap = {old: new for new, old in enumerate(order)}.__getitem__
     cur, caches, racs, cpus, home, deleg, hints, net = state
     caches = tuple((st, rmap(v) if st != "I" else 0) for st, v in caches)
     racs = tuple(None if r is None else (rmap(r[0]), r[1]) for r in racs)

@@ -43,7 +43,7 @@ from typing import (Any, Callable, Dict, FrozenSet, Iterator, List,
 from ..common.errors import ConfigError, ReproError
 from ..mc import model as kernel
 from ..mc.model import (HOME, McMsg, Net, State, _net_add, _net_add_unique,
-                        _net_pop_msg, _tup_set)
+                        _net_pop, _tup_set)
 from .lang import ProtocolSpec, T, guard_allows
 
 #: Rule order of every compiled model.  It fixes the order in which
@@ -271,8 +271,9 @@ class SpecModel:
 
     def rule_deliver(self, state: State) -> Labelled:
         net, deleg, memo = state[7], state[5], self._memo
-        for pair, queue in net:
-            for msg in queue[:1] if self.ordered_channels else queue:
+        for index, (_pair, queue) in enumerate(net):
+            for pos, msg in enumerate(queue[:1] if self.ordered_channels
+                                      else queue):
                 # Guards are pure functions of the binding, so dispatch
                 # is memoised on exactly what _env reads.
                 dst = msg[2]
@@ -283,7 +284,7 @@ class SpecModel:
                 if fires is None:
                     fires = memo[key] = self._resolve(msg[0],
                                                       self._env(*key))
-                base = state[:7] + (_net_pop_msg(net, pair, msg),)
+                base = state[:7] + (_net_pop(net, index, pos),)
                 for fire in fires:
                     try:
                         nxt = fire.effect(self, base, msg, fire)

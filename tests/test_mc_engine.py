@@ -8,6 +8,9 @@ import pytest
 from repro.common.errors import DeadlockError, InvariantViolation
 from repro.mc import (ALL_INVARIANTS, ModelChecker, ProtocolModel,
                       StateSpaceExceeded)
+from repro.mc.model import _MSG_VALUE_POS
+from repro.spec import get_spec
+from repro.spec.mcgen import SpecModel
 
 
 def counter_rules(limit):
@@ -182,6 +185,122 @@ class TestRepresentatives:
             "inv_ack_count_1", "intervene_1", "write_1",
             "acting_getx_local_1", "inv_apply_2", "update_during_read_2",
             "inv_ack_count_1"]
+
+
+def _oracle_value_fields(state):
+    """The generator-based traversal ``canonical`` used to walk."""
+    cur, caches, racs, _cpus, home, deleg, _hints, net = state
+    yield cur
+    for cstate, value in caches:
+        if cstate != "I":
+            yield value
+    for rac in racs:
+        if rac is not None:
+            yield rac[0]
+    yield home[3]
+    if deleg is not None:
+        yield deleg[1][3]
+    for _pair, queue in net:
+        for msg in queue:
+            pos = _MSG_VALUE_POS.get(msg[0])
+            if pos is not None:
+                yield msg[3][pos]
+
+
+def oracle_canonical(state):
+    """Reference renaming: the generator-based ``canonical`` that the
+    one-pass version replaced, kept verbatim to compare against."""
+    rename = {}
+    for value in _oracle_value_fields(state):
+        if value not in rename:
+            rename[value] = len(rename)
+    if all(old == new for old, new in rename.items()):
+        return state
+    rmap = rename.__getitem__
+    cur, caches, racs, cpus, home, deleg, hints, net = state
+    caches = tuple((st, rmap(v) if st != "I" else 0) for st, v in caches)
+    racs = tuple(None if r is None else (rmap(r[0]), r[1]) for r in racs)
+    home = (home[0], home[1], home[2], rmap(home[3]), home[4])
+    if deleg is not None:
+        d = deleg[1]
+        deleg = (deleg[0], (d[0], d[1], d[2], rmap(d[3]), d[4], d[5],
+                            d[6], d[7]))
+    new_net = []
+    for pair, queue in net:
+        new_queue = []
+        for msg in queue:
+            pos = _MSG_VALUE_POS.get(msg[0])
+            if pos is None:
+                new_queue.append(msg)
+            else:
+                payload = list(msg[3])
+                payload[pos] = rmap(payload[pos])
+                new_queue.append((msg[0], msg[1], msg[2], tuple(payload)))
+        new_net.append((pair, tuple(new_queue)))
+    return (rmap(cur), caches, racs, cpus, home, deleg, hints,
+            tuple(new_net))
+
+
+#: name -> model: adaptive with updates, the unordered no-updates model
+#: (its rules pop from anywhere in a channel) and MESI, all at 3 nodes.
+ORACLE_MODELS = {
+    "adaptive-3": lambda: ProtocolModel(),
+    "dele-3-unordered": lambda: ProtocolModel(enable_updates=False,
+                                              ordered_channels=False),
+    "mesi-3": lambda: SpecModel(get_spec("mesi")),
+}
+
+
+class TestCanonicalAgainstOracle:
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    def test_every_successor_matches_the_oracle(self, name):
+        model = ORACLE_MODELS[name]()
+        canonical = model.canonical
+        successors = stored = 0
+
+        def watched(rule):
+            def fire(state):
+                nonlocal successors, stored
+                stored += 1
+                assert canonical(state) is state
+                for label, nxt in rule(state):
+                    successors += 1
+                    once = canonical(nxt)
+                    assert once == oracle_canonical(nxt)
+                    assert canonical(once) == once
+                    yield label, nxt
+            return fire
+
+        result = ModelChecker(model.initial_states(),
+                              [watched(rule) for rule in model.rules()],
+                              ALL_INVARIANTS, quiescent=model.quiescent,
+                              track_traces=False,
+                              canonicalize=canonical).run()
+        assert successors == result.transitions
+        assert stored == result.states_explored * len(model.rules())
+
+
+class TestLookupFirst:
+    def test_stored_representatives_are_not_canonicalised(self):
+        """Each successor is looked up before it is canonicalised, so
+        the 3-node check canonicalises its initial state and the 3,616
+        successors that are not stored representatives, not all 9,427
+        (9,428 calls when every successor was canonicalised)."""
+        model = ProtocolModel()
+        calls = 0
+
+        def counted(state):
+            nonlocal calls
+            calls += 1
+            assert state not in checker._parents
+            return model.canonical(state)
+
+        checker = ModelChecker(model.initial_states(), model.rules(),
+                               ALL_INVARIANTS, quiescent=model.quiescent,
+                               canonicalize=counted)
+        result = checker.run()
+        assert (result.states_explored, result.transitions) == (3245, 9427)
+        assert calls == 3617
 
 
 class TestGarbageCollector:

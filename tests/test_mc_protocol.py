@@ -12,6 +12,8 @@ copy — the checker finds that counterexample, demonstrating the protocol's
 ordering assumption is load-bearing.
 """
 
+import hashlib
+
 import pytest
 
 from repro.common.errors import DeadlockError, InvariantViolation
@@ -64,9 +66,16 @@ class TestDelegationProtocol:
 
     @pytest.mark.slow
     def test_two_consumers_verify(self):
+        """``repro verify --nodes 4``, the full mechanism with evictions,
+        pinned exactly: totals and how often every transition fires."""
         model = ProtocolModel(num_nodes=4, writers=(1,), readers=(2, 3))
         result = check(model)
-        assert result.states_explored > 5000
+        assert (result.states_explored, result.transitions,
+                result.max_depth) == (545619, 2441623, 51)
+        digest = hashlib.sha256(
+            repr(sorted(result.rule_counts.items())).encode()).hexdigest()
+        assert digest == ("99a1f84e4465bc15758e456393256e3e"
+                          "98e10d43bc9a60056c327f98418fff54")
 
     def test_recall_races_explored(self):
         """Home-initiated undelegation and its NACK(gone/busy) races."""
