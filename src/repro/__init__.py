@@ -35,7 +35,7 @@ _EXPORTS = {
                      "SystemConfig", "baseline", "delegation_only",
                      "enhanced", "large", "rac_only", "small"),
                     ".common.params"),
-    **dict.fromkeys(("experiments", "run_app", "run_matrix"), ".harness"),
+    **dict.fromkeys(("experiments", "run_app"), ".harness"),
     **dict.fromkeys(("TraceConfig", "Tracer"), ".obs"),
     **dict.fromkeys(("Barrier", "Compute", "Read", "RunResult", "System",
                      "Write"), ".sim"),

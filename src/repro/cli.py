@@ -34,13 +34,13 @@ Commands
     per-cell traffic/fan-out/NACK/latency breakdowns and an optional
     JSON report (see docs/scaling.md).
 ``lint``
-    Statically analyze the protocol sources: sim <-> spec conformance,
-    the NACK-retry livelock heuristic, state reachability
-    (see docs/static_analysis.md).
+    Statically analyze the protocol sources: the SPC spec analyses,
+    sim <-> spec conformance, the NACK-retry livelock heuristic, state
+    reachability (see docs/static_analysis.md).
 ``spec``
-    Check the guarded-action protocol specs: the SPC spec analyses plus
-    the spec <-> sim conformance diff; ``--render``/``--diff`` print a
-    spec or its structured justifications (see docs/spec.md).
+    Print the guarded-action protocol specs (messages and transitions),
+    or with ``--diff`` their structured sim/mc justifications; ``lint``
+    checks them (see docs/spec.md).
 ``fuzz``
     Randomized protocol stress fuzzing with network fault injection:
     run a seed corpus through oracle-checked simulations, shrink any
@@ -283,23 +283,14 @@ def build_parser():
                         help="also list allowlisted findings")
 
     spec_p = sub.add_parser(
-        "spec", help="check the guarded-action protocol specs")
+        "spec", help="print the guarded-action protocol specs")
     spec_p.add_argument("--protocol", default="all",
                         choices=("all",) + SPEC_NAMES,
                         help="restrict to one protocol (default: all)")
-    spec_p.add_argument("--root", default=None, metavar="DIR",
-                        help="repro package directory to analyze "
-                             "(default: this installation's sources)")
-    spec_p.add_argument("--render", action="store_true",
-                        help="print the spec (messages + transitions) "
-                             "instead of checking it")
     spec_p.add_argument("--diff", action="store_true",
                         help="print the structured sim/mc justifications "
-                             "(only/hoist/replay/note annotations)")
-    spec_p.add_argument("--json", dest="json_out", action="store_true",
-                        help="emit the machine-readable JSON report")
-    spec_p.add_argument("--sarif", metavar="OUT.sarif", default=None,
-                        help="also write a SARIF 2.1.0 report to OUT.sarif")
+                             "(only/hoist/replay/note annotations) instead "
+                             "of the spec")
 
     fuzz_p = sub.add_parser(
         "fuzz", help="randomized protocol stress fuzzing (fault injection)")
@@ -322,7 +313,7 @@ def build_parser():
                         help="emit a machine-readable JSON report")
     fuzz_p.add_argument("--cache", action="store_true",
                         help="replay finished corpus runs from the shared "
-                             "result cache (pooled runs only)")
+                             "result cache (any --jobs)")
     fuzz_p.add_argument("--cache-dir", default=None,
                         help="result-cache location "
                              "(default: %s)" % sweep_mod.CACHE_DIR)
@@ -708,21 +699,26 @@ def _render_spec(spec):
 
 
 def _render_spec_diff(spec):
+    # A spec with no model twin (mc_model='') inherits the annotations
+    # that justify its base's sim/model gaps; they say nothing true of
+    # it, so only its replay edges, a simulator fact, are listed.
+    modeled = bool(spec.mc_model)
     lines = ["spec %s — structured conformance justifications:" % spec.name]
     for msg in spec.messages:
-        if not msg.mc:
+        if modeled and not msg.mc:
             lines.append("  unmodeled message %s: %s"
                          % (msg.name, msg.note or "(no note)"))
     for t in spec.transitions:
-        if t.only:
+        if modeled and t.only:
             lines.append("  %s: only=%r — %s"
                          % (t.label, t.only, t.why or "(no why)"))
-        if t.hoist:
+        if modeled and t.hoist:
             lines.append("  %s: hoisted into model rule %s — %s"
                          % (t.label, t.hoist, t.why or "(no why)"))
         if t.replay:
-            lines.append("  %s: sim replays via %s — %s"
-                         % (t.label, t.replay, t.why or "(no why)"))
+            why = " — %s" % (t.why or "(no why)") if modeled else ""
+            lines.append("  %s: sim replays via %s%s"
+                         % (t.label, t.replay, why))
     from .network.message import MsgType
     handled = spec.handled()
     stripped = [mtype.name for mtype in MsgType if mtype.name not in handled]
@@ -733,63 +729,12 @@ def _render_spec_diff(spec):
 
 
 def cmd_spec(args):
-    from .lint import (LintReport, Severity, render_json, render_sarif,
-                       render_text)
-    from .lint.extract import extract_sim
-    from .spec import load_spec_tree
-    from .spec.analyze import run_spec_checks
-    from .spec.conformance import run_conformance
+    from .spec import get_spec
 
-    root = args.root
-    if root is None:
-        from .lint import default_root
-        root = default_root()
-    specs = load_spec_tree(root)
-    if not specs:
-        print("no spec/protocols/ directory under %s" % root)
-        return 2
-    wanted = sorted(specs) if args.protocol == "all" else [args.protocol]
-    missing = [name for name in wanted if name not in specs]
-    if missing:
-        print("no spec for: %s (have: %s)"
-              % (", ".join(missing), ", ".join(sorted(specs))))
-        return 2
-
-    if args.render or args.diff:
-        renderer = _render_spec if args.render else _render_spec_diff
-        print("\n\n".join(renderer(specs[name]) for name in wanted))
-        return 0
-
-    findings = []
-    for name in wanted:
-        findings.extend(run_spec_checks(specs[name]))
-    sim = extract_sim(root)
-    findings.extend(run_conformance(
-        {name: specs[name] for name in wanted}, sim))
-    report = LintReport(
-        findings=findings, allowlisted=[], stale_allowlist=[],
-        root=str(root), allowlist_path=None,
-        stats={
-            "sim_messages": len(sim.messages),
-            "sim_handled": len(sim.handlers),
-            "sim_funcs": len(sim.funcs),
-            "conformance": {"specs": wanted},
-            "specs": {name: {
-                "messages": len(specs[name].messages),
-                "transitions": len(specs[name].transitions),
-                "mc_model": specs[name].mc_model,
-            } for name in wanted},
-        })
-    if args.json_out:
-        print(render_json(report))
-    else:
-        print(render_text(report, title="repro spec"))
-    if args.sarif:
-        with open(args.sarif, "w") as fileobj:
-            fileobj.write(render_sarif(report))
-        if not args.json_out:
-            print("wrote %s" % args.sarif)
-    return report.exit_code(fail_on=Severity("error"))
+    wanted = sorted(SPEC_NAMES) if args.protocol == "all" else [args.protocol]
+    renderer = _render_spec_diff if args.diff else _render_spec
+    print("\n\n".join(renderer(get_spec(name)) for name in wanted))
+    return 0
 
 
 def cmd_fuzz(args):

@@ -211,10 +211,11 @@ class SystemConfig:
     #: :mod:`repro.directory.formats`.
     directory_format: str = "full"
     #: Which coherence protocol runs the hubs: "adaptive" (the paper's
-    #: delegation/update protocol — the default and the only one with a
-    #: model-checker twin), or an arena baseline ("wi", "mesi", "dragon")
-    #: — see :mod:`repro.protocol.arena`.  Validated at System
-    #: construction, not here, to keep params import-light.
+    #: delegation/update protocol, the default) or an arena baseline
+    #: ("wi", "mesi", "dragon") — see :mod:`repro.protocol.arena`.  All
+    #: but dragon have a model-checker twin compiled from their spec.
+    #: Validated at System construction, not here, to keep params
+    #: import-light.
     protocol_name: str = "adaptive"
     line_size: int = LINE_SIZE
     seed: int = 12345

@@ -2,7 +2,7 @@
 definition per paper artefact."""
 
 from . import experiments
-from .runner import AppRun, run_app, run_matrix
+from .runner import AppRun, run_app
 from .sweep import (
     SweepEngine,
     SweepError,
@@ -16,7 +16,6 @@ __all__ = [
     "experiments",
     "AppRun",
     "run_app",
-    "run_matrix",
     "SweepEngine",
     "SweepError",
     "SweepJob",

@@ -72,21 +72,3 @@ def run_app(app, config, num_cpus=None, seed=12345, scale=1.0,
                   obs=result.extras.get("obs"),
                   latency=result.extras["latency"])
 
-
-def run_matrix(apps, configs, seed=12345, scale=1.0, check_coherence=True,
-               engine=None):
-    """Run every app on every configuration.
-
-    ``configs`` maps a configuration name to a :class:`SystemConfig`.
-    Returns ``{(app, config_name): AppRun}``.  The matrix is submitted as
-    one batch through a sweep engine (see :mod:`repro.harness.sweep`);
-    pass ``engine`` to parallelise or cache, the default is serial and
-    uncached.
-    """
-    from .sweep import SweepJob, default_engine
-
-    engine = engine if engine is not None else default_engine()
-    return engine.run_many(
-        {(app, name): SweepJob(app=app, config=config, seed=seed,
-                               scale=scale, check_coherence=check_coherence)
-         for app in apps for name, config in configs.items()})

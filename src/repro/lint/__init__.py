@@ -1,12 +1,13 @@
 """repro.lint — static protocol analyzer.
 
 Extracts the protocol graph from the simulator sources (handler tables,
-message emissions), loads the guarded-action protocol specs, and runs a
-registry of static checks over them: spec analyses, sim ↔ spec
-conformance diffing, a NACK-retry livelock heuristic, and state
-reachability.  See ``docs/static_analysis.md``.
+message emissions), loads the guarded-action protocol specs, and runs the
+static checks over them: spec analyses, sim ↔ spec conformance diffing,
+a NACK-retry livelock heuristic, and state reachability.  See
+``docs/static_analysis.md``.
 
-Entry point: :func:`run_lint` (also exposed as ``repro lint`` on the CLI).
+Entry point: :func:`run_lint` (also exposed as ``repro lint`` on the CLI,
+the one command that runs these checks).
 """
 
 from pathlib import Path

@@ -1,4 +1,4 @@
-"""The check registry: every static check run over the protocol graphs.
+"""The static checks run over the protocol graphs.
 
 Check-id families (stable — mutation tests and the allowlist key on them):
 
@@ -123,33 +123,19 @@ def check_extraction(sim):
     for emission in sim.all_emissions():
         if emission.mtype is not None:
             continue
-        fingerprint = "%s:%s" % (sim.side, emission.func)
+        fingerprint = "sim:%s" % emission.func
         if fingerprint in seen:
             continue
         seen.add(fingerprint)
         yield Finding(
-            check_id="EXT001", severity=Severity.NOTE, side=sim.side,
+            check_id="EXT001", severity=Severity.NOTE, side="sim",
             fingerprint=fingerprint,
-            message="%s emission in %s has a message type the "
-                    "extractor cannot resolve statically"
-                    % (sim.side, emission.func),
+            message="sim emission in %s has a message type the "
+                    "extractor cannot resolve statically" % emission.func,
             file=emission.file, line=emission.line)
 
 
-#: The registry, in report order.  Each entry is (callable, arg names);
-#: ``run_checks`` wires the extracted artefacts in by name.
-CHECKS = (
-    (check_conformance, ("sim", "specs")),
-    (check_deadlock, ("sim",)),
-    (check_reachability, ("states",)),
-    (check_extraction, ("sim",)),
-)
-
-
 def run_checks(sim, states, specs=None):
-    """Run every registered check; return the flat finding list."""
-    artefacts = {"sim": sim, "states": states, "specs": specs or {}}
-    findings = []
-    for check, args in CHECKS:
-        findings.extend(check(*[artefacts[a] for a in args]))
-    return findings
+    """Run every check, in report order; return the flat finding list."""
+    return [*check_conformance(sim, specs), *check_deadlock(sim),
+            *check_reachability(states), *check_extraction(sim)]

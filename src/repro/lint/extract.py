@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-#: Message-name aliases handled per registered message in the simulator.
+#: The ``protocol/`` modules whose class methods the extractor scans.
 SIM_PROTOCOL_FILES = ("hub.py", "home.py", "producer.py", "requester.py",
                       "delegate_cache.py", "transactions.py")
 
@@ -55,7 +55,6 @@ class Emission:
     """One message-construction site."""
 
     mtype: Optional[str]   # message name, SELF_TYPE, or None (unresolvable)
-    dst: str               # unparsed destination expression ("" if unknown)
     func: str
     file: str
     line: int
@@ -105,13 +104,11 @@ class MsgDecl:
 class Graph:
     """A protocol graph: vocabulary, handlers, emission closure."""
 
-    def __init__(self, side):
-        self.side = side                 # "sim"
+    def __init__(self):
         self.messages: Dict[str, MsgDecl] = {}
         self.handlers: Dict[str, List[str]] = {}
         self.entry_points: List[str] = []
         self.funcs: Dict[str, FuncInfo] = {}
-        self.duplicate_funcs: List[str] = []
 
     # -- closure ----------------------------------------------------------
 
@@ -143,7 +140,7 @@ class Graph:
                     if mtype == SELF_TYPE:
                         mtype = msg
                     emissions.append(Emission(
-                        mtype=mtype, dst=emission.dst, func=emission.func,
+                        mtype=mtype, func=emission.func,
                         file=emission.file, line=emission.line,
                         bounded=bounded))
                 elif item.callee in self.funcs:
@@ -280,10 +277,6 @@ class _SimFuncVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
     def _record_message(self, node):
-        dst = ""
-        for keyword in node.keywords:
-            if keyword.arg == "dst":
-                dst = ast.unparse(keyword.value)
         first = node.args[0] if node.args else None
         mtypes = [None]
         if first is None:
@@ -295,7 +288,7 @@ class _SimFuncVisitor(ast.NodeVisitor):
         elif isinstance(first, ast.Name):
             mtypes = self.mtype_assigns.get(first.id) or [None]
         for mtype in mtypes:
-            emission = Emission(mtype=mtype, dst=dst, func=self.info.name,
+            emission = Emission(mtype=mtype, func=self.info.name,
                                 file=self.relpath, line=node.lineno)
             self.info.items.append(Item(kind="emit", emission=emission,
                                         guards=tuple(self.guards)))
@@ -343,7 +336,7 @@ def _extract_handler_table(hub_path):
 def extract_sim(root):
     """Extract the simulator-side protocol graph from package dir ``root``."""
     root = Path(root)
-    graph = Graph("sim")
+    graph = Graph()
     graph.messages = _extract_msgtypes(root / "network" / "message.py",
                                        "network/message.py")
     graph.handlers = _extract_handler_table(root / "protocol" / "hub.py")
@@ -359,8 +352,6 @@ def extract_sim(root):
             for stmt in node.body:
                 if not isinstance(stmt, ast.FunctionDef):
                     continue
-                if stmt.name in graph.funcs:
-                    graph.duplicate_funcs.append(stmt.name)
                 info = FuncInfo(name=stmt.name, file=relpath,
                                 line=stmt.lineno,
                                 has_retry_guard=_has_retry_guard(stmt))

@@ -27,11 +27,11 @@ RULE_DESCRIPTIONS = {
 }
 
 
-def render_text(report, verbose=False, title="repro lint"):
+def render_text(report, verbose=False):
     """The default human-readable rendering."""
     lines = []
     stats = report.stats
-    lines.append("%s: %s" % (title, report.root or "<tree>"))
+    lines.append("repro lint: %s" % (report.root or "<tree>"))
     if stats:
         lines.append(
             "  graph: %d sim messages / %d handled, %d state enums"

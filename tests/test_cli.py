@@ -161,6 +161,48 @@ class TestParser:
             main([])
 
 
+class TestSpec:
+    """``repro spec`` prints the specs; ``repro lint`` checks them."""
+
+    def test_default_renders_all_four_specs(self, capsys):
+        assert main(["spec"]) == 0
+        out = capsys.readouterr().out
+        headers = [line.split(" (")[0] for line in out.splitlines()
+                   if line.startswith("spec ")]
+        assert headers == ["spec adaptive", "spec dragon", "spec mesi",
+                           "spec wi"]
+
+    def test_one_protocol_prints_its_registry_spec(self, capsys):
+        from repro.cli import _render_spec
+        from repro.spec import get_spec
+        assert main(["spec", "--protocol", "mesi"]) == 0
+        assert capsys.readouterr().out == _render_spec(
+            get_spec("mesi")) + "\n"
+
+    def test_dragon_diff_claims_nothing_about_a_model(self, capsys):
+        # Dragon has no model twin; the sim/model justifications it
+        # inherits from wi must not be printed as if it had one.
+        assert main(["spec", "--diff", "--protocol", "dragon"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("spec dragon")
+        assert not [line for line in lines if "model" in line.lower()]
+        assert any("sim replays via" in line for line in lines)
+
+    def test_modeled_diff_keeps_its_justifications(self, capsys):
+        assert main(["spec", "--diff", "--protocol", "wi"]) == 0
+        out = capsys.readouterr().out
+        assert "hoisted into model rule rule_evict" in out
+        assert "only='sim'" in out
+
+    @pytest.mark.parametrize("flag", ["--render", "--json", "--root=src",
+                                      "--sarif=out.sarif"])
+    def test_check_mode_flags_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["spec", flag])
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestSweep:
     def test_second_run_served_from_cache(self, tmp_path, capsys):
         args = ["sweep", "table3", "--scale", "0.1", "--quiet",

@@ -1,4 +1,4 @@
-"""Experiment harness: run_app, run_matrix, and experiment definitions.
+"""Experiment harness: run_app and experiment definitions.
 
 Experiments run at small scale here (quick, directional); full-scale
 numbers are produced by the benchmark suite and recorded in EXPERIMENTS.md.
@@ -6,8 +6,8 @@ numbers are produced by the benchmark suite and recorded in EXPERIMENTS.md.
 
 import pytest
 
-from repro.common import baseline, small
-from repro.harness import experiments, run_app, run_matrix
+from repro.common import baseline
+from repro.harness import experiments, run_app
 
 SCALE = 0.25
 
@@ -18,11 +18,6 @@ class TestRunner:
         assert run.app == "ocean"
         assert run.metrics.cycles > 0
         assert run.metrics.remote_misses > 0
-
-    def test_run_matrix_shape(self):
-        configs = {"base": baseline(), "small": small()}
-        results = run_matrix(["ocean"], configs, scale=SCALE)
-        assert set(results) == {("ocean", "base"), ("ocean", "small")}
 
     def test_same_seed_reproducible(self):
         a = run_app("lu", baseline(), scale=SCALE)

@@ -1,4 +1,4 @@
-"""The check registry, allowlist semantics, and report renderers —
+"""The static checks, allowlist semantics, and report renderers —
 exercised on small synthetic graphs so each rule's trigger condition is
 pinned down independently of the real protocol."""
 
@@ -9,16 +9,15 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.lint import run_lint
 from repro.lint.checks import (check_conformance, check_deadlock,
-                               check_reachability)
+                               check_extraction, check_reachability)
 from repro.lint.extract import Emission, FuncInfo, Graph, Item, MsgDecl
 from repro.lint.findings import Allowlist, Finding, LintReport, Severity
 from repro.lint.report import render_json, render_sarif, render_text
 from repro.spec import Msg, ProtocolSpec, T
 
 
-def make_graph(side, messages=(), handlers=None, funcs=None,
-               entry_points=()):
-    graph = Graph(side)
+def make_graph(messages=(), handlers=None, funcs=None, entry_points=()):
+    graph = Graph()
     for name in messages:
         graph.messages[name] = MsgDecl(name=name, file="f.py", line=1)
     graph.handlers = dict(handlers or {})
@@ -29,8 +28,8 @@ def make_graph(side, messages=(), handlers=None, funcs=None,
 
 def func(name, emits=(), calls=(), retry_guard=False):
     items = [Item(kind="emit",
-                  emission=Emission(mtype=m, dst="", func=name,
-                                    file="f.py", line=1))
+                  emission=Emission(mtype=m, func=name, file="f.py",
+                                    line=1))
              for m in emits]
     items += [Item(kind="call", callee=c) for c in calls]
     return FuncInfo(name=name, file="f.py", line=1, items=items,
@@ -57,7 +56,7 @@ class TestConformance:
     spec, compiled, so there is no model graph to diff)."""
 
     def _run(self, sim_emits, spec_emits, extra=()):
-        sim = make_graph("sim", ["GETS", "DATA_SHARED", "INV"],
+        sim = make_graph(["GETS", "DATA_SHARED", "INV"],
                          handlers={"GETS": ["h"]},
                          funcs={"h": func("h", emits=sim_emits)})
         spec = tiny_spec(T("home", "GETS", emit=tuple(spec_emits),
@@ -78,7 +77,7 @@ class TestConformance:
         assert "CON005:GETS->INV" in found
 
     def test_unmapped_sim_message(self):
-        sim = make_graph("sim", ["PING"])
+        sim = make_graph(["PING"])
         found = {f.key: f for f in check_conformance(
             sim, specs={"adaptive": tiny_spec()})}
         assert found["CON001:PING"].severity is Severity.ERROR
@@ -86,7 +85,7 @@ class TestConformance:
     def test_undeclared_emission(self):
         # A handler emits a name that is no MsgType (a typo): the spec
         # check reports it as a vocabulary gap, not as a missing edge.
-        sim = make_graph("sim", ["GETS", "DATA_SHARED", "INV"],
+        sim = make_graph(["GETS", "DATA_SHARED", "INV"],
                          handlers={"GETS": ["h"]},
                          funcs={"h": func("h", emits=["DATA_SHARED",
                                                       "DATA_SHRED"])})
@@ -108,7 +107,7 @@ class TestConformance:
 class TestDeadlock:
     def test_unbounded_retry_flagged_bounded_not(self):
         sim = make_graph(
-            "sim", ["GETS", "GETX", "NACK"],
+            ["GETS", "GETX", "NACK"],
             handlers={"NACK": ["retry"]},
             funcs={"retry": func("retry", calls=["good", "bad"]),
                    "good": func("good", emits=["GETS"], retry_guard=True),
@@ -139,6 +138,17 @@ class TestReachability:
 
     def test_live_member_is_silent(self):
         assert not list(check_reachability(self._usage(1, 1)))
+
+
+class TestExtraction:
+    def test_unresolved_emission_is_one_note_per_function(self):
+        # The fingerprint is "sim:<func>", whatever the emission count,
+        # so allowlist keys survive edits inside the function.
+        sim = make_graph(["GETS"], handlers={"GETS": ["h"]},
+                         funcs={"h": func("h", emits=[None, None, "GETS"])})
+        found = list(check_extraction(sim))
+        assert [f.key for f in found] == ["EXT001:sim:h"]
+        assert found[0].severity is Severity.NOTE
 
 
 class TestAllowlist:

@@ -12,7 +12,7 @@ Two mutation styles:
   model-checker side is the spec compiled, so its probes build a
   ``SpecModel`` from the mutated spec and expect it to refuse.
 
-Plus the golden SARIF snapshot: a clean ``repro spec`` run over the real
+Plus the golden SARIF snapshot: a clean ``repro lint`` run over the real
 tree must produce a byte-stable SARIF document (rule inventory included),
 so CI artifact diffs show exactly when the check surface changes.
 """
@@ -260,12 +260,11 @@ class TestConformanceMutations:
 class TestGoldenSarif:
     def test_clean_spec_run_matches_golden_sarif(self, capsys, tmp_path):
         from repro.cli import main
-        out_path = tmp_path / "spec.sarif"
-        assert main(["spec", "--sarif", str(out_path)]) == 0
+        out_path = tmp_path / "lint.sarif"
+        assert main(["lint", "--sarif", str(out_path)]) == 0
         capsys.readouterr()
-        produced = json.loads(out_path.read_text())
-        golden = json.loads((GOLDEN / "spec_clean.sarif").read_text())
-        assert produced == golden
+        assert out_path.read_text() == (
+            GOLDEN / "spec_clean.sarif").read_text()
 
     def test_golden_sarif_carries_the_spc_rule_inventory(self):
         doc = json.loads((GOLDEN / "spec_clean.sarif").read_text())
