@@ -19,9 +19,10 @@ with the producer-consumer mechanisms can be studied as an ablation
 
 All formats are *conservative over-approximations*: they may invalidate
 (and speculatively update) nodes without copies — extra traffic, never
-incoherence.  The simulator keeps the exact sharer set as ground truth
-and applies the format when the protocol acts on the vector, mirroring
-what the hardware's lossy encoding would do.
+incoherence.  The simulator keeps the exact sharer set and applies the
+format when the protocol acts on the vector, as the hardware's lossy
+encoding would.  Copies may sit outside the exact set (Dragon pushes to
+the observed set), so the fuzz oracles check them against the observed set.
 """
 
 from dataclasses import dataclass

@@ -12,36 +12,47 @@ already validated every individual read, so what is left to assert is the
   NACK retries.  The bound is far above anything contention produces but
   far below the livelock tripwire, so it catches retry storms that would
   eventually terminate yet indicate a pathological schedule.
-* ``single-writer`` — at most one node holds a writable copy per line.
-* ``directory-agreement`` — no directory entry is stuck mid-transaction
-  (busy record, pending update acks, deferred undelegation), every EXCL
-  entry's owner really holds a writable copy, and every DELE entry's
-  delegate really holds the delegated directory state.
-* ``lost-update`` — the value the directory tree exposes for each written
-  line equals the last value the coherence checker saw committed: home
-  memory for UNOWNED/SHARED lines, the owner's cache for EXCL lines,
-  following the delegation link for DELE lines.
+* the model checker's invariants (:mod:`repro.mc.invariants`): every line
+  a home directory knows is projected into the model's state
+  (:func:`project_line`) and checked with :data:`INVARIANTS`; a violation
+  is named after the invariant that failed.
 
 Each check returns ``(name, message)`` on violation; ``None`` means the
 run is clean.
 """
 
+from ..common.errors import ProtocolError
 from ..directory.state import DirState
+from ..mc.invariants import ALL_INVARIANTS, owner_holds_copy
 
 #: Retries one transaction may legitimately accumulate.  Real contention
 #: on these small fuzz workloads stays in single digits; the forced-NACK
 #: budget adds at most 64 across the whole run.
 RETRY_BOUND = 1000
 
+#: What fuzz checks on each projected line.  ``owner_holds_copy`` is not
+#: in the model's set yet (see its docstring), but the simulator holds it.
+INVARIANTS = ALL_INVARIANTS + (owner_holds_copy,)
 
-def check_quiescence(system, tracer, build):
-    """Run every quiescence oracle; first violation wins (most specific
-    ordering: span bookkeeping, then structure, then data)."""
-    for check in (_check_spans, _check_single_writer,
-                  _check_directory_agreement, _check_lost_update):
-        violation = check(system, tracer)
-        if violation is not None:
-            return violation
+_DIR_LETTER = {DirState.UNOWNED: "U", DirState.SHARED: "S",
+               DirState.EXCL: "E", DirState.DELE: "DELE"}
+
+
+def check_quiescence(system, tracer):
+    """Run every quiescence oracle; first violation wins (span bookkeeping
+    first, then the invariants line by line)."""
+    violation = _check_spans(system, tracer)
+    if violation is not None:
+        return violation
+    for hub in system.hubs:
+        for line in hub.home_memory.known_lines():
+            state = project_line(system, line)
+            for invariant in INVARIANTS:
+                if not invariant(state):
+                    return (invariant.__name__,
+                            "line 0x%x (home %d) violates %s at quiescence: "
+                            "%r" % (line, hub.node, invariant.__name__,
+                                    state))
     return None
 
 
@@ -60,97 +71,40 @@ def _check_spans(system, tracer):
     return None
 
 
-def _written_lines(system):
-    return [] if system.checker is None else system.checker.written_lines()
+def project_line(system, line):
+    """One quiescent line of ``system`` as the model's ``State``
+    (:mod:`repro.mc.model`): ``cur`` is the last committed write (0 if
+    none), caches come from each L2, RACs as ``(value, pinned)``, and the
+    home and delegate tuples from the home's entry and the delegate's
+    producer table.  Sharer sets are what the directory format reports,
+    the set INVs go to.  CPUs, hints and the network are empty."""
+    hubs, num_nodes = system.hubs, len(system.hubs)
+    home_hub = hubs[system.address_map.home_of(line)]
+    entry = home_hub.home_memory.entry(line)
+    if entry.pending_updates or entry.deferred_undelegate is not None:
+        raise ProtocolError("home entry 0x%x carries delegated update "
+                            "bookkeeping" % line)
 
+    def directory(d):
+        return (_DIR_LETTER[d.state], frozenset(
+            home_hub.dir_format.observed_sharers(d.sharers, num_nodes)))
 
-def _check_single_writer(system, tracer):
-    for line in _written_lines(system):
-        writers = [hub.node for hub in system.hubs
-                   if hub.hierarchy.state_of(line).writable]
-        if len(writers) > 1:
-            return ("single-writer",
-                    "line 0x%x has %d writable copies at quiescence "
-                    "(nodes %s)" % (line, len(writers), writers))
-    return None
-
-
-def _dir_entries(system):
-    """Every materialised home-directory entry, with its home hub."""
-    for hub in system.hubs:
-        for line in hub.home_memory.known_lines():
-            yield hub, hub.home_memory.entry(line)
-
-
-def _entry_stuck(entry, where):
-    if entry.busy is not None:
-        return ("directory-agreement",
-                "%s entry 0x%x still busy (%s) at quiescence"
-                % (where, entry.addr, entry.busy.kind.name))
-    if entry.pending_updates:
-        return ("directory-agreement",
-                "%s entry 0x%x has %d unacknowledged updates at quiescence"
-                % (where, entry.addr, entry.pending_updates))
-    if entry.deferred_undelegate is not None:
-        return ("directory-agreement",
-                "%s entry 0x%x has a deferred undelegation at quiescence"
-                % (where, entry.addr))
-    return None
-
-
-def _check_directory_agreement(system, tracer):
-    for hub, entry in _dir_entries(system):
-        stuck = _entry_stuck(entry, "home")
-        if stuck is not None:
-            return stuck
-        if entry.state is DirState.EXCL:
-            if entry.owner is None:
-                return ("directory-agreement",
-                        "EXCL entry 0x%x has no owner" % entry.addr)
-            if not system.hubs[entry.owner].hierarchy.state_of(
-                    entry.addr).writable:
-                return ("directory-agreement",
-                        "EXCL entry 0x%x names owner %d but that node "
-                        "holds no writable copy" % (entry.addr, entry.owner))
-        elif entry.state is DirState.DELE:
-            delegate = system.hubs[entry.delegate]
-            pentry = (delegate.producer_table.lookup(entry.addr, touch=False)
-                      if delegate.producer_table is not None else None)
-            if pentry is None:
-                return ("directory-agreement",
-                        "DELE entry 0x%x names delegate %d but its producer "
-                        "table has no entry" % (entry.addr, entry.delegate))
-            stuck = _entry_stuck(pentry, "delegated")
-            if stuck is not None:
-                return stuck
-    return None
-
-
-def _visible_value(system, hub, entry):
-    """The value the directory tree exposes for ``entry``'s line, or a
-    ``(oracle, message)`` violation; follows one delegation link."""
-    if entry.state is DirState.DELE:
-        pentry = system.hubs[entry.delegate].producer_table.lookup(
-            entry.addr, touch=False)
-        # Agreement oracle already guaranteed pentry exists and is idle.
-        return _visible_value(system, system.hubs[entry.delegate], pentry)
-    if entry.state is DirState.EXCL:
-        return system.hubs[entry.owner].hierarchy.value_of(entry.addr)
-    return entry.value
-
-
-def _check_lost_update(system, tracer):
-    if system.checker is None:
-        return None
-    for hub, entry in _dir_entries(system):
-        last = system.checker.last_write_value(entry.addr)
-        if last is None:
-            continue  # never written (or not tracked): nothing to compare
-        visible = _visible_value(system, hub, entry)
-        if visible != last:
-            return ("lost-update",
-                    "line 0x%x settled at %r but the last committed write "
-                    "was %r (dir state %s at home %d)"
-                    % (entry.addr, visible, last, entry.state.name,
-                       hub.node))
-    return None
+    caches, racs = [], []
+    for hub in hubs:
+        copy = hub.hierarchy.l2.probe(line)
+        caches.append(("I", 0) if copy is None
+                      else (copy.state.value, copy.value))
+        rac = hub.rac.probe(line) if hub.rac is not None else None
+        racs.append(None if rac is None else (rac.value, rac.pinned))
+    dele = entry.state is DirState.DELE
+    busy = entry.busy and (entry.busy.kind.value, entry.busy.requester, None)
+    home = directory(entry) + (entry.delegate if dele else entry.owner,
+                               entry.value, busy)
+    table = hubs[entry.delegate].producer_table if dele else None
+    pentry = table.lookup(line, touch=False) if table is not None else None
+    deleg = None if pentry is None else (entry.delegate, directory(pentry) + (
+        pentry.owner, pentry.value, pentry.busy is not None, False,
+        pentry.pending_updates, pentry.deferred_undelegate is not None))
+    cur = system.checker.last_write_value(line)
+    return (cur or 0, tuple(caches), tuple(racs), (None,) * num_nodes, home,
+            deleg, (None,) * num_nodes, ())

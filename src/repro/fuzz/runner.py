@@ -11,7 +11,7 @@ oracle name:
 ``termination``  stalled simulation / cycle-or-event cap hit
 ``liveness``   a miss exceeded the retry tripwire (livelock)
 ``protocol``   any other ProtocolError (handler invariant broke)
-``oracle:*``   a post-run quiescence oracle (see oracles module)
+``oracle:*``   a quiescence oracle: a span check or an mc invariant
 =============  ==========================================================
 
 The returned :class:`CaseResult` is JSON-safe and carries a sha256 digest
@@ -133,6 +133,7 @@ def run_case(scenario):
         result = system.run(build.per_cpu_ops, placements=build.placements,
                             max_cycles=scenario.max_cycles,
                             max_events=scenario.max_events)
+        violation = check_quiescence(system, tracer)
     except CoherenceViolation as exc:
         return fail("coherence", exc)
     except SimulationError as exc:
@@ -141,7 +142,6 @@ def run_case(scenario):
         kind = "liveness" if "livelock" in str(exc) else "protocol"
         return fail(kind, exc)
 
-    violation = check_quiescence(system, tracer, build)
     if violation is not None:
         oracle, message = violation
         return CaseResult(seed=scenario.seed, ok=False,

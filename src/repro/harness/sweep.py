@@ -74,9 +74,10 @@ CACHE_FORMAT = 4
 SOURCE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: Entries under :data:`SOURCE_ROOT` no simulation executes (front end,
-#: static analysis, model checking); editing them keeps cached results.
-#: ``spec`` is not among them: the specs decide the hubs' dispatch.
-NOT_RUN = frozenset({"__main__.py", "cli.py", "lint", "mc"})
+#: static analysis); editing them keeps cached results.  ``spec`` is not
+#: among them: the specs decide the hubs' dispatch; nor is ``mc``: the
+#: fuzz oracles run its invariants.
+NOT_RUN = frozenset({"__main__.py", "cli.py", "lint"})
 
 #: Default cache location, relative to the current working directory.
 CACHE_DIR = ".repro_cache"

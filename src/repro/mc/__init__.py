@@ -3,8 +3,9 @@
 from .engine import CheckResult, ModelChecker, StateSpaceExceeded
 from .invariants import (
     ALL_INVARIANTS,
-    delegation_wellformed,
+    at_rest,
     directory_consistency,
+    owner_holds_copy,
     single_writer,
     value_coherence,
 )
@@ -15,8 +16,9 @@ __all__ = [
     "ModelChecker",
     "StateSpaceExceeded",
     "ALL_INVARIANTS",
-    "delegation_wellformed",
+    "at_rest",
     "directory_consistency",
+    "owner_holds_copy",
     "single_writer",
     "value_coherence",
     "HOME",

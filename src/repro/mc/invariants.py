@@ -2,7 +2,9 @@
 
 The paper verifies the Murphi DASH model's invariants, highlighting
 "single writer exists" and "consistency within the directory"; we check
-those plus value coherence in quiescent states.
+those plus value coherence and rest in quiescent states.  The fuzz
+oracles (:mod:`repro.fuzz.oracles`) run the same functions on the
+simulator's final state.
 
 Invariant subtleties mirror real protocol behaviour:
 
@@ -11,11 +13,12 @@ Invariant subtleties mirror real protocol behaviour:
 * The directory's sharing vector is a *superset* of actual copies (silent
   S evictions, the preserved update set), never a subset — checked only
   outside transient BUSY windows.
-* Value coherence is a quiescent-state property: with messages in flight
-  a just-written value is still propagating.
+* Value coherence, rest and owner presence are quiescent-state
+  properties: with messages in flight a just-written value is still
+  propagating and a directory may legitimately be mid-transaction.
 """
 
-HOME = 0
+from .model import quiescent
 
 
 def single_writer(state):
@@ -83,9 +86,9 @@ def directory_consistency(state):
 def value_coherence(state):
     """Quiescent states: every readable copy holds the latest committed
     value, and whoever is authoritative for memory holds it too."""
-    cur, caches, racs, cpus, home, deleg, _hints, net = state
-    if net or any(cpu is not None for cpu in cpus):
-        return True  # only a quiescent-state property
+    if not quiescent(state):
+        return True
+    cur, caches, racs, _cpus, home, deleg, _hints, _net = state
     owner_nodes = [n for n, (st, _v) in enumerate(caches) if st in "EM"]
     for node, (st, value) in enumerate(caches):
         if st != "I" and value != cur:
@@ -110,22 +113,31 @@ def value_coherence(state):
     return True
 
 
-def delegation_wellformed(state):
-    """DELE bookkeeping: at most one delegate, and it knows it."""
-    _cur, _caches, racs, _cpus, home, deleg, _hints, net = state
+def at_rest(state):
+    """Quiescent states: no directory is mid-transaction — no busy home or
+    delegate, no unacknowledged update, no deferred undelegation."""
+    if not quiescent(state):
+        return True
+    home, deleg = state[4], state[5]
+    if home[4] is not None:
+        return False
     if deleg is None:
         return True
-    dnode, entry = deleg
-    # The delegate always holds a pinned surrogate-memory RAC entry.
-    rac = racs[dnode]
-    if rac is None or not rac[1]:
-        return False
-    # A delegated entry is never owned by a remote node.
-    dstate, _dsharers, downer, _dv, _dbusy, _armed, _pend, _deferred = entry
-    if dstate == "E" and downer != dnode:
-        return False
-    return True
+    _ds, _dsh, _do, _dv, dbusy, _armed, pend, deferred = deleg[1]
+    return not dbusy and pend == 0 and not deferred
+
+
+def owner_holds_copy(state):
+    """Quiescent states: the governing E directory's owner holds E/M.  Only
+    fuzz runs it: the model still reaches an ownerless E (the XFER-after-
+    writeback livelock); the progress fix moves it into ALL_INVARIANTS."""
+    if not quiescent(state):
+        return True
+    caches, home, deleg = state[1], state[4], state[5]
+    dstate, owner = ((deleg[1][0], deleg[1][2]) if deleg is not None
+                     else (home[0], home[2]))
+    return dstate != "E" or (owner is not None and caches[owner][0] in "EM")
 
 
 ALL_INVARIANTS = (single_writer, directory_consistency, value_coherence,
-                  delegation_wellformed)
+                  at_rest)

@@ -210,8 +210,9 @@ class DragonHub(Hub):
         if entry.state is not DirState.EXCL or entry.owner != msg.src:
             return  # ownership moved on; the new owner's path carries truth
         entry.state = DirState.SHARED
-        # The preserved vector (inherited _home_getx) is exactly the set
-        # the writer just updated; they hold fresh copies again.
+        # The writer pushed to every node that acked its INVs: the format's
+        # observed set of the preserved vector (inherited _home_getx), so
+        # under coarse or limited formats copies sit outside the vector.
         entry.sharers = set(entry.sharers) | {msg.src}
         entry.owner = None
         busy = entry.busy

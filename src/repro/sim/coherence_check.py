@@ -92,11 +92,7 @@ class CoherenceChecker:
             % (node, value, line_addr, t_start, t_complete,
                sorted(legal), list(history)[-4:]))
 
-    # -- read-only views (the fuzz oracles inspect final state) --------------
-
-    def written_lines(self):
-        """Line addresses that have at least one committed write."""
-        return [line for line, history in self._writes.items() if history]
+    # -- read-only view (the fuzz oracles inspect final state) ---------------
 
     def last_write_value(self, line_addr):
         """Value of the last committed write to ``line_addr`` (None if

@@ -16,8 +16,10 @@ import pytest
 
 from repro import cli
 from repro.cache.line import LineState
+from repro.cache.rac import RemoteAccessCache
 from repro.common import baseline
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, ProtocolError
+from repro.directory.state import DirState
 from repro.fuzz import (
     CaseResult,
     ChaosConfig,
@@ -140,10 +142,63 @@ def keep_stale_memory(self, msg, serve=Hub._on_shared_wb):
     entry.value = stale
 
 
+def known_lines(system):
+    """Every line a home directory knows, with its home hub."""
+    for hub in system.hubs:
+        for line in hub.home_memory.known_lines():
+            yield hub, line
+
+
+def add_listed_sharer(system):
+    """Post-run edit: a node an EXCL entry still lists as a sharer gains
+    an S copy of the owner's value beside the owner's copy."""
+    for hub, line in known_lines(system):
+        entry = hub.home_memory.entry(line)
+        if entry.state is DirState.EXCL:
+            listed = hub.dir_format.observed_sharers(
+                entry.sharers, len(system.hubs)) - {entry.owner}
+            if listed:
+                system.hubs[min(listed)].hierarchy.l2.insert(
+                    line, state=LineState.SHARED,
+                    value=system.hubs[entry.owner].hierarchy.value_of(line))
+                return
+    raise AssertionError("no EXCL line lists a sharer besides its owner")
+
+
+def add_unlisted_sharer(system):
+    """Post-run edit: a node outside a shared line's sharer set gains an
+    S copy holding the current value."""
+    for hub, line in known_lines(system):
+        entry = hub.home_memory.entry(line)
+        if entry.state in (DirState.UNOWNED, DirState.SHARED):
+            listed = hub.dir_format.observed_sharers(entry.sharers,
+                                                     len(system.hubs))
+            outside = [other for other in system.hubs
+                       if other.node not in listed]
+            if outside:
+                outside[0].hierarchy.l2.insert(
+                    line, state=LineState.SHARED, value=entry.value)
+                return
+    raise AssertionError("every shared line is listed at every node")
+
+
+def drop_owner_copy(system):
+    """Post-run edit: an EXCL line's value is written to home memory and
+    the owner's copy invalidated, the directory left naming the owner."""
+    for hub, line in known_lines(system):
+        entry = hub.home_memory.entry(line)
+        if entry.state is DirState.EXCL:
+            owner = system.hubs[entry.owner].hierarchy
+            entry.value = owner.value_of(line)
+            owner.invalidate(line)
+            return
+    raise AssertionError("no EXCL line at quiescence")
+
+
 def add_second_writer(system):
-    """Post-run edit: a second node gains a writable copy of a written
+    """Post-run edit: a second node gains a writable copy of an owned
     line, holding the writer's value."""
-    for line in system.checker.written_lines():
+    for _hub, line in known_lines(system):
         writers = [hub for hub in system.hubs
                    if hub.hierarchy.state_of(line).writable]
         if writers:
@@ -152,57 +207,79 @@ def add_second_writer(system):
                 line, state=LineState.MODIFIED,
                 value=writers[0].hierarchy.value_of(line))
             return
-    raise AssertionError("no written line has a writer at quiescence")
+    raise AssertionError("no line has a writer at quiescence")
 
 
-QUIESCENCE_ORACLES = {
-    "single-writer": oracles._check_single_writer,
-    "directory-agreement": oracles._check_directory_agreement,
-    "lost-update": oracles._check_lost_update,
-}
+def pin_unpinned(self, addr, value, dirty=False,
+                 pin=RemoteAccessCache.pin_delegated):
+    """The delegate's surrogate-memory RAC entry is left unpinned."""
+    evicted = pin(self, addr, value, dirty)
+    self.probe(addr).pinned = False
+    return evicted
 
-#: The quiescence oracles' kill matrix: (oracle, seed, hub method to
-#: replace and its replacement, post-run state edit).  A handler mutant
-#: where one reaches quiescence; the online coherence checker catches
-#: every second-writer mutant first, so single-writer's row edits the
-#: final state instead.
+
+#: The quiescence invariants' kill matrix: (row, seed, class attribute to
+#: replace and its replacement, post-run state edit, the invariants that
+#: fire).  Each invariant fuzz runs has a row where it alone fires.  The
+#: online coherence checker stops every second-writer handler mutant at
+#: the committed write, so some rows edit the final state instead, which
+#: also isolates one invariant.  The last two rows are the mutants of
+#: deleted checks (the hand-written single-writer oracle, the model's
+#: delegation_wellformed) with the invariants that still catch them.
 QUIESCENCE_MATRIX = [
-    ("single-writer", 0, None, add_second_writer),
-    ("directory-agreement", 1, ("_on_update_ack", drop_update_ack), None),
-    ("lost-update", 3, ("_on_shared_wb", keep_stale_memory), None),
+    ("single_writer", 0, None, add_listed_sharer, {"single_writer"}),
+    ("directory_consistency", 1, None, add_unlisted_sharer,
+     {"directory_consistency"}),
+    ("value_coherence", 3, (Hub, "_on_shared_wb", keep_stale_memory),
+     None, {"value_coherence"}),
+    ("at_rest", 1, (Hub, "_on_update_ack", drop_update_ack), None,
+     {"at_rest"}),
+    ("owner_holds_copy", 0, None, drop_owner_copy, {"owner_holds_copy"}),
+    ("second_writer", 0, None, add_second_writer,
+     {"single_writer", "directory_consistency"}),
+    ("unpinned_surrogate", 1,
+     (RemoteAccessCache, "pin_delegated", pin_unpinned), None,
+     {"value_coherence"}),
 ]
 
 
 class TestQuiescenceOracleKillMatrix:
-    """Each quiescence oracle, called on its own, fires on its row's
-    mutant, and it alone does.  The two oracles that read tracer spans
-    have a test each below; they are called directly, not through
+    """Each row's mutant makes exactly its listed invariants fail on some
+    projected line, ``check_quiescence`` reports one of them, and the span
+    oracles stay clean.  The two oracles that read tracer spans have a
+    test each below; they are called directly, not through
     ``check_quiescence``, so an earlier oracle cannot hide them."""
 
     SPAN_SEED = 1  # NACKs at scale 0.5, so some miss span has retries
 
     @pytest.mark.parametrize("row", QUIESCENCE_MATRIX, ids=lambda r: r[0])
     def test_row(self, row, monkeypatch):
-        name, seed, handler, edit = row
-        if handler is not None:
-            monkeypatch.setattr(Hub, *handler)
+        _name, seed, mutation, edit, expected = row
+        if mutation is not None:
+            monkeypatch.setattr(*mutation)
         tracer = Tracer()
         system = run_seed(seed, tracer)
         if edit is not None:
             edit(system)
-        fired = {oracle: check(system, tracer)
-                 for oracle, check in QUIESCENCE_ORACLES.items()}
-        assert fired.pop(name)[0] == name
-        assert fired == {oracle: None for oracle in fired}
+        states = [oracles.project_line(system, line)
+                  for _hub, line in known_lines(system)]
+        fired = {inv.__name__ for inv in oracles.INVARIANTS
+                 if not all(inv(state) for state in states)}
+        assert fired == expected
         assert oracles._check_spans(system, tracer) is None
+        assert oracles.check_quiescence(system, tracer)[0] in expected
 
     def test_every_quiescence_oracle_has_a_row(self):
-        assert {row[0] for row in QUIESCENCE_MATRIX} == \
-            set(QUIESCENCE_ORACLES)
-        checks = oracles.check_quiescence.__code__.co_names
-        assert {check.__name__ for check in QUIESCENCE_ORACLES.values()} \
-            == {name for name in checks if name.startswith("_check_")} \
-            - {"_check_spans"}
+        alone = {next(iter(row[4])) for row in QUIESCENCE_MATRIX
+                 if len(row[4]) == 1 and row[0] in row[4]}
+        assert alone == {inv.__name__ for inv in oracles.INVARIANTS}
+
+    def test_home_entry_with_delegated_bookkeeping_raises(self):
+        system = run_seed(0, Tracer())
+        hub, line = next(known_lines(system))
+        hub.home_memory.entry(line).pending_updates = 1
+        with pytest.raises(ProtocolError, match="delegated update"):
+            oracles.project_line(system, line)
 
     def test_bounded_retry_fires(self, monkeypatch):
         tracer = Tracer()

@@ -3,43 +3,32 @@
 The model checker's guarantees only transfer to the simulator if the two
 describe the same protocol.  These tests bridge them: drive the *simulator*
 through small scripted scenarios, project its final quiescent state into
-the model's state space, and assert the model reaches an equivalent
-quiescent state — for the protocol-visible skeleton (cache states, home
-directory state/owner, delegation presence, RAC residency).
+the model's state space with the fuzz oracles' ``project_line``, and
+assert the model reaches an equivalent quiescent state — for the
+protocol-visible skeleton (cache states, home directory state/owner,
+delegation presence, RAC residency).
 """
 
 import pytest
 
 from repro.common import baseline, small
-from repro.directory import DirState
+from repro.fuzz.oracles import project_line
 from repro.mc import ALL_INVARIANTS, HOME, ModelChecker, ProtocolModel
 from repro.sim import Barrier, Compute, Read, System, Write
 
 LINE = 0x100000
 
 
-def project(system, addr, num_nodes):
-    """Project the simulator's state for one line into model coordinates:
-    (caches, home-state, owner/delegate, delegated?, racs)."""
-    caches = tuple(system.hubs[n].hierarchy.state_of(addr).value
-                   for n in range(num_nodes))
-    entry = system.hubs[HOME].home_memory.entry(addr)
-    home_state = {"UNOWNED": "U", "SHARED": "S", "EXCL": "E",
-                  "DELE": "DELE"}.get(entry.state.value, entry.state.value)
-    owner = entry.delegate if entry.state is DirState.DELE else entry.owner
-    delegated = any(
-        system.hubs[n].producer_table is not None
-        and addr in system.hubs[n].producer_table
-        for n in range(num_nodes))
-    racs = tuple(
-        (system.hubs[n].rac is not None
-         and system.hubs[n].rac.probe(addr) is not None)
-        for n in range(num_nodes))
-    return (caches, home_state, owner, delegated, racs)
+def skeleton(state):
+    """A model state's protocol-visible skeleton: (cache states, home
+    state, owner/delegate, delegated?, RAC residency)."""
+    _cur, caches, racs, _cpus, home, deleg, _hints, _net = state
+    return (tuple(st for st, _v in caches), home[0], home[2],
+            deleg is not None, tuple(r is not None for r in racs))
 
 
 def model_quiescent_skeletons(model):
-    """All quiescent model states, projected to the same coordinates."""
+    """The skeletons of all quiescent model states."""
     seen = set()
     mc = ModelChecker(model.initial_states(), model.rules(),
                       ALL_INVARIANTS, quiescent=model.quiescent,
@@ -48,15 +37,7 @@ def model_quiescent_skeletons(model):
     # Walk the reachable set by re-running with a recording canonicalizer.
     def record(state):
         if model.quiescent(state):
-            _cur, caches, racs, _cpus, home, deleg, _hints, _net = state
-            skeleton = (
-                tuple(st for st, _v in caches),
-                home[0],
-                home[2] if home[0] in ("E", "DELE") else home[2],
-                deleg is not None,
-                tuple(r is not None for r in racs),
-            )
-            seen.add(skeleton)
+            seen.add(skeleton(state))
         return model.canonical(state)
 
     mc.canonicalize = record
@@ -85,8 +66,7 @@ def run_scenario(config, ops):
 
 
 def skeleton_of(system):
-    caches, home_state, owner, delegated, racs = project(system, LINE, 3)
-    return (caches, home_state, owner, delegated, racs)
+    return skeleton(project_line(system, LINE))
 
 
 class TestBaseConformance:

@@ -181,11 +181,19 @@ def storm_oracles_clean(num_nodes, directory_format, protocol="adaptive",
 
 class TestStormOraclesFast:
     """64-node oracle-checked storms per format: the fast-lane slice of
-    the scaled-up audit (coherence, single-writer, quiescence)."""
+    the scaled-up audit (online coherence, then the model's invariants on
+    every line at quiescence)."""
 
     @pytest.mark.parametrize("fmt", ["full", "coarse:8", "limited:2"])
     def test_storm_64_nodes(self, fmt):
         storm_oracles_clean(64, fmt)
+
+    @pytest.mark.parametrize("fmt", ["coarse:4", "limited:2"])
+    def test_dragon_storm_64_nodes(self, fmt):
+        # Dragon's publish pushes to the format's observed set, so RAC
+        # copies sit outside the exact sharer set; the oracles must read
+        # the vector through the format, as the hardware would.
+        storm_oracles_clean(64, fmt, protocol="dragon")
 
     def test_update_fanout_amplifies_with_compression(self):
         full = storm_oracles_clean(64, "full")

@@ -136,9 +136,16 @@ class TestSourceDigest:
 
     def test_front_end_and_checker_edits_keep_the_key(self, source_copy):
         before = job_key(job())
-        for rel in ("cli.py", "lint/checks.py", "mc/engine.py"):
+        for rel in ("cli.py", "lint/checks.py"):
             self.edit(source_copy / rel)
         assert job_key(job()) == before
+
+    def test_invariant_edit_changes_the_key(self, source_copy):
+        # The fuzz oracles run the model checker's invariants, so a cached
+        # fuzz verdict belongs to them too.
+        before = job_key(job())
+        self.edit(source_copy / "mc" / "invariants.py")
+        assert job_key(job()) != before
 
     def test_spec_edit_changes_the_key(self, source_copy):
         # The specs decide which messages the hubs dispatch.
