@@ -94,13 +94,6 @@ class FuzzEngine:
         return report
 
     def _run_scenarios(self, seeds):
-        # Uncached serial corpora stay off SweepEngine: its serial path
-        # pauses the cyclic GC for the whole batch, so every seed's
-        # System lives until the end: the benchmark's 100-seed corpus
-        # peaks at 80 MB RSS there against 30 MB run directly.
-        if self.jobs <= 1 and not self.cache:
-            return {seed: run_case(FuzzScenario.from_seed(seed, self.scale))
-                    for seed in seeds}
         from ..harness.sweep import CACHE_DIR, SweepEngine, SweepJob
 
         # The runner's identity is hashed into every job key, so corpus

@@ -117,30 +117,35 @@ def run_seed_payload(job):
 
 
 def run_case(scenario):
-    """Run one scenario start-to-finish and return a :class:`CaseResult`."""
+    """Run one scenario start-to-finish and return a :class:`CaseResult`.
+
+    The system is closed on every return path, once the oracles and the
+    result have read it.
+    """
     build = build_workload(scenario)
     tracer = Tracer(TraceConfig(capture_messages=False))
-    system = System(scenario.config, check_coherence=True, tracer=tracer,
-                    chaos=scenario.chaos)
+    with System(scenario.config, check_coherence=True, tracer=tracer,
+                chaos=scenario.chaos) as system:
 
-    def fail(oracle, exc):
-        return CaseResult(seed=scenario.seed, ok=False, oracle=oracle,
-                          message=str(exc), cycles=system.events.now,
-                          events=system.events.processed,
-                          stats=system.stats.as_dict())
+        def fail(oracle, exc):
+            return CaseResult(seed=scenario.seed, ok=False, oracle=oracle,
+                              message=str(exc), cycles=system.events.now,
+                              events=system.events.processed,
+                              stats=system.stats.as_dict())
 
-    try:
-        result = system.run(build.per_cpu_ops, placements=build.placements,
-                            max_cycles=scenario.max_cycles,
-                            max_events=scenario.max_events)
-        violation = check_quiescence(system, tracer)
-    except CoherenceViolation as exc:
-        return fail("coherence", exc)
-    except SimulationError as exc:
-        return fail("termination", exc)
-    except ProtocolError as exc:
-        kind = "liveness" if "livelock" in str(exc) else "protocol"
-        return fail(kind, exc)
+        try:
+            result = system.run(build.per_cpu_ops,
+                                placements=build.placements,
+                                max_cycles=scenario.max_cycles,
+                                max_events=scenario.max_events)
+            violation = check_quiescence(system, tracer)
+        except CoherenceViolation as exc:
+            return fail("coherence", exc)
+        except SimulationError as exc:
+            return fail("termination", exc)
+        except ProtocolError as exc:
+            kind = "liveness" if "livelock" in str(exc) else "protocol"
+            return fail(kind, exc)
 
     if violation is not None:
         oracle, message = violation

@@ -61,9 +61,9 @@ def run_app(app, config, num_cpus=None, seed=12345, scale=1.0,
     cpus = num_cpus if num_cpus is not None else config.num_nodes
     build = get_workload(app, num_cpus=cpus, seed=seed, scale=scale).build()
     tracer = _resolve_tracer(trace)
-    system = System(config, check_coherence=check_coherence, tracer=tracer,
-                    chaos=chaos)
-    result = system.run(build.per_cpu_ops, placements=build.placements)
+    with System(config, check_coherence=check_coherence, tracer=tracer,
+                chaos=chaos) as system:
+        result = system.run(build.per_cpu_ops, placements=build.placements)
     return AppRun(app=app,
                   metrics=metrics_from_result(result),
                   consumer_hist=consumer_histogram(result),

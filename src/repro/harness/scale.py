@@ -62,11 +62,11 @@ def scale_runner(job):
     # the scenario only contributes the workload and the run caps.
     scenario = replace(scenario, config=job.config)
     build = build_workload(scenario)
-    system = System(job.config, check_coherence=job.check_coherence,
-                    chaos=job.chaos)
-    result = system.run(build.per_cpu_ops, placements=build.placements,
-                        max_cycles=scenario.max_cycles,
-                        max_events=scenario.max_events)
+    with System(job.config, check_coherence=job.check_coherence,
+                chaos=job.chaos) as system:
+        result = system.run(build.per_cpu_ops, placements=build.placements,
+                            max_cycles=scenario.max_cycles,
+                            max_events=scenario.max_events)
     return {
         "cycles": result.cycles,
         "events": result.events_processed,

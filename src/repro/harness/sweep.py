@@ -767,8 +767,9 @@ class SweepEngine:
             # Serial in-process runs pause the cyclic GC: simulations
             # allocate heavily (events, messages, payload dicts), which
             # triggers collections constantly, yet reference counting
-            # frees almost all of it; the cyclic garbage is each
-            # finished System, which one collect at the end reclaims.
+            # frees all of it, finished Systems included, since the
+            # runners close them (System.close breaks their cycles).  The
+            # collect at the end reclaims what a custom runner leaves.
             gc_was_enabled = gc.isenabled()
             if gc_was_enabled:
                 gc.disable()

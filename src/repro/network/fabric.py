@@ -8,12 +8,18 @@ the paper's "we do not model contention within the routers, but do model
 hub port contention".
 
 This is the hottest module in the simulator (every message crosses
-:meth:`Fabric.send` or :meth:`Fabric.send_all`, then
-:meth:`Fabric._deliver`), so per-send work is precomputed at construction:
-wire sizes and stats-counter keys per message type, lazily materialised
-per-source latency rows, and a flat ``busy_until`` list instead of port
-objects.  Deliveries are appended straight onto the event queue's
-per-cycle calendar, skipping the validated :meth:`EventQueue.schedule_at`.
+:meth:`Fabric.send` or :meth:`Fabric.send_all`), so per-send work is
+precomputed at construction: wire sizes and stats-counter keys per message
+type, lazily materialised per-source latency rows, and a flat
+``busy_until`` list instead of port objects.  Deliveries are appended
+straight onto the event queue's per-cycle calendar, skipping the validated
+:meth:`EventQueue.schedule_at`, and each names the destination hub's
+handler for its message type, looked up in the hub's pre-bound table at
+send time.  Only three kinds of delivery go through the generic
+:meth:`Fabric._deliver` instead: remote messages under a chaos policy
+(whose forced-NACK draw must happen at delivery), messages to a node
+attached with a bare callable, and messages whose type is not a
+:class:`MsgType`.
 
 :meth:`Fabric.send_all` is the one-to-many form: a write's INVs to every
 sharer, a producer's UPDATEs to every consumer.  A 256-node broadcast is
@@ -49,9 +55,10 @@ class Fabric:
         self._busy_until = [0] * num_nodes
         self._handlers = [None] * num_nodes
         # Optional per-node pre-bound handler tables indexed by
-        # MsgType.index (see Hub._handler_array): lets delivery skip the
-        # hub.dispatch frame entirely.  Nodes attached with a bare
-        # callable (tests use spies) take the generic path.
+        # MsgType.index (see Hub._handler_array): sends put the handler
+        # itself on the calendar, skipping the _deliver and hub.dispatch
+        # frames.  Nodes attached with a bare callable (tests use spies)
+        # take the generic path.
         self._tables = [None] * num_nodes
         # Per-type precomputation, indexed by the dense MsgType.index.
         header = config.network.header_bytes
@@ -83,7 +90,9 @@ class Fabric:
         ``table``, when given, is a pre-bound per-MsgType handler list
         (indexed by ``MsgType.index``) delivery may use directly instead
         of calling ``handler``; ``handler`` remains the fallback for
-        anything that is not a plain in-vocabulary message.
+        anything that is not a plain in-vocabulary message.  A message's
+        handler is chosen when it is sent, so re-attaching a node affects
+        only messages sent afterwards.
         """
         self._handlers[node] = handler
         self._tables[node] = table
@@ -126,16 +135,24 @@ class Fabric:
             start = arrival
         deliver_at = start + self._occupancy
         busy[dst] = deliver_at
+        table = self._tables[dst] if chaos is None else None
+        if table is None:
+            handler = self._deliver
+        else:
+            try:
+                handler = table[msg.mtype.index]
+            except (AttributeError, TypeError, IndexError):
+                handler = self._deliver  # not a MsgType: the generic path
         # Unchecked push onto the calendar: arrival is now plus a
         # non-negative latency (chaos only adds to it) and busy_until never
         # moves backwards, so the timestamp can never be in the past.
         calendar = events._calendar
         bucket = calendar.get(deliver_at)
         if bucket is None:
-            calendar[deliver_at] = [(self._deliver, (msg,))]
+            calendar[deliver_at] = [(handler, (msg,))]
             heappush(events._times, deliver_at)
         else:
-            bucket.append((self._deliver, (msg,)))
+            bucket.append((handler, (msg,)))
         if chaos is not None:
             dup_arrival = chaos.duplicate_arrival(msg, arrival)
             if dup_arrival is not None:
@@ -160,10 +177,10 @@ class Fabric:
         """Put every message of ``msgs`` on the wire, in order, exactly as
         one :meth:`send` per message would.
 
-        All messages must share one source and one type (a fan-out);
-        anything else raises ``ValueError``.  ``msgs`` may be a generator:
-        each message is scheduled before the next is drawn, so ``msg_id``
-        order follows the send order whichever path is taken.
+        All messages must share one source and one :class:`MsgType` (a
+        fan-out); anything else raises ``ValueError``.  ``msgs`` may be a
+        generator: each message is scheduled before the next is drawn, so
+        ``msg_id`` order follows the send order whichever path is taken.
         """
         if self._tracer is not None or self._chaos is not None:
             send = self.send
@@ -176,6 +193,7 @@ class Fabric:
         occupancy = self._occupancy
         calendar = events._calendar
         times = events._times
+        tables = self._tables
         deliver = self._deliver
         src = mtype = row = None
         remote = 0
@@ -183,6 +201,10 @@ class Fabric:
             if row is None:
                 src = msg.src
                 mtype = msg.mtype
+                if mtype.__class__ is not MsgType:
+                    raise ValueError("send_all: %r is not a MsgType"
+                                     % (mtype,))
+                index = mtype.index
                 row = self._latency_rows[src]
                 if row is None:
                     row = self._latency_row(src)
@@ -199,14 +221,15 @@ class Fabric:
                 start = arrival
             deliver_at = start + occupancy
             busy[dst] = deliver_at
+            table = tables[dst]
+            handler = deliver if table is None else table[index]
             bucket = calendar.get(deliver_at)
             if bucket is None:
-                calendar[deliver_at] = [(deliver, (msg,))]
+                calendar[deliver_at] = [(handler, (msg,))]
                 heappush(times, deliver_at)
             else:
-                bucket.append((deliver, (msg,)))
+                bucket.append((handler, (msg,)))
         if remote:
-            index = mtype.index
             counters = self._counters
             counters[self._sent_key_by_type[index]] += remote
             counters[MSG_BYTES] += remote * self._size_by_type[index]

@@ -12,10 +12,15 @@ the wire; directory-only actions (forwards, invalidations, NACKs) leave
 immediately after the hub occupancy already charged by the fabric.
 """
 
+from types import MappingProxyType
+
 from ..common import stats as S
 from ..directory.state import DirState
 from ..network.message import Message, MsgType
 from .transactions import BusyKind, BusyRecord
+
+#: The payload of every busy NACK to a requester, shared read-only.
+_NACK_MISS = MappingProxyType({"for": "miss"})
 
 
 class HomeMixin:
@@ -45,14 +50,14 @@ class HomeMixin:
             entry.owner = requester
             entry.sharers = set()
             self._send_after_dram(Message(
-                MsgType.DATA_EXCL, src=self.node, dst=requester, addr=addr,
-                value=entry.value, payload={"hops": 2, "n_acks": 0}))
+                MsgType.DATA_EXCL, self.node, requester, addr, entry.value,
+                {"hops": 2, "n_acks": 0}))
         elif entry.state is DirState.SHARED:
             entry.sharers.add(requester)
             entry.update_strikes.pop(requester, None)  # active reader again
             self._send_after_dram(Message(
-                MsgType.DATA_SHARED, src=self.node, dst=requester, addr=addr,
-                value=entry.value, payload={"hops": 2}))
+                MsgType.DATA_SHARED, self.node, requester, addr, entry.value,
+                {"hops": 2}))
         elif entry.state is DirState.EXCL:
             self._home_gets_from_owner_state(entry, msg, requester)
         else:
@@ -89,10 +94,9 @@ class HomeMixin:
             return
         entry.busy = BusyRecord(BusyKind.INTERVENTION, requester=requester,
                                 req_msg=msg)
-        self.send(Message(MsgType.INTERVENTION, src=self.node, dst=owner,
-                          addr=addr,
-                          payload={"mode": "shared", "requester": requester,
-                                   "hops": 2 if requester == self.node else 3}))
+        self.send(Message(MsgType.INTERVENTION, self.node, owner, addr, 0,
+                          {"mode": "shared", "requester": requester,
+                           "hops": 2 if requester == self.node else 3}))
 
     def _home_getx(self, msg):
         addr, requester = msg.addr, msg.payload["requester"]
@@ -129,9 +133,8 @@ class HomeMixin:
                 entry.state = DirState.EXCL
                 entry.owner = requester
                 self._send_after_dram(Message(
-                    MsgType.DATA_EXCL, src=self.node, dst=requester,
-                    addr=addr, value=entry.value,
-                    payload={"hops": 2, "n_acks": 0}))
+                    MsgType.DATA_EXCL, self.node, requester, addr,
+                    entry.value, {"hops": 2, "n_acks": 0}))
         elif entry.state is DirState.SHARED:
             # The hardware acts on its (possibly lossy) vector encoding:
             # compressed formats over-approximate, costing extra INVs.
@@ -161,15 +164,12 @@ class HomeMixin:
             else:
                 entry.sharers = set()
             if upgrade:
-                self.send(Message(MsgType.ACK_X, src=self.node,
-                                  dst=requester, addr=addr,
-                                  payload={"hops": hops,
-                                           "n_acks": len(targets)}))
+                self.send(Message(MsgType.ACK_X, self.node, requester, addr,
+                                  0, {"hops": hops, "n_acks": len(targets)}))
             else:
                 self._send_after_dram(Message(
-                    MsgType.DATA_EXCL, src=self.node, dst=requester,
-                    addr=addr, value=entry.value,
-                    payload={"hops": hops, "n_acks": len(targets)}))
+                    MsgType.DATA_EXCL, self.node, requester, addr,
+                    entry.value, {"hops": hops, "n_acks": len(targets)}))
         elif entry.state is DirState.EXCL:
             self._home_getx_from_owner_state(entry, msg, requester)
         else:
@@ -364,8 +364,8 @@ class HomeMixin:
     # -- helpers ---------------------------------------------------------------
 
     def _nack(self, requester, addr):
-        self.send(Message(MsgType.NACK, src=self.node, dst=requester,
-                          addr=addr, payload={"for": "miss"}))
+        self.send(Message(MsgType.NACK, self.node, requester, addr, 0,
+                          _NACK_MISS))
 
     def _send_after_dram(self, msg):
         self.events.schedule(self.config.dram_latency, self.send, msg)

@@ -47,12 +47,11 @@ class RequesterMixin:
     def _start_miss(self, kind, addr, value, callback):
         if self.miss is not None:
             raise self._protocol_error("second outstanding miss (blocking CPU)")
-        miss = OutstandingMiss(addr=addr, kind=kind, callback=callback,
-                               store_value=value, start_time=self.events.now)
+        now = self.events._now
+        miss = OutstandingMiss(addr, kind, callback, value, now)
         self.miss = miss
         if self.tracer is not None:
-            self.tracer.miss_begin(self.node, addr, kind.value,
-                                   self.events.now)
+            self.tracer.miss_begin(self.node, addr, kind.value, now)
         if kind is MissKind.READ and self.rac is not None:
             rac_line = self.rac.lookup_data(addr)
             if rac_line is not None:
@@ -90,8 +89,7 @@ class RequesterMixin:
         if self.tracer is not None:
             self.tracer.miss_issue(self.node, miss.addr, self.events.now,
                                    target, mtype.label)
-        self.send(Message(mtype, src=self.node, dst=target, addr=miss.addr,
-                          payload=payload))
+        self.send(Message(mtype, self.node, target, miss.addr, 0, payload))
 
     def _resolve_target(self, addr):
         """Where to send a request: self if delegated here, the hinted
@@ -361,11 +359,10 @@ class RequesterMixin:
         hops = msg.payload.get("hops", 3)
         if mode == "shared":
             value = self.hierarchy.downgrade(msg.addr)
-            self.send(Message(MsgType.SHARED_WB, src=self.node, dst=home,
-                              addr=msg.addr, value=value))
-            self.send(Message(MsgType.SHARED_RESP, src=self.node,
-                              dst=requester, addr=msg.addr, value=value,
-                              payload={"hops": hops}))
+            self.send(Message(MsgType.SHARED_WB, self.node, home, msg.addr,
+                              value))
+            self.send(Message(MsgType.SHARED_RESP, self.node, requester,
+                              msg.addr, value, {"hops": hops}))
         else:
             _had, value = self.hierarchy.invalidate(msg.addr)
             self.send(Message(MsgType.EXCL_RESP, src=self.node, dst=requester,

@@ -32,7 +32,11 @@ class Processor:
         self.finished = False
         self.finish_time = None
         self.ops_executed = 0
+        # The one outstanding miss (the CPU blocks on it): its start time,
+        # line and store value, read back by _finish_read/_finish_write.
         self._blocked_since = None
+        self._miss_addr = None
+        self._miss_value = None
         # Hot-loop hoists: every op pays for these lookups otherwise.
         self._next_op = self._ops.__next__
         self._counters = system.stats._counters
@@ -105,25 +109,27 @@ class Processor:
             else:
                 bucket.append((self._step, ()))
             return
-        start = self.events.now
-        self._blocked_since = start
+        self._blocked_since = self.events._now
+        self._miss_addr = addr
         self._counters["miss.read"] += 1
-        self.hub.request_read(addr, lambda path: self._finish_read(addr, start))
+        self.hub.request_read(addr, self._finish_read)
 
-    def _finish_read(self, addr, start):
-        result = self.hub.hierarchy.read(addr)
+    def _finish_read(self, path):
+        addr = self._miss_addr
+        result = self._hier_read(addr)
         if not result.hit:
             # The freshly filled line was stolen before the CPU could replay
             # its load (possible only under extreme contention): miss again.
             self.stats.inc("miss.read_replay")
-            self.hub.request_read(addr,
-                                  lambda path: self._finish_read(addr, start))
+            self.hub.request_read(addr, self._finish_read)
             return
+        start = self._blocked_since
         self._blocked_since = None
-        if self.checker is not None:
-            self.checker.record_read(self.node, addr, result.value,
-                                     start, self.events.now)
-        self.events.schedule(result.latency, self._step)
+        events = self.events
+        if self._record_read is not None:
+            self._record_read(self.node, addr, result.value,
+                              start, events._now)
+        events.schedule(result.latency, self._step)
 
     # -- stores -----------------------------------------------------------------
 
@@ -148,25 +154,26 @@ class Processor:
             else:
                 bucket.append((self._step, ()))
             return
-        start = self.events.now
-        self._blocked_since = start
+        self._blocked_since = self.events._now
+        self._miss_addr = addr
+        self._miss_value = value
         self._counters["miss.write"] += 1
-        self.hub.request_write(
-            addr, value, lambda path: self._finish_write(addr, value, start))
+        self.hub.request_write(addr, value, self._finish_write)
 
-    def _finish_write(self, addr, value, start):
-        result = self.hub.hierarchy.write(addr, value)
+    def _finish_write(self, path):
+        addr = self._miss_addr
+        value = self._miss_value
+        result = self._hier_write(addr, value)
         if not result.hit:
             self.stats.inc("miss.write_replay")
-            self.hub.request_write(
-                addr, value,
-                lambda path: self._finish_write(addr, value, start))
+            self.hub.request_write(addr, value, self._finish_write)
             return
+        start = self._blocked_since
         self._blocked_since = None
-        if self.checker is not None:
-            self.checker.record_write(self.node, addr, value,
-                                      start, self.events.now)
-        self.events.schedule(result.latency, self._step)
+        events = self.events
+        if self._record_write is not None:
+            self._record_write(self.node, addr, value, start, events._now)
+        events.schedule(result.latency, self._step)
 
     # -- diagnostics -------------------------------------------------------------
 

@@ -9,9 +9,13 @@ Typical use::
     from repro.common import small
     from repro.sim import System
 
-    system = System(small())
-    result = system.run(per_cpu_ops, placements={region_start: home_node})
+    with System(small()) as system:
+        result = system.run(per_cpu_ops, placements={region_start: home_node})
     print(result.cycles, result.stats["miss.remote_3hop"])
+
+Leaving the ``with`` block closes the system (:meth:`System.close`); a
+caller that inspects the machine after ``run`` skips it and leaves the
+finished system to the cyclic garbage collector.
 """
 
 from dataclasses import dataclass, field
@@ -84,6 +88,31 @@ class System:
         self.processors = []
         self.barrier = None
         self._unfinished = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self):
+        """Free the machine by reference counting alone.
+
+        Hubs, processors, the fabric and the system point at each other
+        (back-references and pre-bound handler tables), so a finished
+        system is cyclic garbage: only a ``gc.collect()`` walk frees it,
+        about 4,700 objects per 16-node headline run.  Closing empties
+        those objects, which breaks every cycle, so the whole machine is
+        freed as soon as the caller drops it.  Read what you need first:
+        a closed system can neither run nor be inspected, while the
+        :class:`RunResult` from :meth:`run` holds no reference back to it.
+        Closing twice is harmless.
+        """
+        if not vars(self):
+            return  # already closed
+        for part in (*self.hubs, *self.processors, self.fabric):
+            vars(part).clear()
+        vars(self).clear()
 
     def on_cpu_finished(self, node):
         self._unfinished -= 1

@@ -33,6 +33,7 @@ from repro.fuzz import (
     shrink_scenario,
 )
 from repro.fuzz import engine as engine_mod
+from repro.fuzz import runner as runner_mod
 from repro.fuzz import oracles
 from repro.harness.sweep import SweepEngine, SweepJob, job_key
 from repro.network.message import Message, MsgType
@@ -393,11 +394,17 @@ class TestShrinker:
 # -- engine + artifacts (unit, with a stubbed run_case) ---------------------
 
 
+def stub_run_case(monkeypatch, stub):
+    """Replace the case runner of corpus runs (which reach it through
+    the sweep runner ``run_seed_payload``) and of replays alike."""
+    monkeypatch.setattr(runner_mod, "run_case", stub)
+    monkeypatch.setattr(engine_mod, "run_case", stub)
+
+
 class TestEngineUnit:
     def test_failure_artifact_and_replay_lifecycle(self, tmp_path,
                                                    monkeypatch):
-        monkeypatch.setattr(engine_mod, "run_case", lambda s: failing(
-            seed=s.seed))
+        stub_run_case(monkeypatch, lambda s: failing(seed=s.seed))
         engine = FuzzEngine(jobs=1, out_dir=str(tmp_path), shrink=False)
         progressed = []
         report = engine.run_corpus([3], progress=lambda seed, result:
@@ -417,15 +424,13 @@ class TestEngineUnit:
         assert replay.reproduced
         assert replay.expected_oracle == "coherence"
         # "Fix the bug" (runner passes now): no longer reproduces.
-        monkeypatch.setattr(engine_mod, "run_case",
-                            lambda s: CaseResult(seed=s.seed, ok=True))
+        stub_run_case(monkeypatch, lambda s: CaseResult(seed=s.seed, ok=True))
         replay = replay_artifact(failure.artifact_path)
         assert not replay.reproduced
         assert replay.actual.ok
 
     def test_passing_corpus_writes_nothing(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(engine_mod, "run_case",
-                            lambda s: CaseResult(seed=s.seed, ok=True))
+        stub_run_case(monkeypatch, lambda s: CaseResult(seed=s.seed, ok=True))
         report = FuzzEngine(jobs=1, out_dir=str(tmp_path)).run_corpus([0, 1])
         assert report.ok and report.passed == 2
         assert os.listdir(str(tmp_path)) == []
@@ -551,8 +556,7 @@ class TestCli:
 
     def test_fuzz_failure_exit_code_and_replay(self, tmp_path, capsys,
                                                monkeypatch):
-        monkeypatch.setattr(engine_mod, "run_case", lambda s: failing(
-            seed=s.seed))
+        stub_run_case(monkeypatch, lambda s: failing(seed=s.seed))
         code = cli.main(["fuzz", "--seeds", "1", "--no-shrink",
                          "--out-dir", str(tmp_path)])
         out = capsys.readouterr().out
@@ -561,7 +565,6 @@ class TestCli:
         artifact = os.path.join(str(tmp_path), "0.json")
         assert cli.main(["fuzz", "--replay", artifact]) == 1  # still broken
         assert "REPRODUCED" in capsys.readouterr().out
-        monkeypatch.setattr(engine_mod, "run_case",
-                            lambda s: CaseResult(seed=s.seed, ok=True))
+        stub_run_case(monkeypatch, lambda s: CaseResult(seed=s.seed, ok=True))
         assert cli.main(["fuzz", "--replay", artifact]) == 0  # fixed
         assert "no longer reproduces" in capsys.readouterr().out

@@ -245,6 +245,56 @@ class TestFabric:
         delivered = [m.msg_id for _t, m in inbox[1]]
         assert delivered == [first.msg_id, second.msg_id]
 
+    def scheduled(self, chaos=None, fan_out=False):
+        """The callbacks a send to a node with a handler table schedules,
+        before and after the node is re-attached."""
+        cfg = baseline(num_nodes=2)
+        events = EventQueue()
+        stats = Stats()
+        if chaos is not None:
+            chaos = ChaosPolicy(chaos, stats=stats)
+        fabric = Fabric(cfg, events, stats, chaos=chaos)
+
+        def generic(msg):
+            pass
+
+        def first(msg):
+            pass
+
+        def second(msg):
+            pass
+
+        fabric.attach(1, generic, table=[first] * len(MsgType))
+        send = ((lambda msg: fabric.send_all([msg])) if fan_out
+                else fabric.send)
+        send(Message(MsgType.INV, 0, 1, 0))
+        fabric.attach(1, generic, table=[second] * len(MsgType))
+        send(Message(MsgType.INV, 0, 1, 0))
+        return [callback.__name__ for _cycle, bucket
+                in sorted(events._calendar.items())
+                for callback, _args in bucket]
+
+    @pytest.mark.parametrize("fan_out", [False, True])
+    def test_send_schedules_the_handler_it_finds_at_send_time(self,
+                                                              fan_out):
+        assert self.scheduled(fan_out=fan_out) == ["first", "second"]
+
+    @pytest.mark.parametrize("fan_out", [False, True])
+    def test_chaos_delivers_through_the_generic_path(self, fan_out):
+        chaos = ChaosConfig(seed=4, force_nack_prob=0.5)
+        assert self.scheduled(chaos, fan_out) == ["_deliver", "_deliver"]
+
+    def test_non_msgtype_is_delivered_to_the_node_handler(self):
+        cfg = baseline(num_nodes=2)
+        events = EventQueue()
+        fabric = Fabric(cfg, events, Stats())
+        inbox = []
+        fabric.attach(1, inbox.append, table=[None] * len(MsgType))
+        msg = Message("PING", 1, 1, 0)
+        fabric.send(msg)
+        events.run()
+        assert inbox == [msg]
+
     def test_unattached_node_raises(self):
         cfg = baseline(num_nodes=2)
         events = EventQueue()
@@ -360,3 +410,5 @@ class TestFabric:
         with pytest.raises(ValueError):
             fabric.send_all([Message(MsgType.INV, 0, 1, 0),
                              Message(MsgType.UPDATE, 0, 2, 0)])
+        with pytest.raises(ValueError):
+            fabric.send_all([Message("INV", 0, 1, 0)])

@@ -1,9 +1,17 @@
 """Simulator core: processor, barrier manager, system run loop."""
 
+import gc
+from dataclasses import replace
+
 import pytest
 
 from repro.common.errors import SimulationError
 from repro.common.events import EventQueue
+from repro.fuzz.runner import run_case
+from repro.fuzz.scenarios import FuzzScenario
+from repro.harness.runner import run_app
+from repro.harness.scale import scale_runner
+from repro.harness.sweep import SweepJob
 from repro.sim import (
     Barrier,
     BarrierManager,
@@ -179,6 +187,48 @@ class TestSystem:
     def test_stat_accessor_default(self, base4):
         res = System(base4).run([[Compute(1)]])
         assert res.stat("nonexistent") == 0
+
+
+class TestClose:
+    """The runners that read only plain results close their System, so a
+    finished run leaves no cycle for the cyclic GC to walk."""
+
+    @staticmethod
+    def cyclic_garbage(call):
+        call()  # first, so lazy module-level set-up is not counted
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    def test_run_app(self, small4):
+        assert self.cyclic_garbage(
+            lambda: run_app("em3d", small4, scale=0.02)) == 0
+
+    def test_scale_runner(self):
+        config = FuzzScenario.storm(0, num_nodes=8).config
+        job = SweepJob(app="storm", config=config, seed=0, scale=0.1)
+        assert self.cyclic_garbage(lambda: scale_runner(job)) == 0
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_run_case(self, seed):
+        scenario = FuzzScenario.from_seed(seed, scale=0.2)
+        assert self.cyclic_garbage(lambda: run_case(scenario)) == 0
+
+    def test_run_case_failure(self):
+        scenario = replace(FuzzScenario.from_seed(0, scale=0.2),
+                           max_events=50)
+        assert run_case(scenario).oracle == "termination"
+        assert self.cyclic_garbage(lambda: run_case(scenario)) == 0
+
+    def test_closed_twice(self, base4):
+        with System(base4) as system:
+            system.run([[Write(LINE)]])
+        system.close()
+        assert vars(system) == {}
 
 
 class TestTraceHelpers:
