@@ -505,12 +505,12 @@ def cmd_trace(args):
     return 0
 
 
-def _build_engine(args, quiet=True, runner=None):
+def _build_engine(args, quiet=True):
     """The engine :func:`_engine_flags` describe; ``--jobs`` unset or 0
     means every CPU core."""
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
     return SweepEngine(jobs=jobs, cache=not args.no_cache,
-                       cache_dir=args.cache_dir, runner=runner,
+                       cache_dir=args.cache_dir,
                        progress=None if quiet else SweepProgress())
 
 
@@ -565,7 +565,7 @@ def cmd_scale(args):
     formats = (tuple(f for f in args.formats.split(",") if f)
                if args.formats else scale_harness.DEFAULT_FORMATS)
     protocols = tuple(p for p in args.protocols.split(",") if p)
-    engine = _build_engine(args, runner=scale_harness.scale_runner)
+    engine = _build_engine(args)
     return _print_matrix(args, engine, scale_harness.run_scale(
         nodes=nodes, formats=formats, protocols=protocols, seed=args.seed,
         scale=args.scale, check_coherence=not args.no_check, engine=engine))

@@ -15,20 +15,17 @@ the original and shrunk scenarios *and* their full results, so
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from .runner import CaseResult, run_case, run_seed_payload
-from .scenarios import FuzzScenario, scenario_from_dict, scenario_to_dict
+from .runner import CaseResult, FuzzJob, run_case
+from .scenarios import scenario_from_dict, scenario_to_dict
 
 #: Default artifact directory (beside the sweep cache).
 FUZZ_DIR = os.path.join(".repro_cache", "fuzz")
 
 #: Artifact format version.
 ARTIFACT_FORMAT = 1
-
-
 
 
 @dataclass
@@ -94,25 +91,17 @@ class FuzzEngine:
         return report
 
     def _run_scenarios(self, seeds):
-        from ..harness.sweep import CACHE_DIR, SweepEngine, SweepJob
+        from ..harness.sweep import CACHE_DIR, SweepEngine
 
-        # The runner's identity is hashed into every job key, so corpus
-        # results can share the on-disk cache with simulation payloads.
+        # The job type is hashed into every job key, so corpus results
+        # can share the on-disk cache with simulation payloads.
         engine = SweepEngine(jobs=self.jobs, cache=self.cache,
-                             cache_dir=self.cache_dir or CACHE_DIR,
-                             runner=run_seed_payload)
-        jobs = {}
-        for seed in seeds:
-            scenario = FuzzScenario.from_seed(seed, self.scale)
-            jobs[seed] = SweepJob(app="fuzz", config=scenario.config,
-                                  seed=seed, scale=self.scale,
-                                  chaos=scenario.chaos)
-        payloads = engine.run_many(jobs)
-        return {seed: CaseResult(**payload)
-                for seed, payload in payloads.items()}
+                             cache_dir=self.cache_dir or CACHE_DIR)
+        return engine.run_many({seed: FuzzJob(seed, self.scale)
+                                for seed in seeds})
 
     def _package_failure(self, seed, result):
-        scenario = FuzzScenario.from_seed(seed, self.scale)
+        scenario = FuzzJob(seed, self.scale).scenario()
         shrunk, shrunk_result, attempts = scenario, None, 0
         if self.shrink:
             from .shrink import shrink_scenario
@@ -135,6 +124,8 @@ class FuzzEngine:
 
     def _write_artifact(self, seed, scenario, result, shrunk, shrunk_result,
                         attempts):
+        from ..harness.sweep import write_json_atomic
+
         doc = {
             "format": ARTIFACT_FORMAT,
             "seed": seed,
@@ -147,17 +138,7 @@ class FuzzEngine:
         }
         os.makedirs(self.out_dir, exist_ok=True)
         path = os.path.join(self.out_dir, "%d.json" % seed)
-        handle, tmp_path = tempfile.mkstemp(dir=self.out_dir, suffix=".tmp")
-        try:
-            with os.fdopen(handle, "w") as fileobj:
-                json.dump(doc, fileobj, indent=2, sort_keys=True)
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+        write_json_atomic(path, doc, indent=2)
         return path
 
 

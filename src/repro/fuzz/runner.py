@@ -36,6 +36,7 @@ from ..workloads.base import WorkloadBuild
 from ..workloads.migratory import MigratoryWorkload
 from ..workloads.synthetic import synthetic
 from .oracles import check_quiescence
+from .scenarios import FuzzScenario
 
 #: Barrier-id offset between merged sub-workloads, so the combined trace
 #: never reuses an id (BarrierManager checks arrival order per id).
@@ -98,22 +99,32 @@ def build_workload(scenario):
                          shared_lines=shared_lines)
 
 
-def run_seed_payload(job):
-    """Module-level sweep-pool runner: seed+scale -> CaseResult dict.
+@dataclass(frozen=True)
+class FuzzJob:
+    """One corpus seed as a sweep job (see
+    :class:`~repro.harness.sweep.SweepJob`): the fuzz engine's pooled
+    corpus runs and the repro.serve fuzz jobs submit these.
 
-    This is the worker-side entry point both the fuzz engine's pooled
-    corpus runs and the repro.serve fuzz jobs submit (it pickles by
-    reference).  The scenario is re-derived from the seed —
+    The seed and scale are the whole content:
     :meth:`~repro.fuzz.scenarios.FuzzScenario.from_seed` is
-    deterministic, so this reproduces exactly what the parent rolled.
-    Its identity is hashed into the sweep :func:`~repro.harness.sweep.job_key`,
-    which is what lets fuzz results share the result cache with
-    simulation payloads without ever aliasing them.
+    deterministic and the job key hashes the simulator source, so the
+    scenario is rolled once, worker-side, in :meth:`run`.
     """
-    from .scenarios import FuzzScenario
 
-    scenario = FuzzScenario.from_seed(job.seed, scale=job.scale)
-    return run_case(scenario).to_dict()
+    seed: int
+    scale: float = 1.0
+
+    def scenario(self):
+        return FuzzScenario.from_seed(self.seed, scale=self.scale)
+
+    def run(self):
+        return run_case(self.scenario()).to_dict()
+
+    def load(self, payload):
+        return CaseResult(**payload)
+
+    def describe(self):
+        return "fuzz seed=%d scale=%g" % (self.seed, self.scale)
 
 
 def run_case(scenario):

@@ -11,16 +11,16 @@ curve is how the compressed directory formats (``coarse:G``,
 ``limited:K``) trade their constant-area vectors for invalidation and
 speculative-update storms as the machine grows.
 
-Every cell is one :class:`~repro.harness.sweep.SweepJob` submitted
-through a :class:`~repro.harness.sweep.SweepEngine`, so scale sweeps
-parallelise and cache like every other experiment; node count, format
-and protocol all ride in the config and therefore in the cache key.
+Every cell is one :class:`StormJob` submitted through a
+:class:`~repro.harness.sweep.SweepEngine`, so scale sweeps parallelise
+and cache like every other experiment; node count, format and protocol
+are the job's fields and therefore in the cache key.
 :func:`run_scale` builds each cell's row once, with :func:`_row`, and
 returns the arena's report shape, a
 :class:`~repro.analysis.tables.MatrixReport`.
 """
 
-from dataclasses import replace
+from dataclasses import dataclass
 
 from ..analysis.tables import MatrixReport
 from ..common import stats as S
@@ -31,7 +31,7 @@ from ..fuzz.scenarios import FuzzScenario
 from ..obs.metrics import miss_percentiles
 from ..protocol.arena import resolve_protocol
 from ..sim.system import System
-from .sweep import SweepJob
+from .sweep import SweepEngine, default_engine
 
 #: Default sweep axes: small enough that the default invocation finishes
 #: in minutes, while still crossing the coarse/limited break-even points.
@@ -48,35 +48,55 @@ COLUMNS = [("format", "format"), ("protocol", "protocol"),
            ("lat p95", "miss_p95"), ("dir b/entry", "dir_bits_per_entry")]
 
 
-def scale_runner(job):
-    """Worker-side runner for scale cells (module-level so it pickles by
-    reference).  Rebuilds the canonical storm workload for the job's node
-    count, runs it untraced under the job's exact config — format and
-    protocol included — and returns counters plus the always-on
-    miss-latency histograms.  (The storm is not a registered app, so the
-    default ``run_app`` runner cannot build it.)
+@dataclass(frozen=True)
+class StormJob:
+    """One scale cell: the canonical storm on one machine (a sweep job;
+    see :class:`~repro.harness.sweep.SweepJob`).
+
+    ``run`` rolls the storm scenario from these fields and runs it
+    untraced under the scenario's exact config, format and protocol
+    included, returning counters plus the always-on miss-latency
+    histograms.  (The storm is not a registered app, so a
+    :class:`~repro.harness.sweep.SweepJob` cannot build it.)
     """
-    scenario = FuzzScenario.storm(job.seed, num_nodes=job.config.num_nodes,
-                                  scale=job.scale)
-    # The job's config is authoritative (it is what the cache key hashed);
-    # the scenario only contributes the workload and the run caps.
-    scenario = replace(scenario, config=job.config)
-    build = build_workload(scenario)
-    with System(job.config, check_coherence=job.check_coherence,
-                chaos=job.chaos) as system:
-        result = system.run(build.per_cpu_ops, placements=build.placements,
-                            max_cycles=scenario.max_cycles,
-                            max_events=scenario.max_events)
-    return {
-        "cycles": result.cycles,
-        "events": result.events_processed,
-        "stats": dict(result.stats),
-        "latency": result.extras["latency"],
-    }
+
+    seed: int
+    num_nodes: int
+    directory_format: str = "full"
+    protocol: str = "adaptive"
+    scale: float = 1.0
+    check_coherence: bool = True
+
+    def run(self):
+        scenario = FuzzScenario.storm(
+            self.seed, num_nodes=self.num_nodes,
+            directory_format=self.directory_format, protocol=self.protocol,
+            scale=self.scale)
+        build = build_workload(scenario)
+        with System(scenario.config, check_coherence=self.check_coherence,
+                    chaos=scenario.chaos) as system:
+            result = system.run(build.per_cpu_ops,
+                                placements=build.placements,
+                                max_cycles=scenario.max_cycles,
+                                max_events=scenario.max_events)
+        return {
+            "cycles": result.cycles,
+            "events": result.events_processed,
+            "stats": dict(result.stats),
+            "latency": result.extras["latency"],
+        }
+
+    def load(self, payload):
+        return payload
+
+    def describe(self):
+        return "storm seed=%d nodes=%d %s %s scale=%g" % (
+            self.seed, self.num_nodes, self.directory_format, self.protocol,
+            self.scale)
 
 
 def _row(num_nodes, fmt, protocol, payload):
-    """The report row for one cell's :func:`scale_runner` payload."""
+    """The report row for one cell's :class:`StormJob` payload."""
     stats = payload["stats"]
     p50, p95 = miss_percentiles(payload["latency"])
     updates = stats.get(S.UPDATES_SENT, 0)
@@ -111,8 +131,9 @@ def run_scale(nodes=DEFAULT_NODES, formats=DEFAULT_FORMATS,
     Every cell shares the storm scenario's config recipe — only the axis
     under study varies — and runs with online coherence checking unless
     ``check_coherence`` is off (the report doubles as a scaled-up oracle
-    pass).  ``engine`` must have been built with ``runner=scale_runner``
-    (CLI and :func:`scale_engine` do); the default is serial, uncached.
+    pass).  ``engine`` is any
+    :class:`~repro.harness.sweep.SweepEngine`; the default is serial,
+    uncached.
     """
     for name in protocols:
         resolve_protocol(name)  # fail fast on typos, before any sim runs
@@ -123,18 +144,12 @@ def run_scale(nodes=DEFAULT_NODES, formats=DEFAULT_FORMATS,
             raise ConfigError("the storm needs a producer and a consumer: "
                               "node counts must be >= 2, got %d" % num_nodes)
     if engine is None:
-        engine = scale_engine()
-    jobs = {}
-    for num_nodes in nodes:
-        for fmt in formats:
-            for proto in protocols:
-                scenario = FuzzScenario.storm(
-                    seed, num_nodes=num_nodes, directory_format=fmt,
-                    protocol=proto, scale=scale)
-                jobs[(num_nodes, fmt, proto)] = SweepJob(
-                    app="storm", config=scenario.config, seed=seed,
-                    scale=scale, check_coherence=check_coherence)
-    cells = engine.run_many(jobs)
+        engine = default_engine()
+    cells = engine.run_many({
+        (num_nodes, fmt, proto): StormJob(
+            seed=seed, num_nodes=num_nodes, directory_format=fmt,
+            protocol=proto, scale=scale, check_coherence=check_coherence)
+        for num_nodes in nodes for fmt in formats for proto in protocols})
     groups = [("[%d nodes]" % num_nodes,
                [_row(num_nodes, fmt, proto, cells[(num_nodes, fmt, proto)])
                 for fmt in formats for proto in protocols])
@@ -149,13 +164,11 @@ def run_scale(nodes=DEFAULT_NODES, formats=DEFAULT_FORMATS,
 
 
 def scale_engine(jobs=1, cache=False, **kwargs):
-    """A :class:`SweepEngine` wired for scale payloads (a custom-runner
-    engine returns each payload as the runner built it)."""
-    from .sweep import SweepEngine
-
-    return SweepEngine(jobs=jobs, cache=cache, runner=scale_runner,
-                       **kwargs)
+    """A :class:`~repro.harness.sweep.SweepEngine` for :func:`run_scale`
+    (any engine runs scale cells; this one defaults to serial,
+    uncached)."""
+    return SweepEngine(jobs=jobs, cache=cache, **kwargs)
 
 
 __all__ = ["DEFAULT_FORMATS", "DEFAULT_NODES", "DEFAULT_PROTOCOLS",
-           "run_scale", "scale_engine", "scale_runner"]
+           "StormJob", "run_scale", "scale_engine"]

@@ -7,8 +7,12 @@ Every paper artefact is a matrix of independent ``run_app`` simulations
 
 * a :class:`SweepJob` names one simulation by content — app name,
   :class:`~repro.common.params.SystemConfig`, seed, scale, num_cpus — and
-  :func:`job_key` hashes that content, plus a digest of the simulator's
-  own source (:func:`source_digest`), into a stable identifier;
+  :func:`job_key` hashes its type and that content, plus a digest of the
+  simulator's own source (:func:`source_digest`), into a stable
+  identifier.  Other job types (the scaling study's
+  :class:`~repro.harness.scale.StormJob`, the fuzz corpus's
+  :class:`~repro.fuzz.runner.FuzzJob`, the service's traced sim job) have
+  the same shape and run through the same engine;
 * a :class:`SweepEngine` fans a batch of jobs out over a
   :class:`WorkerPool` (``jobs=1`` runs in-process), dedupes identical
   jobs within the batch, and replays finished simulations from an
@@ -23,9 +27,10 @@ Every paper artefact is a matrix of independent ``run_app`` simulations
   :class:`~repro.obs.metrics.Histogram`.
 
 Because each simulation is deterministic, parallel results are identical
-to serial ones: the cache stores the raw ``RunResult`` counters and the
-evaluation-facing :class:`~repro.harness.runner.AppRun` is rebuilt from
-them exactly as ``run_app`` builds it.
+to serial ones: the cache stores each job's JSON-safe payload (for a
+:class:`SweepJob`, the raw ``RunResult`` counters) and the job's ``load``
+rebuilds what the caller sees (the evaluation-facing
+:class:`~repro.harness.runner.AppRun`, exactly as ``run_app`` builds it).
 
 Typical use::
 
@@ -52,12 +57,10 @@ import threading
 import time
 import traceback
 from concurrent import futures
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from ..common.errors import ReproError
-from ..common.params import config_digest, config_to_dict
-from ..network.chaos import chaos_to_dict
 from ..obs.metrics import Histogram, exponential_bounds
 
 #: Bump when the cached payload layout changes; old entries stop matching.
@@ -68,7 +71,10 @@ from ..obs.metrics import Histogram, exponential_bounds
 #:    without replaying another runner's output.
 #: 4: payloads carry the always-on ``latency`` histograms, and keys the
 #:    simulator source digest.
-CACHE_FORMAT = 4
+#: 5: jobs carry their own behaviour: keys hash the job's type and all of
+#:    its fields (the ``runner`` tag is gone), and entries record the same
+#:    fields.
+CACHE_FORMAT = 5
 
 #: The ``repro`` package whose source :func:`source_digest` hashes.
 SOURCE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -107,11 +113,20 @@ class SweepError(ReproError):
 
 @dataclass(frozen=True)
 class SweepJob:
-    """One simulation, named by content (what :func:`job_key` hashes).
+    """One ``run_app`` simulation, named by content (what :func:`job_key`
+    hashes).
 
     The config carries every machine knob the key must see, the
     protocol (``config.protocol_name``) and the directory format
     included, so a ``coarse:4`` run never aliases a ``full`` one.
+
+    Every job type the engine runs has this shape: a frozen dataclass
+    whose fields are its whole content, defined at module level (the
+    pool's spawn workers unpickle it by reference), with three methods —
+    ``run()`` executes it worker-side and returns a JSON-safe payload
+    (what the cache stores), ``load(payload)`` turns a payload into what
+    :meth:`SweepEngine.run_many` returns, and ``describe()`` names it in
+    errors.
     """
 
     app: str
@@ -122,23 +137,44 @@ class SweepJob:
     check_coherence: bool = True
     chaos: Optional[object] = None  # ChaosConfig (fault injection) or None
 
+    def run(self, trace=None):
+        """The cacheable core of the :class:`~repro.harness.runner.AppRun`:
+        raw RunResult counters and the always-on miss-latency/retry
+        histograms.  ``trace`` is an obs tracer to record into, or None."""
+        from .runner import run_app
+
+        run = run_app(self.app, self.config, num_cpus=self.num_cpus,
+                      seed=self.seed, scale=self.scale,
+                      check_coherence=self.check_coherence,
+                      chaos=self.chaos, trace=trace)
+        return {
+            "cycles": run.metrics.cycles,
+            "stats": dict(run.stats),
+            "latency": run.latency,
+        }
+
+    def load(self, payload):
+        """Rebuild the AppRun from a payload exactly as ``run_app`` builds
+        it."""
+        from ..analysis.metrics import consumer_histogram, metrics_from_result
+        from ..sim.system import RunResult
+        from .runner import AppRun
+
+        result = RunResult(cycles=payload["cycles"],
+                           stats=dict(payload["stats"]),
+                           cpu_finish_times=[], ops_executed=0,
+                           events_processed=0)
+        return AppRun(app=self.app,
+                      metrics=metrics_from_result(result),
+                      consumer_hist=consumer_histogram(result),
+                      stats=result.stats,
+                      latency=payload["latency"])
+
     def describe(self):
         return "%s seed=%d scale=%g cpus=%s" % (
             self.app, self.seed, self.scale,
             self.num_cpus if self.num_cpus is not None
             else self.config.num_nodes)
-
-
-def runner_tag(runner):
-    """Stable identity of a custom runner, or None for the default path.
-
-    Module + qualname is what the pickle channel sends to workers, so two
-    runners share a tag exactly when the pool would execute the same code.
-    """
-    if runner is None:
-        return None
-    return "%s:%s" % (getattr(runner, "__module__", "?"),
-                      getattr(runner, "__qualname__", repr(runner)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -163,95 +199,59 @@ def source_digest(root):
     return digest.hexdigest()
 
 
-def job_key(job, runner=None):
-    """Deterministic content hash of a :class:`SweepJob`.
+def job_key(job):
+    """Deterministic content hash of a job.
 
-    Built from the canonical JSON of (app, config, seed, scale, num_cpus,
-    check_coherence, runner identity, cache format, simulator source
-    digest), then folded through sha256 — stable across processes,
-    sessions and machines running the same source.  ``runner`` is the
-    engine's custom runner (if any): its identity is part of the key, so
-    cached entries can never replay a different runner's output.  The
-    source digest means any simulator edit misses instead of replaying
-    results of the code as it was.
+    Built from the canonical JSON of the job's type and fields
+    (``dataclasses.asdict``), the cache format and the simulator source
+    digest, then folded through sha256 — stable across processes,
+    sessions and machines running the same source.  The type is
+    ``module:qualname``, what the pickle channel sends to workers: it
+    keeps two job types with equal fields (a traced and a plain sim)
+    apart.  The source digest means any simulator edit misses instead of
+    replaying results of the code as it was.
     """
+    cls = type(job)
     spec = {
         "format": CACHE_FORMAT,
         "source": source_digest(SOURCE_ROOT),
-        "app": job.app,
-        "config": config_digest(job.config),
-        "seed": job.seed,
-        "scale": job.scale,
-        "num_cpus": job.num_cpus,
-        "check_coherence": job.check_coherence,
-        "chaos": chaos_to_dict(job.chaos),
-        "runner": runner_tag(runner),
+        "type": "%s:%s" % (cls.__module__, cls.__qualname__),
+        "job": asdict(job),
     }
     canonical = json.dumps(spec, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-# ---------------------------------------------------------------------------
-# Worker-side execution: runs in the pool process (or in-process when
-# jobs=1).  Returns plain JSON-safe payloads so results survive both the
-# pickle channel and the on-disk cache identically.
-# ---------------------------------------------------------------------------
-
-
-def _execute_job(job, runner=None):
-    """Run one job; never raises (errors come back as structured tuples).
-
-    ``runner`` overrides what "execute" means: a module-level callable
-    (it crosses the pickle channel by reference) taking the job and
-    returning a JSON-safe payload.  None means the default run_app path.
-    """
+def write_json_atomic(path, doc, **dump_args):
+    """Write ``doc`` as JSON to ``path`` via a temporary file in the same
+    directory and ``os.replace``, so a reader never sees a torn document
+    and a failed write leaves no temporary behind."""
+    handle, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path),
+                                        suffix=".tmp")
     try:
-        if runner is not None:
-            return ("ok", runner(job))
-        return ("ok", _payload_from_run(_run_job(job)))
+        with os.fdopen(handle, "w") as fileobj:
+            json.dump(doc, fileobj, sort_keys=True, **dump_args)
+        os.replace(tmp_path, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_path)
+        except OSError:
+            pass
+        raise
+
+
+def _execute_job(job):
+    """Run one job worker-side (in the pool process, or in-process when
+    jobs=1); never raises: errors come back as structured tuples."""
+    try:
+        return ("ok", job.run())
     except BaseException:
         return ("error", traceback.format_exc())
 
 
-def _run_job(job):
-    from .runner import run_app
-
-    return run_app(job.app, job.config, num_cpus=job.num_cpus,
-                   seed=job.seed, scale=job.scale,
-                   check_coherence=job.check_coherence,
-                   chaos=job.chaos)
-
-
-def _payload_from_run(run):
-    """The JSON-safe cacheable core of an AppRun: raw RunResult counters
-    and the always-on miss-latency/retry histograms."""
-    metrics = run.metrics
-    return {
-        "cycles": metrics.cycles,
-        "stats": dict(run.stats),
-        "latency": run.latency,
-    }
-
-
-def _apprun_from_payload(job, payload):
-    """Rebuild an AppRun from a payload exactly as ``run_app`` builds it."""
-    from ..analysis.metrics import consumer_histogram, metrics_from_result
-    from ..sim.system import RunResult
-    from .runner import AppRun
-
-    result = RunResult(cycles=payload["cycles"], stats=dict(payload["stats"]),
-                       cpu_finish_times=[], ops_executed=0,
-                       events_processed=0)
-    return AppRun(app=job.app,
-                  metrics=metrics_from_result(result),
-                  consumer_hist=consumer_histogram(result),
-                  stats=result.stats,
-                  latency=payload["latency"])
-
-
 class WorkerPool:
-    """The one worker pool: runs :func:`_execute_job` units for the sweep
-    engine and the ``repro serve`` job service.
+    """The one worker pool: runs jobs (through :func:`_execute_job`) for
+    the sweep engine and the ``repro serve`` job service.
 
     ``width`` > 0 is a spawn process pool of that many workers; 0 runs
     units on threads (``repro serve --workers 0``).  The executor is built
@@ -276,16 +276,16 @@ class WorkerPool:
         self._closed = False
         self._lock = threading.Lock()
 
-    def submit(self, key, job, runner=None):
-        """A future resolving to the unit's payload or to a SweepError."""
+    def submit(self, key, job):
+        """A future resolving to the job's payload or to a SweepError."""
         outer = futures.Future()
         outer.set_running_or_notify_cancel()  # not cancellable by callers
         with self._lock:
             self.running += 1
-        self._attempt(outer, key, job, runner, 0)
+        self._attempt(outer, key, job, 0)
         return outer
 
-    def _attempt(self, outer, key, job, runner, attempt):
+    def _attempt(self, outer, key, job, attempt):
         with self._lock:
             if self._executor is None and not self._closed:
                 if attempt:
@@ -302,14 +302,14 @@ class WorkerPool:
             try:
                 if executor is None:
                     raise RuntimeError("worker pool is shut down")
-                inner = executor.submit(_execute_job, job, runner)
+                inner = executor.submit(_execute_job, job)
             except RuntimeError as exc:  # closed, or broken before the drop
                 inner = futures.Future()
                 inner.set_exception(exc)
         inner.add_done_callback(functools.partial(
-            self._settle, outer, executor, key, job, runner, attempt))
+            self._settle, outer, executor, key, job, attempt))
 
-    def _settle(self, outer, executor, key, job, runner, attempt, inner):
+    def _settle(self, outer, executor, key, job, attempt, inner):
         from concurrent.futures.process import BrokenProcessPool
 
         try:
@@ -324,7 +324,7 @@ class WorkerPool:
                     self.crashes += 1
             if attempt < self.max_retries:
                 threading.Timer(RETRY_BASE * 2 ** attempt, self._attempt,
-                                (outer, key, job, runner, attempt + 1)).start()
+                                (outer, key, job, attempt + 1)).start()
                 return
             error = SweepError(key, job, "worker process died (pool broken);"
                                " gave up after %d retries" % attempt)
@@ -479,33 +479,13 @@ class ResultCache:
     def put(self, key, job, payload, elapsed):
         path = self._path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        doc = {
+        write_json_atomic(path, {
             "format": CACHE_FORMAT,
             "key": key,
-            "job": {
-                "app": job.app,
-                "config": config_to_dict(job.config),
-                "seed": job.seed,
-                "scale": job.scale,
-                "num_cpus": job.num_cpus,
-                "check_coherence": job.check_coherence,
-                "chaos": chaos_to_dict(job.chaos),
-            },
+            "job": asdict(job),
             "elapsed_s": elapsed,
             "result": payload,
-        }
-        handle, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path),
-                                            suffix=".tmp")
-        try:
-            with os.fdopen(handle, "w") as fileobj:
-                json.dump(doc, fileobj, sort_keys=True)
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+        })
         if self.budget_bytes is not None:
             self._evict_over_budget(keep=key)
 
@@ -674,7 +654,7 @@ class SweepReport:
 
 
 class SweepEngine:
-    """Runs batches of :class:`SweepJob` with caching and a worker pool.
+    """Runs batches of jobs with caching and a worker pool.
 
     ``jobs`` is the worker-pool width; 1 (the default) executes in-process
     with no multiprocessing involved.  More spawn workers than cores is
@@ -683,28 +663,22 @@ class SweepEngine:
     ``os.cpu_count()``.  ``cache`` turns the on-disk result
     cache on; ``cache_dir`` relocates it.  ``progress`` is a hook object
     (see :class:`SweepProgress`); None disables reporting.
+    ``cache_budget`` (bytes) turns on LRU eviction; see
+    :class:`ResultCache`.
 
-    ``runner`` repurposes the pool for non-AppRun work (the fuzz
-    engine's corpus runs, the scaling study and the repro.serve job
-    service ride the same dedupe/pool/progress machinery): it is a
-    *module-level* callable ``job -> JSON-safe payload`` executed
-    worker-side, and :meth:`run_many` returns its payloads as they are.
-    Without one, each payload becomes an
-    :class:`~repro.harness.runner.AppRun`.  The runner's identity is part
-    of :func:`job_key`, so custom-runner jobs share the cache without
-    ever replaying a different runner's output.  ``cache_budget``
-    (bytes) turns on LRU eviction; see :class:`ResultCache`.
+    Any job type runs here (see :class:`SweepJob`), and one batch may
+    mix them: the engine only keys, dedupes, caches and executes, and
+    each job's own ``load`` shapes its result.
     """
 
     def __init__(self, jobs=1, cache=False, cache_dir=CACHE_DIR,
-                 progress=None, runner=None, cache_budget=None):
+                 progress=None, cache_budget=None):
         if jobs < 1:
             raise ValueError("jobs must be >= 1, got %r" % jobs)
         self.jobs = jobs
         self.effective_jobs = max(1, min(jobs, os.cpu_count() or 1))
         self.cache = (ResultCache(cache_dir, budget_bytes=cache_budget)
                       if cache else None)
-        self.runner = runner
         self.progress = progress if progress is not None else _NullProgress()
         self.last_report = SweepReport()
 
@@ -713,17 +687,16 @@ class SweepEngine:
     def run_many(self, jobs):
         """Execute a batch and return results under the caller's keys.
 
-        ``jobs`` maps arbitrary hashable caller keys to :class:`SweepJob`
-        (a list/tuple works too: indexes become the keys).  Identical jobs
+        ``jobs`` maps arbitrary hashable caller keys to jobs (a
+        list/tuple works too: indexes become the keys).  Identical jobs
         (same content hash) are deduped and executed once.  Returns a dict
-        of caller key -> :class:`~repro.harness.runner.AppRun`, or -> the
-        runner's payload when the engine has a runner.
+        of caller key -> ``job.load(payload)`` (for a :class:`SweepJob`,
+        an :class:`~repro.harness.runner.AppRun`).
         """
         if not isinstance(jobs, dict):
             jobs = dict(enumerate(jobs))
         started = time.monotonic()
-        content = {caller: job_key(job, self.runner)
-                   for caller, job in jobs.items()}
+        content = {caller: job_key(job) for caller, job in jobs.items()}
         unique = {}
         for caller, job in jobs.items():
             unique.setdefault(content[caller], job)
@@ -754,11 +727,8 @@ class SweepEngine:
         report.elapsed = time.monotonic() - started
         self.last_report = report
         self.progress.sweep_finished(report)
-        if self.runner is not None:
-            return {caller: payloads[content[caller]] for caller in jobs}
-        return {caller: _apprun_from_payload(jobs[caller],
-                                             payloads[content[caller]])
-                for caller in jobs}
+        return {caller: job.load(payloads[content[caller]])
+                for caller, job in jobs.items()}
 
     # -- execution ---------------------------------------------------------
 
@@ -768,15 +738,15 @@ class SweepEngine:
             # allocate heavily (events, messages, payload dicts), which
             # triggers collections constantly, yet reference counting
             # frees all of it, finished Systems included, since the
-            # runners close them (System.close breaks their cycles).  The
-            # collect at the end reclaims what a custom runner leaves.
+            # jobs close them (System.close breaks their cycles).  The
+            # collect at the end reclaims whatever cycles a job leaves.
             gc_was_enabled = gc.isenabled()
             if gc_was_enabled:
                 gc.disable()
             try:
                 for key, job in misses.items():
                     job_started = time.monotonic()
-                    status, payload = _execute_job(job, self.runner)
+                    status, payload = _execute_job(job)
                     self._finish(key, job, status, payload, payloads, times,
                                  time.monotonic() - job_started)
             finally:
@@ -788,7 +758,7 @@ class SweepEngine:
         try:
             pending = {}
             for key, job in misses.items():
-                pending[pool.submit(key, job, self.runner)] = (
+                pending[pool.submit(key, job)] = (
                     key, job, time.monotonic())
             for future in futures.as_completed(pending):
                 key, job, job_started = pending[future]

@@ -181,7 +181,7 @@ class DragonHub(Hub):
         self.stats.inc(S.INTERVENTIONS)
         value = self.hierarchy.downgrade(addr)
         if self.tracer is not None:
-            self.tracer.update_push(self.node, addr, self.events.now,
+            self.tracer.update_push(self.node, addr, self.events._now,
                                     targets=len(targets), pruned=0)
         self._publish_wait[addr] = {"missing": len(targets), "value": value}
         self._push_updates(targets, addr, value, ack=True)

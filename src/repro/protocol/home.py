@@ -294,7 +294,7 @@ class HomeMixin:
         self.stats.inc(S.DELEGATIONS)
         if self.tracer is not None:
             self.tracer.event("dele.initiate", self.node, entry.addr,
-                              self.events.now, producer=producer)
+                              self.events._now, producer=producer)
         snapshot = {
             "state": DirState.EXCL,
             "owner": producer,
@@ -327,7 +327,7 @@ class HomeMixin:
         entry = self.home_memory.entry(msg.addr)
         if self.tracer is not None:
             self.tracer.event("dele.returned", self.node, msg.addr,
-                              self.events.now, producer=msg.src)
+                              self.events._now, producer=msg.src)
         pending = entry.busy  # capture before restore() clears it
         entry.restore(msg.payload["dir"])
         entry.value = msg.value

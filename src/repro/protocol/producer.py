@@ -37,7 +37,7 @@ class ProducerMixin:
         if self._accept_delegation(addr, snapshot, msg.value):
             self.stats.inc("dele.accepted")
             if self.tracer is not None:
-                self.tracer.delegation_begin(self.node, addr, self.events.now)
+                self.tracer.delegation_begin(self.node, addr, self.events._now)
         else:
             # No room to act as home: take the exclusive grant but hand the
             # directory straight back (an accept-and-immediately-undelegate).
@@ -45,7 +45,7 @@ class ProducerMixin:
             self.stats.inc(S.UNDELEGATIONS + "declined")
             if self.tracer is not None:
                 self.tracer.event("dele.declined", self.node, addr,
-                                  self.events.now)
+                                  self.events._now)
             self.send(Message(
                 MsgType.UNDELE, src=self.node, dst=msg.src, addr=addr,
                 value=msg.value,
@@ -225,7 +225,7 @@ class ProducerMixin:
                 "undelegating busy line 0x%x (%s)" % (addr, reason))
         self.stats.inc(S.UNDELEGATIONS + reason)
         if self.tracer is not None:
-            self.tracer.delegation_end(self.node, addr, self.events.now,
+            self.tracer.delegation_end(self.node, addr, self.events._now,
                                        reason)
         self._cancel_intervention(addr)
         notice = self.hierarchy.evict(addr)
@@ -261,7 +261,7 @@ class ProducerMixin:
         epoch = self._intervention_epoch.get(addr, 0) + 1
         self._intervention_epoch[addr] = epoch
         if self.tracer is not None:
-            self.tracer.intervention_armed(self.node, addr, self.events.now)
+            self.tracer.intervention_armed(self.node, addr, self.events._now)
         self.events.schedule(self.config.protocol.intervention_delay,
                              self._fire_intervention, addr, epoch)
 
@@ -270,7 +270,7 @@ class ProducerMixin:
             self._intervention_epoch[addr] += 1
             if self.tracer is not None:
                 self.tracer.intervention_resolved(
-                    self.node, addr, self.events.now, "cancelled")
+                    self.node, addr, self.events._now, "cancelled")
 
     def _fire_intervention(self, addr, epoch):
         if self._intervention_epoch.get(addr) != epoch:
@@ -282,7 +282,7 @@ class ProducerMixin:
                 or not self.hierarchy.state_of(addr).writable):
             if self.tracer is not None:
                 self.tracer.intervention_resolved(self.node, addr,
-                                                  self.events.now, "abandoned")
+                                                  self.events._now, "abandoned")
             return
         self.stats.inc(S.INTERVENTIONS)
         value = self.hierarchy.downgrade(addr)
@@ -305,7 +305,7 @@ class ProducerMixin:
         if pruned:
             self.stats.inc("update.pruned", pruned)
         if self.tracer is not None:
-            self.tracer.update_push(self.node, addr, self.events.now,
+            self.tracer.update_push(self.node, addr, self.events._now,
                                     targets=len(targets), pruned=pruned)
         entry.value = value
         entry.state = DirState.SHARED
@@ -374,7 +374,7 @@ class ProducerMixin:
                 self.rac.insert_update(addr, msg.value)
         if self.tracer is not None:
             self.tracer.event("update.recv", self.node, addr,
-                              self.events.now, src=msg.src, outcome=outcome)
+                              self.events._now, src=msg.src, outcome=outcome)
 
     def _on_update_ack(self, msg):
         entry = self._acting_home_entry(msg.addr)

@@ -58,7 +58,7 @@ class RequesterMixin:
                 self.stats.inc(S.HIT_RAC)
                 if self.tracer is not None:
                     self.tracer.event("rac.hit", self.node, addr,
-                                      self.events.now,
+                                      self.events._now,
                                       kind=rac_line.kind.value)
                 if rac_line.kind is RacKind.UPDATE:
                     self.stats.inc(S.HIT_RAC_UPDATE)
@@ -87,7 +87,7 @@ class RequesterMixin:
         else:
             mtype = MsgType.GETS
         if self.tracer is not None:
-            self.tracer.miss_issue(self.node, miss.addr, self.events.now,
+            self.tracer.miss_issue(self.node, miss.addr, self.events._now,
                                    target, mtype.label)
         self.send(Message(mtype, self.node, target, miss.addr, 0, payload))
 
@@ -281,7 +281,7 @@ class RequesterMixin:
     def _retry_miss(self, miss, reason="nack"):
         self.stats.inc(S.NACKS)
         if self.tracer is not None:
-            self.tracer.miss_nack(self.node, miss.addr, self.events.now,
+            self.tracer.miss_nack(self.node, miss.addr, self.events._now,
                                   reason)
         miss.retries += 1
         if miss.retries > self.config.protocol.max_retries:

@@ -18,7 +18,7 @@ Typical embedded use (tests; the CLI equivalent is ``repro serve``)::
 from .api import build_router, build_server, serve
 from .client import ServeAPIError, ServeClient
 from .events import EventHub, SSEProgress
-from .jobspec import JobSpec, SpecError, WorkUnit, parse_job, traced_sim_runner
+from .jobspec import JobSpec, SpecError, TracedSweepJob, WorkUnit, parse_job
 from .metrics import ServiceMetrics
 from .service import Job, JobService, ServiceConfig, UnitState
 
@@ -33,11 +33,11 @@ __all__ = [
     "ServiceConfig",
     "ServiceMetrics",
     "SpecError",
+    "TracedSweepJob",
     "UnitState",
     "WorkUnit",
     "build_router",
     "build_server",
     "parse_job",
     "serve",
-    "traced_sim_runner",
 ]

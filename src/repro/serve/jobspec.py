@@ -1,10 +1,11 @@
 """Job-spec validation: client JSON -> content-addressed work units.
 
 A service job arrives as one JSON document and expands into *units*, each
-a :class:`~repro.harness.sweep.SweepJob` plus an optional custom runner,
-keyed by :func:`~repro.harness.sweep.job_key` — the same content hashes
-the sweep engine and its cache use, which is what makes cross-client
-dedupe and cache sharing fall out for free.
+a sweep job (a :class:`~repro.harness.sweep.SweepJob`, a
+:class:`TracedSweepJob` or a :class:`~repro.fuzz.runner.FuzzJob`), keyed
+by :func:`~repro.harness.sweep.job_key` — the same content hashes the
+sweep engine and its cache use, which is what makes cross-client dedupe
+and cache sharing fall out for free.
 
 Three kinds are accepted::
 
@@ -21,7 +22,7 @@ the offending field — the API layer maps it to a 400.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List
 
 from ..common import params
 from ..common.errors import ConfigError
@@ -43,9 +44,8 @@ class SpecError(ValueError):
 class WorkUnit:
     """One executable simulation inside a service job."""
 
-    key: str                      # job_key(job, runner): the cache identity
-    job: SweepJob
-    runner: Optional[Callable] = None   # module-level custom runner or None
+    key: str                      # job_key(job): the cache identity
+    job: object                   # a sweep job (see SweepJob)
     label: str = ""
 
 
@@ -121,22 +121,19 @@ def _common_numbers(doc):
     return seed, float(scale)
 
 
-def traced_sim_runner(job):
-    """Worker-side runner for ``trace: true`` sim jobs (module-level so it
-    pickles by reference).  Returns the normal sweep payload plus a
+@dataclass(frozen=True)
+class TracedSweepJob(SweepJob):
+    """A ``trace: true`` sim job: the normal sweep payload plus a
     ``trace`` field holding the Perfetto/Chrome JSON document, which the
     service serves at ``/traces/<key>`` and the dashboard links."""
-    from ..harness.runner import run_app
-    from ..harness.sweep import _payload_from_run
-    from ..obs import TraceConfig, Tracer, to_perfetto
 
-    tracer = Tracer(TraceConfig(capture_messages=False))
-    run = run_app(job.app, job.config, num_cpus=job.num_cpus, seed=job.seed,
-                  scale=job.scale, check_coherence=job.check_coherence,
-                  chaos=job.chaos, trace=tracer)
-    payload = dict(_payload_from_run(run))
-    payload["trace"] = to_perfetto(tracer)
-    return payload
+    def run(self):
+        from ..obs import TraceConfig, Tracer, to_perfetto
+
+        tracer = Tracer(TraceConfig(capture_messages=False))
+        payload = super().run(trace=tracer)
+        payload["trace"] = to_perfetto(tracer)
+        return payload
 
 
 def _sim_units(doc):
@@ -155,11 +152,10 @@ def _sim_units(doc):
     trace = doc.get("trace", False)
     if not isinstance(trace, bool):
         raise SpecError("'trace' must be a bool")
-    job = SweepJob(app=app, config=config, seed=seed, scale=scale,
-                   num_cpus=num_cpus, check_coherence=check)
-    runner = traced_sim_runner if trace else None
-    return [WorkUnit(key=job_key(job, runner), job=job, runner=runner,
-                     label=job.describe())]
+    job = (TracedSweepJob if trace else SweepJob)(
+        app=app, config=config, seed=seed, scale=scale, num_cpus=num_cpus,
+        check_coherence=check)
+    return [WorkUnit(key=job_key(job), job=job, label=job.describe())]
 
 
 def _sweep_units(doc):
@@ -190,8 +186,7 @@ def _sweep_units(doc):
 
 
 def _fuzz_units(doc):
-    from ..fuzz.runner import run_seed_payload
-    from ..fuzz.scenarios import FuzzScenario
+    from ..fuzz.runner import FuzzJob
 
     seeds = doc.get("seeds")
     if seeds is None:
@@ -206,11 +201,8 @@ def _fuzz_units(doc):
     _, scale = _common_numbers(doc)
     units = []
     for seed in seeds:
-        scenario = FuzzScenario.from_seed(seed, scale=scale)
-        job = SweepJob(app="fuzz", config=scenario.config, seed=seed,
-                       scale=scale, chaos=scenario.chaos)
-        units.append(WorkUnit(key=job_key(job, run_seed_payload), job=job,
-                              runner=run_seed_payload,
+        job = FuzzJob(seed, scale)
+        units.append(WorkUnit(key=job_key(job), job=job,
                               label="fuzz seed %d" % seed))
     return units
 

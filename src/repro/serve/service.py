@@ -236,7 +236,7 @@ class JobService:
                         raise asyncio.CancelledError()
                     started = time.monotonic()
                     payload = await asyncio.wrap_future(self.pool.submit(
-                        unit.key, unit.job, unit.runner))
+                        unit.key, unit.job))
                     elapsed = time.monotonic() - started
                 self.metrics.units_executed += 1
                 self.cache.put(unit.key, unit.job, payload, elapsed)

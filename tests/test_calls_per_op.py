@@ -25,20 +25,20 @@ def tool():
 
 #: ``{workload: ({layer: calls}, work)}`` at the benchmark's tiny size.
 TINY = {
-    "headline": ({"analysis": 846, "cache": 177925, "common": 11029,
+    "headline": ({"analysis": 846, "cache": 177925, "common": 10987,
                   "common.events": 36917, "directory": 46702,
-                  "harness": 237, "network": 48740, "obs": 2074,
+                  "harness": 195, "network": 48719, "obs": 2074,
                   "protocol": 189417, "sim": 100830,
                   "sim.coherence_check": 40179, "workloads": 7338}, 32796),
-    "storm256": ({"cache": 19542, "common": 1764, "common.events": 4134,
-                  "directory": 4346, "fuzz": 12, "harness": 19,
-                  "network": 8314, "obs": 516, "protocol": 28913,
+    "storm256": ({"cache": 19542, "common": 1710, "common.events": 4134,
+                  "directory": 4330, "fuzz": 8, "harness": 19,
+                  "network": 8312, "obs": 516, "protocol": 28913,
                   "sim": 5520, "sim.coherence_check": 1282,
                   "workloads": 410}, 1600),
     "verify": ({"mc": 64127, "spec": 56906}, 3499),
-    "fuzz": ({"cache": 27192, "common": 6783, "common.events": 8311,
-              "directory": 7520, "fuzz": 224, "harness": 30, "mc": 2205,
-              "network": 37411, "obs": 18327, "protocol": 32214,
+    "fuzz": ({"cache": 27192, "common": 6642, "common.events": 6082,
+              "directory": 7480, "fuzz": 219, "harness": 25, "mc": 2205,
+              "network": 37396, "obs": 18327, "protocol": 32214,
               "sim": 9712, "sim.coherence_check": 2212,
               "workloads": 757}, 3168),
 }

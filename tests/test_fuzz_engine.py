@@ -10,7 +10,7 @@ the artifact replays bit-identically while the bug exists — and reports
 
 import json
 import os
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -396,7 +396,7 @@ class TestShrinker:
 
 def stub_run_case(monkeypatch, stub):
     """Replace the case runner of corpus runs (which reach it through
-    the sweep runner ``run_seed_payload``) and of replays alike."""
+    ``FuzzJob.run``) and of replays alike."""
     monkeypatch.setattr(runner_mod, "run_case", stub)
     monkeypatch.setattr(engine_mod, "run_case", stub)
 
@@ -491,26 +491,40 @@ class TestSweepIntegration:
         assert serial.ok and pooled.ok
         assert serial.passed == pooled.passed == 2
 
-    def test_custom_runner_returns_raw_payloads(self):
-        engine = SweepEngine(jobs=1, cache=False,
-                             runner=_echo_runner)
-        out = engine.run_many({"a": SweepJob(app="x", config=baseline(),
-                                             seed=7)})
+    def test_custom_job_returns_raw_payloads(self):
+        engine = SweepEngine(jobs=1, cache=False)
+        out = engine.run_many({"a": EchoJob(app="x", config=baseline(),
+                                            seed=7)})
         assert out == {"a": {"seed": 7, "app": "x"}}
 
-    def test_custom_runner_shares_cache_keyed_by_identity(self, tmp_path):
-        """Runner identity is part of job_key: cached custom-runner
-        payloads replay, and never alias the default runner's entries."""
-        the_job = SweepJob(app="x", config=baseline(), seed=7)
-        engine = SweepEngine(jobs=1, cache=True, cache_dir=str(tmp_path),
-                             runner=_echo_runner)
+    def test_custom_job_shares_cache_keyed_by_type(self, tmp_path):
+        """The job type is part of job_key: cached custom-job payloads
+        replay, and never alias a SweepJob with the same fields."""
+        the_job = EchoJob(app="x", config=baseline(), seed=7)
+        engine = SweepEngine(jobs=1, cache=True, cache_dir=str(tmp_path))
         first = engine.run_many({"a": the_job})
         assert engine.last_report.executed == 1
         second = engine.run_many({"a": the_job})
         assert engine.last_report.executed == 0
         assert engine.last_report.cached == 1
         assert second == first
-        assert job_key(the_job, _echo_runner) != job_key(the_job)
+        assert job_key(the_job) != job_key(
+            SweepJob(app="x", config=baseline(), seed=7))
+
+    def test_corpus_rolls_each_scenario_once(self, tmp_path, monkeypatch):
+        rolled = []
+        from_seed = FuzzScenario.from_seed.__func__
+
+        def counting(cls, seed, *args, **kwargs):
+            rolled.append(seed)
+            return from_seed(cls, seed, *args, **kwargs)
+
+        monkeypatch.setattr(FuzzScenario, "from_seed",
+                            classmethod(counting))
+        report = FuzzEngine(jobs=1, out_dir=str(tmp_path),
+                            scale=0.2).run_corpus([0, 1])
+        assert report.ok
+        assert rolled == [0, 1]
 
     def test_cached_fuzz_corpus_replays(self, tmp_path):
         seeds = [0, 1]
@@ -532,8 +546,15 @@ class TestSweepIntegration:
             base, chaos=ChaosConfig(seed=1, delay_jitter=5)))
 
 
-def _echo_runner(job):
-    return {"seed": job.seed, "app": job.app}
+@dataclass(frozen=True)
+class EchoJob(SweepJob):
+    """A custom job type whose payload is its own seed and app."""
+
+    def run(self):
+        return {"seed": self.seed, "app": self.app}
+
+    def load(self, payload):
+        return payload
 
 
 # -- CLI --------------------------------------------------------------------

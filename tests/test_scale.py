@@ -18,6 +18,7 @@ from repro.fuzz.scenarios import (
     storm_workload_kwargs,
 )
 from repro.harness.scale import run_scale, scale_engine
+from repro.harness.sweep import SweepEngine
 from repro.workloads import regions
 
 
@@ -132,6 +133,14 @@ class TestScaleHarness:
             "coarse:16": (45425, 29829, 11989, 1946976),
             "limited:2": (47570, 29297, 12758, 2068320),
         }
+
+    def test_any_engine_runs_scale_cells(self):
+        """Scale cells are jobs like any other: a plain engine returns
+        the same document as the scale engine."""
+        axes = dict(nodes=(16,), formats=("full", "limited:2"), scale=0.5)
+        plain = run_scale(engine=SweepEngine(jobs=1), **axes)
+        wired = run_scale(engine=scale_engine(jobs=1), **axes)
+        assert plain.to_json() == wired.to_json()
 
     def test_bad_axes_fail_fast(self):
         from repro.common import ConfigError

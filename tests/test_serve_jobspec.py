@@ -3,13 +3,14 @@
 import pytest
 
 from repro.common import params
-from repro.fuzz.runner import run_seed_payload
-from repro.harness.sweep import job_key
+from repro.fuzz.runner import FuzzJob
+from repro.fuzz.scenarios import FuzzScenario
+from repro.harness.sweep import SweepJob, job_key
 from repro.serve.jobspec import (
     SpecError,
+    TracedSweepJob,
     parse_job,
     resolve_config,
-    traced_sim_runner,
 )
 
 
@@ -66,17 +67,17 @@ class TestSimSpec:
         assert spec.kind == "sim"
         assert len(spec.units) == 1
         unit = spec.units[0]
-        assert unit.runner is None
+        assert type(unit.job) is SweepJob
         assert unit.key == job_key(unit.job)
         assert unit.job.app == "ocean"
         assert unit.job.scale == 0.1
 
-    def test_traced_sim_uses_traced_runner_key(self):
+    def test_traced_sim_uses_traced_job_key(self):
         plain = parse_job(self.spec()).units[0]
         traced = parse_job(self.spec(trace=True)).units[0]
-        assert traced.runner is traced_sim_runner
-        assert traced.key == job_key(traced.job, traced_sim_runner)
-        assert traced.key != plain.key     # runner identity is in the key
+        assert type(traced.job) is TracedSweepJob
+        assert traced.key == job_key(traced.job)
+        assert traced.key != plain.key     # the job type is in the key
 
     @pytest.mark.parametrize("overrides", [
         {"app": "nope"},
@@ -126,25 +127,32 @@ class TestSweepSpec:
 class TestFuzzSpec:
     def test_seed_list(self):
         spec = parse_job({"kind": "fuzz", "seeds": [1, 2], "scale": 0.5})
-        assert [u.job.seed for u in spec.units] == [1, 2]
-        assert all(u.runner is run_seed_payload for u in spec.units)
-        assert all(u.key == job_key(u.job, run_seed_payload)
-                   for u in spec.units)
+        assert [u.job for u in spec.units] == [FuzzJob(1, 0.5),
+                                               FuzzJob(2, 0.5)]
+        assert all(u.key == job_key(u.job) for u in spec.units)
 
     def test_seed_range(self):
         spec = parse_job({"kind": "fuzz", "seed_start": 5, "count": 3})
         assert [u.job.seed for u in spec.units] == [5, 6, 7]
 
     def test_scenario_chaos_lands_in_job(self):
-        # Unit jobs carry the rolled scenario config/chaos, so the key
-        # hashes the full fuzz content (same identity the fuzz pool uses).
+        # The unit's job rolls the seed's full scenario, config and chaos
+        # included, when it runs (the same job the fuzz pool submits).
         spec = parse_job({"kind": "fuzz", "seeds": [3]})
-        from repro.fuzz.scenarios import FuzzScenario
         scenario = FuzzScenario.from_seed(3, scale=1.0)
-        unit = spec.units[0]
-        assert params.config_digest(unit.job.config) == \
+        rolled = spec.units[0].job.scenario()
+        assert params.config_digest(rolled.config) == \
             params.config_digest(scenario.config)
-        assert unit.job.chaos == scenario.chaos
+        assert rolled.chaos == scenario.chaos
+
+    def test_expansion_rolls_no_scenario(self, monkeypatch):
+        def refuse(cls, *args, **kwargs):
+            raise AssertionError("parse_job rolled a scenario")
+
+        monkeypatch.setattr(FuzzScenario, "from_seed", classmethod(refuse))
+        spec = parse_job({"kind": "fuzz", "seed_start": 0, "count": 4096})
+        assert len(spec.units) == 4096
+        assert len({u.key for u in spec.units}) == 4096
 
     @pytest.mark.parametrize("doc", [
         {"kind": "fuzz"},

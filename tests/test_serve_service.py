@@ -101,8 +101,8 @@ class FakeWork:
         self.max_concurrent = 0
         self._lock = threading.Lock()
 
-    def __call__(self, job, runner=None):
-        key = job_key(job, runner)
+    def __call__(self, job):
+        key = job_key(job)
         with self._lock:
             self.started.append(key)
             self.concurrent += 1
@@ -186,7 +186,7 @@ class TestRetries:
     def test_pool_crash_is_retried_with_rebuild(self, monkeypatch):
         calls = {"n": 0}
 
-        def flaky(job, runner):
+        def flaky(job):
             calls["n"] += 1
             if calls["n"] < 3:
                 raise BrokenProcessPool("worker died")
@@ -200,7 +200,7 @@ class TestRetries:
         assert pool.running == 0
 
     def test_crashes_beyond_retry_budget_surface(self, monkeypatch):
-        def always_broken(job, runner):
+        def always_broken(job):
             raise BrokenProcessPool("worker died")
 
         monkeypatch.setattr(sweep, "_execute_job", always_broken)
@@ -214,7 +214,7 @@ class TestRetries:
     def test_deterministic_failure_is_not_retried(self, monkeypatch):
         calls = {"n": 0}
 
-        def failing(job, runner):
+        def failing(job):
             calls["n"] += 1
             return "error", "Traceback: deterministic boom"
 

@@ -10,8 +10,7 @@ from repro.common.events import EventQueue
 from repro.fuzz.runner import run_case
 from repro.fuzz.scenarios import FuzzScenario
 from repro.harness.runner import run_app
-from repro.harness.scale import scale_runner
-from repro.harness.sweep import SweepJob
+from repro.harness.scale import StormJob
 from repro.sim import (
     Barrier,
     BarrierManager,
@@ -190,7 +189,7 @@ class TestSystem:
 
 
 class TestClose:
-    """The runners that read only plain results close their System, so a
+    """The runs that read only plain results close their System, so a
     finished run leaves no cycle for the cyclic GC to walk."""
 
     @staticmethod
@@ -208,10 +207,9 @@ class TestClose:
         assert self.cyclic_garbage(
             lambda: run_app("em3d", small4, scale=0.02)) == 0
 
-    def test_scale_runner(self):
-        config = FuzzScenario.storm(0, num_nodes=8).config
-        job = SweepJob(app="storm", config=config, seed=0, scale=0.1)
-        assert self.cyclic_garbage(lambda: scale_runner(job)) == 0
+    def test_storm_job(self):
+        job = StormJob(seed=0, num_nodes=8, scale=0.1)
+        assert self.cyclic_garbage(job.run) == 0
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_run_case(self, seed):

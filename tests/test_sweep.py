@@ -10,13 +10,16 @@ import hashlib
 import json
 import os
 import shutil
-from dataclasses import replace
+from dataclasses import asdict, dataclass, replace
 
 import pytest
 
 from repro.common import baseline, small
 from repro.common.params import config_digest
+from repro.fuzz.runner import CaseResult, FuzzJob
 from repro.harness import run_app, sweep
+from repro.harness.runner import AppRun
+from repro.harness.scale import StormJob
 from repro.harness.sweep import (
     CACHE_FORMAT,
     ResultCache,
@@ -30,25 +33,39 @@ from repro.network.chaos import chaos_to_dict
 
 SCALE = 0.1
 
-#: Environment variable naming the marker file :func:`crash_once_runner`
+#: Environment variable naming the marker file :class:`CrashOnceJob`
 #: creates; set before the pool spawns, so every worker inherits it.
 CRASH_MARKER = "REPRO_TEST_CRASH_MARKER"
 
 
-def crash_once_runner(job):
-    """Kills its worker on the first call across all workers (the marker
+@dataclass(frozen=True)
+class CrashOnceJob:
+    """Kills its worker on the first run across all workers (the marker
     file is created exclusively), then returns a tiny payload."""
-    try:
-        os.close(os.open(os.environ[CRASH_MARKER],
-                         os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-    except FileExistsError:
-        return {"seed": job.seed}
-    os._exit(1)
+
+    seed: int
+
+    def run(self):
+        try:
+            os.close(os.open(os.environ[CRASH_MARKER],
+                             os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            return {"seed": self.seed}
+        os._exit(1)
+
+    def load(self, payload):
+        return payload
+
+    def describe(self):
+        return "%s seed=%d" % (type(self).__name__, self.seed)
 
 
-def always_crash_runner(job):
-    """Kills its worker on every call."""
-    os._exit(1)
+@dataclass(frozen=True)
+class AlwaysCrashJob(CrashOnceJob):
+    """Kills its worker on every run."""
+
+    def run(self):
+        os._exit(1)
 
 
 def job(app="ocean", config=None, **kwargs):
@@ -191,6 +208,20 @@ class TestSerialEngine:
         assert err.value.key == job_key(bad)
         assert "no_such_app" in err.value.worker_traceback
 
+    def test_one_batch_mixes_job_types(self):
+        """Each job shapes its own result, and the job type is part of
+        the key: one engine runs any mix."""
+        jobs = {"sim": job(), "storm": StormJob(seed=0, num_nodes=8,
+                                                scale=0.1),
+                "fuzz": FuzzJob(seed=0, scale=0.2)}
+        engine = SweepEngine()
+        out = engine.run_many(jobs)
+        assert isinstance(out["sim"], AppRun)
+        assert isinstance(out["storm"], dict) and out["storm"]["cycles"] > 0
+        assert isinstance(out["fuzz"], CaseResult) and out["fuzz"].seed == 0
+        assert len({job_key(j) for j in jobs.values()}) == 3
+        assert engine.last_report.unique == engine.last_report.executed == 3
+
     def test_gc_state_restored_after_serial_batch(self):
         import gc
         assert gc.isenabled()
@@ -281,6 +312,42 @@ class TestCache:
         run = engine.run_many([the_job])[0]
         assert engine.last_report.executed == 1
         assert run.metrics.cycles > 1 and run.latency is not None
+
+    def test_format_4_entry_misses(self, tmp_path):
+        """Entries keyed before jobs carried their own type (a ``runner``
+        tag and a config digest instead) are never replayed."""
+        assert CACHE_FORMAT > 4
+        the_job = job()
+        old_spec = {
+            "format": 4, "source": sweep.source_digest(sweep.SOURCE_ROOT),
+            "app": the_job.app, "config": config_digest(the_job.config),
+            "seed": the_job.seed, "scale": the_job.scale,
+            "num_cpus": the_job.num_cpus,
+            "check_coherence": the_job.check_coherence,
+            "chaos": chaos_to_dict(the_job.chaos), "runner": None,
+        }
+        old_key = hashlib.sha256(json.dumps(
+            old_spec, sort_keys=True, separators=(",", ":")).encode()
+        ).hexdigest()
+        assert old_key != job_key(the_job)
+        stale = {"format": 4, "key": old_key,
+                 "result": {"cycles": 1, "stats": {}, "latency": None}}
+        (tmp_path / old_key[:2]).mkdir()
+        (tmp_path / old_key[:2] / (old_key + ".json")).write_text(
+            json.dumps(stale))
+        engine = SweepEngine(cache=True, cache_dir=str(tmp_path))
+        run = engine.run_many([the_job])[0]
+        assert engine.last_report.executed == 1
+        assert run.metrics.cycles > 1
+
+    def test_entry_records_the_job_fields(self, tmp_path):
+        """An entry records the job's fields, as its key hashes them."""
+        the_job = job()
+        SweepEngine(cache=True, cache_dir=str(tmp_path)).run_many([the_job])
+        key = job_key(the_job)
+        doc = json.loads((tmp_path / key[:2] / (key + ".json")).read_text())
+        assert doc["job"] == json.loads(json.dumps(asdict(the_job)))
+        assert doc["job"]["config"]["num_nodes"] == 4
 
     def test_cache_disabled_writes_nothing(self, tmp_path):
         engine = SweepEngine(cache=False, cache_dir=str(tmp_path))
@@ -379,25 +446,26 @@ class TestWorkerDeath:
     def no_backoff(self, monkeypatch):
         monkeypatch.setattr(sweep, "RETRY_BASE", 0.0)
 
-    def batch(self):
-        return [job(seed=1), job(seed=2)]
+    @staticmethod
+    def batch(job_type):
+        return [job_type(seed=1), job_type(seed=2)]
 
     def test_death_is_retried_on_a_rebuilt_pool(self, tmp_path,
                                                 monkeypatch):
         marker = tmp_path / "crashed"
         monkeypatch.setenv(CRASH_MARKER, str(marker))
-        engine = SweepEngine(jobs=2, runner=crash_once_runner)
-        assert engine.run_many(self.batch()) == {0: {"seed": 1},
-                                                 1: {"seed": 2}}
+        engine = SweepEngine(jobs=2)
+        assert engine.run_many(self.batch(CrashOnceJob)) == {
+            0: {"seed": 1}, 1: {"seed": 2}}
         assert marker.exists()
         assert engine.last_report.crashes == 1
         assert engine.last_report.retries == 1
 
     def test_repeated_death_gives_up_naming_the_job(self):
-        engine = SweepEngine(jobs=2, runner=always_crash_runner)
+        engine = SweepEngine(jobs=2)
         with pytest.raises(SweepError) as err:
-            engine.run_many(self.batch())
-        keys = {job_key(j, always_crash_runner) for j in self.batch()}
+            engine.run_many(self.batch(AlwaysCrashJob))
+        keys = {job_key(j) for j in self.batch(AlwaysCrashJob)}
         assert err.value.key in keys
         assert err.value.key[:16] in str(err.value)
         assert "gave up after 2 retries" in err.value.worker_traceback

@@ -12,7 +12,10 @@ asserts the end-to-end contract:
 3. ``/metrics`` reflects the run (units executed, workers configured,
    no worker crashes or retries);
 4. a duplicate POST of the same sweep is served entirely from the shared
-   result cache — non-zero hit-rate, zero new executions.
+   result cache — non-zero hit-rate, zero new executions;
+5. a 2-seed fuzz job and a ``trace: true`` sim job run to ``done`` on the
+   worker processes (their job types cross the spawn pickle channel), and
+   ``/traces/<key>`` serves the traced sim's Perfetto document.
 
 Exit code 0 on success; any assertion or timeout is a failure.
 """
@@ -31,6 +34,9 @@ from repro.serve.client import ServeClient  # noqa: E402
 
 SWEEP = {"kind": "sweep", "apps": ["ocean"], "systems": ["base", "rac32k"],
          "nodes": 4, "scale": 0.05}
+FUZZ = {"kind": "fuzz", "seeds": [0, 1]}
+TRACED = {"kind": "sim", "app": "ocean", "system": "base", "nodes": 4,
+          "scale": 0.05, "trace": True}
 
 
 def wait_for_port(port_file, process, timeout=30.0):
@@ -102,6 +108,25 @@ def main(argv=None):
               "(hit_rate=%.2f, executed still %d)"
               % (metrics["cache"]["hit_rate"],
                  metrics["units"]["executed"]))
+
+        finals = {}
+        for name, spec in (("fuzz", FUZZ), ("traced sim", TRACED)):
+            posted = client.post_job(spec)
+            finals[name] = client.follow(posted["id"], timeout=args.timeout)
+            assert finals[name]["state"] == "done", finals[name]
+            print("serve-smoke: %s job %s done (%d units)"
+                  % (name, posted["id"], len(finals[name]["units"])))
+        for unit in finals["fuzz"]["units"]:
+            verdict = client.result(unit["key"])
+            assert verdict["ok"], verdict
+        trace = client.trace(finals["traced sim"]["units"][0]["key"])
+        assert trace["traceEvents"], sorted(trace)
+        metrics = client.metrics()
+        assert metrics["units"]["executed"] == \
+            len(SWEEP["systems"]) + len(FUZZ["seeds"]) + 1, metrics["units"]
+        assert metrics["workers"]["crashes"] == 0, metrics["workers"]
+        print("serve-smoke: /traces served %d trace events"
+              % len(trace["traceEvents"]))
         print("serve-smoke: ok")
         return 0
     finally:
