@@ -11,7 +11,7 @@ from .compare import (
 )
 from .metrics import RunMetrics, consumer_histogram, metrics_from_result
 from .model import LatencyModel, speedup_bound
-from .tables import paper_vs_measured, render_series, render_table
+from .tables import render_series, render_table
 
 __all__ = [
     "AreaBudget",
@@ -28,11 +28,10 @@ __all__ = [
     "metrics_from_result",
     "LatencyModel",
     "speedup_bound",
-    "paper_vs_measured",
     "render_series",
     "render_table",
 ]
 
-from .ascii_charts import bar_chart, grouped_bar_chart, speedup_figure
+from .ascii_charts import bar_chart
 
-__all__ += ["bar_chart", "grouped_bar_chart", "speedup_figure"]
+__all__ += ["bar_chart"]

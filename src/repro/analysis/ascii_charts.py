@@ -1,8 +1,8 @@
 """ASCII bar charts for figure-shaped results.
 
-The paper's figures are grouped bar charts; these helpers render the
-regenerated data in that shape directly in the terminal, so bench output
-can be eyeballed against the paper's figures without plotting tools.
+The paper's figures are bar charts; these helpers render regenerated data
+in that shape directly in the terminal, so output can be eyeballed
+against the paper's figures without plotting tools.
 """
 
 from ..common.errors import ConfigError
@@ -43,39 +43,3 @@ def bar_chart(series, title=None, width=40, vmax=None, fmt="%.3f"):
                                      hbar(value, scale, width),
                                      fmt % value))
     return "\n".join(lines)
-
-
-def grouped_bar_chart(groups, title=None, width=32, vmax=None, fmt="%.3f"):
-    """Figure-7-style grouped bars.
-
-    ``groups`` maps a group label (e.g. an app) to a list of
-    (series label, value) pairs (e.g. the six system configurations).
-    """
-    if not groups:
-        raise ConfigError("nothing to chart")
-    all_values = [v for rows in groups.values() for _l, v in rows]
-    scale = vmax if vmax is not None else max(all_values)
-    if scale <= 0:
-        scale = 1.0
-    series_width = max(len(str(label))
-                       for rows in groups.values() for label, _v in rows)
-    lines = []
-    if title:
-        lines.append(title)
-    for group, rows in groups.items():
-        lines.append(str(group))
-        for label, value in rows:
-            lines.append("  %s |%s| %s" % (str(label).rjust(series_width),
-                                           hbar(value, scale, width),
-                                           fmt % value))
-    return "\n".join(lines)
-
-
-def speedup_figure(speedups, systems=None, title="speedup", width=32):
-    """Render Figure 7's speedup panel from the experiment output
-    (``{app: {system: value}}``)."""
-    groups = {}
-    for app, row in speedups.items():
-        names = systems if systems is not None else list(row)
-        groups[app] = [(name, row[name]) for name in names]
-    return grouped_bar_chart(groups, title=title, width=width)

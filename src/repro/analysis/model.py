@@ -4,8 +4,8 @@ The conclusion sketches a simple analytical result: *"as network latency
 grows, the achievable speedup is limited to 1/(1-accuracy)"*, where
 accuracy is the fraction of consumer read misses the update mechanism
 successfully converts to local hits.  This module implements that model
-and a slightly richer latency-decomposition variant used by the ablation
-benches to sanity-check measured speedups.
+and a slightly richer latency-decomposition variant, against which
+measured speedups can be sanity-checked.
 
 Derivation of the bound: let every consumer read cost ``R`` cycles remote
 and ``~0`` local, and let ``a`` be update accuracy.  With compute ``C``

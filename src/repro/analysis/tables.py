@@ -69,13 +69,3 @@ def render_series(title, xlabel, series):
             lines.append("    %-12s %s" % (x, "%.4f" % y if isinstance(y, float) else y))
     lines.append("  (x axis: %s)" % xlabel)
     return "\n".join(lines)
-
-
-def paper_vs_measured(rows, title):
-    """Render (label, paper value, measured value) rows with deltas."""
-    table_rows = []
-    for label, paper, measured in rows:
-        delta = measured - paper
-        table_rows.append([label, paper, measured, "%+.3f" % delta])
-    return render_table(["metric", "paper", "measured", "delta"],
-                        table_rows, title=title)

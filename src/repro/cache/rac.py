@@ -125,14 +125,6 @@ class RemoteAccessCache:
             self._account_eviction(line)
         return line
 
-    def unpin(self, addr):
-        """Drop the pin on a delegated entry (it becomes a plain victim)."""
-        line = self._cache.probe(addr)
-        if line is not None and line.pinned:
-            line.pinned = False
-            line.kind = RacKind.VICTIM
-        return line
-
     def _account_eviction(self, line):
         if line is not None and line is not False:
             if line.kind is RacKind.UPDATE and not line.consumed:

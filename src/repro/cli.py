@@ -136,8 +136,7 @@ def build_parser():
                          help="comma-separated protocols "
                               "(default: %(default)s)")
     arena_p.add_argument("--base", default="small",
-                         choices=sorted({"small", "large", "baseline"}
-                                        | set(params.EVALUATED_SYSTEMS)),
+                         choices=sorted(arena_harness.BASE_PRESETS),
                          help="shared base config preset; each protocol "
                               "normalises it onto its own feature set "
                               "(default: %(default)s)")
@@ -546,9 +545,7 @@ def cmd_report(args):
 def cmd_arena(args):
     apps = tuple(a for a in args.apps.split(",") if a)
     protocols = tuple(p for p in args.protocols.split(",") if p)
-    base = (params.EVALUATED_SYSTEMS[args.base]()
-            if args.base in params.EVALUATED_SYSTEMS
-            else getattr(params, args.base)())
+    base = arena_harness.base_preset(args.base)
     if args.directory_format is not None:
         from dataclasses import replace
         base = replace(base, directory_format=args.directory_format)

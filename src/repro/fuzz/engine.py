@@ -18,11 +18,12 @@ import os
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from ..harness.sweep import CACHE_DIR, SweepEngine
 from .runner import CaseResult, FuzzJob, run_case
 from .scenarios import scenario_from_dict, scenario_to_dict
 
 #: Default artifact directory (beside the sweep cache).
-FUZZ_DIR = os.path.join(".repro_cache", "fuzz")
+FUZZ_DIR = os.path.join(CACHE_DIR, "fuzz")
 
 #: Artifact format version.
 ARTIFACT_FORMAT = 1
@@ -91,8 +92,6 @@ class FuzzEngine:
         return report
 
     def _run_scenarios(self, seeds):
-        from ..harness.sweep import CACHE_DIR, SweepEngine
-
         # The job type is hashed into every job key, so corpus results
         # can share the on-disk cache with simulation payloads.
         engine = SweepEngine(jobs=self.jobs, cache=self.cache,

@@ -26,6 +26,7 @@ from dataclasses import replace
 from ..analysis.tables import MatrixReport
 from ..common import params
 from ..common import stats as S
+from ..common.errors import ConfigError
 from ..obs.metrics import miss_percentiles
 from ..protocol.arena import resolve_protocol
 from ..spec.registry import SPEC_NAMES
@@ -42,6 +43,21 @@ COLUMNS = [("protocol", "protocol"), ("cycles", "cycles"),
            ("2hop", "miss_2hop"), ("3hop", "miss_3hop"),
            ("updates", "updates_sent"), ("lat p50", "miss_p50"),
            ("lat p95", "miss_p95")]
+
+
+#: The shared base configs the arena accepts, by name: the Figure-7
+#: systems plus the ``small``, ``large`` and ``baseline`` presets.
+BASE_PRESETS = {**params.EVALUATED_SYSTEMS, "small": params.small,
+                "large": params.large, "baseline": params.baseline}
+
+
+def base_preset(name):
+    """The arena base config named ``name`` (a :data:`BASE_PRESETS` key);
+    ``ConfigError`` for any other name."""
+    if name not in BASE_PRESETS:
+        raise ConfigError("unknown arena base config %r (have: %s)"
+                          % (name, ", ".join(sorted(BASE_PRESETS))))
+    return BASE_PRESETS[name]()
 
 
 def _row(protocol, run):
@@ -67,15 +83,15 @@ def run_arena(apps=DEFAULT_APPS, protocols=SPEC_NAMES, base=None,
     :class:`~repro.analysis.tables.MatrixReport`: one table per app, one
     row per protocol, ``cells[(app, protocol)] -> AppRun``.
 
-    ``base`` is the shared base :class:`SystemConfig` (default: the named
-    preset ``base_name`` from :mod:`repro.common.params`); every protocol
+    ``base`` is the shared base :class:`SystemConfig` (default:
+    :func:`base_preset` of ``base_name``); every protocol
     runs ``replace(base, protocol_name=...)`` and normalises it itself at
     System construction.  ``engine`` is any default-runner
     :class:`~repro.harness.sweep.SweepEngine`; the default is serial and
     uncached.
     """
     if base is None:
-        base = getattr(params, base_name)()
+        base = base_preset(base_name)
     for name in protocols:
         resolve_protocol(name)  # fail fast on typos, before any sim runs
     if engine is None:
@@ -98,4 +114,4 @@ def run_arena(apps=DEFAULT_APPS, protocols=SPEC_NAMES, base=None,
         cells)
 
 
-__all__ = ["DEFAULT_APPS", "run_arena"]
+__all__ = ["BASE_PRESETS", "DEFAULT_APPS", "base_preset", "run_arena"]

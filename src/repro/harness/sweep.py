@@ -580,12 +580,12 @@ class SweepProgress:
 
     # -- hook surface (called by SweepEngine) ------------------------------
 
-    def sweep_started(self, total, cached):
+    def sweep_started(self, total):
+        # Cache hits are counted as they are reported, one
+        # job_finished(..., cached=True) each.
         self._total = total
-        self._done = cached
-        self._cached = cached
-        if cached:
-            self._emit(force=True)
+        self._done = 0
+        self._cached = 0
 
     def job_finished(self, key, job, elapsed, cached):
         self._done += 1
@@ -624,7 +624,7 @@ class SweepProgress:
 class _NullProgress:
     """The no-op hook target (mirrors the tracer's disabled fast path)."""
 
-    def sweep_started(self, total, cached):
+    def sweep_started(self, total):
         pass
 
     def job_finished(self, key, job, elapsed, cached):
@@ -714,7 +714,7 @@ class SweepEngine:
         misses = {key: job for key, job in unique.items()
                   if key not in payloads}
 
-        self.progress.sweep_started(len(unique), len(payloads))
+        self.progress.sweep_started(len(unique))
         for key in payloads:
             self.progress.job_finished(key, unique[key],
                                        times.get(key, 0.0), True)

@@ -84,7 +84,7 @@ def run_lint(root=None, allowlist_path=None, use_allowlist=True):
         root=str(root),
         allowlist_path=str(allowlist.path) if allowlist else None,
         stats={
-            "sim_messages": len(sim.messages),
+            "sim_messages": len(specs["adaptive"].messages),
             "sim_handled": len(sim.handlers),
             "sim_funcs": len(sim.funcs),
             "state_enums": len(states),

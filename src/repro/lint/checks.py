@@ -5,10 +5,9 @@ Check-id families (stable — mutation tests and the allowlist key on them):
 =========  =========  ===================================================
 check id   severity   meaning
 =========  =========  ===================================================
-CON001     error      sim message the adaptive spec does not declare (or
-                      spec message that is no MsgType, an emitted name
-                      that is no MsgType, or a data-bearing flag
-                      mismatch)
+CON001     error      sim emission of a name the adaptive spec does not
+                      declare (no MsgType: the spec's messages are the
+                      MsgType vocabulary)
 CON003     warning    sim transition (handled msg -> emitted msg) the
                       spec doesn't allow
 CON005     error      spec-required sim transition absent from the sim
@@ -36,14 +35,6 @@ than on line numbers.
 
 from .findings import Finding, Severity
 
-#: Messages that initiate work and are retried after a NACK; a retry edge
-#: re-emitting one of these with no bounding counter is a livelock risk.
-REQUEST_CLASS = {"GETS", "GETX", "UNDELE_REQ", "INTERVENTION"}
-
-#: Sim negative acks: they bounce work back to the requester, whose
-#: handler may re-emit it.
-NACK_FAMILY = {"NACK", "NACK_NOT_HOME"}
-
 
 # -- CON: sim <-> spec conformance --------------------------------------------
 
@@ -67,12 +58,19 @@ def check_conformance(sim, specs=None):
 # -- DLK: livelock heuristic --------------------------------------------------
 
 
-def check_deadlock(sim):
+def check_deadlock(sim, spec):
     """DLK002: a NACK handler that re-emits a request-class message on a
-    path with no retry-bound comparison can livelock under contention."""
-    for name in sorted(NACK_FAMILY & set(sim.handlers)):
+    path with no retry-bound comparison can livelock under contention.
+
+    The spec's NACK-family messages bounce work back to the requester,
+    whose handler may re-emit it; the requests they answer (their
+    ``reply_to``) are the ones a retry edge re-sends."""
+    from ..spec.analyze import is_nack_family
+    nacks = [msg for msg in spec.messages if is_nack_family(msg.name)]
+    requests = {req for msg in nacks for req in msg.reply_to}
+    for name in sorted({msg.name for msg in nacks} & set(sim.handlers)):
         for emission in sim.emissions_for(name):
-            if emission.mtype in REQUEST_CLASS and not emission.bounded:
+            if emission.mtype in requests and not emission.bounded:
                 yield Finding(
                     check_id="DLK002", severity=Severity.WARNING,
                     side="sim",
@@ -135,7 +133,9 @@ def check_extraction(sim):
             file=emission.file, line=emission.line)
 
 
-def run_checks(sim, states, specs=None):
-    """Run every check, in report order; return the flat finding list."""
-    return [*check_conformance(sim, specs), *check_deadlock(sim),
+def run_checks(sim, states, specs):
+    """Run every check, in report order; return the flat finding list.
+    ``specs`` must include the adaptive spec, the simulator's."""
+    return [*check_conformance(sim, specs),
+            *check_deadlock(sim, specs["adaptive"]),
             *check_reachability(states), *check_extraction(sim)]

@@ -3,11 +3,12 @@
 Everything here is pure AST analysis — no repro module is imported from the
 analyzed tree, so the extractor can run over arbitrary (e.g. deliberately
 mutated) source snapshots.  The **simulator graph** comes out: the
-``MsgType`` vocabulary from ``network/message.py``, the ``Hub._handlers``
-dispatch table from ``protocol/hub.py``, and per-method
+``Hub._handlers`` dispatch table from ``protocol/hub.py`` and per-method
 ``Message(MsgType.X, ...)`` emission sites across ``protocol/*.py``,
-closed over ``self.*`` helper calls.  (The model checker needs no
-extraction: its models are compiled from the protocol specs.)
+closed over ``self.*`` helper calls.  The message vocabulary needs no
+extraction: ``MsgType`` is built from the adaptive spec's ``MESSAGES``,
+which lint loads from the same tree.  (Nor does the model checker: its
+models are compiled from the protocol specs.)
 
 Handler *closures* follow helper calls transitively (including methods only
 referenced as ``events.schedule`` callbacks) and prune branches guarded by
@@ -91,21 +92,10 @@ class FuncInfo:
     has_retry_guard: bool = False
 
 
-@dataclass
-class MsgDecl:
-    """One declared message type (a ``MsgType`` enum member)."""
-
-    name: str
-    file: str
-    line: int
-    data_bearing: Optional[bool] = None
-
-
 class Graph:
-    """A protocol graph: vocabulary, handlers, emission closure."""
+    """A protocol graph: handlers and their emission closure."""
 
     def __init__(self):
-        self.messages: Dict[str, MsgDecl] = {}
         self.handlers: Dict[str, List[str]] = {}
         self.entry_points: List[str] = []
         self.funcs: Dict[str, FuncInfo] = {}
@@ -294,28 +284,6 @@ class _SimFuncVisitor(ast.NodeVisitor):
                                         guards=tuple(self.guards)))
 
 
-def _extract_msgtypes(message_path, relpath):
-    messages = {}
-    for node in ast.walk(_parse(message_path)):
-        if isinstance(node, ast.ClassDef) and node.name == "MsgType":
-            for stmt in node.body:
-                if not (isinstance(stmt, ast.Assign)
-                        and isinstance(stmt.value, ast.Tuple)
-                        and stmt.value.elts
-                        and isinstance(stmt.value.elts[0], ast.Constant)):
-                    continue
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        data = None
-                        if len(stmt.value.elts) > 1 and isinstance(
-                                stmt.value.elts[1], ast.Constant):
-                            data = bool(stmt.value.elts[1].value)
-                        messages[target.id] = MsgDecl(
-                            name=target.id, file=relpath, line=stmt.lineno,
-                            data_bearing=data)
-    return messages
-
-
 def _extract_handler_table(hub_path):
     """The ``self._handlers = {MsgType.X: self._method}`` dispatch dict."""
     handlers = {}
@@ -337,8 +305,6 @@ def extract_sim(root):
     """Extract the simulator-side protocol graph from package dir ``root``."""
     root = Path(root)
     graph = Graph()
-    graph.messages = _extract_msgtypes(root / "network" / "message.py",
-                                       "network/message.py")
     graph.handlers = _extract_handler_table(root / "protocol" / "hub.py")
     graph.entry_points = list(SIM_ENTRY_POINTS)
     for filename in SIM_PROTOCOL_FILES:

@@ -18,7 +18,7 @@ never impossible ones):
 
 1. **Pairwise FIFO is preserved.**  The protocol relies on per-(src, dst)
    channel ordering (see the UPDATE_ACK note in
-   :mod:`repro.network.message`): jittered arrivals are clamped to be
+   :mod:`repro.spec.protocols.adaptive`): jittered arrivals are clamped to be
    non-decreasing per channel, so reordering only happens *across*
    channels — exactly the freedom a real fat-tree has.
 2. **Only genuinely idempotent/retried traffic is duplicated or bounced.**

@@ -14,12 +14,12 @@ type, lazily materialised per-source latency rows, and a flat
 ``busy_until`` list instead of port objects.  Deliveries are appended
 straight onto the event queue's per-cycle calendar, skipping the validated
 :meth:`EventQueue.schedule_at`, and each names the destination hub's
-handler for its message type, looked up in the hub's pre-bound table at
-send time.  Only three kinds of delivery go through the generic
-:meth:`Fabric._deliver` instead: remote messages under a chaos policy
-(whose forced-NACK draw must happen at delivery), messages to a node
-attached with a bare callable, and messages whose type is not a
-:class:`MsgType`.
+handler for its message type, looked up in the node's pre-bound table
+(indexed by ``MsgType.index``) at send time.  The vocabulary is closed —
+every message is a :class:`MsgType` — so that lookup is the one delivery
+rule.  Only remote messages under a chaos policy go through
+:meth:`Fabric._deliver` instead, because their forced-NACK draw must
+happen at delivery.
 
 :meth:`Fabric.send_all` is the one-to-many form: a write's INVs to every
 sharer, a producer's UPDATEs to every consumer.  A 256-node broadcast is
@@ -53,13 +53,12 @@ class Fabric:
         num_nodes = config.num_nodes
         self._occupancy = config.network.hub_occupancy
         self._busy_until = [0] * num_nodes
-        self._handlers = [None] * num_nodes
-        # Optional per-node pre-bound handler tables indexed by
-        # MsgType.index (see Hub._handler_array): sends put the handler
-        # itself on the calendar, skipping the _deliver and hub.dispatch
-        # frames.  Nodes attached with a bare callable (tests use spies)
-        # take the generic path.
-        self._tables = [None] * num_nodes
+        # Per-node pre-bound handler tables indexed by MsgType.index (see
+        # Hub._handler_array): sends put the handler itself on the
+        # calendar, skipping any dispatch frame.  A node nothing attached
+        # to raises at delivery.
+        unattached = [self._unattached] * len(MsgType)
+        self._tables = [unattached] * num_nodes
         # Per-type precomputation, indexed by the dense MsgType.index.
         header = config.network.header_bytes
         line = config.line_size
@@ -84,18 +83,18 @@ class Fabric:
     def chaos(self):
         return self._chaos
 
-    def attach(self, node, handler, table=None):
-        """Register the message handler (hub) for ``node``.
+    def attach(self, node, table):
+        """Register ``node``'s handlers: ``table`` holds one callable per
+        :class:`MsgType`, indexed by ``MsgType.index``.
 
-        ``table``, when given, is a pre-bound per-MsgType handler list
-        (indexed by ``MsgType.index``) delivery may use directly instead
-        of calling ``handler``; ``handler`` remains the fallback for
-        anything that is not a plain in-vocabulary message.  A message's
-        handler is chosen when it is sent, so re-attaching a node affects
-        only messages sent afterwards.
+        A message's handler is chosen when it is sent, so re-attaching a
+        node affects only messages sent afterwards.
         """
-        self._handlers[node] = handler
         self._tables[node] = table
+
+    @staticmethod
+    def _unattached(msg):
+        raise RuntimeError("no handler attached for node %d" % msg.dst)
 
     def _latency_row(self, src):
         row = self.topology.latency_row(src)
@@ -135,14 +134,10 @@ class Fabric:
             start = arrival
         deliver_at = start + self._occupancy
         busy[dst] = deliver_at
-        table = self._tables[dst] if chaos is None else None
-        if table is None:
-            handler = self._deliver
+        if chaos is None:
+            handler = self._tables[dst][msg.mtype.index]
         else:
-            try:
-                handler = table[msg.mtype.index]
-            except (AttributeError, TypeError, IndexError):
-                handler = self._deliver  # not a MsgType: the generic path
+            handler = self._deliver
         # Unchecked push onto the calendar: arrival is now plus a
         # non-negative latency (chaos only adds to it) and busy_until never
         # moves backwards, so the timestamp can never be in the past.
@@ -194,7 +189,6 @@ class Fabric:
         calendar = events._calendar
         times = events._times
         tables = self._tables
-        deliver = self._deliver
         src = mtype = row = None
         remote = 0
         for msg in msgs:
@@ -221,8 +215,7 @@ class Fabric:
                 start = arrival
             deliver_at = start + occupancy
             busy[dst] = deliver_at
-            table = tables[dst]
-            handler = deliver if table is None else table[index]
+            handler = tables[dst][index]
             bucket = calendar.get(deliver_at)
             if bucket is None:
                 calendar[deliver_at] = [(handler, (msg,))]
@@ -235,22 +228,10 @@ class Fabric:
             counters[MSG_BYTES] += remote * self._size_by_type[index]
 
     def _deliver(self, msg):
-        dst = msg.dst
-        handler = None
-        table = self._tables[dst]
-        if table is not None:
-            try:
-                handler = table[msg.mtype.index]
-            except (AttributeError, TypeError, IndexError):
-                handler = None  # not a real MsgType; use the generic path
-        if handler is None:
-            handler = self._handlers[dst]
-            if handler is None:
-                raise RuntimeError("no handler attached for node %d" % dst)
-        chaos = self._chaos
-        if chaos is not None and msg.src != dst:
-            nack = chaos.forced_nack(msg)
-            if nack is not None:
-                self.send(nack)
-                return
-        handler(msg)
+        """Deliver a remote message under the chaos policy, which may
+        bounce it with a forced NACK instead."""
+        nack = self._chaos.forced_nack(msg)
+        if nack is None:
+            self._tables[msg.dst][msg.mtype.index](msg)
+        else:
+            self.send(nack)

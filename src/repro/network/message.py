@@ -1,7 +1,11 @@
 """Coherence message vocabulary.
 
 Every inter-node interaction in the protocol is one of these message types.
-Wire sizes follow the paper's NUMALink model: a 32-byte minimum
+The vocabulary is declared once, by ``MESSAGES`` in the adaptive protocol's
+spec (:mod:`repro.spec.protocols.adaptive`): :data:`MsgType` is built from
+it, one member per ``Msg`` in spec order, so the simulator, ``repro lint``
+and the model checker cannot disagree on which messages exist or which
+carry data.  Wire sizes follow the paper's NUMALink model: a 32-byte minimum
 (header-only) packet, plus a full 128-byte cache line for data-bearing
 messages.  :class:`~repro.network.fabric.Fabric` does that accounting; the
 evaluation's "network messages" and traffic-byte figures count exactly what
@@ -18,55 +22,21 @@ import enum
 import itertools
 from types import MappingProxyType
 
+from ..spec.protocols.adaptive import MESSAGES
 
-class MsgType(enum.Enum):
-    """All network message types, with ``data`` marking data-bearing ones."""
 
-    # -- processor-initiated requests
-    GETS = ("GETS", False)                # read-shared request
-    GETX = ("GETX", False)                # read-exclusive / upgrade request
-
-    # -- home/owner replies
-    DATA_SHARED = ("DATA_SHARED", True)   # shared data reply
-    DATA_EXCL = ("DATA_EXCL", True)       # exclusive data reply ("spec reply")
-    ACK_X = ("ACK_X", False)              # exclusive grant without data (upgrade)
-
-    # -- invalidation / intervention
-    INV = ("INV", False)                  # invalidate a shared copy
-    INV_ACK = ("INV_ACK", False)          # invalidation acknowledgement
-    INTERVENTION = ("INTERVENTION", False)  # downgrade owner to SHARED
-    SHARED_WB = ("SHARED_WB", True)       # owner -> home: downgraded data
-    SHARED_RESP = ("SHARED_RESP", True)   # owner -> requester: shared data
-    EXCL_RESP = ("EXCL_RESP", True)       # owner -> requester: ownership + data
-    XFER_OWNER = ("XFER_OWNER", False)    # owner -> home: ownership moved
-
-    # -- writeback
-    WRITEBACK = ("WRITEBACK", True)       # dirty eviction, carries data
-    EVICT_CLEAN = ("EVICT_CLEAN", False)  # clean-exclusive eviction notice
-    WB_ACK = ("WB_ACK", False)
-
-    # -- flow control
-    NACK = ("NACK", False)                # busy, retry at same target
-    NACK_NOT_HOME = ("NACK_NOT_HOME", False)  # stale delegation hint, retry at home
-
-    # -- delegation (paper §2.3)
-    DELEGATE = ("DELEGATE", True)         # home -> producer: dir info + data
-    UNDELE = ("UNDELE", True)             # producer -> home: dir info + data
-    UNDELE_REQ = ("UNDELE_REQ", False)    # home -> producer: recall delegation
-    HOME_CHANGED = ("HOME_CHANGED", False)  # home -> requester: delegation hint
-
-    # -- speculative updates (paper §2.4)
-    UPDATE = ("UPDATE", True)             # producer -> consumer: pushed data
-    UPDATE_ACK = ("UPDATE_ACK", False)    # consumer -> producer: receipt ack
-    # UPDATE_ACK exists for a correctness reason the model checker found:
-    # undelegation must not return the directory to the home while pushed
-    # updates are still in flight, or a later INV from the *home* (a
-    # different FIFO channel) can be overtaken by a stale update.
-
+class _MsgTypeBase(enum.Enum):
     def __init__(self, label, data_bearing):
         self.label = label
         self.data_bearing = data_bearing
 
+
+#: All network message types, in the adaptive spec's declaration order:
+#: each member's value is ``(Msg.name, Msg.data)``, so ``data_bearing``
+#: marks the data-bearing ones.
+MsgType = _MsgTypeBase("MsgType", [(msg.name, (msg.name, msg.data))
+                                   for msg in MESSAGES],
+                       module=__name__, qualname="MsgType")
 
 # Dense per-type attributes for the hot path, assigned after the enum is
 # sealed (enum members reject new attributes only during class creation):
@@ -78,8 +48,6 @@ for _i, _member in enumerate(MsgType):
     _member.index = _i
     _member.sent_counter = "msg.sent." + _member.label
 del _i, _member
-
-NUM_MSG_TYPES = len(MsgType)
 
 #: Shared immutable empty payload.  Header-only messages (the majority —
 #: every NACK, INV, ack...) used to allocate a fresh dict each; now they

@@ -136,7 +136,7 @@ class Hub(RequesterMixin, HomeMixin, ProducerMixin):
             for mtype in MsgType
         ]
         self.send = self.fabric.send
-        self.fabric.attach(node, self.dispatch, table=self._handler_array)
+        self.fabric.attach(node, self._handler_array)
 
     # -- plumbing -----------------------------------------------------------
 
@@ -173,15 +173,10 @@ class Hub(RequesterMixin, HomeMixin, ProducerMixin):
             for consumer in targets)
 
     def dispatch(self, msg):
-        """Entry point for every message delivered to this node."""
-        try:
-            handler = self._handler_array[msg.mtype.index]
-        except (AttributeError, TypeError, IndexError):
-            # Anything that is not a real MsgType lands here (note that a
-            # str mtype resolves .index to the str method -> TypeError).
-            self._unhandled(msg)
-            return
-        handler(msg)
+        """Handle ``msg`` here and now, as its delivery would (the fabric
+        calls the handler table directly; protocol code re-dispatches a
+        buffered request through this)."""
+        self._handler_array[msg.mtype.index](msg)
 
     def _unhandled(self, msg):
         dir_state = None
@@ -216,24 +211,3 @@ class Hub(RequesterMixin, HomeMixin, ProducerMixin):
     def _protocol_error(self, text):
         return ProtocolError("[node %d @ cycle %d] %s"
                              % (self.node, self.events.now, text))
-
-    # -- introspection (used by tests and invariant checks) --------------------
-
-    def snapshot_line(self, addr):
-        """A debugging/verification view of this node's state for ``addr``."""
-        view = {
-            "l2": self.hierarchy.state_of(addr).value,
-            "dir": None,
-            "delegated_here": False,
-            "rac": None,
-        }
-        if self.address_map.home_of(addr) == self.node:
-            entry = self.home_memory.entry(addr)
-            view["dir"] = entry.state.value
-        if self.producer_table is not None and addr in self.producer_table:
-            view["delegated_here"] = True
-        if self.rac is not None:
-            line = self.rac.probe(addr)
-            if line is not None:
-                view["rac"] = line.kind.value
-        return view

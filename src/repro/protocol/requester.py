@@ -214,8 +214,6 @@ class RequesterMixin:
                                              miss.grant_value)
                 if notice is not None:
                     self._handle_eviction(notice)
-            if miss.kind is MissKind.READ and miss.path is PathClass.LOCAL:
-                pass  # RAC-satisfied; nothing further
         # An invalidation raced with this read: the fill above may use its
         # value exactly once (the blocked read), then the copy must go.
         if miss.kind is MissKind.READ and miss.pending_inv:

@@ -153,7 +153,7 @@ class JobService:
         job.state = "running"
         progress = SSEProgress(self.hub, job.id)
         self._publish_state(job)
-        progress.sweep_started(len(units), 0)
+        progress.sweep_started(len(units))
         sem = self._client_sem(job.client)
         # return_exceptions: one unit's failure (or a cancellation's
         # CancelledError) must not tear down its siblings mid-flight.

@@ -138,7 +138,8 @@ def check_orphan_messages(spec: ProtocolSpec) -> Iterator[Finding]:
                 "%s:never-handled" % msg.name, (msg.name,))
 
 
-def _is_nack_family(name: str) -> bool:
+def is_nack_family(name: str) -> bool:
+    """NACK-family messages bounce work back to its requester."""
     return name.startswith("NACK")
 
 
@@ -186,7 +187,7 @@ def check_emission_cycles(spec: ProtocolSpec) -> Iterator[Finding]:
                 if m == name or (reaches(name, m) and reaches(m, name)))
             in_cycle.add(members)
     for members in sorted(in_cycle, key=sorted):
-        if any(_is_nack_family(m) for m in members):
+        if any(is_nack_family(m) for m in members):
             continue
         label = "+".join(sorted(members))
         yield _finding(

@@ -21,10 +21,9 @@ Check ids keep their legacy meaning and fingerprints so the allowlist and
 mutation tests carry over:
 
 =======  ==========================================================
-CON001   vocabulary: sim message unknown to the spec, spec message
-         that is no MsgType (``spec:NAME``), emission of a name that is
-         no MsgType (``emit:NAME``), or a data-bearing flag mismatch
-         (``NAME:data``)
+CON001   emission of a name the spec does not declare (``emit:NAME``);
+         the spec's messages *are* the MsgType vocabulary, so this is
+         an emission of a name that is no MsgType
 CON003   sim transition (handled msg -> emitted msg) the spec does
          not allow
 CON005   spec-required sim transition absent from the sim graph
@@ -50,36 +49,11 @@ def _handler_groups(spec: ProtocolSpec) -> Dict[str, List[T]]:
 
 
 def check_vocabulary(spec: ProtocolSpec, sim: Any) -> Iterator[Finding]:
-    """CON001: the simulator's MsgType vocabulary against the spec's."""
-    for name in sorted(sim.messages):
-        decl = sim.messages[name]
-        msg = spec.message(name)
-        if msg is None:
-            yield Finding(
-                check_id="CON001", severity=Severity.ERROR, side="both",
-                fingerprint=name,
-                message="MsgType.%s is not declared in the %s spec"
-                        % (name, spec.name),
-                file=decl.file, line=decl.line)
-            continue
-        if (decl.data_bearing is not None
-                and decl.data_bearing != msg.data):
-            yield Finding(
-                check_id="CON001", severity=Severity.ERROR, side="both",
-                fingerprint="%s:data" % name,
-                message="MsgType.%s data-bearing flag is %s but the "
-                        "spec declares data=%s"
-                        % (name, decl.data_bearing, msg.data),
-                file=decl.file, line=decl.line)
-    for name in sorted(spec.message_names() - set(sim.messages)):
-        yield Finding(
-            check_id="CON001", severity=Severity.ERROR, side="both",
-            fingerprint="spec:%s" % name,
-            message="spec message %s is not a declared MsgType" % name,
-            file=spec.source_file, line=1)
+    """CON001: sim emissions of a name the spec does not declare."""
+    declared = spec.message_names()
     undeclared = {}
     for emission in sim.all_emissions():
-        if emission.mtype is not None and emission.mtype not in sim.messages:
+        if emission.mtype is not None and emission.mtype not in declared:
             undeclared.setdefault(emission.mtype, emission)
     for name in sorted(undeclared):
         site = undeclared[name]
@@ -101,7 +75,6 @@ def check_transitions(spec: ProtocolSpec, sim: Any) -> Iterator[Finding]:
         # CON003: everything the sim can emit while handling M must be
         # allowed by some spec transition on M.
         allowed = {out for t in groups[name] for out in t.emit}
-        decl = sim.messages.get(name)
         sim_out = sim.emitted_names(name)
         for out in sorted(sim_out):
             if spec.message(out) is None:
@@ -113,8 +86,7 @@ def check_transitions(spec: ProtocolSpec, sim: Any) -> Iterator[Finding]:
                     message="sim handling of %s can emit %s, which no "
                             "%s spec transition allows"
                             % (name, out, spec.name),
-                    file=decl.file if decl else None,
-                    line=decl.line if decl else None)
+                    file=spec.source_file, line=1)
         # CON005: spec-required sim edges.  Replay edges are realised by
         # internal re-dispatch — the named function must exist instead.
         for t in groups[name]:

@@ -78,7 +78,8 @@ class Msg:
     ``mc`` lists the model-checker tokens the message corresponds to
     (empty = deliberately unmodeled, which then *requires* ``note`` — the
     in-spec replacement for an allowlist justification line).  ``data``
-    mirrors the MsgType data-bearing flag.  ``reply_to`` names the
+    is the MsgType data-bearing flag (the adaptive spec's messages are
+    the MsgType vocabulary).  ``reply_to`` names the
     request(s) this message can retire, for the pairing analysis.
     """
 

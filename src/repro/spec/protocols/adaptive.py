@@ -6,6 +6,8 @@ static verifier diffs the simulator (``repro.protocol``) against it, and
 dispatching transition names the kernel ``effect`` that executes it.  The
 annotations (``hoist``/``replay``/``only``/``note``) carry the structured
 justifications for where the simulator and the model legitimately differ.
+``MESSAGES`` is the simulator's message vocabulary as well:
+:mod:`repro.network.message` builds ``MsgType`` from it.
 
 Reading guide: transitions are grouped by triggering message; ``via``
 splits payload-discriminated dispatch (the NACK family); ``also``-tagged
@@ -63,6 +65,10 @@ MESSAGES = (
     Msg("XFER_OWNER", mc=("XFER",), role="reply",
         reply_to=("INTERVENTION",)),
     Msg("UPDATE", mc=("UPDATE",), data=True, role="request"),
+    # UPDATE_ACK exists for a correctness reason the model checker found:
+    # undelegation must not return the directory to the home while pushed
+    # updates are still in flight, or a later INV from the *home* (a
+    # different FIFO channel) can be overtaken by a stale update.
     Msg("UPDATE_ACK", mc=("UPDATE_ACK",), role="ack",
         reply_to=("UPDATE",)),
 )

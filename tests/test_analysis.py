@@ -16,7 +16,6 @@ from repro.analysis import (
     metrics_from_result,
     normalized_messages,
     normalized_remote_misses,
-    paper_vs_measured,
     render_series,
     render_table,
     speedup,
@@ -144,10 +143,6 @@ class TestRenderers:
         text = render_series("F", "delay", {"app": [(5, 1.0), (50, 1.02)]})
         assert "app" in text
         assert "1.0200" in text
-
-    def test_paper_vs_measured_deltas(self):
-        text = paper_vs_measured([("speedup", 1.21, 1.25)], "headline")
-        assert "+0.040" in text
 
 
 class TestAnalyticalModel:

@@ -4,12 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.ascii_charts import (
-    bar_chart,
-    grouped_bar_chart,
-    hbar,
-    speedup_figure,
-)
+from repro.analysis.ascii_charts import bar_chart, hbar
 from repro.common import ConfigError
 
 
@@ -59,22 +54,3 @@ class TestBarChart:
         lines = text.splitlines()
         assert "#" * 10 in lines[0]
         assert "#" * 5 in lines[1]
-
-
-class TestGrouped:
-    def test_groups_rendered(self):
-        text = grouped_bar_chart(
-            {"em3d": [("base", 1.0), ("large", 1.37)]})
-        assert "em3d" in text
-        assert "large" in text
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            grouped_bar_chart({})
-
-    def test_speedup_figure_from_experiment_shape(self):
-        speedups = {"em3d": {"base": 1.0, "dele1k_rac1m": 1.37},
-                    "cg": {"base": 1.0, "dele1k_rac1m": 1.06}}
-        text = speedup_figure(speedups)
-        assert "dele1k_rac1m" in text
-        assert "1.370" in text

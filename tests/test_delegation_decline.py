@@ -75,7 +75,7 @@ def test_all_busy_table_declines_instead_of_crashing(make_stuck):
         log.append(msg.mtype)
         original(msg)
 
-    system.fabric.attach(0, spy)
+    system.fabric.attach(0, [spy] * len(MsgType))
     hub.dispatch(delegate_msg(home=0, producer=1))  # must not raise
     system.events.run()
     assert system.stats.get("dele.declined") == 1

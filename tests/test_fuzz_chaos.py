@@ -9,12 +9,14 @@ from repro.common import Stats, baseline, small
 from repro.common.errors import ConfigError
 from repro.network import Message, MsgType
 from repro.network.chaos import (
+    _NACKABLE,
     ChaosConfig,
     ChaosPolicy,
     chaos_from_dict,
     chaos_to_dict,
 )
 from repro.sim import System
+from repro.spec import get_spec
 from repro.workloads import synthetic
 
 LINE = 0x100000
@@ -128,6 +130,12 @@ class TestDuplication:
 
 
 class TestForcedNacks:
+    def test_nackable_requests_are_what_the_spec_nacks(self):
+        # The forced-NACK code handles each type by hand; the set must be
+        # exactly the requests adaptive's NACK answers.
+        nack = get_spec("adaptive").message("NACK")
+        assert {m.name for m in _NACKABLE} == set(nack.reply_to)
+
     def test_gets_bounced_to_requester(self):
         pol = policy(seed=3, force_nack_prob=0.9)
         nacks = [pol.forced_nack(gets(src=2, dst=0, requester=2))

@@ -54,20 +54,21 @@ class TestRequestRouting:
         assert entry.state is DirState.EXCL
         assert entry.owner == 2
 
-    def test_unknown_message_type_rejected(self, system):
-        class Fake:
-            mtype = "not-a-type"
-            addr = LINE
-            src, dst = 0, 0
+    def test_unknown_message_type_rejected(self):
+        # A message the protocol's spec does not handle: the wi baseline
+        # has no delegation, so a DELEGATE is unknown to its hubs.
+        system = System(small(num_nodes=4, protocol_name="wi"),
+                        check_coherence=False)
         system.address_map.place_range(LINE, 128, 0)
         with pytest.raises(ProtocolError) as excinfo:
-            system.hubs[0].dispatch(Fake())
-        # The structured error names the same (node, message, directory
-        # state) coordinates a lint handler-coverage finding would.
+            system.hubs[0].dispatch(Message(MsgType.DELEGATE, src=1, dst=0,
+                                            addr=LINE))
+        # The structured error names the (node, message, directory state)
+        # coordinates of the delivery.
         err = excinfo.value
         assert isinstance(err, UnhandledMessageError)
         assert err.node == 0
-        assert err.mtype == "not-a-type"
+        assert err.mtype is MsgType.DELEGATE
         assert err.dir_state == "UNOWNED"  # hub 0 homes LINE
         assert "no handler" in str(err)
 
@@ -93,7 +94,7 @@ class TestSpuriousMessages:
             log.append(msg.mtype)
             original(msg)
 
-        system.fabric.attach(2, spy)
+        system.fabric.attach(2, [spy] * len(MsgType))
         # The ack is sent; its arrival at a collector with no outstanding
         # miss is itself a protocol error (acks are never unsolicited in a
         # real execution), which the strict hub surfaces loudly.
@@ -189,7 +190,7 @@ class TestDelegationMessages:
             log.append((msg.mtype, msg.payload.get("reason")))
             original(msg)
 
-        system.fabric.attach(0, spy)
+        system.fabric.attach(0, [spy] * len(MsgType))
         deliver(system, Message(MsgType.UNDELE_REQ, src=0, dst=1,
                                 addr=LINE))
         assert (MsgType.NACK, "gone") in log
@@ -219,7 +220,7 @@ class TestDelegationMessages:
             log.append(msg.mtype)
             original(msg)
 
-        system.fabric.attach(1, spy)
+        system.fabric.attach(1, [spy] * len(MsgType))
         deliver(system, Message(MsgType.UPDATE, src=1, dst=2, addr=LINE,
                                 value=5, payload={"hops": 2, "ack": True}))
         assert MsgType.UPDATE_ACK in log
@@ -233,7 +234,7 @@ class TestDelegationMessages:
             log.append(msg.mtype)
             original(msg)
 
-        system.fabric.attach(1, spy)
+        system.fabric.attach(1, [spy] * len(MsgType))
         deliver(system, Message(MsgType.UPDATE, src=1, dst=2, addr=LINE,
                                 value=5, payload={"hops": 2}))
         assert MsgType.UPDATE_ACK not in log
@@ -244,13 +245,3 @@ class TestDelegationMessages:
         deliver(system, Message(MsgType.UPDATE, src=1, dst=2, addr=LINE,
                                 value=5, payload={"hops": 2}))
         assert system.hubs[2].hierarchy.value_of(LINE) == 9
-
-
-class TestSnapshot:
-    def test_snapshot_line_view(self, dele_system):
-        system = dele_system
-        system.address_map.place_range(LINE, 128, 0)
-        view = system.hubs[0].snapshot_line(LINE)
-        assert view["dir"] == "UNOWNED"
-        assert view["l2"] == "I"
-        assert not view["delegated_here"]

@@ -10,16 +10,14 @@ from repro.common.errors import ConfigError
 from repro.lint import run_lint
 from repro.lint.checks import (check_conformance, check_deadlock,
                                check_extraction, check_reachability)
-from repro.lint.extract import Emission, FuncInfo, Graph, Item, MsgDecl
+from repro.lint.extract import Emission, FuncInfo, Graph, Item
 from repro.lint.findings import Allowlist, Finding, LintReport, Severity
 from repro.lint.report import render_json, render_sarif, render_text
-from repro.spec import Msg, ProtocolSpec, T
+from repro.spec import Msg, ProtocolSpec, T, get_spec
 
 
-def make_graph(messages=(), handlers=None, funcs=None, entry_points=()):
+def make_graph(handlers=None, funcs=None, entry_points=()):
     graph = Graph()
-    for name in messages:
-        graph.messages[name] = MsgDecl(name=name, file="f.py", line=1)
     graph.handlers = dict(handlers or {})
     graph.funcs = dict(funcs or {})
     graph.entry_points = list(entry_points)
@@ -40,12 +38,12 @@ def keys(findings):
     return {f.key for f in findings}
 
 
-def tiny_spec(*transitions, extra=()):
+def tiny_spec(*transitions):
     """A minimal adaptive spec: GETS answered with DATA_SHARED, plus INV."""
     messages = (Msg("GETS", mc=("GETS",), role="request"),
                 Msg("DATA_SHARED", mc=("DATA_S",), role="reply",
                     reply_to=("GETS",)),
-                Msg("INV", mc=("INV",))) + tuple(extra)
+                Msg("INV", mc=("INV",)))
     return ProtocolSpec(name="adaptive", description="", messages=messages,
                         dir_states=("U",), cache_states=("I",), domains={},
                         transitions=tuple(transitions))
@@ -55,12 +53,11 @@ class TestConformance:
     """The simulator graph against the spec (the model checker is the
     spec, compiled, so there is no model graph to diff)."""
 
-    def _run(self, sim_emits, spec_emits, extra=()):
-        sim = make_graph(["GETS", "DATA_SHARED", "INV"],
-                         handlers={"GETS": ["h"]},
+    def _run(self, sim_emits, spec_emits):
+        sim = make_graph(handlers={"GETS": ["h"]},
                          funcs={"h": func("h", emits=sim_emits)})
         spec = tiny_spec(T("home", "GETS", emit=tuple(spec_emits),
-                           label="serve"), extra=extra)
+                           label="serve"))
         return keys(check_conformance(sim, specs={"adaptive": spec}))
 
     def test_agreeing_transitions_are_silent(self):
@@ -76,17 +73,10 @@ class TestConformance:
         found = self._run(["DATA_SHARED"], ["DATA_SHARED", "INV"])
         assert "CON005:GETS->INV" in found
 
-    def test_unmapped_sim_message(self):
-        sim = make_graph(["PING"])
-        found = {f.key: f for f in check_conformance(
-            sim, specs={"adaptive": tiny_spec()})}
-        assert found["CON001:PING"].severity is Severity.ERROR
-
     def test_undeclared_emission(self):
         # A handler emits a name that is no MsgType (a typo): the spec
         # check reports it as a vocabulary gap, not as a missing edge.
-        sim = make_graph(["GETS", "DATA_SHARED", "INV"],
-                         handlers={"GETS": ["h"]},
+        sim = make_graph(handlers={"GETS": ["h"]},
                          funcs={"h": func("h", emits=["DATA_SHARED",
                                                       "DATA_SHRED"])})
         spec = tiny_spec(T("home", "GETS", emit=("DATA_SHARED",),
@@ -96,23 +86,15 @@ class TestConformance:
         assert found["CON001:emit:DATA_SHRED"].severity is Severity.ERROR
         assert not any(k.startswith(("CON003", "CON005")) for k in found)
 
-    def test_unmapped_mc_token(self):
-        # A spec message (and its model token) the simulator never
-        # declares.
-        found = self._run(["DATA_SHARED"], ["DATA_SHARED"],
-                          extra=(Msg("ZZZ", mc=("ZZZ",)),))
-        assert "CON001:spec:ZZZ" in found
-
 
 class TestDeadlock:
     def test_unbounded_retry_flagged_bounded_not(self):
         sim = make_graph(
-            ["GETS", "GETX", "NACK"],
             handlers={"NACK": ["retry"]},
             funcs={"retry": func("retry", calls=["good", "bad"]),
                    "good": func("good", emits=["GETS"], retry_guard=True),
                    "bad": func("bad", emits=["GETX"])})
-        found = keys(check_deadlock(sim))
+        found = keys(check_deadlock(sim, get_spec("adaptive")))
         assert "DLK002:NACK->GETX@bad" in found
         assert "DLK002:NACK->GETS@good" not in found
 
@@ -144,7 +126,7 @@ class TestExtraction:
     def test_unresolved_emission_is_one_note_per_function(self):
         # The fingerprint is "sim:<func>", whatever the emission count,
         # so allowlist keys survive edits inside the function.
-        sim = make_graph(["GETS"], handlers={"GETS": ["h"]},
+        sim = make_graph(handlers={"GETS": ["h"]},
                          funcs={"h": func("h", emits=[None, None, "GETS"])})
         found = list(check_extraction(sim))
         assert [f.key for f in found] == ["EXT001:sim:h"]

@@ -1,5 +1,6 @@
 """Interconnect: message sizing, fat-tree topology, fabric delivery."""
 
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -10,6 +11,7 @@ from repro.common import ConfigError, EventQueue, Stats, baseline
 from repro.network import Fabric, FatTree, Message, MsgType
 from repro.network.chaos import ChaosConfig, ChaosPolicy
 from repro.network.message import reset_msg_ids
+from repro.spec.protocols.adaptive import MESSAGES
 
 
 def bytes_sent(mtype):
@@ -41,6 +43,18 @@ class TestMessageSizes:
         a = Message(MsgType.GETS, 0, 1, 0)
         b = Message(MsgType.GETS, 0, 1, 0)
         assert a.msg_id != b.msg_id
+
+
+class TestVocabulary:
+    def test_msgtype_is_the_adaptive_spec_vocabulary(self):
+        assert [(m.name, m.data_bearing) for m in MsgType] == \
+            [(m.name, m.data) for m in MESSAGES]
+        assert [m.index for m in MsgType] == list(range(len(MESSAGES)))
+        assert all(m.label == m.name for m in MsgType)
+
+    def test_msgtype_pickles_to_the_same_member(self):
+        for mtype in MsgType:
+            assert pickle.loads(pickle.dumps(mtype)) is mtype
 
 
 class TestFatTree:
@@ -202,7 +216,8 @@ class TestFabric:
         fabric = Fabric(cfg, events, stats)
         inbox = {n: [] for n in range(num_nodes)}
         for n in range(num_nodes):
-            fabric.attach(n, lambda m, n=n: inbox[n].append((events.now, m)))
+            fabric.attach(n, [lambda m, n=n: inbox[n].append((events.now, m))]
+                          * len(MsgType))
         return cfg, events, stats, fabric, inbox
 
     def test_delivery_to_handler(self):
@@ -255,20 +270,17 @@ class TestFabric:
             chaos = ChaosPolicy(chaos, stats=stats)
         fabric = Fabric(cfg, events, stats, chaos=chaos)
 
-        def generic(msg):
-            pass
-
         def first(msg):
             pass
 
         def second(msg):
             pass
 
-        fabric.attach(1, generic, table=[first] * len(MsgType))
+        fabric.attach(1, [first] * len(MsgType))
         send = ((lambda msg: fabric.send_all([msg])) if fan_out
                 else fabric.send)
         send(Message(MsgType.INV, 0, 1, 0))
-        fabric.attach(1, generic, table=[second] * len(MsgType))
+        fabric.attach(1, [second] * len(MsgType))
         send(Message(MsgType.INV, 0, 1, 0))
         return [callback.__name__ for _cycle, bucket
                 in sorted(events._calendar.items())
@@ -283,17 +295,6 @@ class TestFabric:
     def test_chaos_delivers_through_the_generic_path(self, fan_out):
         chaos = ChaosConfig(seed=4, force_nack_prob=0.5)
         assert self.scheduled(chaos, fan_out) == ["_deliver", "_deliver"]
-
-    def test_non_msgtype_is_delivered_to_the_node_handler(self):
-        cfg = baseline(num_nodes=2)
-        events = EventQueue()
-        fabric = Fabric(cfg, events, Stats())
-        inbox = []
-        fabric.attach(1, inbox.append, table=[None] * len(MsgType))
-        msg = Message("PING", 1, 1, 0)
-        fabric.send(msg)
-        events.run()
-        assert inbox == [msg]
 
     def test_unattached_node_raises(self):
         cfg = baseline(num_nodes=2)
@@ -318,9 +319,11 @@ class TestFabric:
             chaos = ChaosPolicy(chaos, stats=stats)
         fabric = Fabric(cfg, events, stats, tracer=tracer, chaos=chaos)
         inbox = []
+        def spy(m):
+            inbox.append((events.now, m.msg_id, m.mtype, m.src, m.dst))
+
         for n in range(self.NODES):
-            fabric.attach(n, lambda m: inbox.append(
-                (events.now, m.msg_id, m.mtype, m.src, m.dst)))
+            fabric.attach(n, [spy] * len(MsgType))
         # Earlier traffic: a busy port at node 5, and a calendar bucket the
         # fan-out may append to.
         fabric.send(Message(MsgType.GETS, 0, 5, 0))

@@ -40,7 +40,7 @@ from repro.obs import TraceConfig, Tracer
 from repro.protocol import Hub
 from repro.protocol.arena import PROTOCOLS, Protocol, resolve_protocol
 from repro.sim import Barrier, Read, System, Write
-from repro.spec import Msg, get_spec
+from repro.spec import get_spec
 from repro.spec.conformance import run_conformance
 from repro.spec.registry import SPEC_NAMES
 
@@ -159,6 +159,20 @@ class TestArenaReport:
     def test_unknown_protocol_fails_before_any_run(self):
         with pytest.raises(ConfigError, match="unknown protocol"):
             run_arena(apps=("em3d",), protocols=("adaptive", "nope"))
+
+    def test_figure7_base_name_resolves(self):
+        # "base" is a Figure-7 system name, not a params function.
+        report = run_arena(apps=("em3d",), protocols=("wi",),
+                           base_name="base", seed=5, scale=0.05)
+        assert report.to_json()["base_config"] == "base"
+        run = report.cells[("em3d", "wi")]
+        assert run.metrics.cycles > 0
+        assert run.stats.get("msg.sent.UPDATE", 0) == 0
+
+    def test_unknown_base_name_fails_before_any_run(self):
+        # A params function that is no preset is not a base config.
+        with pytest.raises(ConfigError, match="unknown arena base config"):
+            run_arena(apps=("em3d",), base_name="config_digest")
 
 
 class TestDispatchContract:
@@ -317,15 +331,16 @@ class TestLintProtocolAwareness:
             ["adaptive", "dragon", "mesi", "wi"]
 
     def test_conformance_status_matches_what_is_diffed(self):
-        # A spec message the simulator lacks is a CON001 finding exactly
-        # when that spec is diffed against the simulator graph.
+        # A simulator emission the spec does not declare is a CON001
+        # finding exactly when that spec is diffed against the simulator
+        # graph.
         sim = extract_sim(default_root())
         statuses = run_lint().stats["protocols"]
         for name in SPEC_NAMES:
             spec = get_spec(name)
-            ping = replace(spec, messages=spec.messages + (
-                Msg("PING", note="not a MsgType"),))
-            diffed = any(f.check_id == "CON001" and "PING" in f.fingerprint
-                         for f in run_conformance({name: ping}, sim))
+            no_gets = replace(spec, messages=tuple(
+                m for m in spec.messages if m.name != "GETS"))
+            diffed = any(f.key == "CON001:emit:GETS"
+                         for f in run_conformance({name: no_gets}, sim))
             assert statuses[name].startswith("conformance-checked") == \
                 diffed, name

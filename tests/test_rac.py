@@ -92,13 +92,6 @@ class TestSurrogateMemoryRole:
         with pytest.raises(CacheCapacityError):
             rac.pin_delegated(4 * sets * 128, value=9)
 
-    def test_unpin_becomes_victim(self, rac_and_stats):
-        rac, _ = rac_and_stats
-        rac.pin_delegated(0, value=1)
-        line = rac.unpin(0)
-        assert not line.pinned
-        assert line.kind is RacKind.VICTIM
-
     def test_pinned_conflicts_lists_same_set(self, rac_and_stats):
         rac, _ = rac_and_stats
         sets = 4096 // 128 // 4

@@ -389,6 +389,14 @@ class TestRegistry:
         # its latent stale-home arms.
         assert dragon.handled() == WI_HANDLED | {"UPDATE", "UPDATE_ACK"}
 
+    def test_dragon_update_pair_equals_adaptives(self):
+        # Dragon declares UPDATE/UPDATE_ACK again because wi projects
+        # adaptive's away; the two declarations must stay one message.
+        from repro.spec.protocols.dragon import SPEC as dragon_ext
+        adaptive = get_spec("adaptive")
+        for msg in dragon_ext.messages:
+            assert msg == adaptive.message(msg.name)
+
     @pytest.mark.parametrize("name", ["wi", "mesi", "dragon"])
     def test_tree_builds_from_its_adaptive(self, name):
         from repro.lint import default_root

@@ -7,6 +7,7 @@ cache relies on, and workers that really die.
 """
 
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -26,6 +27,7 @@ from repro.harness.sweep import (
     SweepEngine,
     SweepError,
     SweepJob,
+    SweepProgress,
     _execute_job,
     job_key,
 )
@@ -362,8 +364,8 @@ class RecordingProgress:
     def __init__(self):
         self.events = []
 
-    def sweep_started(self, total, cached):
-        self.events.append(("started", total, cached))
+    def sweep_started(self, total):
+        self.events.append(("started", total))
 
     def job_finished(self, key, job, elapsed, cached):
         self.events.append(("job", cached))
@@ -376,7 +378,7 @@ class TestProgressHooks:
     def test_hooks_fire_in_order(self):
         progress = RecordingProgress()
         SweepEngine(progress=progress).run_many([job(), job(app="lu")])
-        assert progress.events[0] == ("started", 2, 0)
+        assert progress.events[0] == ("started", 2)
         assert progress.events[1:3] == [("job", False), ("job", False)]
         assert progress.events[3] == ("finished", 2, 0)
 
@@ -386,8 +388,17 @@ class TestProgressHooks:
         progress = RecordingProgress()
         engine.progress = progress
         engine.run_many([job()])
-        assert ("started", 1, 1) in progress.events
-        assert ("job", True) in progress.events
+        assert progress.events == [("started", 1), ("job", True),
+                                   ("finished", 0, 1)]
+
+    def test_console_counts_each_cached_job_once(self, tmp_path):
+        engine = SweepEngine(cache=True, cache_dir=str(tmp_path))
+        engine.run_many([job(), job(app="lu")])
+        stream = io.StringIO()
+        engine.progress = SweepProgress(stream=stream)
+        engine.run_many([job(), job(app="lu")])
+        last = stream.getvalue().splitlines()[-1]
+        assert last.startswith("sweep: 2/2 jobs (2 cached)")
 
 
 @pytest.fixture
