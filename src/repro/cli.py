@@ -74,19 +74,6 @@ from .obs import TraceConfig, Tracer, export_jsonl, export_perfetto
 from .spec.registry import SPEC_NAMES
 from .workloads import application_names
 
-EXPERIMENTS = {
-    "table3": experiments.table3,
-    "figure7": experiments.figure7,
-    "figure8": experiments.figure8,
-    "figure9": experiments.figure9,
-    "figure10": experiments.figure10,
-    "figure11": experiments.figure11,
-    "figure12": experiments.figure12,
-    "headline": experiments.headline,
-    "delegation-only": experiments.delegation_only,
-}
-
-
 def _engine_flags(parser, jobs=None):
     """Declare the sweep engine's flags (see :func:`_build_engine`)."""
     parser.add_argument("--jobs", type=int, default=jobs, metavar="N",
@@ -231,7 +218,7 @@ def build_parser():
 
     sweep_p = sub.add_parser(
         "sweep", help="regenerate an artefact via the parallel sweep engine")
-    sweep_p.add_argument("name", choices=sorted(EXPERIMENTS))
+    sweep_p.add_argument("name", choices=sorted(experiments.ARTEFACTS))
     sweep_p.add_argument("--scale", type=float, default=1.0)
     sweep_p.add_argument("--seed", type=int, default=12345)
     _engine_flags(sweep_p)
@@ -249,7 +236,7 @@ def build_parser():
         "profile",
         help="cProfile one artefact sweep and print the top-N cost table")
     profile_p.add_argument("name", nargs="?", default="headline",
-                           choices=sorted(EXPERIMENTS))
+                           choices=sorted(experiments.ARTEFACTS))
     profile_p.add_argument("--scale", type=float, default=0.1)
     profile_p.add_argument("--seed", type=int, default=12345)
     profile_p.add_argument("--top", type=int, default=20, metavar="N",
@@ -572,9 +559,9 @@ def cmd_sweep(args):
     engine = _build_engine(args, quiet=args.quiet)
     # --directory-format threads natively through the experiment into
     # every SweepJob (and therefore into the content-hashed cache keys).
-    out = EXPERIMENTS[args.name](scale=args.scale, seed=args.seed,
-                                 engine=engine,
-                                 directory_format=args.directory_format)
+    run, _heading = experiments.ARTEFACTS[args.name]
+    out = run(scale=args.scale, seed=args.seed, engine=engine,
+              directory_format=args.directory_format)
     report = engine.last_report
     print(out["text"])
     print("\nsweep %s: %d jobs (%d unique), %d executed, %d cached, "
@@ -601,7 +588,8 @@ def cmd_profile(args):
     profiler = cProfile.Profile()
     started = time.perf_counter()
     profiler.enable()
-    EXPERIMENTS[args.name](scale=args.scale, seed=args.seed, engine=engine)
+    run, _heading = experiments.ARTEFACTS[args.name]
+    run(scale=args.scale, seed=args.seed, engine=engine)
     profiler.disable()
     elapsed = time.perf_counter() - started
     profiler.create_stats()

@@ -14,16 +14,16 @@ cycle, so the heap holds far fewer entries than there are events and
 compares ints instead of tuples.
 
 The queue is on the hot path of every simulated cycle.  The validated entry
-points are :meth:`schedule` and :meth:`schedule_at`; the two hottest
-callers (the fabric's deliveries and the processors' self-rescheduling)
-append to ``_calendar`` directly because their timestamps are ``now`` plus
-a non-negative latency by construction.  :meth:`run` drains one cycle's
-list at a time instead of delegating to :meth:`step`.
+point is :meth:`schedule`; the two hottest callers (the fabric's deliveries
+and the processors' self-rescheduling) append to ``_calendar`` directly
+because their timestamps are ``now`` plus a non-negative latency by
+construction.  :meth:`run` is the one drain loop, one cycle's list at a
+time; ``run(max_events=1)`` fires a single event.
 
 Invariant outside :meth:`run`: ``_times`` holds exactly the keys of
 ``_calendar``, and every listed event is still to fire.  During a drain the
 current cycle's list also holds its already-fired prefix, so callbacks must
-not re-enter :meth:`run` or :meth:`step`.
+not re-enter :meth:`run`.
 """
 
 from heapq import heappop, heappush
@@ -73,14 +73,6 @@ class EventQueue:
             raise ValueError("cannot schedule an event in the past (delay=%r)" % delay)
         self._push(self._now + delay, callback, args)
 
-    def schedule_at(self, time, callback, *args):
-        """Schedule ``callback(*args)`` at absolute cycle ``time``."""
-        if time < self._now:
-            raise ValueError(
-                "cannot schedule at %r, current time is %r" % (time, self._now)
-            )
-        self._push(time, callback, args)
-
     def _retire(self, time, bucket, fired):
         """Drop the first ``fired`` events of ``time``'s ``bucket``."""
         if fired < len(bucket):
@@ -88,19 +80,6 @@ class EventQueue:
         else:
             heappop(self._times)
             del self._calendar[time]
-
-    def step(self):
-        """Fire the single next event.  Returns False when the queue is empty."""
-        if not self._times:
-            return False
-        time = self._times[0]
-        bucket = self._calendar[time]
-        callback, args = bucket[0]
-        self._retire(time, bucket, 1)
-        self._now = time
-        self._processed += 1
-        callback(*args)
-        return True
 
     def run(self, max_events=None, max_cycles=None):
         """Drain the queue.

@@ -86,7 +86,9 @@ def run_arena(apps=DEFAULT_APPS, protocols=SPEC_NAMES, base=None,
     ``base`` is the shared base :class:`SystemConfig` (default:
     :func:`base_preset` of ``base_name``); every protocol
     runs ``replace(base, protocol_name=...)`` and normalises it itself at
-    System construction.  ``engine`` is any default-runner
+    System construction.  The report names the base ``base_name``, or
+    ``base_name/FORMAT`` when its directory format is not ``full``.
+    ``engine`` is any default-runner
     :class:`~repro.harness.sweep.SweepEngine`; the default is serial and
     uncached.
     """
@@ -105,6 +107,8 @@ def run_arena(apps=DEFAULT_APPS, protocols=SPEC_NAMES, base=None,
     cells = engine.run_many(jobs)
     rows = {app: [_row(protocol, cells[(app, protocol)])
                   for protocol in protocols] for app in apps}
+    if base.directory_format != "full":
+        base_name = "%s/%s" % (base_name, base.directory_format)
     return MatrixReport(
         "protocol arena  (base config %s, seed %d, scale %g)"
         % (base_name, seed, scale), COLUMNS,

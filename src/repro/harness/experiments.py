@@ -1,20 +1,23 @@
 """One experiment definition per paper table/figure.
 
 Each ``figureN()`` / ``tableN()`` function runs the necessary simulations
-and returns a dict with the regenerated rows/series plus a rendered ASCII
-form under ``"text"``.  The paper's reported values are kept alongside in
-``PAPER`` so EXPERIMENTS.md (and the benches' printed output) can show
-paper-vs-measured for every artefact.
+and returns the same three keys: ``"measured"`` (the regenerated rows or
+series), ``"paper"`` (the paper's reported values from ``PAPER``, or None
+where the paper gives no number) and ``"text"`` (the rendered ASCII
+form).  ``ARTEFACTS`` lists every artefact once, in report order, with
+its report heading; ``repro sweep``, ``repro profile`` and ``repro
+report`` (:mod:`repro.analysis.report`) all read it.
 
 All functions accept ``scale`` (workload shrink factor) so tests can run
 them quickly; published numbers in EXPERIMENTS.md use ``scale=1.0``.
 
 Every function also accepts ``engine`` — a
 :class:`~repro.harness.sweep.SweepEngine` — and submits its whole
-simulation matrix as one batch of jobs, so ``repro sweep figure7
---jobs 8`` runs the 42 independent sims in parallel and replays cached
-ones.  Without an explicit engine a serial, uncached one is used, which
-behaves exactly like the old direct ``run_app`` chain.
+simulation matrix as one batch of jobs through :func:`_metrics`, so
+``repro sweep figure7 --jobs 8`` runs the 42 independent sims in
+parallel and replays cached ones.  Without an explicit engine a serial,
+uncached one is used, which behaves exactly like a direct ``run_app``
+chain.
 """
 
 from dataclasses import replace
@@ -60,21 +63,25 @@ _KB = 1024
 _MB = 1024 * 1024
 
 
-def evaluated_systems(**overrides):
-    """The six Figure 7 configurations, instantiated."""
-    return {name: factory(**overrides)
-            for name, factory in params.EVALUATED_SYSTEMS.items()}
+def _metrics(jobs, seed, scale, engine, directory_format,
+             field="metrics"):
+    """Run ``{key: (app, config)}`` as one batch and return ``{key:
+    RunMetrics}`` (``field`` picks another part of each
+    :class:`~repro.harness.runner.AppRun`, as Table 3's
+    ``consumer_hist``).
 
-
-def _engine(engine):
-    return engine if engine is not None else default_engine()
-
-
-def _job(app, config, seed, scale, directory_format=None):
-    # The format goes into the config, so the job key sees it.
-    if directory_format is not None:
-        config = replace(config, directory_format=directory_format)
-    return SweepJob(app=app, config=config, seed=seed, scale=scale)
+    ``directory_format`` overrides every config's sharer encoding; it
+    goes into the config, so the job key sees it.
+    """
+    if engine is None:
+        engine = default_engine()
+    batch = {}
+    for key, (app, config) in jobs.items():
+        if directory_format is not None:
+            config = replace(config, directory_format=directory_format)
+        batch[key] = SweepJob(app=app, config=config, seed=seed, scale=scale)
+    runs = engine.run_many(batch)
+    return {key: getattr(runs[key], field) for key in jobs}
 
 
 # ---------------------------------------------------------------------------
@@ -85,15 +92,11 @@ def table3(scale=1.0, seed=12345, apps=APPS, engine=None,
            directory_format=None):
     """Consumer-count distribution observed by the detector (base system)."""
     buckets = ("1", "2", "3", "4", "4+")
-    runs = _engine(engine).run_many(
-        {app: _job(app, params.baseline(), seed, scale, directory_format)
-         for app in apps})
-    rows = []
-    measured = {}
-    for app in apps:
-        run = runs[app]
-        measured[app] = run.consumer_hist
-        rows.append([app] + ["%.1f" % run.consumer_hist[b] for b in buckets])
+    measured = _metrics({app: (app, params.baseline()) for app in apps},
+                        seed, scale, engine, directory_format,
+                        field="consumer_hist")
+    rows = [[app] + ["%.1f" % measured[app][b] for b in buckets]
+            for app in apps]
     text = render_table(["app"] + ["%s (%%)" % b for b in buckets], rows,
                         title="Table 3: consumers per producer-consumer pattern")
     return {"measured": measured, "paper": PAPER["table3"], "text": text}
@@ -103,34 +106,38 @@ def table3(scale=1.0, seed=12345, apps=APPS, engine=None,
 # Figure 7 — speedup / network messages / remote misses, 7 apps x 6 systems
 # ---------------------------------------------------------------------------
 
+#: Figure 7's panels: (``measured`` key, title, comparison with base).
+FIGURE7_PANELS = (
+    ("speedup", "speedup", compare.speedup),
+    ("messages", "network messages (normalised)",
+     compare.normalized_messages),
+    ("misses", "remote misses (normalised)",
+     compare.normalized_remote_misses),
+)
+
+
 def figure7(scale=1.0, seed=12345, apps=APPS, engine=None,
             directory_format=None):
     """The paper's main result: all apps on all six system presets."""
-    systems = evaluated_systems()
-    runs = _engine(engine).run_many(
-        {(app, name): _job(app, config, seed, scale, directory_format)
-         for app in apps for name, config in systems.items()})
-    speedups, messages, misses = {}, {}, {}
-    for app in apps:
-        base = runs[(app, "base")].metrics
-        speedups[app], messages[app], misses[app] = {}, {}, {}
-        for name in systems:
-            run_metrics = runs[(app, name)].metrics
-            speedups[app][name] = compare.speedup(base, run_metrics)
-            messages[app][name] = compare.normalized_messages(base, run_metrics)
-            misses[app][name] = compare.normalized_remote_misses(base,
-                                                                 run_metrics)
+    systems = {name: factory()
+               for name, factory in params.EVALUATED_SYSTEMS.items()}
     names = list(systems)
-    sections = []
-    for title, table in (("speedup", speedups),
-                         ("network messages (normalised)", messages),
-                         ("remote misses (normalised)", misses)):
-        rows = [[app] + [table[app][n] for n in names] for app in apps]
-        sections.append(render_table(["app"] + names, rows,
-                                     title="Figure 7: %s" % title))
-    return {"speedup": speedups, "messages": messages, "misses": misses,
-            "systems": names, "paper": PAPER["figure7_speedup"],
-            "text": "\n\n".join(sections)}
+    runs = _metrics({(app, name): (app, config)
+                     for app in apps for name, config in systems.items()},
+                    seed, scale, engine, directory_format)
+    measured = {
+        key: {app: {name: versus(runs[(app, "base")], runs[(app, name)])
+                    for name in names}
+              for app in apps}
+        for key, _title, versus in FIGURE7_PANELS}
+    text = "\n\n".join(
+        render_table(["app"] + names,
+                     [[app] + [measured[key][app][n] for n in names]
+                      for app in apps],
+                     title="Figure 7: %s" % title)
+        for key, title, _versus in FIGURE7_PANELS)
+    return {"measured": measured, "paper": PAPER["figure7_speedup"],
+            "text": text}
 
 
 def headline(scale=1.0, seed=12345, apps=APPS, engine=None,
@@ -138,18 +145,17 @@ def headline(scale=1.0, seed=12345, apps=APPS, engine=None,
     """Geomean speedup + mean traffic/remote-miss reduction, small & large."""
     configs = {"base": params.baseline(), "small": params.small(),
                "large": params.large()}
-    runs = _engine(engine).run_many(
-        {(cname, app): _job(app, config, seed, scale, directory_format)
-         for cname, config in configs.items() for app in apps})
-    out = {}
-    base_runs = {app: runs[("base", app)].metrics for app in apps}
-    for cname in ("small", "large"):
-        enh = {app: runs[(cname, app)].metrics for app in apps}
-        out[cname] = compare.headline(base_runs, enh)
+    runs = _metrics({(cname, app): (app, config)
+                     for cname, config in configs.items() for app in apps},
+                    seed, scale, engine, directory_format)
+    per_app = {cname: {app: runs[(cname, app)] for app in apps}
+               for cname in configs}
+    measured = {cname: compare.headline(per_app["base"], per_app[cname])
+                for cname in ("small", "large")}
     rows = []
     for cname in ("small", "large"):
         p = PAPER["headline"][cname]
-        m = out[cname]
+        m = measured[cname]
         rows.append([cname, "%.2f/%.2f" % (p[0], m[0]),
                      "%.0f%%/%.0f%%" % (100 * p[1], 100 * m[1]),
                      "%.0f%%/%.0f%%" % (100 * p[2], 100 * m[2])])
@@ -157,24 +163,22 @@ def headline(scale=1.0, seed=12345, apps=APPS, engine=None,
         ["config", "speedup paper/ours", "traffic cut paper/ours",
          "remote-miss cut paper/ours"], rows,
         title="Headline results (paper vs measured)")
-    return {"measured": out, "paper": PAPER["headline"], "text": text}
+    return {"measured": measured, "paper": PAPER["headline"], "text": text}
 
 
 def delegation_only(scale=1.0, seed=12345, apps=APPS, engine=None,
                     directory_format=None):
     """Paper §3.2: delegation without updates lands within ~1% of baseline."""
     configs = {"base": params.baseline(), "dele": params.delegation_only()}
-    runs = _engine(engine).run_many(
-        {(cname, app): _job(app, config, seed, scale, directory_format)
-         for cname, config in configs.items() for app in apps})
-    out = {}
-    for app in apps:
-        out[app] = compare.speedup(runs[("base", app)].metrics,
-                                   runs[("dele", app)].metrics)
-    rows = [[app, out[app]] for app in apps]
-    text = render_table(["app", "delegation-only speedup"], rows,
+    runs = _metrics({(cname, app): (app, config)
+                     for cname, config in configs.items() for app in apps},
+                    seed, scale, engine, directory_format)
+    measured = {app: compare.speedup(runs[("base", app)], runs[("dele", app)])
+                for app in apps}
+    text = render_table(["app", "delegation-only speedup"],
+                        [[app, measured[app]] for app in apps],
                         title="Delegation-only vs baseline (paper: within ~1%)")
-    return {"measured": out, "text": text}
+    return {"measured": measured, "paper": None, "text": text}
 
 
 # ---------------------------------------------------------------------------
@@ -197,25 +201,23 @@ def figure8(scale=1.0, seed=12345, apps=APPS, engine=None,
         "smart": replace(params.small(), l2=l2_1m),
         "bigger": replace(params.baseline(), l2=l2_104m),
     }
-    runs = _engine(engine).run_many(
-        {(cname, app): _job(app, config, seed, scale, directory_format)
-         for cname, config in configs.items() for app in apps})
-    speedups = {}
+    runs = _metrics({(cname, app): (app, config)
+                     for cname, config in configs.items() for app in apps},
+                    seed, scale, engine, directory_format)
+    measured = {}
     for app in apps:
-        base = runs[("base", app)].metrics
-        speedups[app] = {
+        base = runs[("base", app)]
+        measured[app] = {
             "base_1M": 1.0,
-            "deledc_32K_RAC": compare.speedup(
-                base, runs[("smart", app)].metrics),
-            "equal_area_1.04M": compare.speedup(
-                base, runs[("bigger", app)].metrics),
+            "deledc_32K_RAC": compare.speedup(base, runs[("smart", app)]),
+            "equal_area_1.04M": compare.speedup(base, runs[("bigger", app)]),
         }
-    rows = [[app, speedups[app]["deledc_32K_RAC"],
-             speedups[app]["equal_area_1.04M"]] for app in apps]
+    rows = [[app, measured[app]["deledc_32K_RAC"],
+             measured[app]["equal_area_1.04M"]] for app in apps]
     text = render_table(
         ["app", "32e deledc + 32K RAC", "equal-area 1.04M L2"], rows,
         title="Figure 8: smarter vs larger caches (speedup over 1M L2 base)")
-    return {"measured": speedups, "text": text}
+    return {"measured": measured, "paper": None, "text": text}
 
 
 # ---------------------------------------------------------------------------
@@ -229,30 +231,25 @@ FIGURE9_INFINITE = 10 ** 12  # effectively "never downgrade speculatively"
 
 def figure9(scale=1.0, seed=12345, apps=APPS, delays=FIGURE9_DELAYS,
             include_infinite=True, engine=None, directory_format=None):
-    """Execution time vs intervention delay, normalised to the 5-cycle run."""
+    """Execution time vs intervention delay, normalised to the first
+    (5-cycle) delay."""
     sweep = list(delays)
     if include_infinite:
         sweep.append(FIGURE9_INFINITE)
-    runs = _engine(engine).run_many(
-        {(app, delay): _job(
-            app, params.small().with_protocol(intervention_delay=delay),
-            seed, scale, directory_format)
-         for app in apps for delay in sweep})
-    series = {}
-    for app in apps:
-        points = []
-        reference = None
-        for delay in sweep:
-            cycles = runs[(app, delay)].metrics.cycles
-            if reference is None:
-                reference = cycles
-            label = "inf" if delay == FIGURE9_INFINITE else delay
-            points.append((label, cycles / reference))
-        series[app] = points
+    runs = _metrics(
+        {(app, delay): (
+            app, params.small().with_protocol(intervention_delay=delay))
+         for app in apps for delay in sweep},
+        seed, scale, engine, directory_format)
+    measured = {
+        app: [("inf" if delay == FIGURE9_INFINITE else delay,
+               runs[(app, delay)].cycles / runs[(app, sweep[0])].cycles)
+              for delay in sweep]
+        for app in apps}
     text = render_series(
         "Figure 9: execution time vs intervention delay (normalised to "
-        "5-cycle delay)", "intervention delay (cycles)", series)
-    return {"measured": series, "text": text}
+        "5-cycle delay)", "intervention delay (cycles)", measured)
+    return {"measured": measured, "paper": None, "text": text}
 
 
 # ---------------------------------------------------------------------------
@@ -270,102 +267,94 @@ def figure10(scale=1.0, seed=12345, app="appbt", hops_ns=FIGURE10_HOPS_NS,
         return replace(config, network=replace(config.network,
                                                hop_latency=2 * ns))
 
-    jobs = {}
+    runs = _metrics({(ns, name): (app, with_hop(config, ns))
+                     for ns in hops_ns
+                     for name, config in (("base", params.baseline()),
+                                          ("enh", params.small()))},
+                    seed, scale, engine, directory_format)
+    measured = []
     for ns in hops_ns:
-        jobs[(ns, "base")] = _job(app, with_hop(params.baseline(), ns),
-                                  seed, scale, directory_format)
-        jobs[(ns, "enh")] = _job(app, with_hop(params.small(), ns),
-                                 seed, scale, directory_format)
-    runs = _engine(engine).run_many(jobs)
-    points = []
-    for ns in hops_ns:
-        base = runs[(ns, "base")].metrics
-        enh = runs[(ns, "enh")].metrics
-        points.append({"hop_ns": ns, "base_cycles": base.cycles,
-                       "enh_cycles": enh.cycles,
-                       "speedup": compare.speedup(base, enh)})
+        base, enh = runs[(ns, "base")], runs[(ns, "enh")]
+        measured.append({"hop_ns": ns, "base_cycles": base.cycles,
+                         "enh_cycles": enh.cycles,
+                         "speedup": compare.speedup(base, enh)})
     rows = [[p["hop_ns"], p["base_cycles"], p["enh_cycles"], p["speedup"]]
-            for p in points]
+            for p in measured]
     text = render_table(
         ["hop (ns)", "base cycles", "enhanced cycles", "speedup"], rows,
         title="Figure 10: sensitivity to network hop latency (%s)" % app)
-    return {"measured": points, "paper": PAPER["figure10_speedup"],
+    return {"measured": measured, "paper": PAPER["figure10_speedup"],
             "text": text}
 
 
 # ---------------------------------------------------------------------------
-# Figure 11 — sensitivity to delegate cache size (MG)
+# Figures 11 and 12 — sensitivity to delegate cache and RAC size
 # ---------------------------------------------------------------------------
 
 FIGURE11_ENTRIES = (32, 64, 128, 256, 512, 1024)
+FIGURE12_RAC_KB = (32, 64, 128, 256, 512, 1024)
+
+
+def _capacity_sweep(title, app, columns, points, seed, scale, engine,
+                    directory_format):
+    """Speedup and normalised messages over the baseline at each
+    ``(values, delegate entries, RAC bytes)`` point; ``columns`` names
+    the values as ``(measured key, table header)`` pairs."""
+    jobs = {"base": (app, params.baseline())}
+    jobs.update((values, (app, params.enhanced(delegate_entries=entries,
+                                               rac_bytes=rac_bytes)))
+                for values, entries, rac_bytes in points)
+    runs = _metrics(jobs, seed, scale, engine, directory_format)
+    measured = [
+        dict(zip((key for key, _header in columns), values),
+             speedup=compare.speedup(runs["base"], runs[values]),
+             messages=compare.normalized_messages(runs["base"], runs[values]))
+        for values, _entries, _rac_bytes in points]
+    text = render_table(
+        [header for _key, header in columns] + ["speedup", "messages (norm)"],
+        [[p[key] for key, _header in columns] + [p["speedup"], p["messages"]]
+         for p in measured],
+        title=title)
+    return {"measured": measured, "paper": None, "text": text}
 
 
 def figure11(scale=1.0, seed=12345, app="mg", entries=FIGURE11_ENTRIES,
              engine=None, directory_format=None):
     """Speedup and normalised messages vs delegate-cache entries (32K RAC),
     plus the 1K-entry + 1M-RAC point, mirroring the paper's bar chart."""
-    sweep = ([("base", params.baseline())]
-             + [((count, "32K"),
-                 params.enhanced(delegate_entries=count, rac_bytes=32 * _KB))
-                for count in entries]
-             + [((1024, "1M"),
-                 params.enhanced(delegate_entries=1024, rac_bytes=1 * _MB))])
-    runs = _engine(engine).run_many(
-        {key: _job(app, config, seed, scale, directory_format)
-         for key, config in sweep})
-    base = runs["base"].metrics
-    points = []
-    for count in entries:
-        metrics = runs[(count, "32K")].metrics
-        points.append({"entries": count, "rac": "32K",
-                       "speedup": compare.speedup(base, metrics),
-                       "messages": compare.normalized_messages(base, metrics)})
-    metrics = runs[(1024, "1M")].metrics
-    points.append({"entries": 1024, "rac": "1M",
-                   "speedup": compare.speedup(base, metrics),
-                   "messages": compare.normalized_messages(base, metrics)})
-    rows = [[p["entries"], p["rac"], p["speedup"], p["messages"]]
-            for p in points]
-    text = render_table(["entries", "RAC", "speedup", "messages (norm)"],
-                        rows,
-                        title="Figure 11: delegate cache size sweep (%s)" % app)
-    return {"measured": points, "text": text}
-
-
-# ---------------------------------------------------------------------------
-# Figure 12 — sensitivity to RAC size (Appbt)
-# ---------------------------------------------------------------------------
-
-FIGURE12_RAC_KB = (32, 64, 128, 256, 512, 1024)
+    return _capacity_sweep(
+        "Figure 11: delegate cache size sweep (%s)" % app, app,
+        (("entries", "entries"), ("rac", "RAC")),
+        [((count, "32K"), count, 32 * _KB) for count in entries]
+        + [((1024, "1M"), 1024, 1 * _MB)],
+        seed, scale, engine, directory_format)
 
 
 def figure12(scale=1.0, seed=12345, app="appbt", rac_kb=FIGURE12_RAC_KB,
              engine=None, directory_format=None):
     """Speedup and normalised messages vs RAC size (32-entry delegate
     tables), plus the 1K-entry + 1M-RAC point."""
-    sweep = ([("base", params.baseline())]
-             + [((kb, 32),
-                 params.enhanced(delegate_entries=32, rac_bytes=kb * _KB))
-                for kb in rac_kb]
-             + [((1024, 1024),
-                 params.enhanced(delegate_entries=1024, rac_bytes=1 * _MB))])
-    runs = _engine(engine).run_many(
-        {key: _job(app, config, seed, scale, directory_format)
-         for key, config in sweep})
-    base = runs["base"].metrics
-    points = []
-    for kb in rac_kb:
-        metrics = runs[(kb, 32)].metrics
-        points.append({"rac_kb": kb, "entries": 32,
-                       "speedup": compare.speedup(base, metrics),
-                       "messages": compare.normalized_messages(base, metrics)})
-    metrics = runs[(1024, 1024)].metrics
-    points.append({"rac_kb": 1024, "entries": 1024,
-                   "speedup": compare.speedup(base, metrics),
-                   "messages": compare.normalized_messages(base, metrics)})
-    rows = [[p["rac_kb"], p["entries"], p["speedup"], p["messages"]]
-            for p in points]
-    text = render_table(["RAC (KB)", "entries", "speedup", "messages (norm)"],
-                        rows,
-                        title="Figure 12: RAC size sweep (%s)" % app)
-    return {"measured": points, "text": text}
+    return _capacity_sweep(
+        "Figure 12: RAC size sweep (%s)" % app, app,
+        (("rac_kb", "RAC (KB)"), ("entries", "entries")),
+        [((kb, 32), 32, kb * _KB) for kb in rac_kb]
+        + [((1024, 1024), 1024, 1 * _MB)],
+        seed, scale, engine, directory_format)
+
+
+#: Every paper artefact, in report order: name -> (function, report
+#: heading).  Each function takes ``scale``, ``seed``, ``engine`` and
+#: ``directory_format`` and returns ``measured``/``paper``/``text``.
+ARTEFACTS = {
+    "table3": (table3, "Table 3 — consumers per producer-consumer pattern"),
+    "figure7": (figure7, "Figure 7 — speedup, traffic, remote misses "
+                         "(7 apps x 6 systems)"),
+    "headline": (headline, "Headline (abstract numbers)"),
+    "delegation-only": (delegation_only,
+                        "Delegation-only ablation (paper: ~baseline)"),
+    "figure8": (figure8, "Figure 8 — smarter vs larger caches"),
+    "figure9": (figure9, "Figure 9 — intervention-delay sensitivity"),
+    "figure10": (figure10, "Figure 10 — hop-latency sensitivity (Appbt)"),
+    "figure11": (figure11, "Figure 11 — delegate-cache size sweep (MG)"),
+    "figure12": (figure12, "Figure 12 — RAC size sweep (Appbt)"),
+}

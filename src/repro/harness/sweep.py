@@ -663,8 +663,6 @@ class SweepEngine:
     ``os.cpu_count()``.  ``cache`` turns the on-disk result
     cache on; ``cache_dir`` relocates it.  ``progress`` is a hook object
     (see :class:`SweepProgress`); None disables reporting.
-    ``cache_budget`` (bytes) turns on LRU eviction; see
-    :class:`ResultCache`.
 
     Any job type runs here (see :class:`SweepJob`), and one batch may
     mix them: the engine only keys, dedupes, caches and executes, and
@@ -672,13 +670,12 @@ class SweepEngine:
     """
 
     def __init__(self, jobs=1, cache=False, cache_dir=CACHE_DIR,
-                 progress=None, cache_budget=None):
+                 progress=None):
         if jobs < 1:
             raise ValueError("jobs must be >= 1, got %r" % jobs)
         self.jobs = jobs
         self.effective_jobs = max(1, min(jobs, os.cpu_count() or 1))
-        self.cache = (ResultCache(cache_dir, budget_bytes=cache_budget)
-                      if cache else None)
+        self.cache = ResultCache(cache_dir) if cache else None
         self.progress = progress if progress is not None else _NullProgress()
         self.last_report = SweepReport()
 

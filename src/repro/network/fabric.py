@@ -13,7 +13,7 @@ precomputed at construction: wire sizes and stats-counter keys per message
 type, lazily materialised per-source latency rows, and a flat
 ``busy_until`` list instead of port objects.  Deliveries are appended
 straight onto the event queue's per-cycle calendar, skipping the validated
-:meth:`EventQueue.schedule_at`, and each names the destination hub's
+:meth:`EventQueue.schedule`, and each names the destination hub's
 handler for its message type, looked up in the node's pre-bound table
 (indexed by ``MsgType.index``) at send time.  The vocabulary is closed —
 every message is a :class:`MsgType` — so that lookup is the one delivery

@@ -15,6 +15,7 @@ byte-identical, which the test suite asserts.
 
 import io
 import json
+from dataclasses import asdict
 
 from .tracer import Span
 
@@ -101,43 +102,14 @@ def to_perfetto(tracer):
     }
 
 
-def _span_jsonl(span):
-    return {
-        "type": "span",
-        "sid": span.sid,
-        "kind": span.kind,
-        "node": span.node,
-        "addr": span.addr,
-        "start": span.start,
-        "end": span.end,
-        "outcome": span.outcome,
-        "retries": span.retries,
-        "attempts": span.attempts,
-        "nacks": span.nacks,
-        "args": span.args,
-    }
-
-
-def _event_jsonl(event):
-    return {
-        "type": "event",
-        "eid": event.eid,
-        "name": event.name,
-        "node": event.node,
-        "addr": event.addr,
-        "ts": event.ts,
-        "args": event.args,
-    }
-
-
 def jsonl_lines(tracer):
-    """Deterministic JSONL lines (no trailing newlines) for every record."""
+    """Deterministic JSONL lines (no trailing newlines) for every record:
+    its dataclass fields plus ``type`` ("span" or "event")."""
     lines = []
     for record in tracer.sorted_records():
-        obj = (_span_jsonl(record) if isinstance(record, Span)
-               else _event_jsonl(record))
-        lines.append(json.dumps(obj, sort_keys=True,
-                                separators=(",", ":")))
+        kind = "span" if isinstance(record, Span) else "event"
+        lines.append(json.dumps(dict(asdict(record), type=kind),
+                                sort_keys=True, separators=(",", ":")))
     return lines
 
 

@@ -27,7 +27,7 @@ def tool():
 TINY = {
     "headline": ({"analysis": 846, "cache": 177925, "common": 10987,
                   "common.events": 36917, "directory": 46702,
-                  "harness": 195, "network": 48719, "obs": 2074,
+                  "harness": 174, "network": 48719, "obs": 2074,
                   "protocol": 189417, "sim": 100830,
                   "sim.coherence_check": 40179, "workloads": 7338}, 32796),
     "storm256": ({"cache": 19542, "common": 1710, "common.events": 4134,

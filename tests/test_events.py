@@ -47,13 +47,6 @@ class TestScheduling:
         with pytest.raises(ValueError):
             ev.schedule(-1, lambda: None)
 
-    def test_schedule_at_past_rejected(self):
-        ev = EventQueue()
-        ev.schedule(10, lambda: None)
-        ev.run()
-        with pytest.raises(ValueError):
-            ev.schedule_at(5, lambda: None)
-
     def test_events_scheduled_during_run(self):
         ev = EventQueue()
         log = []
@@ -107,8 +100,8 @@ class TestRunLimits:
         ev.run(max_cycles=20)
         assert ev.now == 50
 
-    def test_step_empty_returns_false(self):
-        assert EventQueue().step() is False
+    def test_single_step_on_empty_fires_nothing(self):
+        assert EventQueue().run(max_events=1) == 0
 
     def test_processed_counter(self):
         ev = EventQueue()
@@ -148,20 +141,9 @@ class HeapQueue:
         return len(self._heap)
 
     def schedule(self, delay, callback, *args):
-        self.schedule_at(self.now + delay, callback, *args)
-
-    def schedule_at(self, time, callback, *args):
-        heapq.heappush(self._heap, (time, self._seq, callback, args))
+        heapq.heappush(self._heap, (self.now + delay, self._seq, callback,
+                                    args))
         self._seq += 1
-
-    def step(self):
-        if not self._heap:
-            return False
-        time, _seq, callback, args = heapq.heappop(self._heap)
-        self.now = time
-        self.processed += 1
-        callback(*args)
-        return True
 
     def run(self, max_events=None, max_cycles=None):
         fired = 0
@@ -185,20 +167,19 @@ class Boom(Exception):
     pass
 
 
-# One event: (delay, parent, absolute, raises).  An event whose ``parent``
-# is the index of an earlier event is scheduled when that event fires; any
-# other is scheduled up front.  Small delays make same-cycle ties common
-# and zero delays land in the cycle being drained.
+# One event: (delay, parent, raises).  An event whose ``parent`` is the
+# index of an earlier event is scheduled when that event fires; any other
+# is scheduled up front.  Small delays make same-cycle ties common and zero
+# delays land in the cycle being drained.
 _event = st.tuples(
     st.integers(0, 3),
     st.one_of(st.none(), st.integers(0, 40)),
-    st.booleans(),
     st.integers(0, 15).map(lambda r: r == 0),
 )
+# One call: run(max_events, max_cycles); (1, None) is a single step.
 _call = st.one_of(
-    st.just(("step",)),
-    st.tuples(st.just("run"),
-              st.one_of(st.none(), st.integers(0, 12)),
+    st.just((1, None)),
+    st.tuples(st.one_of(st.none(), st.integers(0, 12)),
               st.one_of(st.none(), st.integers(0, 25))),
 )
 
@@ -208,35 +189,26 @@ def _install(queue, log, events):
     ``log``."""
     children = [[] for _ in events]
     roots = []
-    for index, (_delay, parent, _absolute, _raises) in enumerate(events):
+    for index, (_delay, parent, _raises) in enumerate(events):
         if parent is None or parent >= index:
             roots.append(index)
         else:
             children[parent].append(index)
 
-    def add(index):
-        delay, _parent, absolute, _raises = events[index]
-        if absolute:
-            queue.schedule_at(queue.now + delay, fire, index)
-        else:
-            queue.schedule(delay, fire, index)
-
     def fire(index):
         log.append((queue.now, index))
         for child in children[index]:
-            add(child)
-        if events[index][3]:
+            queue.schedule(events[child][0], fire, child)
+        if events[index][2]:
             raise Boom(index)
 
     for index in roots:
-        add(index)
+        queue.schedule(events[index][0], fire, index)
 
 
 def _invoke(queue, call):
     try:
-        if call[0] == "step":
-            return queue.step()
-        return queue.run(max_events=call[1], max_cycles=call[2])
+        return queue.run(max_events=call[0], max_cycles=call[1])
     except Boom as exc:
         return ("raised", exc.args)
 
@@ -251,7 +223,7 @@ def test_matches_reference_heap(events, calls):
     _install(model, want, events)
     # Drain to completion after the generated calls; each raising event
     # fires once, so this terminates.
-    calls = calls + [("run", None, None)] * (len(events) + 1)
+    calls = calls + [(None, None)] * (len(events) + 1)
     for call in calls:
         assert _invoke(queue, call) == _invoke(model, call), call
         assert got == want

@@ -30,6 +30,13 @@ class TestRunner:
 
 
 class TestExperiments:
+    @pytest.mark.parametrize("name", sorted(experiments.ARTEFACTS))
+    def test_every_artefact_returns_one_shape(self, name):
+        run, heading = experiments.ARTEFACTS[name]
+        out = run(scale=0.02, seed=1)
+        assert set(out) == {"measured", "paper", "text"}
+        assert heading and out["text"]
+
     def test_table3_structure(self):
         # CG needs enough iterations for its intermittent PC phases to
         # register in the detector histogram.
@@ -42,9 +49,10 @@ class TestExperiments:
 
     def test_figure7_structure(self):
         out = experiments.figure7(scale=SCALE, apps=("em3d",))
-        assert out["systems"][0] == "base"
-        assert out["speedup"]["em3d"]["base"] == pytest.approx(1.0)
-        assert out["speedup"]["em3d"]["dele32_rac32k"] > 1.0
+        speedup = out["measured"]["speedup"]["em3d"]
+        assert list(speedup)[0] == "base"
+        assert speedup["base"] == pytest.approx(1.0)
+        assert speedup["dele32_rac32k"] > 1.0
 
     def test_headline_structure(self):
         out = experiments.headline(scale=SCALE, apps=("em3d", "lu"))

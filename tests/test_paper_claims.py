@@ -59,7 +59,7 @@ def test_figure7(engine):
     """Em3D and LU gain the most, CG the least; MG is delegate-cache
     limited and Appbt RAC limited (small config well below large)."""
     out = experiments.figure7(scale=SCALE, seed=SEED, engine=engine)
-    sp = {app: out["speedup"][app] for app in out["speedup"]}
+    sp = out["measured"]["speedup"]
     small, large = "dele32_rac32k", "dele1k_rac1m"
     # Ordering: biggest winners and the smallest winner.
     assert sp["cg"][large] == min(row[large] for row in sp.values())
@@ -71,8 +71,8 @@ def test_figure7(engine):
     # Every app benefits (or at worst is a wash) from the large config.
     assert all(row[large] > 0.97 for row in sp.values())
     # Remote misses and traffic drop for the communication-bound apps.
-    assert out["misses"]["em3d"][large] < 0.8
-    assert out["messages"]["em3d"][large] < 0.9
+    assert out["measured"]["misses"]["em3d"][large] < 0.8
+    assert out["measured"]["messages"]["em3d"][large] < 0.9
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,13 @@ class TestArenaReport:
         assert run.metrics.cycles > 0
         assert run.stats.get("msg.sent.UPDATE", 0) == 0
 
+    def test_directory_format_is_named_in_the_report(self):
+        base = params.small(directory_format="limited:2")
+        report = run_arena(apps=("em3d",), protocols=("adaptive",),
+                           base=base, base_name="small", seed=5, scale=0.05)
+        assert report.to_json()["base_config"] == "small/limited:2"
+        assert "(base config small/limited:2, seed 5" in report.render_text()
+
     def test_unknown_base_name_fails_before_any_run(self):
         # A params function that is no preset is not a base config.
         with pytest.raises(ConfigError, match="unknown arena base config"):

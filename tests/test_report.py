@@ -2,23 +2,19 @@
 
 import pytest
 
-from repro.analysis.report import (
-    full_report,
-    headline_section,
-    table3_section,
-)
+from repro.analysis.report import full_report, section
 from repro.harness.sweep import SOURCE_ROOT, SweepEngine, source_digest
 
 
 class TestSections:
     def test_table3_section(self):
-        text = table3_section(scale=0.25, seed=12345)
+        text = section("table3", scale=0.25, seed=12345)
         assert text.startswith("## Table 3")
         assert "Paper's Table 3" in text
         assert "barnes" in text
 
     def test_headline_section(self):
-        text = headline_section(scale=0.25, seed=12345)
+        text = section("headline", scale=0.25, seed=12345)
         assert "speedup paper/ours" in text
 
 

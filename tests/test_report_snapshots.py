@@ -4,8 +4,10 @@
 The scale and arena goldens under ``tests/golden/`` were captured from
 the CLI before the miss-latency histograms moved from the tracer into the
 always-on run stats, so they pin the p50/p95 columns (and every other
-cell) across that change.  The sweep golden was captured before the
-sweep engine and the job service shared one worker pool.  The run
+cell) across that change.  The table3 sweep golden (``sweep``) was
+captured before the sweep engine and the job service shared one worker
+pool; the other eight artefacts' sweep goldens (``sweep_NAME``) before
+the experiments shared one batch helper and one return shape.  The run
 footer is matched apart from the report, against a pattern that leaves
 out only its wall time; ``repro sweep --json`` is the sweep's
 executed/cached accounting, so only its text is pinned.
@@ -34,9 +36,22 @@ SNAPSHOTS = {
               "--no-cache", "--jobs", "1"],
     "arena": ["arena", "--apps", "em3d", "--scale", "0.05", "--no-cache",
               "--jobs", "1"],
-    "sweep": ["sweep", "table3", "--scale", "0.05", "--no-cache",
-              "--jobs", "1"],
 }
+
+#: Every paper artefact's job count, all unique, at ``--scale 0.05``.
+SWEEP_JOBS = {"table3": 7, "figure7": 42, "figure8": 21, "figure9": 56,
+              "figure10": 8, "figure11": 8, "figure12": 8, "headline": 21,
+              "delegation-only": 14}
+
+
+def _sweep_snapshot(artefact):
+    return "sweep" if artefact == "table3" else "sweep_" + artefact
+
+
+SNAPSHOTS.update(
+    (_sweep_snapshot(artefact),
+     ["sweep", artefact, "--scale", "0.05", "--no-cache", "--jobs", "1"])
+    for artefact in SWEEP_JOBS)
 
 #: The reports whose whole ``--json`` document is pinned too.
 JSON_DOCS = ("scale", "arena")
@@ -47,9 +62,12 @@ FOOTERS = {
              r"\d+\.\d\ds",
     "arena": r"arena: 4 cells \(4 executed, 0 cached\), 1 workers, "
              r"\d+\.\d\ds",
-    "sweep": r"sweep table3: 7 jobs \(7 unique\), 7 executed, 0 cached, "
-             r"1 workers, \d+\.\d\ds",
 }
+FOOTERS.update(
+    (_sweep_snapshot(artefact),
+     r"sweep %s: %d jobs \(%d unique\), %d executed, 0 cached, "
+     r"1 workers, \d+\.\d\ds" % (artefact, jobs, jobs, jobs))
+    for artefact, jobs in SWEEP_JOBS.items())
 
 
 def render(name, work_dir):

@@ -114,11 +114,6 @@ class TestLRUEviction:
         cache.put(key, make_job(), payload(7, pad=4000), elapsed=0.0)
         assert cache.get(key) is not None
 
-    def test_engine_passes_budget_through(self, tmp_path):
-        engine = SweepEngine(cache=True, cache_dir=str(tmp_path),
-                             cache_budget=123)
-        assert engine.cache.budget_bytes == 123
-
 
 class TestJobSecondsIncludesHits:
     def test_cache_hits_land_in_job_seconds(self, tmp_path):

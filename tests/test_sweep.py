@@ -12,6 +12,7 @@ import json
 import os
 import shutil
 from dataclasses import asdict, dataclass, replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -99,7 +100,18 @@ class TestJobKey:
         """Regression: an experiment's ``directory_format`` is part of
         the content hash, so a coarse:4 run can never replay a full run's
         cache entry."""
-        from repro.harness.experiments import _job
+        from repro.harness.experiments import _metrics
+
+        class Echo:
+            """Hands each submitted job back as its run's metrics."""
+
+            def run_many(self, jobs):
+                return {key: SimpleNamespace(metrics=submitted)
+                        for key, submitted in jobs.items()}
+
+        def _job(app, config, seed, scale, directory_format=None):
+            return _metrics({app: (app, config)}, seed, scale, Echo(),
+                            directory_format)[app]
 
         config = baseline(num_nodes=4)
         plain = _job("ocean", config, 12345, SCALE, "full")
