@@ -21,7 +21,7 @@ which is exactly what ``repro fuzz --replay`` asserts.
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..common.errors import (
@@ -56,7 +56,9 @@ class CaseResult:
     stats: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return asdict(self)
+        # A shallow copy: asdict would deep-copy ``stats``, a flat dict of
+        # ints that nothing mutates, twice per seed (digest and job payload).
+        return dict(vars(self))
 
     @property
     def digest(self):

@@ -34,6 +34,7 @@ A total ``force_nack_budget`` bounds injected NACKs so every run still
 terminates; delay and reordering are finite by construction.
 """
 
+from collections import defaultdict
 from dataclasses import asdict, dataclass
 
 from ..common.errors import ConfigError
@@ -102,19 +103,38 @@ class ChaosPolicy:
     """Stateful per-run fault injector driven by one :class:`ChaosConfig`.
 
     The fabric consults it at two points: :meth:`arrival` when a remote
-    message is put on the wire (jitter/reorder + the FIFO clamp, and the
-    duplication decision via :meth:`duplicate_arrival`), and
-    :meth:`forced_nack` when a message is about to be handed to the
-    destination hub.  All randomness comes from one named stream off the
-    chaos seed, so a (config, workload) pair replays identically.
+    message is put on the wire (jitter/reorder + the FIFO clamp, and, for
+    :attr:`duplicable` types, the duplication decision via
+    :meth:`duplicate_arrival`), and :meth:`forced_nack` when a
+    :attr:`bounceable` message is about to be handed to the destination
+    hub.  All randomness comes from one named stream off the chaos seed,
+    so a (config, workload) pair replays identically.
     """
 
     def __init__(self, config, stats=None):
         self.config = config
-        self.stats = stats
         self._rng = stream(config.seed, "chaos")
         self._channel_floor = {}  # (src, dst) -> latest arrival booked
         self._nack_budget = config.force_nack_budget
+        # The knobs read per message, off the frozen config once.
+        self._delay_jitter = config.delay_jitter
+        self._reorder_prob = config.reorder_prob
+        self._reorder_window = config.reorder_window
+        self._duplicate_prob = config.duplicate_prob
+        self._force_nack_prob = config.force_nack_prob
+        # Which types this policy can bounce or duplicate, indexed by
+        # MsgType.index (a list read, not an Enum hash).  The fabric sends
+        # only bounceable types through its delivery hook and asks for a
+        # duplicate only of duplicable ones: for every other type the
+        # hooks return None before any draw.
+        self.bounceable = [bool(config.force_nack_prob) and mtype in _NACKABLE
+                           for mtype in MsgType]
+        self.duplicable = [bool(config.duplicate_prob)
+                           and mtype in _DUPLICABLE for mtype in MsgType]
+        # Injected events are counted in place; without a Stats they land
+        # in a private sink.
+        self._counters = (defaultdict(int) if stats is None
+                          else stats._counters)
 
     @classmethod
     def resolve(cls, chaos, stats=None):
@@ -126,24 +146,19 @@ class ChaosPolicy:
             return cls(chaos, stats=stats) if chaos.enabled else None
         return chaos
 
-    def _inc(self, name, amount=1):
-        if self.stats is not None:
-            self.stats.inc(name, amount)
-
     # -- send-time hooks ----------------------------------------------------
 
     def arrival(self, msg, arrival):
         """Perturbed arrival time for ``msg``, clamped so arrivals on the
         (src, dst) channel stay non-decreasing (pairwise FIFO)."""
-        cfg = self.config
-        if cfg.delay_jitter:
-            extra = self._rng.randrange(cfg.delay_jitter + 1)
+        if self._delay_jitter:
+            extra = self._rng.randrange(self._delay_jitter + 1)
             if extra:
-                self._inc("chaos.delayed")
+                self._counters["chaos.delayed"] += 1
             arrival += extra
-        if cfg.reorder_prob and self._rng.random() < cfg.reorder_prob:
-            arrival += self._rng.randrange(cfg.reorder_window + 1)
-            self._inc("chaos.reordered")
+        if self._reorder_prob and self._rng.random() < self._reorder_prob:
+            arrival += self._rng.randrange(self._reorder_window + 1)
+            self._counters["chaos.reordered"] += 1
         return self._book(msg, arrival)
 
     def duplicate_arrival(self, msg, arrival):
@@ -153,14 +168,13 @@ class ChaosPolicy:
         original and raises the channel floor so later traffic on the same
         channel cannot overtake it.
         """
-        cfg = self.config
-        if not cfg.duplicate_prob or msg.mtype not in _DUPLICABLE:
+        if not self.duplicable[msg.mtype.index]:
             return None
         if msg.mtype is MsgType.UPDATE and msg.payload.get("ack"):
             return None  # a doubled UPDATE_ACK would undercount pending pushes
-        if self._rng.random() >= cfg.duplicate_prob:
+        if self._rng.random() >= self._duplicate_prob:
             return None
-        self._inc("chaos.duplicated")
+        self._counters["chaos.duplicated"] += 1
         return self._book(msg, arrival + 1 + self._rng.randrange(8))
 
     def _book(self, msg, arrival):
@@ -180,22 +194,21 @@ class ChaosPolicy:
         had the line been busy: the home/delegate never sees the request,
         the existing retry machinery takes it from there.
         """
-        cfg = self.config
-        if (not cfg.force_nack_prob or self._nack_budget <= 0
-                or msg.mtype not in _NACKABLE):
+        mtype = msg.mtype
+        if not self.bounceable[mtype.index] or self._nack_budget <= 0:
             return None
-        if msg.mtype in (MsgType.GETS, MsgType.GETX):
+        if mtype is MsgType.GETS or mtype is MsgType.GETX:
             victim = msg.payload.get("requester")
             payload = {"for": "miss", "chaos": True}
-        elif msg.mtype is MsgType.INTERVENTION:
+        elif mtype is MsgType.INTERVENTION:
             victim = msg.src
             payload = {"for": "intervention", "reason": "busy", "chaos": True}
         else:  # UNDELE_REQ
             victim = msg.src
             payload = {"for": "recall", "reason": "busy", "chaos": True}
-        if victim is None or self._rng.random() >= cfg.force_nack_prob:
+        if victim is None or self._rng.random() >= self._force_nack_prob:
             return None
         self._nack_budget -= 1
-        self._inc("chaos.forced_nack")
+        self._counters["chaos.forced_nack"] += 1
         return Message(MsgType.NACK, src=msg.dst, dst=victim, addr=msg.addr,
                        payload=payload)

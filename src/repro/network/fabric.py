@@ -17,9 +17,12 @@ straight onto the event queue's per-cycle calendar, skipping the validated
 handler for its message type, looked up in the node's pre-bound table
 (indexed by ``MsgType.index``) at send time.  The vocabulary is closed —
 every message is a :class:`MsgType` — so that lookup is the one delivery
-rule.  Only remote messages under a chaos policy go through
+rule.  Only remote messages the chaos policy can bounce (GETS, GETX,
+INTERVENTION and UNDELE_REQ, when forced NACKs are on) go through
 :meth:`Fabric._deliver` instead, because their forced-NACK draw must
-happen at delivery.
+happen at delivery; the policy draws nothing for any other type, so
+those, duplicates included, go straight to their handler as they do
+without chaos.
 
 :meth:`Fabric.send_all` is the one-to-many form: a write's INVs to every
 sharer, a producer's UPDATEs to every consumer.  A 256-node broadcast is
@@ -28,9 +31,11 @@ source's latency row, the port table and the calendar once and bumps the
 traffic counters once, by the remote count; the schedule it builds is the
 one 255 :meth:`Fabric.send` calls would build.  The tracer and the chaos
 policy are optional hooks that live only in :meth:`Fabric.send`, each one
-``is None`` branch when absent; with either installed, ``send_all`` hands
-every message to ``send``, so traces and chaos draws (and the ``msg_id``
-of a chaos duplicate) keep their per-message order.
+``is None`` branch when absent.  The tracer is called only when it
+captures messages (``TraceConfig.capture_messages``); with such a tracer
+or a chaos policy installed, ``send_all`` hands every message to
+``send``, so traces and chaos draws (and the ``msg_id`` of a chaos
+duplicate) keep their per-message order.
 """
 
 from heapq import heappush
@@ -48,6 +53,9 @@ class Fabric:
         self.events = events
         self.stats = stats
         self._tracer = tracer
+        # The tracer is called per send only when it records messages.
+        self._msg_tracer = (tracer if tracer is not None
+                            and tracer.config.capture_messages else None)
         self._chaos = chaos  # None = no fault injection
         self.topology = FatTree(config.num_nodes, config.network)
         num_nodes = config.num_nodes
@@ -111,33 +119,31 @@ class Fabric:
         """
         src = msg.src
         dst = msg.dst
-        remote = src != dst
+        index = msg.mtype.index
         events = self.events
-        if self._tracer is not None:
-            self._tracer.msg_send(msg, events._now, remote)
-        chaos = None
-        if remote:
-            index = msg.mtype.index
-            counters = self._counters
-            counters[self._sent_key_by_type[index]] += 1
-            counters[MSG_BYTES] += self._size_by_type[index]
-            chaos = self._chaos
+        if self._msg_tracer is not None:
+            self._msg_tracer.msg_send(msg, events._now, src != dst)
         row = self._latency_rows[src]
         if row is None:
             row = self._latency_row(src)
         arrival = events._now + row[dst]
-        if chaos is not None:
-            arrival = chaos.arrival(msg, arrival)
+        handler = self._tables[dst][index]
+        chaos = None
+        if src != dst:
+            counters = self._counters
+            counters[self._sent_key_by_type[index]] += 1
+            counters[MSG_BYTES] += self._size_by_type[index]
+            chaos = self._chaos
+            if chaos is not None:
+                arrival = chaos.arrival(msg, arrival)
+                if chaos.bounceable[index]:
+                    handler = self._deliver
         busy = self._busy_until
         start = busy[dst]
         if arrival > start:
             start = arrival
         deliver_at = start + self._occupancy
         busy[dst] = deliver_at
-        if chaos is None:
-            handler = self._tables[dst][msg.mtype.index]
-        else:
-            handler = self._deliver
         # Unchecked push onto the calendar: arrival is now plus a
         # non-negative latency (chaos only adds to it) and busy_until never
         # moves backwards, so the timestamp can never be in the past.
@@ -148,7 +154,7 @@ class Fabric:
             heappush(events._times, deliver_at)
         else:
             bucket.append((handler, (msg,)))
-        if chaos is not None:
+        if chaos is not None and chaos.duplicable[index]:
             dup_arrival = chaos.duplicate_arrival(msg, arrival)
             if dup_arrival is not None:
                 # A fresh copy so the two deliveries never share a mutable
@@ -163,10 +169,10 @@ class Fabric:
                 busy[dst] = dup_at
                 bucket = calendar.get(dup_at)
                 if bucket is None:
-                    calendar[dup_at] = [(self._deliver, (dup,))]
+                    calendar[dup_at] = [(handler, (dup,))]
                     heappush(events._times, dup_at)
                 else:
-                    bucket.append((self._deliver, (dup,)))
+                    bucket.append((handler, (dup,)))
 
     def send_all(self, msgs):
         """Put every message of ``msgs`` on the wire, in order, exactly as
@@ -177,7 +183,7 @@ class Fabric:
         generator: each message is scheduled before the next is drawn, so
         ``msg_id`` order follows the send order whichever path is taken.
         """
-        if self._tracer is not None or self._chaos is not None:
+        if self._msg_tracer is not None or self._chaos is not None:
             send = self.send
             for msg in msgs:
                 send(msg)
@@ -228,8 +234,8 @@ class Fabric:
             counters[MSG_BYTES] += remote * self._size_by_type[index]
 
     def _deliver(self, msg):
-        """Deliver a remote message under the chaos policy, which may
-        bounce it with a forced NACK instead."""
+        """Deliver a remote message of a type the chaos policy can bounce;
+        the policy may send a forced NACK instead."""
         nack = self._chaos.forced_nack(msg)
         if nack is None:
             self._tables[msg.dst][msg.mtype.index](msg)

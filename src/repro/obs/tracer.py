@@ -118,6 +118,12 @@ class Tracer:
         self._dele_spans = {}         # (node, addr) -> Span
         self._armed = {}              # (node, addr) -> armed-at cycle
         self.finalized_at = None
+        # Without a node or address filter every record passes, and with
+        # sample_every == 1 every transaction does too: the record paths
+        # then skip the filter and sampling frames.
+        cfg = self.config
+        self._filtered = cfg.nodes is not None or cfg.addr_ranges is not None
+        self._sampled = self._filtered or cfg.sample_every != 1
 
     # -- sampling -----------------------------------------------------------
 
@@ -135,19 +141,15 @@ class Tracer:
             return False
         return (self._txn_count - 1) % self.config.sample_every == 0
 
-    def _next_id(self):
-        self._seq += 1
-        return self._seq
-
     # -- transaction spans (requester side) ---------------------------------
 
     def miss_begin(self, node, addr, kind, now):
-        if not self._sample_txn(node, addr):
+        """``kind`` is the span kind: ``"miss.read"`` or ``"miss.write"``."""
+        if self._sampled and not self._sample_txn(node, addr):
             self._miss_spans[node] = None
             return
-        self._miss_spans[node] = Span(
-            sid=self._next_id(), kind="miss.%s" % kind, node=node,
-            addr=addr, start=now)
+        self._seq += 1
+        self._miss_spans[node] = Span(self._seq, kind, node, addr, now)
 
     def miss_issue(self, node, addr, now, target, mtype):
         span = self._miss_spans.get(node)
@@ -173,10 +175,11 @@ class Tracer:
     # -- delegation lifetime spans (producer side) --------------------------
 
     def delegation_begin(self, node, addr, now):
-        if not self._in_filters(node, addr):
+        if self._filtered and not self._in_filters(node, addr):
             return
+        self._seq += 1
         self._dele_spans[(node, addr)] = Span(
-            sid=self._next_id(), kind="delegation", node=node, addr=addr,
+            sid=self._seq, kind="delegation", node=node, addr=addr,
             start=now)
 
     def delegation_end(self, node, addr, now, reason):
@@ -189,10 +192,10 @@ class Tracer:
     # -- point events -------------------------------------------------------
 
     def event(self, name, node, addr, now, **args):
-        if not self._in_filters(node, addr):
+        if self._filtered and not self._in_filters(node, addr):
             return
-        self.events.append(Event(eid=self._next_id(), name=name, node=node,
-                                 addr=addr, ts=now, args=args))
+        self._seq += 1
+        self.events.append(Event(self._seq, name, node, addr, now, args))
 
     def update_push(self, node, addr, now, targets, pruned):
         """A speculative-update push; resolves an armed intervention on the
@@ -227,8 +230,7 @@ class Tracer:
     # -- network messages (optional, heavy) ---------------------------------
 
     def msg_send(self, msg, now, remote):
-        if not self.config.capture_messages:
-            return
+        # The fabric calls this only when config.capture_messages is set.
         self.event("msg.send", msg.src, msg.addr, now, dst=msg.dst,
                    mtype=msg.mtype.label, remote=remote)
 

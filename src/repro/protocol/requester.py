@@ -51,15 +51,17 @@ class RequesterMixin:
         miss = OutstandingMiss(addr, kind, callback, value, now)
         self.miss = miss
         if self.tracer is not None:
-            self.tracer.miss_begin(self.node, addr, kind.value, now)
+            self.tracer.miss_begin(self.node, addr, kind.span_kind, now)
         if kind is MissKind.READ and self.rac is not None:
             rac_line = self.rac.lookup_data(addr)
             if rac_line is not None:
                 self.stats.inc(S.HIT_RAC)
                 if self.tracer is not None:
+                    # ``_value_`` is the plain attribute behind Enum's
+                    # Python-level ``value`` property.
                     self.tracer.event("rac.hit", self.node, addr,
                                       self.events._now,
-                                      kind=rac_line.kind.value)
+                                      kind=rac_line.kind._value_)
                 if rac_line.kind is RacKind.UPDATE:
                     self.stats.inc(S.HIT_RAC_UPDATE)
                 miss.granted = True
@@ -197,7 +199,7 @@ class RequesterMixin:
             raise self._protocol_error("unclassified miss path %r" % path)
         self._retry_counts[miss.retries] += 1
         if self.tracer is not None:
-            self.tracer.miss_end(self.node, miss.addr, now, path.value,
+            self.tracer.miss_end(self.node, miss.addr, now, path._value_,
                                  miss.retries)
         if miss.kind is MissKind.WRITE and self.rac is not None:
             # Any RAC copy of a line we now own exclusively is stale; pinned

@@ -19,6 +19,14 @@ class MissKind(enum.Enum):
     WRITE = "write"
 
 
+# Each kind's trace span name ("miss.read", "miss.write"), a plain member
+# attribute so the requester's traced branch neither formats it per miss
+# nor calls Enum's Python-level ``value`` property.
+for _kind in MissKind:
+    _kind.span_kind = "miss." + _kind.value
+del _kind
+
+
 class PathClass(enum.Enum):
     """Critical-path classification of a completed miss (paper's taxonomy)."""
 

@@ -9,6 +9,7 @@ from repro.common import Stats, baseline, small
 from repro.common.errors import ConfigError
 from repro.network import Message, MsgType
 from repro.network.chaos import (
+    _DUPLICABLE,
     _NACKABLE,
     ChaosConfig,
     ChaosPolicy,
@@ -191,6 +192,58 @@ class TestForcedNacks:
         assert stats.get("chaos.delayed") > 0
         assert stats.get("chaos.duplicated") == 50
         assert stats.get("chaos.forced_nack") > 0
+
+
+class TestNoDrawContract:
+    """A hook that cannot act on a message returns None before any draw.
+
+    The fabric relies on this to skip the hooks for those messages: it
+    sends only bounceable types through the delivery hook and asks for a
+    duplicate only of duplicable ones, and skipping a call that draws
+    nothing leaves every later draw where it was.
+    """
+
+    KNOBS = {"seed": 6, "delay_jitter": 50, "reorder_prob": 0.5,
+             "reorder_window": 20, "duplicate_prob": 1.0,
+             "force_nack_prob": 0.9}
+
+    @staticmethod
+    def message(mtype, **payload):
+        return Message(mtype, src=2, dst=0, addr=LINE,
+                       payload={"requester": 2, "for": "miss", **payload})
+
+    @pytest.mark.parametrize(
+        "mtype", [m for m in MsgType if m not in _NACKABLE],
+        ids=lambda m: m.label)
+    def test_forced_nack_outside_the_bounce_set(self, mtype):
+        pol = policy(**self.KNOBS)
+        before = pol._rng.getstate()
+        assert pol.forced_nack(self.message(mtype)) is None
+        assert pol._rng.getstate() == before
+
+    # An ack-bearing UPDATE is outside the set too: only ack-less ones
+    # are duplicated.
+    OUTSIDE_DUPLICATION = [(m, {}) for m in MsgType if m not in _DUPLICABLE]
+    OUTSIDE_DUPLICATION.append((MsgType.UPDATE, {"ack": True}))
+
+    @pytest.mark.parametrize(
+        "mtype,payload", OUTSIDE_DUPLICATION,
+        ids=[m.label + ("+ack" if p else "") for m, p in OUTSIDE_DUPLICATION])
+    def test_duplicate_arrival_outside_the_duplication_set(self, mtype,
+                                                          payload):
+        pol = policy(**self.KNOBS)
+        before = pol._rng.getstate()
+        msg = self.message(mtype, **payload)
+        assert pol.duplicate_arrival(msg, arrival=100) is None
+        assert pol._rng.getstate() == before
+
+    def test_tables_hold_exactly_the_sets(self):
+        pol = policy(**self.KNOBS)
+        assert {m for m in MsgType if pol.bounceable[m.index]} == _NACKABLE
+        assert {m for m in MsgType if pol.duplicable[m.index]} == _DUPLICABLE
+        # A knob at zero empties its table: nothing can act.
+        quiet = policy(seed=6, delay_jitter=50)
+        assert not any(quiet.bounceable) and not any(quiet.duplicable)
 
 
 class TestDeterminism:

@@ -11,6 +11,7 @@ from repro.common import ConfigError, EventQueue, Stats, baseline
 from repro.network import Fabric, FatTree, Message, MsgType
 from repro.network.chaos import ChaosConfig, ChaosPolicy
 from repro.network.message import reset_msg_ids
+from repro.obs import TraceConfig
 from repro.spec.protocols.adaptive import MESSAGES
 
 
@@ -199,7 +200,12 @@ class TestDeepFatTree:
 
 
 class RecordingTracer:
-    """Just the fabric's tracer hook: records every ``msg_send`` call."""
+    """Just the fabric's tracer hook: records every ``msg_send`` call.
+
+    It declares that it captures messages: the fabric calls the tracer per
+    send only then."""
+
+    config = TraceConfig(capture_messages=True)
 
     def __init__(self):
         self.sends = []
@@ -260,9 +266,9 @@ class TestFabric:
         delivered = [m.msg_id for _t, m in inbox[1]]
         assert delivered == [first.msg_id, second.msg_id]
 
-    def scheduled(self, chaos=None, fan_out=False):
-        """The callbacks a send to a node with a handler table schedules,
-        before and after the node is re-attached."""
+    def scheduled(self, chaos=None, fan_out=False, mtype=MsgType.INV):
+        """The callbacks a send of ``mtype`` to a node with a handler table
+        schedules, before and after the node is re-attached."""
         cfg = baseline(num_nodes=2)
         events = EventQueue()
         stats = Stats()
@@ -279,9 +285,9 @@ class TestFabric:
         fabric.attach(1, [first] * len(MsgType))
         send = ((lambda msg: fabric.send_all([msg])) if fan_out
                 else fabric.send)
-        send(Message(MsgType.INV, 0, 1, 0))
+        send(Message(mtype, 0, 1, 0))
         fabric.attach(1, [second] * len(MsgType))
-        send(Message(MsgType.INV, 0, 1, 0))
+        send(Message(mtype, 0, 1, 0))
         return [callback.__name__ for _cycle, bucket
                 in sorted(events._calendar.items())
                 for callback, _args in bucket]
@@ -293,8 +299,18 @@ class TestFabric:
 
     @pytest.mark.parametrize("fan_out", [False, True])
     def test_chaos_delivers_through_the_generic_path(self, fan_out):
+        # Only a type the policy can bounce takes the _deliver hook, whose
+        # forced-NACK draw happens at delivery; any other type goes to the
+        # handler found at send time, as without chaos.
         chaos = ChaosConfig(seed=4, force_nack_prob=0.5)
-        assert self.scheduled(chaos, fan_out) == ["_deliver", "_deliver"]
+        assert self.scheduled(chaos, fan_out, MsgType.GETS) == [
+            "_deliver", "_deliver"]
+        assert self.scheduled(chaos, fan_out, MsgType.INV) == [
+            "first", "second"]
+        # With forced NACKs off nothing can be bounced.
+        jitter = ChaosConfig(seed=4, delay_jitter=5)
+        assert self.scheduled(jitter, fan_out, MsgType.GETS) == [
+            "first", "second"]
 
     def test_unattached_node_raises(self):
         cfg = baseline(num_nodes=2)

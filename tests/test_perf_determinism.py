@@ -53,21 +53,33 @@ class TestGoldenRuns:
         assert run.metrics.cycles == rec["cycles"]
         assert run.stats == rec["stats"]
 
-    def test_trace_jsonl_digest(self, golden, tmp_path):
-        rec = golden["trace"]
+    @staticmethod
+    def jsonl_digest(rec, tmp_path):
         cfg = params.EVALUATED_SYSTEMS[rec["system"]]()
         tracer = Tracer(TraceConfig(capture_messages=rec["capture_messages"]))
         run_app(rec["app"], cfg, seed=rec["seed"], scale=rec["scale"],
                 trace=tracer)
         path = tmp_path / "trace.jsonl"
         export_jsonl(tracer, str(path))
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == rec["jsonl_sha256"]
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_trace_jsonl_digest(self, golden, tmp_path):
+        rec = golden["trace"]
+        assert self.jsonl_digest(rec, tmp_path) == rec["jsonl_sha256"]
+
+    def test_trace_jsonl_digest_without_messages(self, golden, tmp_path):
+        # The tracer the fuzz runner installs: no per-message events, so
+        # the fabric skips the tracer on every send.
+        rec = golden["trace_without_messages"]
+        assert not rec["capture_messages"]
+        assert self.jsonl_digest(rec, tmp_path) == rec["jsonl_sha256"]
 
 
 class TestGoldenFuzz:
     """Fuzz case digests (which embed stats, cycles, event counts and any
-    ``Msg#``-bearing failure text) are byte-for-byte stable."""
+    ``Msg#``-bearing failure text) are byte-for-byte stable.  Seed 10 is
+    the pinned seed whose chaos policy duplicates messages (4 duplicates,
+    29 forced NACKs at scale 0.25)."""
 
     def test_case_digests(self, golden):
         for rec in golden["fuzz"]:
